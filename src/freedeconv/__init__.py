@@ -17,7 +17,6 @@ from .contours import (
 from .errors import (
     BaselineFailureError,
     DegenerateRamificationError,
-    DomainViolationError,
     ForwardSolverError,
     IncompleteRootsError,
     InvalidMomentsError,
@@ -82,7 +81,6 @@ __all__ = [
     "DeconvResult",
     "DegenerateRamificationError",
     "DiscreteMeasure",
-    "DomainViolationError",
     "ForwardSolverError",
     "IncompleteRootsError",
     "InvalidMomentsError",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -215,27 +215,27 @@ def moments_from_contour(rep: ContourRepresentation, K: int) -> ContourMoments:
 
 
 def contour_rep_from_s(
-    s_eval: Callable[[complex], complex], m_contour: Sequence[complex]
+    s_values: Sequence[complex], m_contour: Sequence[complex]
 ) -> ContourRepresentation:
-    """Build a sampled G contour of the measure whose S-transform is s_eval.
+    """Build a sampled G contour of a measure from its S-transform values.
 
-    Each node m on a closed m-plane contour around 0 maps to
-    z = (1+m)/(m s(m)), where M(z) = m, hence G(z) = (1+m)/z on the image
-    contour.  The image of a counterclockwise m circle winds clockwise
-    around the support (z ~ m_1/m near 0), so nodes are reversed when needed
-    to hand back a counterclockwise representation.
+    `s_values[j]` is the S-transform at the node `m_contour[j]`.  Each node
+    m on a closed m-plane contour around 0 maps to z = (1+m)/(m s(m)),
+    where M(z) = m, hence G(z) = (1+m)/z on the image contour.  The image
+    of a counterclockwise m circle winds clockwise around the support
+    (z ~ m_1/m near 0), so nodes are reversed when needed to hand back a
+    counterclockwise representation.
     """
     m = _as_complex_nodes(m_contour, "m_contour")
     if m.size < 16:
         raise ValueError("m contour needs at least 16 nodes")
     if np.any(m == 0.0):
         raise ValueError("m = 0 is the pole of the inverse moment map")
-    try:
-        s = np.asarray(s_eval(m), dtype=complex)
-        if s.shape != m.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        s = np.array([complex(s_eval(complex(mj))) for mj in m])
+    s = np.asarray(s_values, dtype=complex)
+    if s.shape != m.shape:
+        raise ValueError(
+            f"S values of shape {s.shape} do not match the {m.size} nodes"
+        )
     z = (1.0 + m) / (m * s)
     g = (1.0 + m) / z
     area = 0.5 * np.sum(
@@ -258,36 +258,20 @@ def choose_m_contour(
     The slits are vertical rays starting at the conjugate pairs of branch
     points, so a circle of radius r avoids the slit at (re, im_min) exactly
     when its crossing height sqrt(r^2 - re^2) stays below im_min (or it
-    never reaches the line Re = re).  The radius is the largest value under
-    a cap of 1 that keeps a relative `margin` of clearance, found by
-    bisection on the feasibility predicate.  Nodes are placed at
-    half-integer angles, which keeps the set conjugate-symmetric and off
-    the real axis.
+    never reaches the line Re = re).  Keeping a relative `margin` of
+    clearance bounds the radius by hypot(re, (1 - margin) im_min) for every
+    slit; the radius is the least of these bounds and a cap of 1.  Nodes
+    are placed at half-integer angles, which keeps the set
+    conjugate-symmetric and off the real axis.
     """
     if nodes < 16:
         raise ValueError("need at least 16 contour nodes")
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     dom = slit_domain(ram)
-    cap = 1.0  # conditioning: larger radii inflate high-order powers
-
-    def feasible(r: float) -> bool:
-        for re, im_min in zip(dom.slit_re, dom.slit_im):
-            if r > np.hypot(re, (1.0 - margin) * im_min):
-                return False
-        return True
-
-    if feasible(cap):
-        radius = cap
-    else:
-        lo, hi = 0.0, cap
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        radius = lo
+    bounds = np.hypot(dom.slit_re, (1.0 - margin) * dom.slit_im)
+    # cap of 1 for conditioning: larger radii inflate high-order powers
+    radius = float(np.min(bounds, initial=1.0))
     if radius < 1e-8:
         raise NoContourError(
             "no circle around 0 clears the branch slits; a branch point "

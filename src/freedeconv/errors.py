@@ -13,7 +13,6 @@ __all__ = [
     "PoleError",
     "IncompleteRootsError",
     "DegenerateRamificationError",
-    "DomainViolationError",
     "LiftFailureError",
     "NoContourError",
     "NoisyContourError",
@@ -42,10 +41,6 @@ class IncompleteRootsError(NumericalError):
 
 class DegenerateRamificationError(NumericalError):
     """A branch point sits on (or hugs) the real axis; no slit domain exists."""
-
-
-class DomainViolationError(NumericalError):
-    """A lift path leaves the slit domain."""
 
 
 class LiftFailureError(NumericalError):

@@ -55,6 +55,7 @@ REPORT_COLUMNS = (
     "t_recovery_s",
     "diag_rank",
     "diag_imag_residue",
+    "error",
 )
 
 

@@ -531,20 +531,21 @@ def _lift_full(mu, target_m, dom, cfg=LiftConfig()):
 def lift_many(mu, targets, dom, cfg=LiftConfig(), step_counts=None):
     """Lift a sequence of targets, warm-starting each from its predecessor.
 
-    Consecutive targets whose connecting chord stays in the domain continue
-    the previous lift; others fall back to a fresh lift from the seed.
-    Intended for contour nodes, where chords of the circle never meet the
-    slits.  When `step_counts` is a list, per-target walk step counts are
-    appended to it.
+    Inside the largest slit-free disk about 0 every chord stays in the
+    domain, so consecutive targets in that disk continue the previous
+    lift; others fall back to a fresh lift from the seed.  Intended for
+    contour nodes on a circle inside that disk.  When `step_counts` is a
+    list, per-target walk step counts are appended to it.
     """
     targets = np.asarray(targets, dtype=complex)
     out = np.empty_like(targets)
+    free = dom.distance(0.0)
     w = None
     prev = None
     for i, m in enumerate(targets):
         m = complex(m)
         steps = 0
-        if w is not None and dom.segment_clear(prev, m):
+        if w is not None and max(abs(prev), abs(m)) < free:
             try:
                 w, steps = _walk(mu, dom, prev, w, [m], cfg, coarse=True)
             except LiftFailureError:

@@ -195,7 +195,7 @@ def deconvolve(
         t1 = time.perf_counter()
         ratio = _ratio_on_circle(mu_n, mp, nodes, dom, lift_cfg, step_counts)
         t_lift += time.perf_counter() - t1
-        rep = contour_rep_from_s(lambda _m: ratio, nodes)
+        rep = contour_rep_from_s(ratio, nodes)
         extracted = moments_from_contour(rep, cfg.max_moments)
         vals = np.asarray(extracted.moments.values, dtype=float)
         if prev_vals is not None:

@@ -23,7 +23,6 @@ from .errors import InvalidMomentsError, NumericalError
 from .measures import DiscreteMeasure, MomentSequence
 
 __all__ = [
-    "HankelMatrix",
     "MomentVerdict",
     "JacobiCoefficients",
     "RecoveryReport",
@@ -40,23 +39,8 @@ log = logging.getLogger(__name__)
 DEFAULT_RANK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    """Moment matrix with entries[i, j] = m_(i+j), symmetric by construction."""
-
-    order: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (self.order, self.order):
-            raise ValueError("entries must be an order x order matrix")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-
-def hankel(moments: MomentSequence, n: int) -> HankelMatrix:
-    """Leading n x n moment matrix of the sequence.
+def hankel(moments: MomentSequence, n: int) -> np.ndarray:
+    """Leading n x n moment matrix H[i, j] = m_(i+j), read-only.
 
     Requires moments m_0 .. m_(2n-2).
     """
@@ -67,9 +51,11 @@ def hankel(moments: MomentSequence, n: int) -> HankelMatrix:
             f"order-{n} Hankel matrix needs moments up to m_{2 * n - 2}, "
             f"got {moments.order}"
         )
-    m = np.asarray(moments.values)
+    m = np.asarray(moments.values, dtype=float)
     idx = np.arange(n)
-    return HankelMatrix(n, m[idx[:, None] + idx[None, :]])
+    H = m[idx[:, None] + idx[None, :]]
+    H.setflags(write=False)
+    return H
 
 
 class MomentVerdict(NamedTuple):
@@ -93,8 +79,7 @@ def is_moment_sequence(
     positive measure; eigenvalues inside the +-tol band signal finite
     support of cardinality equal to the count above the band.
     """
-    H = hankel(moments, n)
-    eig = np.linalg.eigvalsh(H.entries)
+    eig = np.linalg.eigvalsh(hankel(moments, n))
     norm = float(np.max(np.abs(eig)))
     band = tol * max(norm, 1e-300)
     if eig[0] < -band:

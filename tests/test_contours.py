@@ -219,27 +219,18 @@ def test_contour_rep_from_s_point_mass():
     # S of a point mass at a is the constant 1/a
     a = 3.0
     mc = _circle_nodes(0.0, 0.3, 64)
-    rep = contour_rep_from_s(lambda m: np.full_like(m, 1.0 / a), mc)
+    rep = contour_rep_from_s(np.full_like(mc, 1.0 / a), mc)
     assert rep.orientation == 1
     assert rep.symmetric
     assert winding_number(rep.sigma, a) == 1
     assert contour_moment(rep, 1) == pytest.approx(a, abs=1e-10)
 
 
-def test_contour_rep_from_s_scalar_callable_matches_vector():
-    a = 3.0
-    mc = _circle_nodes(0.0, 0.3, 64)
-    vec = contour_rep_from_s(lambda m: np.full_like(m, 1.0 / a), mc)
-    scal = contour_rep_from_s(lambda m: complex(1.0 / a), mc)
-    assert np.array_equal(vec.sigma, scal.sigma)
-    assert np.array_equal(vec.values, scal.values)
-
-
 def test_contour_rep_from_s_marchenko_pastur():
     c = 0.2
     mp = MarchenkoPastur(c)
     mc = _circle_nodes(0.0, 0.3, 128)
-    rep = contour_rep_from_s(lambda m: 1.0 / (1.0 + c * m), mc)
+    rep = contour_rep_from_s(1.0 / (1.0 + c * mc), mc)
     cm = moments_from_contour(rep, 3)
     assert cm.moments.values[1] == pytest.approx(1.0, abs=1e-10)
     assert cm.moments.values[2] == pytest.approx(1.0 + c, abs=1e-10)
@@ -250,11 +241,16 @@ def test_contour_rep_from_s_marchenko_pastur():
 
 def test_contour_rep_from_s_input_contracts():
     with pytest.raises(ValueError):
-        contour_rep_from_s(lambda m: 1.0, _circle_nodes(0.0, 0.3, 8))
+        contour_rep_from_s(np.ones(8), _circle_nodes(0.0, 0.3, 8))
     mc = _circle_nodes(0.0, 0.3, 64)
     mc[0] = 0.0
     with pytest.raises(ValueError):
-        contour_rep_from_s(lambda m: 1.0, mc)
+        contour_rep_from_s(np.ones(64), mc)
+    # one S value per node, in the nodes' shape
+    mc = _circle_nodes(0.0, 0.3, 64)
+    for s_values in (np.ones(63), np.ones(65), np.ones((64, 1)), 1.0 / 3.0):
+        with pytest.raises(ValueError, match="do not match"):
+            contour_rep_from_s(s_values, mc)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +278,34 @@ def test_choose_m_contour_backs_off_from_low_slits():
     )
     mc = choose_m_contour(ram, 32, 0.1)
     assert np.abs(mc[0]) == pytest.approx(0.18, abs=1e-9)
+
+
+def test_choose_m_contour_radius_is_the_tightest_slit_bound():
+    # multi-slit ramification of random measures: the radius keeps the
+    # margin's clearance from every slit, and either the unit cap or one
+    # slit's bound hypot(re, (1 - margin) im) sets it, up to the rounding
+    # of |node|
+    rng = np.random.default_rng(11)
+    limited = 0
+    for _ in range(12):
+        mu = rand_measure(rng, 6, 0.05, 3.0)
+        ram = critical_points(mu)
+        dom = slit_domain(ram)
+        if dom.n_slits < 2:
+            continue
+        for margin in (0.05, 0.1, 0.3):
+            r = float(np.abs(choose_m_contour(ram, 64, margin)[0]))
+            bounds = np.hypot(dom.slit_re, (1.0 - margin) * dom.slit_im)
+            assert np.all(r <= bounds * (1.0 + 1e-15))
+            # the circle crosses Re = re below the shortened slit
+            crossing = np.sqrt(np.maximum(r**2 - dom.slit_re**2, 0.0))
+            assert np.all(crossing <= (1.0 - margin) * dom.slit_im + 1e-12)
+            if r < 1.0 - 1e-15:
+                limited += 1
+                assert np.min(np.abs(bounds - r)) <= 1e-15 * r
+            else:
+                assert r == pytest.approx(1.0, abs=1e-15)
+    assert limited > 0
 
 
 def test_choose_m_contour_fails_when_slit_touches_origin():
@@ -331,7 +355,7 @@ def test_roundtrip_measure_to_contour_to_moments():
         r_cap = min(np.abs(mc[0]), 0.5)
         mc = mc * (r_cap / np.abs(mc[0]))
         s_vals = np.array([s_transform(mu, m, dom) for m in mc])
-        rep = contour_rep_from_s(lambda m: s_vals, mc)
+        rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)
         exact = np.array([mu.moment(k) for k in range(2 * mu.n_atoms + 1)])
         got = np.asarray(cm.moments.values, dtype=float)

@@ -244,14 +244,22 @@ def test_write_report_csv_roundtrip(tmp_path):
     reports = [
         RunReport("S1", 250, 50, 1, "contour", 0.02, 1.0, 0.5, 0.1, 1, 1e-9),
         RunReport("S1", 500, 100, 1, "contour", 0.01, 2.0, 1.0, 0.2, 1, 1e-9),
+        RunReport(
+            "S1", 500, 100, 2, "contour", float("nan"), 0.5, 0.0, 0.0, 0,
+            float("nan"), error="no circle around 0 clears the branch slits",
+        ),
     ]
     path = tmp_path / "report.csv"
     write_report_csv(reports, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == list(REPORT_COLUMNS)
-    assert [float(r["w1_error"]) for r in rows] == [0.02, 0.01]
-    assert [int(r["n"]) for r in rows] == [250, 500]
+    assert [float(r["w1_error"]) for r in rows[:2]] == [0.02, 0.01]
+    assert [int(r["n"]) for r in rows] == [250, 500, 500]
+    assert [r["error"] for r in rows] == [
+        "", "", "no circle around 0 clears the branch slits"
+    ]
+    assert math.isnan(float(rows[2]["w1_error"]))
 
 
 def test_median_w1_ignores_failed_runs():

@@ -288,13 +288,17 @@ def test_lift_config_validation():
 
 def test_lift_many_agrees_with_individual_lifts():
     dom = slit_domain(critical_points(TWO))
-    targets = 0.3 * np.exp(1j * 2 * np.pi * (np.arange(24) + 0.5) / 24)
-    batched = lift_many(TWO, targets, dom)
-    single = np.array([lift_path(TWO, m, dom) for m in targets])
-    assert np.max(np.abs(batched - single)) < 1e-10
-    steps = []
-    lift_many(TWO, targets, dom, step_counts=steps)
-    assert len(steps) == targets.size
+    # radius 0.3 keeps every chord inside the slit-free disk (radius 1.5
+    # for TWO) and runs the warm chain; radius 2.0 crosses the slit at
+    # Re = -1/2 and falls back to fresh lifts
+    for radius in (0.3, 2.0):
+        targets = radius * np.exp(1j * 2 * np.pi * (np.arange(24) + 0.5) / 24)
+        batched = lift_many(TWO, targets, dom)
+        single = np.array([lift_path(TWO, m, dom) for m in targets])
+        assert np.max(np.abs(batched - single)) < 1e-10
+        steps = []
+        lift_many(TWO, targets, dom, step_counts=steps)
+        assert len(steps) == targets.size
 
 
 def test_lifting_is_path_independent_inside_the_domain():

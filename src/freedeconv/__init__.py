@@ -10,6 +10,7 @@ discrete measure through Hankel/Jacobi recovery.
 from .contours import (
     ContourRepresentation,
     choose_m_contour,
+    circle_nodes,
     contour_moment,
     contour_rep_from_s,
     moments_from_contour,
@@ -99,6 +100,7 @@ __all__ = [
     "SlitDomain",
     "baseline_subordination",
     "choose_m_contour",
+    "circle_nodes",
     "contour_moment",
     "contour_rep_from_s",
     "critical_points",

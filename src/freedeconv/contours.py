@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NoContourError, NoisyContourError
 from .measures import MomentSequence
@@ -28,16 +27,14 @@ __all__ = [
     "moments_from_contour",
     "contour_rep_from_s",
     "choose_m_contour",
+    "circle_nodes",
     "winding_number",
 ]
 
 log = logging.getLogger(__name__)
 
-# adaptive node-doubling policy for moment extraction driven by callers
-DEFAULT_NODES = 512
+# cap of the node-doubling policy for moment extraction driven by callers
 MAX_NODES = 8192
-
-_SYMMETRY_RTOL = 1e-10
 
 
 def _as_complex_nodes(values, name: str) -> np.ndarray:
@@ -49,37 +46,23 @@ def _as_complex_nodes(values, name: str) -> np.ndarray:
     return arr
 
 
-def _is_conjugate_symmetric(sigma: np.ndarray, values: np.ndarray) -> bool:
-    # pair each node with the nearest candidate for its conjugate; sorting
-    # tricks break down when conjugate partners carry 1e-16 jitter in the
-    # tie-breaking coordinate
-    scale = max(float(np.max(np.abs(sigma))), 1.0)
-    tree = cKDTree(np.column_stack([sigma.real, sigma.imag]))
-    dist, idx = tree.query(np.column_stack([sigma.real, -sigma.imag]))
-    if np.max(dist) > _SYMMETRY_RTOL * scale:
-        return False
-    vscale = max(float(np.max(np.abs(values))), 1.0)
-    return bool(
-        np.max(np.abs(values[idx] - np.conj(values))) <= _SYMMETRY_RTOL * vscale
-    )
+def _signed_area(z: np.ndarray) -> float:
+    # shoelace formula: positive for a counterclockwise polygon
+    return 0.5 * float(np.sum(np.imag(np.conj(z) * np.roll(z, -1))))
 
 
 @dataclass(frozen=True)
 class ContourRepresentation:
-    """Sampled contour sigma(t_j) with transform values on the nodes.
+    """Sampled closed counterclockwise contour sigma(t_j) with transform
+    values on the nodes.
 
-    Closed contours store one period without repeating the first node; the
-    wrap-around is implied.  `orientation` is +1 for counterclockwise.  The
-    `symmetric` flag asserts that the node set is closed under conjugation
-    with conjugate-symmetric values, which holds for every contour built
-    from a real measure.
+    One period is stored without repeating the first node; the wrap-around
+    is implied.  A clockwise node sequence (negative signed area) is
+    rejected.
     """
 
     sigma: np.ndarray
     values: np.ndarray
-    closed: bool = True
-    orientation: int = 1
-    symmetric: bool = False
 
     def __post_init__(self):
         sigma = _as_complex_nodes(self.sigma, "sigma")
@@ -88,14 +71,11 @@ class ContourRepresentation:
             raise ValueError("sigma and values must have matching length")
         if sigma.size < 16:
             raise ValueError("a contour needs at least 16 nodes")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        if self.closed:
-            gaps = np.abs(np.diff(np.concatenate([sigma, sigma[:1]])))
-            if np.any(gaps == 0.0):
-                raise ValueError("closed contour has coincident consecutive nodes")
-        if self.symmetric and not _is_conjugate_symmetric(sigma, values):
-            raise ValueError("contour flagged symmetric is not conjugate-symmetric")
+        gaps = np.abs(np.diff(np.concatenate([sigma, sigma[:1]])))
+        if np.any(gaps == 0.0):
+            raise ValueError("contour has coincident consecutive nodes")
+        if _signed_area(sigma) < 0.0:
+            raise ValueError("contour runs clockwise")
         sigma.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
@@ -127,9 +107,8 @@ class ContourRepresentation:
                 )
 
     @classmethod
-    def from_csv(cls, path, closed: bool = True, orientation: int = 1,
-                 symmetric: bool = False) -> "ContourRepresentation":
-        """Read nodes written by `to_csv`.  Flags are not serialized."""
+    def from_csv(cls, path) -> "ContourRepresentation":
+        """Read nodes written by `to_csv`."""
         sigmas = []
         vals = []
         with open(path, newline="") as fh:
@@ -143,10 +122,7 @@ class ContourRepresentation:
                     continue
                 sigmas.append(complex(float(row[1]), float(row[2])))
                 vals.append(complex(float(row[3]), float(row[4])))
-        return cls(
-            np.asarray(sigmas), np.asarray(vals),
-            closed=closed, orientation=orientation, symmetric=symmetric,
-        )
+        return cls(np.asarray(sigmas), np.asarray(vals))
 
 
 def _parametric_derivative(sigma: np.ndarray) -> np.ndarray:
@@ -168,10 +144,6 @@ def contour_moment(rep: ContourRepresentation, k: int) -> complex:
     values of G of a measure supported inside the contour the result is the
     k-th moment up to that quadrature error.
     """
-    if not rep.closed:
-        raise ValueError("moment extraction requires a closed contour")
-    if rep.orientation != 1:
-        raise ValueError("moment extraction requires counterclockwise orientation")
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     dsigma = _parametric_derivative(rep.sigma)
@@ -238,34 +210,22 @@ def contour_rep_from_s(
         )
     z = (1.0 + m) / (m * s)
     g = (1.0 + m) / z
-    area = 0.5 * np.sum(
-        np.imag(np.conj(z) * np.roll(z, -1))
-    )
-    if area < 0.0:
+    if _signed_area(z) < 0.0:
         z = z[::-1]
         g = g[::-1]
-    return ContourRepresentation(
-        z, g, closed=True, orientation=1,
-        symmetric=_is_conjugate_symmetric(z, g),
-    )
+    return ContourRepresentation(z, g)
 
 
-def choose_m_contour(
-    ram: RamificationData, nodes: int = DEFAULT_NODES, margin: float = 0.1
-) -> np.ndarray:
-    """Pick a circle in the m plane that clears every branch slit.
+def choose_m_contour(ram: RamificationData, margin: float = 0.1) -> float:
+    """Radius of a circle about 0 in the m plane that clears every slit.
 
     The slits are vertical rays starting at the conjugate pairs of branch
     points, so a circle of radius r avoids the slit at (re, im_min) exactly
     when its crossing height sqrt(r^2 - re^2) stays below im_min (or it
     never reaches the line Re = re).  Keeping a relative `margin` of
     clearance bounds the radius by hypot(re, (1 - margin) im_min) for every
-    slit; the radius is the least of these bounds and a cap of 1.  Nodes
-    are placed at half-integer angles, which keeps the set
-    conjugate-symmetric and off the real axis.
+    slit; the radius is the least of these bounds and a cap of 1.
     """
-    if nodes < 16:
-        raise ValueError("need at least 16 contour nodes")
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     dom = slit_domain(ram)
@@ -279,8 +239,22 @@ def choose_m_contour(
             stage="choose_m_contour",
             diagnostics={"radius": radius},
         )
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
-    log.debug("m contour radius %.6g with %d nodes", radius, nodes)
+    log.debug("m contour radius %.6g", radius)
+    return radius
+
+
+def circle_nodes(radius: float, n: int) -> np.ndarray:
+    """n counterclockwise nodes on the circle |m| = radius.
+
+    Nodes sit at half-integer angles 2 pi (j + 1/2) / n, which keeps the
+    set conjugate-symmetric; for even n no node is real and the first n/2
+    nodes are the upper half.
+    """
+    if n < 16:
+        raise ValueError("need at least 16 contour nodes")
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     return radius * np.exp(1j * theta)
 
 

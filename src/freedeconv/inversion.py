@@ -86,26 +86,6 @@ def _msecond(z, x, c):
     return 2.0 * np.sum(c / (z[..., None] - x) ** 3, axis=-1)
 
 
-def _poly_roots(x, c):
-    # clear denominators of M' on centered coordinates and use the
-    # companion matrix; feasible while binomial growth of the coefficients
-    # stays inside double range (degree a few hundred)
-    shift = 0.5 * (x[0] + x[-1])
-    scale = max(0.5 * (x[-1] - x[0]), 1.0)
-    u = (x - shift) / scale
-    base = np.poly(u)  # monic, degree L
-    acc = np.zeros(2 * (u.size - 1) + 1, dtype=float)
-    for j in range(u.size):
-        # synthetic division: base / (t - u_j), exact since u_j is a root
-        q = np.empty(u.size, dtype=float)
-        q[0] = base[0]
-        for i in range(1, u.size):
-            q[i] = base[i] + u[j] * q[i - 1]
-        acc += c[j] * np.convolve(q, q)
-    roots = np.roots(acc)
-    return shift + scale * roots
-
-
 def _gap_seeds(x, c):
     # one conjugate pair of starting points per gap, from the two-pole
     # local model c_j/(z-x_j)^2 + c_{j+1}/(z-x_{j+1})^2 = 0
@@ -177,18 +157,10 @@ def critical_points(mu):
             np.empty(0, complex), np.empty(0, complex), mu.measure_id
         )
     degree = 2 * (x.size - 1)
-    # companion matrices are reliable only at small degree: the cleared
-    # polynomial has clustered near-real roots whose coefficient-space
-    # conditioning degrades fast, so the gap-seeded simultaneous iteration
-    # on the rational form is the main tier
-    if degree <= 40:
-        starts = np.asarray(_poly_roots(x, c), dtype=complex)
-    else:
-        starts = _gap_seeds(x, c)
-    roots = _newton_polish(_aberth(starts, x, c), x, c)
-    if degree <= 40 and not np.all(_certify(roots, x, c)):
-        # companion starts carry no gap structure; swap tiers wholesale
-        roots = _newton_polish(_aberth(_gap_seeds(x, c), x, c), x, c)
+    # simultaneous iteration on the rational form from one conjugate pair
+    # of starts per gap; the cleared polynomial is avoided because its
+    # coefficients are badly conditioned for clustered near-real roots
+    roots = _newton_polish(_aberth(_gap_seeds(x, c), x, c), x, c)
     for jig in (0.0, 3e-2, 1e-1):
         bad = np.where(~_certify(roots, x, c))[0]
         if bad.size == 0:
@@ -328,8 +300,7 @@ class SlitDomain:
         return float(d) if d.ndim == 0 else d
 
     def contains(self, m):
-        d = self.distance(m)
-        return d > 0.0 if np.ndim(d) == 0 else d > 0.0
+        return self.distance(m) > 0.0
 
     def segment_clear(self, a, b):
         """True iff the closed segment [a, b] misses every slit."""
@@ -370,20 +341,21 @@ def slit_domain(ram):
 # path lifting
 # ---------------------------------------------------------------------------
 
+# Newton iterations per corrector call, and |m| of the asymptotic seed
+MAX_NEWTON = 20
+START_ABS = 1e-3
+
+
 @dataclass(frozen=True)
 class LiftConfig:
     """Step and tolerance knobs for the predictor-corrector lift."""
 
     newton_tol: float = 1e-12
-    max_newton: int = 20
     min_step: float = 1e-9
-    start_abs: float = 1e-3
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.min_step <= 0 or self.start_abs <= 0:
+        if self.newton_tol <= 0 or self.min_step <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_newton < 1:
-            raise ValueError("max_newton must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -412,7 +384,7 @@ def _plan_path(dom, start, target):
 
 def _newton(mu, w, m, cfg):
     """Correct w to a root of M(.) = m; returns (w, residual, iterations)."""
-    for it in range(1, cfg.max_newton + 1):
+    for it in range(1, MAX_NEWTON + 1):
         f = mu.moment_map(w) - m
         res = abs(f)
         if res <= cfg.newton_tol:
@@ -434,7 +406,7 @@ def _newton(mu, w, m, cfg):
         if not np.isfinite(w):
             break
     f = mu.moment_map(w) - m
-    return w, abs(f), cfg.max_newton + 1
+    return w, abs(f), MAX_NEWTON + 1
 
 
 def _walk(mu, dom, m0, w0, waypoints, cfg, coarse=False):
@@ -467,7 +439,7 @@ def _walk(mu, dom, m0, w0, waypoints, cfg, coarse=False):
                 w_pred = w + (m_next - m_cur) / d if d != 0.0 else w
                 w_new, res, iters = _newton(mu, w_pred, m_next, cfg)
             except (PoleError, FloatingPointError):
-                res, iters = np.inf, cfg.max_newton + 1
+                res, iters = np.inf, MAX_NEWTON + 1
                 w_new = w
             if res <= cfg.newton_tol and np.isfinite(w_new):
                 m_cur, w = m_next, w_new
@@ -515,7 +487,7 @@ def _lift_full(mu, target_m, dom, cfg=LiftConfig()):
     m1 = mu.moment(1)
     if m1 <= 0.0:
         raise ValueError("path lifting requires a measure with positive mean")
-    start = target_m * (min(cfg.start_abs, abs(target_m) / 10.0) / abs(target_m))
+    start = target_m * (min(START_ABS, abs(target_m) / 10.0) / abs(target_m))
     path = _plan_path(dom, start, target_m)
     w0 = m1 / start + mu.moment(2) / m1
     w0, res, _ = _newton(mu, w0, start, cfg)

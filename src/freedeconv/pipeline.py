@@ -33,6 +33,7 @@ from .contours import (
     MAX_NODES,
     ContourRepresentation,
     choose_m_contour,
+    circle_nodes,
     contour_rep_from_s,
     moments_from_contour,
 )
@@ -179,19 +180,15 @@ def deconvolve(
     dom = slit_domain(ram)
     lift_cfg = cfg.lift_config()
 
-    nodes = choose_m_contour(ram, cfg.contour_nodes, cfg.contour_margin)
-    radius = float(np.abs(nodes[0]))
     # stay clear of the S_MP pole at m = -1/c
-    pole_cap = 0.5 / c
-    if radius > pole_cap:
-        nodes = nodes * (pole_cap / radius)
-        radius = pole_cap
+    radius = min(choose_m_contour(ram, cfg.contour_margin), 0.5 / c)
 
     step_counts: list = []
     t_lift = 0.0
     prev_vals = None
-    n_nodes = nodes.size
+    n_nodes = cfg.contour_nodes
     while True:
+        nodes = circle_nodes(radius, n_nodes)
         t1 = time.perf_counter()
         ratio = _ratio_on_circle(mu_n, mp, nodes, dom, lift_cfg, step_counts)
         t_lift += time.perf_counter() - t1
@@ -211,8 +208,6 @@ def deconvolve(
             break
         prev_vals = vals
         n_nodes *= 2
-        theta = 2.0 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-        nodes = radius * np.exp(1j * theta)
 
     t2 = time.perf_counter()
     report = recover_measure_detailed(
@@ -347,9 +342,7 @@ def forward_contour(
     values = np.empty(nodes, dtype=complex)
     values[: nodes // 2] = g_upper
     values[nodes // 2 :] = np.conj(g_upper[::-1])
-    return ContourRepresentation(
-        sigma, values, closed=True, orientation=1, symmetric=True
-    )
+    return ContourRepresentation(sigma, values)
 
 
 def forward_measure(

@@ -8,6 +8,7 @@ is evidence and not a tautology.
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from freedeconv.measures import DiscreteMeasure
 
@@ -56,6 +57,26 @@ def conditioned_measure(seed):
         atoms = np.linspace(lo, hi, l) + rng.uniform(-jit, jit, l) * gap
     w = rng.uniform(w_lo, 1.0, l)
     return DiscreteMeasure(atoms, w / w.sum())
+
+
+def is_conjugate_symmetric(sigma, values, rtol=1e-10):
+    """True iff the node set is closed under conjugation, with
+    conjugate-symmetric values, to `rtol` relative tolerance.
+
+    Every contour of a real measure has this symmetry.  Each node is
+    paired with the nearest candidate for its conjugate; sorting tricks
+    break down when conjugate partners carry 1e-16 jitter in the
+    tie-breaking coordinate.
+    """
+    sigma = np.asarray(sigma, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    scale = max(float(np.max(np.abs(sigma))), 1.0)
+    tree = cKDTree(np.column_stack([sigma.real, sigma.imag]))
+    dist, idx = tree.query(np.column_stack([sigma.real, -sigma.imag]))
+    if np.max(dist) > rtol * scale:
+        return False
+    vscale = max(float(np.max(np.abs(values))), 1.0)
+    return bool(np.max(np.abs(values[idx] - np.conj(values))) <= rtol * vscale)
 
 
 def moment_map_roots(mu, m):

@@ -6,6 +6,7 @@ import pytest
 from freedeconv.contours import (
     ContourRepresentation,
     choose_m_contour,
+    circle_nodes,
     contour_moment,
     contour_rep_from_s,
     moments_from_contour,
@@ -20,7 +21,7 @@ from freedeconv.inversion import (
 )
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur
 
-from helpers import rand_measure
+from helpers import is_conjugate_symmetric, rand_measure
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 
@@ -33,7 +34,7 @@ def _circle_nodes(center, radius, n):
 
 def _stieltjes_rep(mu, center, radius, n):
     sigma = _circle_nodes(center, radius, n)
-    return ContourRepresentation(sigma, mu.stieltjes(sigma), symmetric=True)
+    return ContourRepresentation(sigma, mu.stieltjes(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +44,7 @@ def _stieltjes_rep(mu, center, radius, n):
 def test_contour_representation_basic_fields():
     rep = _stieltjes_rep(DiscreteMeasure([1.0], [1.0]), 1.0, 1.0, 32)
     assert rep.n_nodes == 32
-    assert rep.closed
-    assert rep.orientation == 1
-    assert rep.symmetric
+    assert is_conjugate_symmetric(rep.sigma, rep.values)
     assert not rep.sigma.flags.writeable
     assert not rep.values.flags.writeable
 
@@ -62,10 +61,11 @@ def test_contour_representation_rejects_length_mismatch():
         ContourRepresentation(sigma, np.ones(31, dtype=complex))
 
 
-def test_contour_representation_rejects_bad_orientation():
+def test_contour_representation_rejects_reversed_circle():
     sigma = _circle_nodes(0.0, 1.0, 32)
-    with pytest.raises(ValueError):
-        ContourRepresentation(sigma, np.ones(32, dtype=complex), orientation=2)
+    ContourRepresentation(sigma, np.ones(32, dtype=complex))
+    with pytest.raises(ValueError, match="clockwise"):
+        ContourRepresentation(sigma[::-1], np.ones(32, dtype=complex))
 
 
 def test_contour_representation_rejects_coincident_nodes():
@@ -83,10 +83,12 @@ def test_contour_representation_rejects_nonfinite_nodes():
         ContourRepresentation(sigma, vals)
 
 
-def test_contour_representation_verifies_symmetric_flag():
-    sigma = _circle_nodes(0.0, 1.0, 32) + 0.05j  # shifted off symmetry
-    with pytest.raises(ValueError):
-        ContourRepresentation(sigma, np.ones(32, dtype=complex), symmetric=True)
+def test_symmetry_helper_reports_shifted_circle_as_asymmetric():
+    sigma = _circle_nodes(0.0, 1.0, 32)
+    values = np.ones(32, dtype=complex)
+    assert is_conjugate_symmetric(sigma, values)
+    assert not is_conjugate_symmetric(sigma + 0.05j, values)  # shifted nodes
+    assert not is_conjugate_symmetric(sigma, values + 0.05j)  # shifted values
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +101,10 @@ def test_contour_csv_roundtrip_is_bit_exact(tmp_path):
     rep.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "t_index,re_sigma,im_sigma,re_value,im_value"
-    back = ContourRepresentation.from_csv(path, symmetric=True)
+    back = ContourRepresentation.from_csv(path)
     assert np.array_equal(back.sigma, rep.sigma)
     assert np.array_equal(back.values, rep.values)
+    assert is_conjugate_symmetric(back.sigma, back.values)
 
 
 def test_contour_csv_rejects_foreign_header(tmp_path):
@@ -128,14 +131,7 @@ def test_contour_moment_two_atoms():
 
 def test_contour_moment_input_contracts():
     sigma = _circle_nodes(1.5, 2.0, 64)
-    vals = TWO.stieltjes(sigma)
-    open_rep = ContourRepresentation(sigma, vals, closed=False)
-    with pytest.raises(ValueError):
-        contour_moment(open_rep, 0)
-    cw = ContourRepresentation(sigma, vals, orientation=-1)
-    with pytest.raises(ValueError):
-        contour_moment(cw, 0)
-    rep = ContourRepresentation(sigma, vals)
+    rep = ContourRepresentation(sigma, TWO.stieltjes(sigma))
     with pytest.raises(ValueError):
         contour_moment(rep, -1)
 
@@ -220,9 +216,11 @@ def test_contour_rep_from_s_point_mass():
     a = 3.0
     mc = _circle_nodes(0.0, 0.3, 64)
     rep = contour_rep_from_s(np.full_like(mc, 1.0 / a), mc)
-    assert rep.orientation == 1
-    assert rep.symmetric
+    assert is_conjugate_symmetric(rep.sigma, rep.values)
+    # counterclockwise around the atom, although the image of the
+    # counterclockwise m circle runs clockwise
     assert winding_number(rep.sigma, a) == 1
+    assert winding_number((1.0 + mc) * a / mc, a) == -1
     assert contour_moment(rep, 1) == pytest.approx(a, abs=1e-10)
 
 
@@ -258,14 +256,8 @@ def test_contour_rep_from_s_input_contracts():
 # ---------------------------------------------------------------------------
 
 def test_choose_m_contour_hits_unit_cap_for_clear_slits():
-    mc = choose_m_contour(critical_points(TWO), 64, 0.1)
-    assert mc.shape == (64,)
-    assert np.allclose(np.abs(mc), 1.0, atol=1e-12)
-    # half-integer angles: conjugate-symmetric, never real
-    assert np.all(np.abs(mc.imag) > 1e-3)
-    assert np.angle(mc[0]) == pytest.approx(np.pi / 64)
-    for node in mc:
-        assert np.min(np.abs(np.conj(node) - mc)) < 1e-12
+    # TWO's only slit starts at -1/2 + sqrt(2) i, beyond the unit cap
+    assert choose_m_contour(critical_points(TWO), 0.1) == 1.0
 
 
 def test_choose_m_contour_backs_off_from_low_slits():
@@ -276,15 +268,13 @@ def test_choose_m_contour_backs_off_from_low_slits():
         np.array([0.0 + 0.2j]),
         "synthetic",
     )
-    mc = choose_m_contour(ram, 32, 0.1)
-    assert np.abs(mc[0]) == pytest.approx(0.18, abs=1e-9)
+    assert choose_m_contour(ram, 0.1) == pytest.approx(0.18, abs=1e-9)
 
 
 def test_choose_m_contour_radius_is_the_tightest_slit_bound():
     # multi-slit ramification of random measures: the radius keeps the
-    # margin's clearance from every slit, and either the unit cap or one
-    # slit's bound hypot(re, (1 - margin) im) sets it, up to the rounding
-    # of |node|
+    # margin's clearance from every slit, and is exactly either the unit
+    # cap or one slit's bound hypot(re, (1 - margin) im)
     rng = np.random.default_rng(11)
     limited = 0
     for _ in range(12):
@@ -294,17 +284,18 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
         if dom.n_slits < 2:
             continue
         for margin in (0.05, 0.1, 0.3):
-            r = float(np.abs(choose_m_contour(ram, 64, margin)[0]))
+            r = choose_m_contour(ram, margin)
+            assert isinstance(r, float)
             bounds = np.hypot(dom.slit_re, (1.0 - margin) * dom.slit_im)
-            assert np.all(r <= bounds * (1.0 + 1e-15))
+            assert np.all(r <= bounds)
             # the circle crosses Re = re below the shortened slit
             crossing = np.sqrt(np.maximum(r**2 - dom.slit_re**2, 0.0))
             assert np.all(crossing <= (1.0 - margin) * dom.slit_im + 1e-12)
-            if r < 1.0 - 1e-15:
+            if r < 1.0:
                 limited += 1
-                assert np.min(np.abs(bounds - r)) <= 1e-15 * r
+                assert r in bounds
             else:
-                assert r == pytest.approx(1.0, abs=1e-15)
+                assert r == 1.0
     assert limited > 0
 
 
@@ -315,16 +306,41 @@ def test_choose_m_contour_fails_when_slit_touches_origin():
         "synthetic",
     )
     with pytest.raises(NoContourError):
-        choose_m_contour(ram, 32, 0.1)
+        choose_m_contour(ram, 0.1)
 
 
 def test_choose_m_contour_input_contracts():
     ram = critical_points(TWO)
-    with pytest.raises(ValueError):
-        choose_m_contour(ram, 8, 0.1)
     for margin in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError):
-            choose_m_contour(ram, 64, margin)
+            choose_m_contour(ram, margin)
+
+
+# ---------------------------------------------------------------------------
+# circle_nodes
+# ---------------------------------------------------------------------------
+
+def test_circle_nodes_lie_on_the_circle_at_half_integer_angles():
+    mc = circle_nodes(0.7, 64)
+    assert mc.shape == (64,)
+    assert np.allclose(np.abs(mc), 0.7, atol=1e-12)
+    # half-integer angles: conjugate-symmetric, never real
+    assert np.all(np.abs(mc.imag) > 1e-3)
+    assert np.angle(mc[0]) == pytest.approx(np.pi / 64)
+    for node in mc:
+        assert np.min(np.abs(np.conj(node) - mc)) < 1e-12
+    # counterclockwise, upper half first
+    assert np.all(np.diff(np.unwrap(np.angle(mc))) > 0.0)
+    assert np.all(mc[:32].imag > 0.0)
+
+
+def test_circle_nodes_input_contracts():
+    with pytest.raises(ValueError):
+        circle_nodes(1.0, 8)
+    assert circle_nodes(1.0, 16).shape == (16,)
+    for radius in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            circle_nodes(radius, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +367,7 @@ def test_roundtrip_measure_to_contour_to_moments():
             continue
         ram = critical_points(mu)
         dom = slit_domain(ram)
-        mc = choose_m_contour(ram, 512, 0.1)
-        r_cap = min(np.abs(mc[0]), 0.5)
-        mc = mc * (r_cap / np.abs(mc[0]))
+        mc = circle_nodes(min(choose_m_contour(ram, 0.1), 0.5), 512)
         s_vals = np.array([s_transform(mu, m, dom) for m in mc])
         rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from freedeconv.contours import ContourRepresentation, moments_from_contour
+from freedeconv.contours import (
+    ContourRepresentation,
+    choose_m_contour,
+    moments_from_contour,
+)
 from freedeconv.errors import InvalidMomentsError
+from freedeconv.experiments import SCENARIOS
 from freedeconv.inversion import critical_points, slit_domain, s_transform
 from freedeconv.measures import (
     DiscreteMeasure,
@@ -24,7 +29,7 @@ from freedeconv.pipeline import (
     t_ratio,
 )
 
-from helpers import mp_g_quadrature
+from helpers import is_conjugate_symmetric, mp_g_quadrature
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 ONE = DiscreteMeasure([1.0], [1.0])
@@ -139,7 +144,7 @@ def test_forward_mp_g_input_contracts():
 
 def test_forward_contour_moments_point_mass():
     rep = forward_contour(ONE, 0.2)
-    assert rep.symmetric and rep.closed and rep.orientation == 1
+    assert is_conjugate_symmetric(rep.sigma, rep.values)
     cm = moments_from_contour(rep, 2)
     # product spectrum keeps mass 1 and mean 1; second moment is 1 + c
     assert np.allclose(cm.moments.values, [1.0, 1.0, 1.2], atol=1e-6)
@@ -213,7 +218,7 @@ def test_deconvolve_result_structure():
     mu_f = forward_measure(nu, 0.2, tol=1e-8)
     res = deconvolve(mu_f, 0.2)
     assert isinstance(res.contour, ContourRepresentation)
-    assert res.contour.symmetric
+    assert is_conjugate_symmetric(res.contour.sigma, res.contour.values)
     assert res.diagnostics.rank == res.estimate.n_atoms
     assert res.diagnostics.imag_residue < 1e-6
     assert res.diagnostics.t_total_s >= 0.0
@@ -225,6 +230,51 @@ def test_deconvolve_result_structure():
     assert set(payload) == {"estimate", "moments_used", "diagnostics", "config"}
     assert payload["estimate"]["atoms"] == res.estimate.atoms.tolist()
     assert payload["diagnostics"]["rank"] == res.estimate.n_atoms
+
+
+def test_deconvolve_result_json_schema():
+    # pins every field a run reports and every knob it records, so a new
+    # or renamed field is a deliberate change of this list
+    res = deconvolve(forward_measure(TWO, 0.2, tol=1e-8), 0.2)
+    payload = json.loads(res.to_json())
+    assert list(payload) == ["estimate", "moments_used", "diagnostics", "config"]
+    assert list(payload["estimate"]) == ["atoms", "weights"]
+    assert list(payload["diagnostics"]) == [
+        "imag_residue",
+        "rank",
+        "contour_radius",
+        "nodes_used",
+        "lift_steps_total",
+        "lift_steps_max",
+        "t_lift_s",
+        "t_recovery_s",
+        "t_total_s",
+    ]
+    assert list(payload["config"]) == [
+        "contour_margin",
+        "contour_nodes",
+        "max_moments",
+        "newton_tol",
+        "min_step",
+        "rank_tol",
+        "max_support",
+    ]
+    assert len(payload["moments_used"]) == res.config.max_moments + 1
+
+
+def test_deconvolve_reports_the_chosen_radius_exactly():
+    # noise-free spectra of three scenarios, one per radius limiter
+    def run(sc_id):
+        sc = SCENARIOS[sc_id]
+        mu_f = forward_measure(sc.population, sc.c, tol=1e-8)
+        return mu_f, deconvolve(mu_f, sc.c).diagnostics.contour_radius
+
+    assert run("S2_1")[1] == 1.0  # unit cap
+    assert run("S2_2")[1] == 0.5 / 0.95  # Marchenko-Pastur pole cap
+    mu_f, radius = run("S2_3")
+    slit_bound = choose_m_contour(critical_points(mu_f), 0.1)
+    assert slit_bound < 1.0
+    assert radius == slit_bound
 
 
 def test_deconvolve_rejects_inconsistent_input():

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import freedeconv
 from freedeconv import pipeline
-from freedeconv.experiments import SCENARIOS
+from freedeconv.experiments import SCENARIOS, run_scenario
+from freedeconv.measures import wasserstein_1
 from freedeconv.inversion import lift_many
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -55,3 +56,28 @@ def test_lift_hook_reads_targets_and_step_counts():
     assert [span.counts["nodes_used"] for span in decon] == [
         result.diagnostics.nodes_used
     ]
+
+
+def test_retry_ladder_shows_every_rung_and_one_spectral_stage():
+    # S1 at n = 250, seed 4 succeeds only on the last of 7 rungs; each rung
+    # is a deconvolve span, but ramification and lifting run once
+    sc = SCENARIOS["S1"]
+    tracer = Tracer(STAGES)
+    with tracer:
+        (report,) = run_scenario(sc, [250], seeds=[4], workers=1)
+    assert report.error == ""
+    names = [span.name for span in tracer.spans]
+    assert names.count("deconvolve") == 7
+    assert names.count("critical_points") == 1
+    lifts = [span for span in tracer.spans if span.name == "lift_many"]
+    halves = [span.counts["nodes"] for span in lifts]
+    assert halves[0] == 256
+    assert all(b == 2 * a for a, b in zip(halves, halves[1:]))
+    decon = [span for span in tracer.spans if span.name == "deconvolve"]
+    assert all(span.error for span in decon[:-1])
+    # the benchmark's correctness gate reads the estimate off the last
+    # deconvolve span of a run
+    est = decon[-1].counts["estimate"]
+    assert not decon[-1].error
+    assert 2 * halves[-1] == decon[-1].counts["nodes_used"]
+    assert wasserstein_1(est, sc.ground_truth(report.p)) == report.w1_error

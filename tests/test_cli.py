@@ -83,6 +83,16 @@ def test_cli_deconvolve_rejects_bad_aspect_ratio(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_deconvolve_rejects_odd_node_count(tmp_path, capsys):
+    inp = tmp_path / "mu.json"
+    inp.write_text(forward_measure(TWO, 0.2, tol=1e-8).to_json())
+    rc = main(["deconvolve", "--input", str(inp), "--c", "0.2", "--nodes", "65"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "contour_nodes must be even" in err
+
+
 def test_cli_deconvolve_missing_input_file(tmp_path, capsys):
     rc = main([
         "deconvolve", "--input", str(tmp_path / "nope.json"), "--c", "0.2",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import freedeconv.experiments as experiments
+import freedeconv.pipeline as pipeline
 from freedeconv.errors import BaselineFailureError, NumericalError
 from freedeconv.experiments import (
     REPORT_COLUMNS,
@@ -23,7 +24,7 @@ from freedeconv.experiments import (
     write_report_csv,
 )
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur, wasserstein_1
-from freedeconv.pipeline import forward_measure
+from freedeconv.pipeline import DeconvConfig, deconvolve, forward_measure
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 
@@ -224,6 +225,42 @@ def test_run_scenario_turns_failures_into_nan_rows(monkeypatch):
     assert len(reports) == 1
     assert math.isnan(reports[0].w1_error)
     assert "synthetic failure" in reports[0].error
+
+
+def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):
+    # S1 at n = 250, seed 4 succeeds only on the last of the 7 rungs
+    # (rank_tol 1e-2, max_support 1); every rung calls deconvolve, and
+    # the rungs after the first reuse its spectral stage
+    ramified, rungs = [], []
+    critical_points = pipeline.critical_points
+
+    def counted_ramification(mu):
+        ramified.append(mu)
+        return critical_points(mu)
+
+    def counted_rung(mu, c, cfg):
+        rungs.append(cfg)
+        return deconvolve(mu, c, cfg)
+
+    monkeypatch.setattr(pipeline, "critical_points", counted_ramification)
+    monkeypatch.setattr(experiments, "deconvolve", counted_rung)
+    sc = SCENARIOS["S1"]
+    mu_n = sample_spectrum(sc.population, 50, 250, 4)
+    result = experiments._estimate_contour(mu_n, sc.c, DeconvConfig())
+    assert len(rungs) == 7
+    assert len(ramified) == 1
+    last = rungs[-1]
+    assert (last.rank_tol, last.max_support) == (1e-2, 1)
+    assert result.config == last
+    # the same rung run directly on a freshly sampled copy of the input
+    fresh = sample_spectrum(sc.population, 50, 250, 4)
+    direct = deconvolve(fresh, sc.c, DeconvConfig(rank_tol=1e-2, max_support=1))
+    assert len(ramified) == 2
+    assert result.estimate == direct.estimate
+    truth = sc.ground_truth(50)
+    assert repr(wasserstein_1(result.estimate, truth)) == repr(
+        wasserstein_1(direct.estimate, truth)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Forward model, S-transform ratio, deconvolution, and REE assembly."""
 
+import copy
 import json
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from freedeconv.contours import (
     choose_m_contour,
     moments_from_contour,
 )
-from freedeconv.errors import InvalidMomentsError
+from freedeconv.errors import InvalidMomentsError, NoisyContourError
 from freedeconv.experiments import SCENARIOS
 from freedeconv.inversion import critical_points, slit_domain, s_transform
 from freedeconv.measures import (
@@ -19,6 +22,7 @@ from freedeconv.measures import (
     MarchenkoPastur,
     wasserstein_1,
 )
+from freedeconv import pipeline
 from freedeconv.pipeline import (
     DeconvConfig,
     deconvolve,
@@ -55,6 +59,10 @@ def test_deconv_config_validation():
         DeconvConfig(contour_margin=1.0)
     with pytest.raises(ValueError):
         DeconvConfig(contour_nodes=32)
+    # the ratio on the circle mirrors its upper half: an odd count would
+    # fail later with a bare broadcast error
+    with pytest.raises(ValueError, match="contour_nodes must be even"):
+        DeconvConfig(contour_nodes=65)
     with pytest.raises(ValueError):
         DeconvConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
@@ -246,7 +254,9 @@ def test_deconvolve_result_json_schema():
         "nodes_used",
         "lift_steps_total",
         "lift_steps_max",
+        "t_ramification_s",
         "t_lift_s",
+        "t_moments_s",
         "t_recovery_s",
         "t_total_s",
     ]
@@ -299,6 +309,95 @@ def test_deconvolve_honors_config():
     assert res.config.contour_nodes == 256
     assert res.diagnostics.nodes_used >= 256
     assert wasserstein_1(res.estimate, TWO) < 1e-6
+
+
+@pytest.fixture
+def ramification_calls(monkeypatch):
+    """Counts the calls of `critical_points` made through the pipeline."""
+    calls = []
+    original = pipeline.critical_points
+
+    def counted(mu):
+        calls.append(mu)
+        return original(mu)
+
+    monkeypatch.setattr(pipeline, "critical_points", counted)
+    return calls
+
+
+def test_deconvolve_reuses_the_spectral_stage_for_recovery_knobs(
+    ramification_calls,
+):
+    mu_f = forward_measure(TWO, 0.2, tol=1e-8)
+    first = deconvolve(mu_f, 0.2)
+    assert len(ramification_calls) == 1
+    t0 = time.perf_counter()
+    again = deconvolve(mu_f, 0.2, replace(first.config, rank_tol=1e-3))
+    wall = time.perf_counter() - t0
+    coarse = deconvolve(mu_f, 0.2, replace(first.config, max_support=2))
+    assert len(ramification_calls) == 1
+    assert coarse.config.max_support == 2
+    # a reused stage reports its own effort and timings; the total is the
+    # wall time of the call that reports it
+    a, b = first.diagnostics, again.diagnostics
+    for name in (
+        "contour_radius",
+        "nodes_used",
+        "lift_steps_total",
+        "lift_steps_max",
+        "t_ramification_s",
+        "t_lift_s",
+        "t_moments_s",
+        "imag_residue",
+    ):
+        assert getattr(b, name) == getattr(a, name)
+    assert b.t_recovery_s <= b.t_total_s <= wall
+    assert again.contour is first.contour
+    assert again.estimate == first.estimate
+
+
+def test_deconvolve_recomputes_the_spectral_stage_for_a_new_key(
+    ramification_calls,
+):
+    mu_f = forward_measure(TWO, 0.2, tol=1e-8)
+    base = deconvolve(mu_f, 0.2)
+    # equal content in another object: keyed by identity, so recomputed
+    twin = copy.copy(mu_f)
+    assert twin is not mu_f and twin == mu_f
+    same = deconvolve(twin, 0.2)
+    assert len(ramification_calls) == 2
+    assert same.estimate == base.estimate
+    # c and every field the spectral stage reads are part of the key;
+    # each change starts from a memo that holds the base key
+    for c, change in (
+        (0.19, {}),
+        (0.2, {"contour_margin": 0.2}),
+        (0.2, {"contour_nodes": 256}),
+        (0.2, {"max_moments": 18}),
+        (0.2, {"newton_tol": 1e-11}),
+        (0.2, {"min_step": 1e-8}),
+    ):
+        deconvolve(twin, 0.2, base.config)
+        before = len(ramification_calls)
+        deconvolve(twin, c, replace(base.config, **change))
+        assert len(ramification_calls) == before + 1, (c, change)
+
+
+def test_deconvolve_does_not_memoize_a_failed_spectral_stage(
+    ramification_calls, monkeypatch
+):
+    mu_f = forward_measure(TWO, 0.2, tol=1e-8)
+
+    def fail(*args, **kwargs):
+        raise NoisyContourError("synthetic", stage="moments_from_contour")
+
+    original = pipeline.moments_from_contour
+    monkeypatch.setattr(pipeline, "moments_from_contour", fail)
+    with pytest.raises(NoisyContourError):
+        deconvolve(mu_f, 0.2)
+    monkeypatch.setattr(pipeline, "moments_from_contour", original)
+    deconvolve(mu_f, 0.2)
+    assert len(ramification_calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,11 @@ from .experiments import (
     write_report_csv,
 )
 from .inversion import (
-    LiftConfig,
     SlitDomain,
     critical_points,
     lift_many,
     lift_path,
     s_transform,
-    second_kind_zeros,
     slit_domain,
 )
 from .measures import (
@@ -57,11 +55,10 @@ from .pipeline import (
     DeconvConfig,
     DeconvResult,
     deconvolve,
+    deconvolve_with_retries,
     forward_contour,
     forward_measure,
-    forward_mp_G,
     ree_assemble,
-    t_ratio,
 )
 from .recovery import (
     JacobiCoefficients,
@@ -86,7 +83,6 @@ __all__ = [
     "IncompleteRootsError",
     "InvalidMomentsError",
     "JacobiCoefficients",
-    "LiftConfig",
     "LiftFailureError",
     "MarchenkoPastur",
     "MomentSequence",
@@ -105,9 +101,9 @@ __all__ = [
     "contour_rep_from_s",
     "critical_points",
     "deconvolve",
+    "deconvolve_with_retries",
     "forward_contour",
     "forward_measure",
-    "forward_mp_G",
     "is_moment_sequence",
     "jacobi_from_moments",
     "lift_many",
@@ -120,9 +116,7 @@ __all__ = [
     "run_scenario",
     "s_transform",
     "sample_spectrum",
-    "second_kind_zeros",
     "slit_domain",
-    "t_ratio",
     "toeplitz_spectrum",
     "wasserstein_1",
     "write_report_csv",

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands wrap the library end to end: `deconvolve` runs the contour
-estimator on a measure file, `forward` evaluates the population-to-sample
-map as a Stieltjes contour, `moments` reconstructs a measure from a raw
-moment sequence, `scenario` executes benchmark sweeps into a CSV report,
-and `spectrum` samples one empirical spectrum.
+estimator on a measure file, behind the retry ladder that scenario runs
+share, `forward` evaluates the population-to-sample map as a Stieltjes
+contour, `moments` reconstructs a measure from a raw moment sequence,
+`scenario` executes benchmark sweeps into a CSV report, and `spectrum`
+samples one empirical spectrum.
 
 Exit codes: 0 on success, 2 on an input contract violation, 3 on a
 numerical failure (the failing stage goes to standard error).
@@ -25,7 +26,7 @@ from .experiments import (
     write_report_csv,
 )
 from .measures import DiscreteMeasure, MomentSequence
-from .pipeline import DeconvConfig, deconvolve, forward_contour
+from .pipeline import DeconvConfig, deconvolve_with_retries, forward_contour
 from .recovery import recover_measure
 
 __all__ = ["main"]
@@ -44,8 +45,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_deconvolve(args) -> int:
     mu_n = _read_measure(args.input)
-    cfg = DeconvConfig(contour_nodes=args.nodes, max_support=args.max_support)
-    result = deconvolve(mu_n, args.c, cfg)
+    cfg = DeconvConfig(max_support=args.max_support)
+    result = deconvolve_with_retries(mu_n, args.c, cfg)
     if args.dump_contours is not None:
         out_dir = Path(args.dump_contours)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -114,8 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True, help="empirical measure JSON")
     p.add_argument("--c", type=float, required=True, help="aspect ratio p/n")
-    p.add_argument("--nodes", type=int, default=512, help="initial contour nodes")
-    p.add_argument("--max-support", type=int, default=8, help="support size cap")
+    p.add_argument(
+        "--max-support", type=int, default=8,
+        help="support size cap of the first retry rung (1 to 8)",
+    )
     p.add_argument("--out", default=None, help="result JSON (default stdout)")
     p.add_argument(
         "--dump-contours", default=None, metavar="DIR",

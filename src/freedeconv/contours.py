@@ -28,7 +28,6 @@ __all__ = [
     "contour_rep_from_s",
     "choose_m_contour",
     "circle_nodes",
-    "winding_number",
 ]
 
 log = logging.getLogger(__name__)
@@ -257,9 +256,3 @@ def circle_nodes(radius: float, n: int) -> np.ndarray:
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     return radius * np.exp(1j * theta)
 
-
-def winding_number(sigma: Sequence[complex], z0: complex) -> int:
-    """Winding count of a closed node sequence around z0, as a diagnostic."""
-    rel = np.asarray(sigma, dtype=complex) - z0
-    turns = np.angle(np.roll(rel, -1) / rel)
-    return int(round(float(np.sum(turns)) / (2.0 * np.pi)))

@@ -14,15 +14,15 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import toeplitz as _toeplitz_matrix
 
-from .errors import BaselineFailureError, InvalidMomentsError, NumericalError
+from .errors import BaselineFailureError, NumericalError
 from .measures import DiscreteMeasure, MarchenkoPastur, wasserstein_1
-from .pipeline import DeconvConfig, deconvolve
+from .pipeline import deconvolve_with_retries
 
 __all__ = [
     "ToeplitzPopulation",
@@ -336,31 +336,8 @@ def baseline_subordination(
 # batch runner
 # ---------------------------------------------------------------------------
 
-def _estimate_contour(mu_n, c, cfg):
-    # empirical moments put the Hankel noise floor well above exact
-    # arithmetic: retry with a coarser rank cut, then with a smaller
-    # support cap so only statistically reliable low moments are used
-    ladder = [
-        (cfg.rank_tol, cfg.max_support),
-        (10.0 * cfg.rank_tol, cfg.max_support),
-        (100.0 * cfg.rank_tol, cfg.max_support),
-    ]
-    sup = cfg.max_support
-    while sup > 1:
-        sup = max(1, sup - 2)
-        ladder.append((100.0 * cfg.rank_tol, sup))
-    for i, (rank_tol, max_support) in enumerate(ladder):
-        try:
-            return deconvolve(
-                mu_n, c, replace(cfg, rank_tol=rank_tol, max_support=max_support)
-            )
-        except InvalidMomentsError:
-            if i == len(ladder) - 1:
-                raise
-
-
 def _run_one(args):
-    sc_id, n, seed, method, cfg, sigma = args
+    sc_id, n, seed, method, sigma = args
     sc = SCENARIOS[sc_id]
     p = round(sc.c * n)
     t0 = time.perf_counter()
@@ -368,7 +345,7 @@ def _run_one(args):
         mu_n = sample_spectrum(sc.population, p, n, seed)
         truth = sc.ground_truth(p)
         if method == "contour":
-            result = _estimate_contour(mu_n, sc.c, cfg)
+            result = deconvolve_with_retries(mu_n, sc.c)
             est = result.estimate
             d = result.diagnostics
             t_lift, t_rec = d.t_lift_s, d.t_recovery_s
@@ -398,7 +375,6 @@ def run_scenario(
     n_list: Sequence[int],
     method: str = "contour",
     seeds: Sequence[int] = (1,),
-    cfg: DeconvConfig = DeconvConfig(),
     workers: int | None = None,
     sigma: float = 0.5,
 ) -> list[RunReport]:
@@ -414,7 +390,7 @@ def run_scenario(
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     jobs = [
-        (sc.id, int(n), int(s), method, cfg, sigma)
+        (sc.id, int(n), int(s), method, sigma)
         for n in n_list
         for s in seeds
     ]

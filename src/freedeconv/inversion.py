@@ -27,16 +27,12 @@ from .measures import DiscreteMeasure
 __all__ = [
     "RamificationData",
     "SlitDomain",
-    "LiftConfig",
     "PathLiftState",
     "critical_points",
-    "second_kind_zeros",
-    "markov_krein_zero_equivalence",
     "slit_domain",
     "lift_path",
     "lift_many",
     "s_transform",
-    "injectivity_check",
 ]
 
 log = logging.getLogger(__name__)
@@ -60,7 +56,6 @@ class RamificationData:
 
     critical_points: np.ndarray
     branch_points_upper: np.ndarray
-    source_measure_id: str
 
     def __post_init__(self):
         cp = np.asarray(self.critical_points, dtype=complex)
@@ -153,9 +148,7 @@ def critical_points(mu):
         raise ValueError("ramification analysis expects nonnegative atoms")
     x, c = _effective_poles(mu)
     if x.size <= 1:
-        return RamificationData(
-            np.empty(0, complex), np.empty(0, complex), mu.measure_id
-        )
+        return RamificationData(np.empty(0, complex), np.empty(0, complex))
     degree = 2 * (x.size - 1)
     # simultaneous iteration on the rational form from one conjugate pair
     # of starts per gap; the cleared polynomial is avoided because its
@@ -198,66 +191,7 @@ def critical_points(mu):
     values = np.sum(c / (upper[:, None] - x), axis=1)
     branch_upper = np.where(values.imag >= 0.0, values, np.conj(values))
     branch_upper = branch_upper[np.lexsort((branch_upper.imag, branch_upper.real))]
-    return RamificationData(paired, branch_upper, mu.measure_id)
-
-
-def second_kind_zeros(mu):
-    """Real zeros of G, one per open gap between consecutive atoms.
-
-    G is strictly decreasing between its poles, so plain bisection
-    (the fastest safe option here) isolates each zero; refined to 1e-13
-    relative tolerance.
-    """
-    x, w = mu.atoms, mu.weights
-    if x.size < 2:
-        return np.empty(0, dtype=float)
-
-    def g(t):
-        return float(np.sum(w / (t - x)))
-
-    zeros = np.empty(x.size - 1)
-    for j in range(x.size - 1):
-        gap = x[j + 1] - x[j]
-        delta = 0.25 * gap
-        lo, hi = x[j] + delta, x[j + 1] - delta
-        # shrink toward the poles until the signs bracket the zero
-        while g(lo) <= 0.0:
-            delta *= 0.5
-            lo = x[j] + delta
-        delta = 0.25 * gap
-        while g(hi) >= 0.0:
-            delta *= 0.5
-            hi = x[j + 1] - delta
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * max(abs(lo), abs(hi)):
-                break
-        zeros[j] = 0.5 * (lo + hi)
-    return zeros
-
-
-def markov_krein_zero_equivalence(mu, z):
-    """Evaluate (M'(z), F'(z)) where F' is the Cauchy transform of the
-    signed measure delta_0 + sum_j delta_{y_j} - sum_j delta_{x_j} built
-    from the zeros of the second kind y_j.
-
-    The two components vanish at exactly the same points; keeping both
-    routes makes the pair a cross-check, not a reformulation.
-    """
-    z = complex(z)
-    y = second_kind_zeros(mu)
-    guard = np.concatenate([mu.atoms, y, [0.0]])
-    if np.min(np.abs(z - guard)) <= 1e-12:
-        raise PoleError(
-            "markov-krein transform evaluated at a pole", stage="ramification"
-        )
-    mprime = mu.moment_map_derivative(z)
-    fprime = 1.0 / z + np.sum(1.0 / (z - y)) - np.sum(1.0 / (z - mu.atoms))
-    return mprime, complex(fprime)
+    return RamificationData(paired, branch_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +278,10 @@ def slit_domain(ram):
 # Newton iterations per corrector call, and |m| of the asymptotic seed
 MAX_NEWTON = 20
 START_ABS = 1e-3
-
-
-@dataclass(frozen=True)
-class LiftConfig:
-    """Step and tolerance knobs for the predictor-corrector lift."""
-
-    newton_tol: float = 1e-12
-    min_step: float = 1e-9
-
-    def __post_init__(self):
-        if self.newton_tol <= 0 or self.min_step <= 0:
-            raise ValueError("tolerances must be positive")
+# residual |M(w) - m| that accepts a lift, and the step length below which
+# step halving gives up
+NEWTON_TOL = 1e-12
+MIN_STEP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -382,12 +308,12 @@ def _plan_path(dom, start, target):
     )
 
 
-def _newton(mu, w, m, cfg):
+def _newton(mu, w, m):
     """Correct w to a root of M(.) = m; returns (w, residual, iterations)."""
     for it in range(1, MAX_NEWTON + 1):
         f = mu.moment_map(w) - m
         res = abs(f)
-        if res <= cfg.newton_tol:
+        if res <= NEWTON_TOL:
             # one polish step: quadratic convergence takes a just-passing
             # residual to machine precision, which downstream quadrature
             # of high moments needs
@@ -409,7 +335,7 @@ def _newton(mu, w, m, cfg):
     return w, abs(f), MAX_NEWTON + 1
 
 
-def _walk(mu, dom, m0, w0, waypoints, cfg, coarse=False):
+def _walk(mu, dom, m0, w0, waypoints, coarse=False):
     """March m from m0 through the waypoints, carrying the lift w along.
 
     `coarse` starts at the full path length instead of the conservative
@@ -437,11 +363,11 @@ def _walk(mu, dom, m0, w0, waypoints, cfg, coarse=False):
             try:
                 d = mu.moment_map_derivative(w)
                 w_pred = w + (m_next - m_cur) / d if d != 0.0 else w
-                w_new, res, iters = _newton(mu, w_pred, m_next, cfg)
+                w_new, res, iters = _newton(mu, w_pred, m_next)
             except (PoleError, FloatingPointError):
                 res, iters = np.inf, MAX_NEWTON + 1
                 w_new = w
-            if res <= cfg.newton_tol and np.isfinite(w_new):
+            if res <= NEWTON_TOL and np.isfinite(w_new):
                 m_cur, w = m_next, w_new
                 steps += 1
                 easy_streak = easy_streak + 1 if iters <= 1 else 0
@@ -451,7 +377,7 @@ def _walk(mu, dom, m0, w0, waypoints, cfg, coarse=False):
             else:
                 h *= 0.5
                 easy_streak = 0
-                if h < cfg.min_step:
+                if h < MIN_STEP:
                     raise LiftFailureError(
                         "lift step size underflow",
                         stage="lift",
@@ -460,16 +386,16 @@ def _walk(mu, dom, m0, w0, waypoints, cfg, coarse=False):
     return w, steps
 
 
-def lift_path(mu, target_m, dom, cfg=LiftConfig()):
+def lift_path(mu, target_m, dom):
     """Evaluate the inverse branch Minv(target_m) fixed by Minv(0) = inf.
 
     The lift starts from the second-order asymptotic seed
     w = m_1/m + m_2/m_1 at a small |m| on the ray toward the target, then
     tracks M(w(t)) = m(t) by an explicit predictor and Newton corrector
     with step halving/doubling.  The final residual satisfies
-    |M(w) - target_m| <= cfg.newton_tol.
+    |M(w) - target_m| <= NEWTON_TOL.
     """
-    w, steps = _lift_full(mu, target_m, dom, cfg)
+    w, steps = _lift_full(mu, target_m, dom)
     log.debug(
         "lift target=%s steps=%d residual=%.3e",
         target_m, steps, abs(mu.moment_map(w) - target_m),
@@ -477,7 +403,7 @@ def lift_path(mu, target_m, dom, cfg=LiftConfig()):
     return w
 
 
-def _lift_full(mu, target_m, dom, cfg=LiftConfig()):
+def _lift_full(mu, target_m, dom):
     # lift_path plus the step count, for callers tracking effort
     target_m = complex(target_m)
     if target_m == 0.0:
@@ -490,17 +416,17 @@ def _lift_full(mu, target_m, dom, cfg=LiftConfig()):
     start = target_m * (min(START_ABS, abs(target_m) / 10.0) / abs(target_m))
     path = _plan_path(dom, start, target_m)
     w0 = m1 / start + mu.moment(2) / m1
-    w0, res, _ = _newton(mu, w0, start, cfg)
-    if res > cfg.newton_tol:
+    w0, res, _ = _newton(mu, w0, start)
+    if res > NEWTON_TOL:
         raise LiftFailureError(
             "asymptotic seed did not converge",
             stage="lift",
             state=PathLiftState(start, w0, res, 0),
         )
-    return _walk(mu, dom, path[0], w0, path[1:], cfg)
+    return _walk(mu, dom, path[0], w0, path[1:])
 
 
-def lift_many(mu, targets, dom, cfg=LiftConfig(), step_counts=None):
+def lift_many(mu, targets, dom, step_counts=None):
     """Lift a sequence of targets, warm-starting each from its predecessor.
 
     Inside the largest slit-free disk about 0 every chord stays in the
@@ -519,11 +445,11 @@ def lift_many(mu, targets, dom, cfg=LiftConfig(), step_counts=None):
         steps = 0
         if w is not None and max(abs(prev), abs(m)) < free:
             try:
-                w, steps = _walk(mu, dom, prev, w, [m], cfg, coarse=True)
+                w, steps = _walk(mu, dom, prev, w, [m], coarse=True)
             except LiftFailureError:
-                w, steps = _lift_full(mu, m, dom, cfg)
+                w, steps = _lift_full(mu, m, dom)
         else:
-            w, steps = _lift_full(mu, m, dom, cfg)
+            w, steps = _lift_full(mu, m, dom)
         out[i] = w
         prev = m
         if step_counts is not None:
@@ -531,96 +457,9 @@ def lift_many(mu, targets, dom, cfg=LiftConfig(), step_counts=None):
     return out
 
 
-def s_transform(mu, m, dom, cfg=LiftConfig()):
+def s_transform(mu, m, dom):
     """S(m) = (1+m) / (m * Minv(m)) via path lifting."""
     m = complex(m)
     if m == 0.0:
         raise ValueError("S-transform argument must be nonzero")
-    return (1.0 + m) / (m * lift_path(mu, m, dom, cfg))
-
-
-# ---------------------------------------------------------------------------
-# injectivity of M on a closed contour
-# ---------------------------------------------------------------------------
-
-def _segment_min_distance(p1, q1, p2, q2):
-    """Min distance between two segments, vectorized over the first axis.
-
-    Non-intersecting segments attain their distance at an endpoint, so the
-    endpoint-to-segment minimum suffices once proper crossings (detected by
-    orientation signs) are zeroed out.
-    """
-
-    def cross(o, a, b):
-        return ((a - o) * np.conj(b - o)).imag
-
-    def pt_seg(p, a, b):
-        ab = b - a
-        denom = np.abs(ab) ** 2
-        t = np.where(denom > 0, ((p - a) * np.conj(ab)).real / denom, 0.0)
-        t = np.clip(t, 0.0, 1.0)
-        return np.abs(p - (a + t * ab))
-
-    d1 = cross(p1, q1, p2)
-    d2 = cross(p1, q1, q2)
-    d3 = cross(p2, q2, p1)
-    d4 = cross(p2, q2, q1)
-    crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    endpoint = np.minimum.reduce([
-        pt_seg(p1, p2, q2),
-        pt_seg(q1, p2, q2),
-        pt_seg(p2, p1, q1),
-        pt_seg(q2, p1, q1),
-    ])
-    return np.where(crossing, 0.0, endpoint)
-
-
-def injectivity_check(mu, contour):
-    """True iff M is one-to-one on the closed polyline `contour`.
-
-    By the boundary principle, M is injective on the enclosed region iff
-    the image polyline M(contour) is a simple closed curve, which is tested
-    by exact segment-pair intersection with bounding-box pruning.
-    Near-tangencies within 1e-10 count as self-intersections.
-    """
-    sigma = np.asarray(contour, dtype=complex).ravel()
-    if sigma.size < 4:
-        raise ValueError("contour needs at least 4 points")
-    if abs(sigma[0] - sigma[-1]) > 1e-12:
-        raise ValueError("contour must be closed (first point = last point)")
-    sigma = sigma[:-1]
-    if np.min(np.abs(sigma[:, None] - mu.atoms)) <= 1e-14:
-        raise ValueError("contour passes through an atom")
-    tau = np.atleast_1d(mu.moment_map(sigma))
-    n = tau.size
-    p = tau
-    q = np.roll(tau, -1)
-    i_idx, j_idx = np.triu_indices(n, k=2)
-    adjacent = (i_idx == 0) & (j_idx == n - 1)
-    i_idx, j_idx = i_idx[~adjacent], j_idx[~adjacent]
-    # bounding-box pruning
-    lo1 = np.minimum(p[i_idx].real, q[i_idx].real)
-    hi1 = np.maximum(p[i_idx].real, q[i_idx].real)
-    lo2 = np.minimum(p[j_idx].real, q[j_idx].real)
-    hi2 = np.maximum(p[j_idx].real, q[j_idx].real)
-    lo1i = np.minimum(p[i_idx].imag, q[i_idx].imag)
-    hi1i = np.maximum(p[i_idx].imag, q[i_idx].imag)
-    lo2i = np.minimum(p[j_idx].imag, q[j_idx].imag)
-    hi2i = np.maximum(p[j_idx].imag, q[j_idx].imag)
-    margin = 1e-10
-    near = (
-        (lo1 <= hi2 + margin) & (lo2 <= hi1 + margin)
-        & (lo1i <= hi2i + margin) & (lo2i <= hi1i + margin)
-    )
-    if not np.any(near):
-        return True
-    i_idx, j_idx = i_idx[near], j_idx[near]
-    dist = _segment_min_distance(p[i_idx], q[i_idx], p[j_idx], q[j_idx])
-    hit = dist < 1e-10
-    if np.any(hit):
-        log.debug(
-            "image curve self-intersects or is near-tangent at %d segment pairs",
-            int(np.sum(hit)),
-        )
-        return False
-    return True
+    return (1.0 + m) / (m * lift_path(mu, m, dom))

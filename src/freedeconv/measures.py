@@ -12,7 +12,6 @@ recovery) consumes the two measure types defined here.  Conventions:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -96,12 +95,6 @@ class DiscreteMeasure:
     @property
     def n_atoms(self):
         return int(self.atoms.size)
-
-    @property
-    def measure_id(self):
-        """Short content hash, stable across equal measures."""
-        payload = np.round(np.concatenate([self.atoms, self.weights]), 12)
-        return hashlib.md5(payload.tobytes()).hexdigest()[:12]
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteMeasure):

@@ -21,14 +21,7 @@ import numpy as np
 
 from .errors import ForwardSolverError, InvalidMomentsError
 from .measures import DiscreteMeasure, MarchenkoPastur, MomentSequence
-from .inversion import (
-    LiftConfig,
-    SlitDomain,
-    critical_points,
-    lift_many,
-    s_transform,
-    slit_domain,
-)
+from .inversion import SlitDomain, critical_points, lift_many, slit_domain
 from .contours import (
     MAX_NODES,
     ContourMoments,
@@ -44,9 +37,8 @@ __all__ = [
     "DeconvConfig",
     "DeconvDiagnostics",
     "DeconvResult",
-    "t_ratio",
     "deconvolve",
-    "forward_mp_G",
+    "deconvolve_with_retries",
     "forward_contour",
     "forward_measure",
     "ree_assemble",
@@ -54,41 +46,33 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# contour nodes of the first node-doubling pass, and the highest moment
+# order the contour stage extracts
+START_NODES = 512
+MAX_MOMENTS = 16
+
 
 @dataclass(frozen=True)
 class DeconvConfig:
-    """Tuning knobs of the deconvolution pipeline."""
+    """Recovery knobs: the Hankel rank cut and the support size cap.
 
-    contour_margin: float = 0.1
-    contour_nodes: int = 512
-    max_moments: int = 16
-    newton_tol: float = 1e-12
-    min_step: float = 1e-9
+    Everything before recovery is fixed by the input and `c`; the retry
+    ladder of `deconvolve_with_retries` varies these two.  Rank detection
+    up to `max_support` atoms needs 2 * max_support of the MAX_MOMENTS
+    extracted moments.
+    """
+
     rank_tol: float = 1e-4
     max_support: int = 8
 
     def __post_init__(self):
-        if not 0.0 < self.contour_margin < 1.0:
-            raise ValueError("contour_margin must lie in (0, 1)")
-        if self.contour_nodes < 64:
-            raise ValueError("need at least 64 contour nodes")
-        if self.contour_nodes % 2:
-            # the ratio on the circle mirrors its upper half
+        if not self.rank_tol > 0.0:
+            raise ValueError(f"rank_tol must be positive, got {self.rank_tol}")
+        if not 1 <= self.max_support <= MAX_MOMENTS // 2:
             raise ValueError(
-                f"contour_nodes must be even, got {self.contour_nodes}"
+                f"max_support must lie in [1, {MAX_MOMENTS // 2}], "
+                f"got {self.max_support}"
             )
-        if min(self.newton_tol, self.min_step, self.rank_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_support < 1:
-            raise ValueError("max_support must be at least 1")
-        if self.max_moments < 2 * self.max_support:
-            raise ValueError(
-                "rank detection up to max_support needs at least "
-                "2 * max_support moments"
-            )
-
-    def lift_config(self) -> LiftConfig:
-        return LiftConfig(newton_tol=self.newton_tol, min_step=self.min_step)
 
 
 @dataclass(frozen=True)
@@ -116,7 +100,7 @@ class DeconvResult:
     moments_used: MomentSequence
     diagnostics: DeconvDiagnostics
     config: DeconvConfig
-    contour: ContourRepresentation | None = None
+    contour: ContourRepresentation
 
     def to_json(self) -> str:
         payload = {
@@ -133,24 +117,11 @@ class DeconvResult:
         return json.dumps(payload, indent=2)
 
 
-def t_ratio(
-    mu_n: DiscreteMeasure,
-    c: float,
-    m: complex,
-    dom: SlitDomain,
-    cfg: DeconvConfig = DeconvConfig(),
-) -> complex:
-    """Pointwise ratio S_mu_n(m) / S_MP(m), the S-transform of the estimate."""
-    mp = MarchenkoPastur(c)
-    return s_transform(mu_n, m, dom, cfg.lift_config()) / mp.s_transform(m)
-
-
 def _ratio_on_circle(
     mu_n: DiscreteMeasure,
     mp: MarchenkoPastur,
     nodes: np.ndarray,
     dom: SlitDomain,
-    lift_cfg: LiftConfig,
     step_counts: list,
 ) -> np.ndarray:
     # nodes are conjugate-symmetric half-offset circle samples ordered by
@@ -158,7 +129,7 @@ def _ratio_on_circle(
     # ratio of transforms of real measures commutes with conjugation
     n = nodes.size
     upper = nodes[: n // 2]
-    w = lift_many(mu_n, upper, dom, lift_cfg, step_counts=step_counts)
+    w = lift_many(mu_n, upper, dom, step_counts=step_counts)
     s_upper = (1.0 + upper) / (upper * w)
     t_upper = s_upper / mp.s_transform(upper)
     out = np.empty(n, dtype=complex)
@@ -181,23 +152,12 @@ class _Spectral(NamedTuple):
     extracted: ContourMoments
 
 
-# the DeconvConfig fields the spectral stage reads; recovery reads the rest
-_SPECTRAL_FIELDS = (
-    "contour_margin",
-    "contour_nodes",
-    "max_moments",
-    "newton_tol",
-    "min_step",
-)
-
-# (mu_n, key, _Spectral) of the last successful spectral stage, replaced
+# (mu_n, c, _Spectral) of the last successful spectral stage, replaced
 # as one tuple so a reader never sees half an update
 _last_spectral: tuple | None = None
 
 
-def _spectral_stage(
-    mu_n: DiscreteMeasure, c: float, cfg: DeconvConfig
-) -> _Spectral:
+def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     """Ramification, radius, node-doubling lifts and contour moments.
 
     The last success is kept and reused as the `deconvolve` docstring
@@ -205,32 +165,30 @@ def _spectral_stage(
     cannot pass to another object while it is the key.
     """
     global _last_spectral
-    key = (c,) + tuple(getattr(cfg, name) for name in _SPECTRAL_FIELDS)
     memo = _last_spectral
-    if memo is not None and memo[0] is mu_n and memo[1] == key:
+    if memo is not None and memo[0] is mu_n and memo[1] == c:
         return memo[2]
 
     t0 = time.perf_counter()
     mp = MarchenkoPastur(c)
     ram = critical_points(mu_n)
     dom = slit_domain(ram)
-    lift_cfg = cfg.lift_config()
     # stay clear of the S_MP pole at m = -1/c
-    radius = min(choose_m_contour(ram, cfg.contour_margin), 0.5 / c)
+    radius = min(choose_m_contour(ram), 0.5 / c)
     t_ram = time.perf_counter() - t0
 
     step_counts: list = []
     t_lift = 0.0
     t_moments = 0.0
     prev_vals = None
-    n_nodes = cfg.contour_nodes
+    n_nodes = START_NODES
     while True:
         nodes = circle_nodes(radius, n_nodes)
         t1 = time.perf_counter()
-        ratio = _ratio_on_circle(mu_n, mp, nodes, dom, lift_cfg, step_counts)
+        ratio = _ratio_on_circle(mu_n, mp, nodes, dom, step_counts)
         t2 = time.perf_counter()
         rep = contour_rep_from_s(ratio, nodes)
-        extracted = moments_from_contour(rep, cfg.max_moments)
+        extracted = moments_from_contour(rep, MAX_MOMENTS)
         t_lift += t2 - t1
         t_moments += time.perf_counter() - t2
         vals = np.asarray(extracted.moments.values, dtype=float)
@@ -259,7 +217,7 @@ def _spectral_stage(
         contour=rep,
         extracted=extracted,
     )
-    _last_spectral = (mu_n, key, spectral)
+    _last_spectral = (mu_n, c, spectral)
     return spectral
 
 
@@ -276,18 +234,18 @@ def deconvolve(
     below 1e-9 or the cap is reached.  Every failure mode raises a typed
     error carrying its stage; there is no silent fallback.
 
-    Everything before recovery depends on `mu_n`, `c` and the contour and
-    lift fields of `cfg` only.  Its last successful result is memoized,
-    keyed on the identity of the `mu_n` object, on `c` and on those
-    fields, so a retry that changes only `rank_tol` or `max_support` on
-    the same input reruns recovery alone.  Such a call reports the spectral
-    stage's own radius, node count, lift steps and stage timings;
-    `t_total_s` is always the wall time of the call itself.
+    Everything before recovery depends on `mu_n` and `c` only; `cfg`
+    holds the recovery knobs.  The last successful spectral stage is
+    memoized, keyed on the identity of the `mu_n` object and on `c`, so a
+    call with another `cfg` on the same input reruns recovery alone.
+    Such a call reports the spectral stage's own radius, node count, lift
+    steps and stage timings; `t_total_s` is always the wall time of the
+    call itself.
     """
     if not 0.0 < c < 1.0:
         raise ValueError("aspect ratio c must lie in (0, 1)")
     t0 = time.perf_counter()
-    spectral = _spectral_stage(mu_n, c, cfg)
+    spectral = _spectral_stage(mu_n, c)
     extracted = spectral.extracted
 
     t1 = time.perf_counter()
@@ -319,8 +277,39 @@ def deconvolve(
         t_total_s=time.perf_counter() - t0,
     )
     return DeconvResult(
-        estimate, extracted.moments, diags, cfg, contour=spectral.contour
+        estimate, extracted.moments, diags, cfg, spectral.contour
     )
+
+
+def deconvolve_with_retries(
+    mu_n: DiscreteMeasure, c: float, cfg: DeconvConfig = DeconvConfig()
+) -> DeconvResult:
+    """`deconvolve` behind the retry ladder that every caller shares.
+
+    Empirical moments put the Hankel noise floor well above exact
+    arithmetic.  When recovery rejects the moments, the ladder raises the
+    rank tolerance 10x and 100x, then lowers the support cap two at a time
+    down to 1, so only statistically reliable low moments are used.  `cfg`
+    is the first rung.  Each rung is one `deconvolve` call; the rungs
+    after the first reuse its spectral stage.  The result records the
+    accepted rung as its `config`; when every rung fails, the last rung's
+    error propagates.
+    """
+    ladder = [
+        (cfg.rank_tol, cfg.max_support),
+        (10.0 * cfg.rank_tol, cfg.max_support),
+        (100.0 * cfg.rank_tol, cfg.max_support),
+    ]
+    sup = cfg.max_support
+    while sup > 1:
+        sup = max(1, sup - 2)
+        ladder.append((100.0 * cfg.rank_tol, sup))
+    for i, (rank_tol, max_support) in enumerate(ladder):
+        try:
+            return deconvolve(mu_n, c, DeconvConfig(rank_tol, max_support))
+        except InvalidMomentsError:
+            if i == len(ladder) - 1:
+                raise
 
 
 def _mp_fixed_point_vec(
@@ -353,7 +342,7 @@ def _mp_fixed_point_vec(
             bad = z[~(done & np.isfinite(B))]
             raise ForwardSolverError(
                 f"fixed point did not converge at z = {bad[:4].tolist()}",
-                stage="forward_mp_G",
+                stage="forward_contour",
             )
         for _ in range(6):
             q = 1.0 + lam[None, :] * B[:, None]
@@ -370,29 +359,10 @@ def _mp_fixed_point_vec(
     if np.any(~np.isfinite(B)) or np.any(resid > 1e-11 * scale):
         raise ForwardSolverError(
             "forward solve stalled above residual tolerance",
-            stage="forward_mp_G",
+            stage="forward_contour",
             diagnostics={"worst_residual": float(np.max(resid))},
         )
     return B
-
-
-def forward_mp_G(nu: DiscreteMeasure, c: float, z: complex) -> complex:
-    """Stieltjes transform of the spectrum obtained from population nu.
-
-    Solves the fixed-point form of the self-consistency equation for the
-    companion transform and converts to the spectrum side; the result is
-    the G with Im G < 0 for Im z > 0 that behaves like 1/z at infinity.
-    Conjugate inputs give conjugate outputs.
-    """
-    if not 0.0 < c < 1.0:
-        raise ValueError("aspect ratio c must lie in (0, 1)")
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("forward solve needs z off the real axis")
-    if z.imag < 0.0:
-        return complex(np.conj(forward_mp_G(nu, c, np.conj(z))))
-    B = _mp_fixed_point_vec(nu.atoms, nu.weights, c, np.array([z]))[0]
-    return complex((-B - (1.0 - c) / z) / c)
 
 
 def forward_contour(

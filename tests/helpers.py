@@ -3,13 +3,16 @@
 Everything here is deliberately written against definitions only (power
 sums, polynomial roots, quadrature, brentq), never by calling back into
 the code paths under test, so agreement between a helper and the library
-is evidence and not a tautology.
+is evidence and not a tautology.  The cross-checks at the end (zeros of
+the second kind, the Markov-Krein pair, injectivity on a contour, winding
+numbers) evaluate the moment map only through `DiscreteMeasure`.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
+from freedeconv.errors import PoleError
 from freedeconv.measures import DiscreteMeasure
 
 
@@ -207,3 +210,145 @@ def lanczos_jacobi(mu, n):
         b_out.append(float(b_last))
         p_prev, p = p, p_next
     return np.array(a_out), np.array(b_out)
+
+
+def second_kind_zeros(mu):
+    """Real zeros of G, one per open gap between consecutive atoms.
+
+    G is strictly decreasing between its poles, so plain bisection
+    (the fastest safe option here) isolates each zero; refined to 1e-13
+    relative tolerance.
+    """
+    x, w = mu.atoms, mu.weights
+    if x.size < 2:
+        return np.empty(0, dtype=float)
+
+    def g(t):
+        return float(np.sum(w / (t - x)))
+
+    zeros = np.empty(x.size - 1)
+    for j in range(x.size - 1):
+        gap = x[j + 1] - x[j]
+        delta = 0.25 * gap
+        lo, hi = x[j] + delta, x[j + 1] - delta
+        # shrink toward the poles until the signs bracket the zero
+        while g(lo) <= 0.0:
+            delta *= 0.5
+            lo = x[j] + delta
+        delta = 0.25 * gap
+        while g(hi) >= 0.0:
+            delta *= 0.5
+            hi = x[j + 1] - delta
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if g(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-13 * max(abs(lo), abs(hi)):
+                break
+        zeros[j] = 0.5 * (lo + hi)
+    return zeros
+
+
+def markov_krein_zero_equivalence(mu, z):
+    """Evaluate (M'(z), F'(z)) where F' is the Cauchy transform of the
+    signed measure delta_0 + sum_j delta_{y_j} - sum_j delta_{x_j} built
+    from the zeros of the second kind y_j.
+
+    The two components vanish at exactly the same points; keeping both
+    routes makes the pair a cross-check, not a reformulation.
+    """
+    z = complex(z)
+    y = second_kind_zeros(mu)
+    guard = np.concatenate([mu.atoms, y, [0.0]])
+    if np.min(np.abs(z - guard)) <= 1e-12:
+        raise PoleError(
+            "markov-krein transform evaluated at a pole", stage="ramification"
+        )
+    mprime = mu.moment_map_derivative(z)
+    fprime = 1.0 / z + np.sum(1.0 / (z - y)) - np.sum(1.0 / (z - mu.atoms))
+    return mprime, complex(fprime)
+
+
+def _segment_min_distance(p1, q1, p2, q2):
+    """Min distance between two segments, vectorized over the first axis.
+
+    Non-intersecting segments attain their distance at an endpoint, so the
+    endpoint-to-segment minimum suffices once proper crossings (detected by
+    orientation signs) are zeroed out.
+    """
+
+    def cross(o, a, b):
+        return ((a - o) * np.conj(b - o)).imag
+
+    def pt_seg(p, a, b):
+        ab = b - a
+        denom = np.abs(ab) ** 2
+        t = np.where(denom > 0, ((p - a) * np.conj(ab)).real / denom, 0.0)
+        t = np.clip(t, 0.0, 1.0)
+        return np.abs(p - (a + t * ab))
+
+    d1 = cross(p1, q1, p2)
+    d2 = cross(p1, q1, q2)
+    d3 = cross(p2, q2, p1)
+    d4 = cross(p2, q2, q1)
+    crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    endpoint = np.minimum.reduce([
+        pt_seg(p1, p2, q2),
+        pt_seg(q1, p2, q2),
+        pt_seg(p2, p1, q1),
+        pt_seg(q2, p1, q1),
+    ])
+    return np.where(crossing, 0.0, endpoint)
+
+
+def injectivity_check(mu, contour):
+    """True iff M is one-to-one on the closed polyline `contour`.
+
+    By the boundary principle, M is injective on the enclosed region iff
+    the image polyline M(contour) is a simple closed curve, which is tested
+    by exact segment-pair intersection with bounding-box pruning.
+    Near-tangencies within 1e-10 count as self-intersections.
+    """
+    sigma = np.asarray(contour, dtype=complex).ravel()
+    if sigma.size < 4:
+        raise ValueError("contour needs at least 4 points")
+    if abs(sigma[0] - sigma[-1]) > 1e-12:
+        raise ValueError("contour must be closed (first point = last point)")
+    sigma = sigma[:-1]
+    if np.min(np.abs(sigma[:, None] - mu.atoms)) <= 1e-14:
+        raise ValueError("contour passes through an atom")
+    tau = np.atleast_1d(mu.moment_map(sigma))
+    n = tau.size
+    p = tau
+    q = np.roll(tau, -1)
+    i_idx, j_idx = np.triu_indices(n, k=2)
+    adjacent = (i_idx == 0) & (j_idx == n - 1)
+    i_idx, j_idx = i_idx[~adjacent], j_idx[~adjacent]
+    # bounding-box pruning
+    lo1 = np.minimum(p[i_idx].real, q[i_idx].real)
+    hi1 = np.maximum(p[i_idx].real, q[i_idx].real)
+    lo2 = np.minimum(p[j_idx].real, q[j_idx].real)
+    hi2 = np.maximum(p[j_idx].real, q[j_idx].real)
+    lo1i = np.minimum(p[i_idx].imag, q[i_idx].imag)
+    hi1i = np.maximum(p[i_idx].imag, q[i_idx].imag)
+    lo2i = np.minimum(p[j_idx].imag, q[j_idx].imag)
+    hi2i = np.maximum(p[j_idx].imag, q[j_idx].imag)
+    margin = 1e-10
+    near = (
+        (lo1 <= hi2 + margin) & (lo2 <= hi1 + margin)
+        & (lo1i <= hi2i + margin) & (lo2i <= hi1i + margin)
+    )
+    if not np.any(near):
+        return True
+    i_idx, j_idx = i_idx[near], j_idx[near]
+    dist = _segment_min_distance(p[i_idx], q[i_idx], p[j_idx], q[j_idx])
+    return not np.any(dist < 1e-10)
+
+
+def winding_number(sigma, z0):
+    """Winding count of a closed node sequence around z0, as a diagnostic."""
+    rel = np.asarray(sigma, dtype=complex) - z0
+    turns = np.angle(np.roll(rel, -1) / rel)
+    return int(round(float(np.sum(turns)) / (2.0 * np.pi)))

@@ -46,7 +46,7 @@ def test_lift_hook_reads_targets_and_step_counts():
     lifts = [span for span in tracer.spans if span.name == "lift_many"]
     # one lift per node-doubling pass, of the upper half of its nodes
     halves = [span.counts["nodes"] for span in lifts]
-    assert halves[0] == result.config.contour_nodes // 2
+    assert halves[0] == pipeline.START_NODES // 2
     assert all(b == 2 * a for a, b in zip(halves, halves[1:]))
     assert 2 * halves[-1] == result.diagnostics.nodes_used
     assert sum(span.counts["steps"] for span in lifts) == (

@@ -12,9 +12,10 @@ import pytest
 
 from freedeconv.cli import build_parser, main
 from freedeconv.contours import ContourRepresentation, moments_from_contour
+from freedeconv.errors import InvalidMomentsError
 from freedeconv.experiments import REPORT_COLUMNS
 from freedeconv.measures import DiscreteMeasure, MomentSequence
-from freedeconv.pipeline import forward_measure
+from freedeconv.pipeline import deconvolve, forward_measure
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 
@@ -37,7 +38,6 @@ def test_parser_deconvolve_defaults():
     args = build_parser().parse_args(
         ["deconvolve", "--input", "x.json", "--c", "0.2"]
     )
-    assert args.nodes == 512
     assert args.max_support == 8
     assert args.out is None
     assert args.dump_contours is None
@@ -83,14 +83,38 @@ def test_cli_deconvolve_rejects_bad_aspect_ratio(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cli_deconvolve_rejects_odd_node_count(tmp_path, capsys):
+def test_cli_deconvolve_rejects_support_cap_above_moment_budget(
+    tmp_path, capsys
+):
     inp = tmp_path / "mu.json"
     inp.write_text(forward_measure(TWO, 0.2, tol=1e-8).to_json())
-    rc = main(["deconvolve", "--input", str(inp), "--c", "0.2", "--nodes", "65"])
+    rc = main([
+        "deconvolve", "--input", str(inp), "--c", "0.2", "--max-support", "9",
+    ])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "contour_nodes must be even" in err
+    assert "max_support must lie in [1, 8], got 9" in err
+
+
+def test_cli_deconvolve_retries_recovery_on_a_sampled_spectrum(tmp_path):
+    # a single recovery at the default rank tolerance rejects the moments
+    # of this sampled S1 spectrum; the shared ladder accepts a later rung
+    # and records it as the configuration
+    mu_n = tmp_path / "mu_n.json"
+    assert main([
+        "spectrum", "--scenario", "S1", "--p", "100", "--n", "500",
+        "--seed", "1", "--out", str(mu_n),
+    ]) == 0
+    with pytest.raises(InvalidMomentsError):
+        deconvolve(DiscreteMeasure.from_json(mu_n.read_text()), 0.2)
+    out = tmp_path / "result.json"
+    rc = main([
+        "deconvolve", "--input", str(mu_n), "--c", "0.2", "--out", str(out),
+    ])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"] == {"rank_tol": 1e-2, "max_support": 8}
 
 
 def test_cli_deconvolve_missing_input_file(tmp_path, capsys):

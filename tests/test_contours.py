@@ -10,7 +10,6 @@ from freedeconv.contours import (
     contour_moment,
     contour_rep_from_s,
     moments_from_contour,
-    winding_number,
 )
 from freedeconv.errors import NoContourError, NoisyContourError
 from freedeconv.inversion import (
@@ -21,7 +20,7 @@ from freedeconv.inversion import (
 )
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur
 
-from helpers import is_conjugate_symmetric, rand_measure
+from helpers import is_conjugate_symmetric, rand_measure, winding_number
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 
@@ -266,7 +265,6 @@ def test_choose_m_contour_backs_off_from_low_slits():
     ram = RamificationData(
         np.array([0.3 + 0.3j, 0.3 - 0.3j]),
         np.array([0.0 + 0.2j]),
-        "synthetic",
     )
     assert choose_m_contour(ram, 0.1) == pytest.approx(0.18, abs=1e-9)
 
@@ -303,7 +301,6 @@ def test_choose_m_contour_fails_when_slit_touches_origin():
     ram = RamificationData(
         np.array([0.3 + 0.3j, 0.3 - 0.3j]),
         np.array([0.0 + 1e-9j]),
-        "synthetic",
     )
     with pytest.raises(NoContourError):
         choose_m_contour(ram, 0.1)

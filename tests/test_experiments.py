@@ -217,10 +217,10 @@ def test_run_scenario_repeat_is_bitwise_deterministic():
 
 
 def test_run_scenario_turns_failures_into_nan_rows(monkeypatch):
-    def boom(mu_n, c, cfg):
+    def boom(mu_n, c):
         raise NumericalError("synthetic failure", stage="test")
 
-    monkeypatch.setattr(experiments, "_estimate_contour", boom)
+    monkeypatch.setattr(experiments, "deconvolve_with_retries", boom)
     reports = run_scenario(SCENARIOS["S1"], [250], seeds=[1], workers=1)
     assert len(reports) == 1
     assert math.isnan(reports[0].w1_error)
@@ -243,10 +243,10 @@ def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):
         return deconvolve(mu, c, cfg)
 
     monkeypatch.setattr(pipeline, "critical_points", counted_ramification)
-    monkeypatch.setattr(experiments, "deconvolve", counted_rung)
+    monkeypatch.setattr(pipeline, "deconvolve", counted_rung)
     sc = SCENARIOS["S1"]
     mu_n = sample_spectrum(sc.population, 50, 250, 4)
-    result = experiments._estimate_contour(mu_n, sc.c, DeconvConfig())
+    result = pipeline.deconvolve_with_retries(mu_n, sc.c)
     assert len(rungs) == 7
     assert len(ramified) == 1
     last = rungs[-1]

@@ -10,22 +10,25 @@ from freedeconv.errors import (
     PoleError,
 )
 from freedeconv.inversion import (
-    LiftConfig,
     RamificationData,
     SlitDomain,
     critical_points,
-    injectivity_check,
     lift_many,
     lift_path,
-    markov_krein_zero_equivalence,
     s_transform,
-    second_kind_zeros,
     slit_domain,
 )
 from freedeconv.experiments import SCENARIOS
 from freedeconv.measures import DiscreteMeasure
 from freedeconv.pipeline import forward_measure
-from helpers import crossing_count, moment_map_roots, rand_measure
+from helpers import (
+    crossing_count,
+    injectivity_check,
+    markov_krein_zero_equivalence,
+    moment_map_roots,
+    rand_measure,
+    second_kind_zeros,
+)
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 # critical points of the two-atom moment map, from the defining equation:
@@ -60,7 +63,6 @@ def test_two_atom_branch_points_are_m_at_the_critical_points():
     # canonical representative lives in the upper half plane
     assert ram.branch_points_upper[0] == pytest.approx(
         -0.5 + np.sqrt(2.0) * 1j, abs=1e-10)
-    assert ram.source_measure_id == TWO.measure_id
 
 
 def test_point_mass_has_no_ramification():
@@ -176,7 +178,6 @@ def test_slit_domain_from_branch_points():
     ram = RamificationData(
         np.array([1.5 + 0.5j, 1.5 - 0.5j]),
         np.array([-0.5 + 1.5j]),
-        "synthetic",
     )
     dom = slit_domain(ram)
     assert dom.n_slits == 1
@@ -201,7 +202,6 @@ def test_slit_domain_rejects_near_real_branch_points():
     ram = RamificationData(
         np.array([0.7 + 1e-12j, 0.7 - 1e-12j]),
         np.array([0.3 + 1e-12j]),
-        "synthetic",
     )
     with pytest.raises(DegenerateRamificationError):
         slit_domain(ram)
@@ -286,16 +286,6 @@ def test_lift_rejects_zero_and_off_domain_targets():
     assert not dom.contains(bad)
     with pytest.raises(ValueError):
         lift_path(TWO, bad, dom)
-
-
-def test_lift_config_validation():
-    cfg = LiftConfig()
-    assert cfg.newton_tol == 1e-12
-    assert cfg.min_step == 1e-9
-    with pytest.raises(ValueError):
-        LiftConfig(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        LiftConfig(min_step=-1e-9)
 
 
 def test_lift_many_agrees_with_individual_lifts():

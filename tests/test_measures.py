@@ -57,10 +57,8 @@ def test_measures_are_immutable_and_comparable():
     with pytest.raises(ValueError):
         mu.atoms[0] = 5.0
     assert mu == TWO
-    assert mu.measure_id == TWO.measure_id
     other = DiscreteMeasure([1.0, 2.0], [0.4, 0.6])
     assert mu != other
-    assert mu.measure_id != other.measure_id
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import copy
 import json
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -22,15 +22,14 @@ from freedeconv.measures import (
     MarchenkoPastur,
     wasserstein_1,
 )
-from freedeconv import pipeline
+from freedeconv import inversion, pipeline
 from freedeconv.pipeline import (
+    MAX_MOMENTS,
     DeconvConfig,
     deconvolve,
     forward_contour,
     forward_measure,
-    forward_mp_G,
     ree_assemble,
-    t_ratio,
 )
 
 from helpers import is_conjugate_symmetric, mp_g_quadrature
@@ -39,38 +38,55 @@ TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 ONE = DiscreteMeasure([1.0], [1.0])
 
 
+def t_ratio(mu_n, c, m, dom):
+    """Pointwise ratio S_mu_n(m) / S_MP(m), the S-transform of the estimate."""
+    return s_transform(mu_n, m, dom) / MarchenkoPastur(c).s_transform(m)
+
+
+def forward_mp_G(nu, c, z):
+    """Stieltjes transform at one z of the spectrum produced by nu.
+
+    The scalar form of the forward solve behind `forward_contour`: the
+    result is the G with Im G < 0 for Im z > 0 that behaves like 1/z at
+    infinity, and conjugate inputs give conjugate outputs.
+    """
+    if not 0.0 < c < 1.0:
+        raise ValueError("aspect ratio c must lie in (0, 1)")
+    z = complex(z)
+    if z.imag == 0.0:
+        raise ValueError("forward solve needs z off the real axis")
+    if z.imag < 0.0:
+        return complex(np.conj(forward_mp_G(nu, c, np.conj(z))))
+    B = pipeline._mp_fixed_point_vec(nu.atoms, nu.weights, c, np.array([z]))[0]
+    return complex((-B - (1.0 - c) / z) / c)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
 def test_deconv_config_defaults_and_lift_mapping():
+    # the recovery knobs are the whole configuration; the spectral stage
+    # runs on fixed constants, and the lift's are the inversion module's
     cfg = DeconvConfig()
-    assert cfg.contour_nodes == 512
-    assert cfg.max_support == 8
-    lift = cfg.lift_config()
-    assert lift.newton_tol == cfg.newton_tol
-    assert lift.min_step == cfg.min_step
+    assert asdict(cfg) == {"rank_tol": 1e-4, "max_support": 8}
+    assert pipeline.START_NODES == 512
+    assert MAX_MOMENTS == 16
+    assert inversion.NEWTON_TOL == 1e-12
+    assert inversion.MIN_STEP == 1e-9
 
 
 def test_deconv_config_validation():
-    with pytest.raises(ValueError):
-        DeconvConfig(contour_margin=0.0)
-    with pytest.raises(ValueError):
-        DeconvConfig(contour_margin=1.0)
-    with pytest.raises(ValueError):
-        DeconvConfig(contour_nodes=32)
-    # the ratio on the circle mirrors its upper half: an odd count would
-    # fail later with a bare broadcast error
-    with pytest.raises(ValueError, match="contour_nodes must be even"):
-        DeconvConfig(contour_nodes=65)
-    with pytest.raises(ValueError):
-        DeconvConfig(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        DeconvConfig(rank_tol=-1e-6)
-    with pytest.raises(ValueError):
+    # rank detection up to max_support atoms needs 2 * max_support moments
+    with pytest.raises(ValueError, match="max_support"):
+        DeconvConfig(max_support=MAX_MOMENTS // 2 + 1)
+    with pytest.raises(ValueError, match="max_support"):
         DeconvConfig(max_support=0)
-    with pytest.raises(ValueError):
-        DeconvConfig(max_moments=8, max_support=8)
+    DeconvConfig(max_support=MAX_MOMENTS // 2)
+    DeconvConfig(max_support=1)
+    for bad in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="rank_tol"):
+            DeconvConfig(rank_tol=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +247,8 @@ def test_deconvolve_result_structure():
     assert res.diagnostics.imag_residue < 1e-6
     assert res.diagnostics.t_total_s >= 0.0
     # node doubling stops at the first settled refinement
-    assert res.diagnostics.nodes_used >= res.config.contour_nodes
-    assert res.diagnostics.nodes_used % res.config.contour_nodes == 0
+    assert res.diagnostics.nodes_used >= pipeline.START_NODES
+    assert res.diagnostics.nodes_used % pipeline.START_NODES == 0
     assert res.moments_used[1] == pytest.approx(1.5, abs=1e-6)
     payload = json.loads(res.to_json())
     assert set(payload) == {"estimate", "moments_used", "diagnostics", "config"}
@@ -260,16 +276,8 @@ def test_deconvolve_result_json_schema():
         "t_recovery_s",
         "t_total_s",
     ]
-    assert list(payload["config"]) == [
-        "contour_margin",
-        "contour_nodes",
-        "max_moments",
-        "newton_tol",
-        "min_step",
-        "rank_tol",
-        "max_support",
-    ]
-    assert len(payload["moments_used"]) == res.config.max_moments + 1
+    assert list(payload["config"]) == ["rank_tol", "max_support"]
+    assert len(payload["moments_used"]) == MAX_MOMENTS + 1
 
 
 def test_deconvolve_reports_the_chosen_radius_exactly():
@@ -304,11 +312,12 @@ def test_deconvolve_validates_aspect_ratio():
 
 def test_deconvolve_honors_config():
     mu_f = forward_measure(TWO, 0.2, tol=1e-8)
-    cfg = DeconvConfig(contour_nodes=256, max_moments=12, max_support=6)
+    cfg = DeconvConfig(max_support=6)
     res = deconvolve(mu_f, 0.2, cfg)
-    assert res.config.contour_nodes == 256
-    assert res.diagnostics.nodes_used >= 256
+    assert res.config == cfg
+    assert res.diagnostics.rank <= 6
     assert wasserstein_1(res.estimate, TWO) < 1e-6
+    assert len(res.moments_used) == MAX_MOMENTS + 1
 
 
 @pytest.fixture
@@ -367,20 +376,9 @@ def test_deconvolve_recomputes_the_spectral_stage_for_a_new_key(
     same = deconvolve(twin, 0.2)
     assert len(ramification_calls) == 2
     assert same.estimate == base.estimate
-    # c and every field the spectral stage reads are part of the key;
-    # each change starts from a memo that holds the base key
-    for c, change in (
-        (0.19, {}),
-        (0.2, {"contour_margin": 0.2}),
-        (0.2, {"contour_nodes": 256}),
-        (0.2, {"max_moments": 18}),
-        (0.2, {"newton_tol": 1e-11}),
-        (0.2, {"min_step": 1e-8}),
-    ):
-        deconvolve(twin, 0.2, base.config)
-        before = len(ramification_calls)
-        deconvolve(twin, c, replace(base.config, **change))
-        assert len(ramification_calls) == before + 1, (c, change)
+    # c is the rest of the key
+    deconvolve(twin, 0.19)
+    assert len(ramification_calls) == 3
 
 
 def test_deconvolve_does_not_memoize_a_failed_spectral_stage(

@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="result JSON (default stdout)")
     p.add_argument(
         "--dump-contours", default=None, metavar="DIR",
-        help="also write the final m-plane contour as CSV into DIR",
+        help="also write the estimate's z-plane Stieltjes contour (nodes "
+        "and G values) as m_contour.csv into DIR",
     )
     p.set_defaults(func=_cmd_deconvolve)
 

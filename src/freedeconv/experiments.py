@@ -30,7 +30,6 @@ __all__ = [
     "SCENARIOS",
     "RunReport",
     "REPORT_COLUMNS",
-    "GENERATOR_ID",
     "sample_spectrum",
     "toeplitz_spectrum",
     "baseline_subordination",
@@ -40,8 +39,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-GENERATOR_ID = "PCG64"
 
 REPORT_COLUMNS = (
     "scenario",
@@ -120,7 +117,6 @@ class RunReport:
     t_recovery_s: float
     diag_rank: int
     diag_imag_residue: float
-    generator: str = GENERATOR_ID
     error: str = ""
 
     def row(self) -> list:

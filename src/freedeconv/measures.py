@@ -310,16 +310,21 @@ class MarchenkoPastur:
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def moment(self, k):
-        """k-th moment by quadrature in the arcsine variable."""
+        """k-th moment in closed form, the Narayana polynomial.
+
+        m_k = sum over j < k of c^j/(j+1) C(k, j) C(k-1, j), and m_0 = 1.
+        """
         if k < 0 or k != int(k):
             raise ValueError("moment order must be a nonnegative integer")
         k = int(k)
-        m0 = 0.5 * (self.lower_edge + self.upper_edge)
-        h = 0.5 * (self.upper_edge - self.lower_edge)
-        theta, w = _gauss_legendre_theta(max(96, k + 48))
-        s = np.sin(theta)
-        vals = (m0 + h * s) ** (k - 1) * (h**2) * np.cos(theta) ** 2
-        return float(np.sum(w * vals) / (2.0 * np.pi * self.c))
+        if k == 0:
+            return 1.0
+        return float(
+            sum(
+                self.c**j / (j + 1) * math.comb(k, j) * math.comb(k - 1, j)
+                for j in range(k)
+            )
+        )
 
     def stieltjes(self, z):
         """Closed-form G(z) = (z + c - 1 - sqrt(z-l) sqrt(z-r)) / (2 c z).

@@ -66,8 +66,16 @@ class DeconvConfig:
     max_support: int = 8
 
     def __post_init__(self):
-        if not self.rank_tol > 0.0:
-            raise ValueError(f"rank_tol must be positive, got {self.rank_tol}")
+        if not 0.0 < self.rank_tol < np.inf:
+            raise ValueError(
+                f"rank_tol must be positive and finite, got {self.rank_tol}"
+            )
+        if isinstance(self.max_support, bool) or not isinstance(
+            self.max_support, (int, np.integer)
+        ):
+            raise ValueError(
+                f"max_support must be an integer, got {self.max_support!r}"
+            )
         if not 1 <= self.max_support <= MAX_MOMENTS // 2:
             raise ValueError(
                 f"max_support must lie in [1, {MAX_MOMENTS // 2}], "
@@ -378,8 +386,8 @@ def forward_contour(
     contour must not overshoot the hull horizontally.  Only the upper half
     is solved; the lower half is its mirror.
     """
-    if nodes < 64:
-        raise ValueError("need at least 64 contour nodes")
+    if nodes < 64 or nodes % 2:
+        raise ValueError(f"need an even count of at least 64 nodes, got {nodes}")
     if not 0.0 < c < 1.0:
         raise ValueError("aspect ratio c must lie in (0, 1)")
     mp = MarchenkoPastur(c)

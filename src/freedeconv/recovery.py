@@ -4,20 +4,22 @@ The chain is classical: Hankel positivity decides whether the numbers are
 moments at all, a Cholesky factorization of the Hankel matrix orthogonalizes
 the monomials, the three-term recurrence coefficients form a symmetric
 tridiagonal matrix, and its eigendecomposition delivers atoms (eigenvalues)
-and weights (squared first components of unit eigenvectors).  All linear
-algebra here is specialized and runs in extended precision: Hankel matrices
-of measures with spread-out support are violently ill conditioned, and the
-generic double-precision route loses the last digits the tests demand.
+and weights (squared first components of unit eigenvectors).  Extended
+precision is kept where it decides something: the moment rescaling and the
+Cholesky pivots that fix the rank, because Hankel matrices of measures with
+spread-out support are violently ill conditioned.  The Jacobi coefficients
+are stored in double precision, so the final eigenproblem is LAPACK's
+symmetric tridiagonal solver.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidMomentsError, NumericalError
 from .measures import DiscreteMeasure, MomentSequence
@@ -203,69 +205,6 @@ def jacobi_from_moments(
     )
 
 
-def _tridiag_eigen_ql(
-    diag: np.ndarray, off: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-shift QL for a symmetric tridiagonal matrix.
-
-    Returns (eigenvalues, first components of the unit eigenvectors).  Only
-    the first row of the eigenvector matrix is accumulated, which is all a
-    quadrature rule needs.  Extended precision throughout.
-    """
-    n = diag.size
-    d = diag.astype(np.longdouble).copy()
-    e = np.zeros(n, dtype=np.longdouble)
-    e[: n - 1] = off.astype(np.longdouble)
-    z = np.zeros(n, dtype=np.longdouble)
-    z[0] = 1.0
-    eps = np.finfo(np.longdouble).eps
-    for l in range(n):
-        for iteration in range(60):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if iteration == 59:
-                raise NumericalError(
-                    "tridiagonal QL failed to converge",
-                    stage="measure_from_jacobi",
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, np.longdouble(1.0))
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = np.longdouble(1.0)
-            p = np.longdouble(0.0)
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                bb = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * bb
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - bb
-                zi = z[i + 1]
-                z[i + 1] = s * z[i] + c * zi
-                z[i] = c * z[i] - s * zi
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    order = np.argsort(d)
-    return d[order], z[order]
-
-
 def measure_from_jacobi(jc: JacobiCoefficients) -> DiscreteMeasure:
     """Spectral measure of the Jacobi matrix at the first basis vector.
 
@@ -274,68 +213,16 @@ def measure_from_jacobi(jc: JacobiCoefficients) -> DiscreteMeasure:
     is the squared first component of its unit eigenvector, so the weights
     sum to 1 by orthonormality of the eigenbasis.
     """
-    if jc.rank == 1:
-        return DiscreteMeasure(np.array([jc.a[0]]), np.array([1.0]))
-    atoms_ld, first = _tridiag_eigen_ql(jc.a, np.sqrt(jc.b))
-    weights_ld = first**2
-    atoms = np.asarray(atoms_ld, dtype=float)
-    weights = np.asarray(weights_ld / np.sum(weights_ld), dtype=float)
+    try:
+        atoms, vecs = scipy.linalg.eigh_tridiagonal(jc.a, np.sqrt(jc.b))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"tridiagonal eigensolver failed: {exc}", stage="measure_from_jacobi"
+        ) from exc
+    first = vecs[0] ** 2
+    weights = first / np.sum(first)
     keep = weights > 0.0
     return DiscreteMeasure(atoms[keep], weights[keep])
-
-
-def _newton_refine(
-    atoms: np.ndarray, weights: np.ndarray, m: np.ndarray, iters: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Polish (atoms, weights) against the moments they came from.
-
-    The Cholesky route loses a few digits through the ill conditioned
-    Hankel factorization; a Newton iteration on the square system
-    sum_j w_j x_j^k = m_k, with residuals evaluated at the precision of the
-    input moments, pushes the error down to the conditioning floor of the
-    moment map itself.  Rows are rescaled by s^k so the solve sees balanced
-    magnitudes.  Any sign of trouble returns the unrefined input.
-    """
-    L = atoms.size
-    if L < 2 or m.size < 2 * L:
-        return atoms, weights
-    x = atoms.astype(np.longdouble)
-    w = weights.astype(np.longdouble)
-    mm = m[: 2 * L].astype(np.longdouble)
-    s = np.longdouble(max(float(np.max(np.abs(atoms))), 1.0))
-    k = np.arange(2 * L)
-    row_scale = s ** k.astype(np.longdouble)
-
-    def scaled_residual(xv, wv):
-        powers = xv[None, :] ** k[:, None].astype(np.longdouble)
-        return (powers @ wv - mm) / row_scale
-
-    best_x, best_w = x, w
-    best = float(np.max(np.abs(scaled_residual(x, w))))
-    for _ in range(iters):
-        powers = x[None, :] ** k[:, None].astype(np.longdouble)
-        jac = np.empty((2 * L, 2 * L), dtype=float)
-        jac[:, :L] = np.asarray(
-            (k[:, None] * w[None, :]) * x[None, :] ** (k[:, None] - 1)
-            / row_scale[:, None],
-            dtype=float,
-        )
-        jac[0, :L] = 0.0  # k x^(k-1) at k = 0
-        jac[:, L:] = np.asarray(powers / row_scale[:, None], dtype=float)
-        rhs = np.asarray(scaled_residual(x, w), dtype=float)
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            break
-        x = x - step[:L].astype(np.longdouble)
-        w = w - step[L:].astype(np.longdouble)
-        if np.any(w <= 0.0) or np.any(np.diff(x) <= 0.0):
-            break
-        resid = float(np.max(np.abs(scaled_residual(x, w))))
-        if resid >= best:
-            break
-        best, best_x, best_w = resid, x, w
-    return np.asarray(best_x, dtype=float), np.asarray(best_w, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -365,6 +252,10 @@ def recover_measure_detailed(
     measure reproduces the input moments over the Gauss-exactness range
     k <= 2 rank - 1; on exact inputs these errors sit at 10 tol or below.
     """
+    if isinstance(max_support, bool) or not isinstance(
+        max_support, (int, np.integer)
+    ):
+        raise ValueError(f"max_support must be an integer, got {max_support!r}")
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
     if abs(float(moments[0]) - 1.0) > 1e-12:
@@ -382,11 +273,6 @@ def recover_measure_detailed(
         )
     jc = jacobi_from_moments(moments, n, tol)
     mu = measure_from_jacobi(jc)
-    if mu.n_atoms == jc.rank:
-        ref_atoms, ref_weights = _newton_refine(
-            mu.atoms, mu.weights, np.asarray(moments.values)
-        )
-        mu = DiscreteMeasure(ref_atoms, ref_weights)
     upto = min(2 * jc.rank - 1, moments.order)
     errs = np.array(
         [

@@ -82,9 +82,12 @@ def test_deconv_config_validation():
         DeconvConfig(max_support=MAX_MOMENTS // 2 + 1)
     with pytest.raises(ValueError, match="max_support"):
         DeconvConfig(max_support=0)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="max_support"):
+            DeconvConfig(max_support=bad)
     DeconvConfig(max_support=MAX_MOMENTS // 2)
     DeconvConfig(max_support=1)
-    for bad in (0.0, -1e-6, float("nan")):
+    for bad in (0.0, -1e-6, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rank_tol"):
             DeconvConfig(rank_tol=bad)
 
@@ -190,6 +193,8 @@ def test_forward_contour_weak_noise_returns_population_moments():
 def test_forward_contour_input_contracts():
     with pytest.raises(ValueError):
         forward_contour(TWO, 0.2, nodes=32)
+    with pytest.raises(ValueError, match="even"):
+        forward_contour(TWO, 0.2, nodes=65)
     with pytest.raises(ValueError):
         forward_contour(TWO, 1.5)
 

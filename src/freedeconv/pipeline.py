@@ -4,9 +4,14 @@ Given an empirical spectral measure mu_n of a sample covariance matrix with
 aspect ratio c, estimate the population spectrum nu: evaluate the
 S-transform ratio S_mu_n / S_MP on a circle in the m plane, map it to a
 sampled Stieltjes contour of the estimate, extract moments, and reconstruct
-a discrete measure.  The forward direction (nu to the spectrum of the
-product) is solved from the fixed-point form of the Marchenko-Pastur
-equation and serves as the noise-free oracle in tests and calibrations.
+a discrete measure.  Only the moments m_0 .. m_MAX_MOMENTS of the estimate
+are kept, and each is a polynomial in the moments of mu_n of the same
+order or lower.  So the spectral stage runs on a GAUSS_NODES-point Gauss
+quadrature of mu_n, which has the same moments through that order, and
+its cost does not grow with the dimension p.  The forward direction (nu to
+the spectrum of the product) is solved from the fixed-point form of the
+Marchenko-Pastur equation and serves as the noise-free oracle in tests
+and calibrations.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ForwardSolverError, InvalidMomentsError
+from .errors import ForwardSolverError, InvalidMomentsError, NumericalError
 from .measures import DiscreteMeasure, MarchenkoPastur, MomentSequence
 from .inversion import SlitDomain, critical_points, lift_many, slit_domain
 from .contours import (
@@ -31,7 +36,11 @@ from .contours import (
     contour_rep_from_s,
     moments_from_contour,
 )
-from .recovery import recover_measure_detailed
+from .recovery import (
+    JacobiCoefficients,
+    measure_from_jacobi,
+    recover_measure_detailed,
+)
 
 __all__ = [
     "DeconvConfig",
@@ -50,6 +59,14 @@ log = logging.getLogger(__name__)
 # order the contour stage extracts
 START_NODES = 512
 MAX_MOMENTS = 16
+# atoms of the Gauss proxy of mu_n: K nodes reproduce m_0 .. m_(2K-1),
+# at least the m_0 .. m_MAX_MOMENTS the extracted moments depend on
+GAUSS_NODES = (MAX_MOMENTS + 2) // 2
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +87,7 @@ class DeconvConfig:
             raise ValueError(
                 f"rank_tol must be positive and finite, got {self.rank_tol}"
             )
-        if isinstance(self.max_support, bool) or not isinstance(
-            self.max_support, (int, np.integer)
-        ):
-            raise ValueError(
-                f"max_support must be an integer, got {self.max_support!r}"
-            )
+        _require_int("max_support", self.max_support)
         if not 1 <= self.max_support <= MAX_MOMENTS // 2:
             raise ValueError(
                 f"max_support must lie in [1, {MAX_MOMENTS // 2}], "
@@ -85,10 +97,15 @@ class DeconvConfig:
 
 @dataclass(frozen=True)
 class DeconvDiagnostics:
-    """Run diagnostics: contour quality, recovery rank, lift effort, timings."""
+    """Run diagnostics: contour quality, recovery rank, lift effort, timings.
+
+    `proxy_atoms` is the atom count of the Gauss proxy the spectral stage
+    ran on, and `t_ramification_s` includes building it.
+    """
 
     imag_residue: float
     rank: int
+    proxy_atoms: int
     contour_radius: float
     nodes_used: int
     lift_steps_total: int
@@ -146,9 +163,43 @@ def _ratio_on_circle(
     return out
 
 
+def _gauss_proxy(mu_n: DiscreteMeasure) -> DiscreteMeasure:
+    """GAUSS_NODES-point Gauss quadrature of mu_n, or mu_n if it is smaller.
+
+    Lanczos on diag(atoms) from the start vector sqrt(weights) yields the
+    Jacobi matrix of mu_n's orthonormal polynomials (Golub & Welsch); each
+    step is reorthogonalized twice against all earlier vectors.
+    """
+    if mu_n.n_atoms <= GAUSS_NODES:
+        return mu_n
+    x = mu_n.atoms
+    Q = np.empty((GAUSS_NODES, x.size))
+    a = np.empty(GAUSS_NODES)
+    b = np.empty(GAUSS_NODES - 1)
+    q = np.sqrt(mu_n.weights)
+    for k in range(GAUSS_NODES):
+        Q[k] = q
+        v = x * q
+        a[k] = q @ v
+        if k == GAUSS_NODES - 1:
+            break
+        for _ in range(2):
+            v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
+        b[k] = np.linalg.norm(v)
+        if not 0.0 < b[k] < np.inf:
+            raise NumericalError(
+                f"Lanczos broke down at step {k}: off-diagonal {b[k]:.3e}",
+                stage="gauss_proxy",
+                diagnostics={"step": k, "off_diagonal": float(b[k])},
+            )
+        q = v / b[k]
+    return measure_from_jacobi(JacobiCoefficients(a, b**2))
+
+
 class _Spectral(NamedTuple):
     """What the spectral stage hands to recovery, with its own diagnostics."""
 
+    proxy_atoms: int
     radius: float
     nodes_used: int
     lift_steps_total: int
@@ -168,9 +219,10 @@ _last_spectral: tuple | None = None
 def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     """Ramification, radius, node-doubling lifts and contour moments.
 
-    The last success is kept and reused as the `deconvolve` docstring
-    describes; `mu_n` is held by a strong reference, so its identity
-    cannot pass to another object while it is the key.
+    All four run on the Gauss proxy of `mu_n`.  The last success is kept
+    and reused as the `deconvolve` docstring describes; `mu_n` is held by
+    a strong reference, so its identity cannot pass to another object
+    while it is the key.
     """
     global _last_spectral
     memo = _last_spectral
@@ -179,7 +231,8 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
 
     t0 = time.perf_counter()
     mp = MarchenkoPastur(c)
-    ram = critical_points(mu_n)
+    proxy = _gauss_proxy(mu_n)
+    ram = critical_points(proxy)
     dom = slit_domain(ram)
     # stay clear of the S_MP pole at m = -1/c
     radius = min(choose_m_contour(ram), 0.5 / c)
@@ -193,7 +246,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     while True:
         nodes = circle_nodes(radius, n_nodes)
         t1 = time.perf_counter()
-        ratio = _ratio_on_circle(mu_n, mp, nodes, dom, step_counts)
+        ratio = _ratio_on_circle(proxy, mp, nodes, dom, step_counts)
         t2 = time.perf_counter()
         rep = contour_rep_from_s(ratio, nodes)
         extracted = moments_from_contour(rep, MAX_MOMENTS)
@@ -215,6 +268,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         n_nodes *= 2
 
     spectral = _Spectral(
+        proxy_atoms=proxy.n_atoms,
         radius=radius,
         nodes_used=n_nodes,
         lift_steps_total=int(np.sum(step_counts)) if step_counts else 0,
@@ -234,13 +288,21 @@ def deconvolve(
 ) -> DeconvResult:
     """Estimate the population spectrum behind the empirical spectrum mu_n.
 
-    Stages: ramification analysis of mu_n fixes a slit domain; a circle in
-    the m plane clear of the slits (and of the S_MP pole at -1/c) carries
-    warm-chained lifts evaluating the ratio S_mu_n/S_MP; the ratio induces
-    a sampled Stieltjes contour of the estimate; contour moments feed the
-    Hankel recovery.  Node count doubles until the extracted moments settle
-    below 1e-9 or the cap is reached.  Every failure mode raises a typed
-    error carrying its stage; there is no silent fallback.
+    Stages: mu_n is compressed to its GAUSS_NODES-point Gauss quadrature
+    (mu_n itself when it has no more atoms), the proxy; ramification
+    analysis of the proxy fixes a slit domain; a circle in the m plane
+    clear of the slits (and of the S_MP pole at -1/c) carries warm-chained
+    lifts evaluating the ratio S_proxy/S_MP; the ratio induces a sampled
+    Stieltjes contour of the estimate; contour moments feed the Hankel
+    recovery.  The compression is exact for what is kept: m_k of the
+    estimate is a polynomial in m_1 .. m_k of the input, and the proxy
+    reproduces m_0 .. m_(2 GAUSS_NODES - 1) of mu_n, so the moments through
+    m_MAX_MOMENTS come out the same up to roundoff.  The contour radius is
+    the proxy's, which has fewer slits near 0 than mu_n.  The sanity
+    window on the estimate's atoms is set by mu_n itself.  Node count
+    doubles until the extracted moments settle below 1e-9 or the cap is
+    reached.  Every failure mode raises a typed error carrying its stage;
+    there is no silent fallback.
 
     Everything before recovery depends on `mu_n` and `c` only; `cfg`
     holds the recovery knobs.  The last successful spectral stage is
@@ -274,6 +336,7 @@ def deconvolve(
     diags = DeconvDiagnostics(
         imag_residue=extracted.imag_residue,
         rank=report.rank,
+        proxy_atoms=spectral.proxy_atoms,
         contour_radius=spectral.radius,
         nodes_used=spectral.nodes_used,
         lift_steps_total=spectral.lift_steps_total,
@@ -386,6 +449,7 @@ def forward_contour(
     contour must not overshoot the hull horizontally.  Only the upper half
     is solved; the lower half is its mirror.
     """
+    _require_int("nodes", nodes)
     if nodes < 64 or nodes % 2:
         raise ValueError(f"need an even count of at least 64 nodes, got {nodes}")
     if not 0.0 < c < 1.0:
@@ -422,6 +486,7 @@ def forward_measure(
     the (absolutely continuous) product spectrum, the noise-free stand-in
     for an empirical eigenvalue measure.
     """
+    _require_int("max_support", max_support)
     rep = forward_contour(nu, c, nodes)
     extracted = moments_from_contour(rep, 2 * max_support)
     return recover_measure_detailed(extracted.moments, max_support, tol).measure

@@ -41,6 +41,11 @@ log = logging.getLogger(__name__)
 DEFAULT_RANK_TOL = 1e-8
 
 
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def hankel(moments: MomentSequence, n: int) -> np.ndarray:
     """Leading n x n moment matrix H[i, j] = m_(i+j), read-only.
 
@@ -81,6 +86,7 @@ def is_moment_sequence(
     positive measure; eigenvalues inside the +-tol band signal finite
     support of cardinality equal to the count above the band.
     """
+    _require_tol(tol)
     eig = np.linalg.eigvalsh(hankel(moments, n))
     norm = float(np.max(np.abs(eig)))
     band = tol * max(norm, 1e-300)
@@ -158,6 +164,7 @@ def jacobi_from_moments(
     """
     if n < 1:
         raise ValueError("need at least one recurrence coefficient")
+    _require_tol(tol)
     if moments.order < 2 * n - 1:
         raise ValueError(
             f"{n} recurrence coefficients need moments up to m_{2 * n - 1}, "
@@ -258,6 +265,7 @@ def recover_measure_detailed(
         raise ValueError(f"max_support must be an integer, got {max_support!r}")
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
+    _require_tol(tol)
     if abs(float(moments[0]) - 1.0) > 1e-12:
         raise ValueError("moment recovery expects a probability sequence")
     n = min(max_support, (moments.order + 1) // 2)

@@ -14,16 +14,22 @@ from freedeconv.contours import (
     choose_m_contour,
     moments_from_contour,
 )
-from freedeconv.errors import InvalidMomentsError, NoisyContourError
-from freedeconv.experiments import SCENARIOS
+from freedeconv.errors import (
+    InvalidMomentsError,
+    NoisyContourError,
+    NumericalError,
+)
+from freedeconv.experiments import SCENARIOS, sample_spectrum
 from freedeconv.inversion import critical_points, slit_domain, s_transform
 from freedeconv.measures import (
     DiscreteMeasure,
     MarchenkoPastur,
+    MomentSequence,
     wasserstein_1,
 )
 from freedeconv import inversion, pipeline
 from freedeconv.pipeline import (
+    GAUSS_NODES,
     MAX_MOMENTS,
     DeconvConfig,
     deconvolve,
@@ -197,6 +203,13 @@ def test_forward_contour_input_contracts():
         forward_contour(TWO, 0.2, nodes=65)
     with pytest.raises(ValueError):
         forward_contour(TWO, 1.5)
+    # integral floats and bools are not counts
+    for bad in (64.0, True):
+        with pytest.raises(ValueError, match="nodes"):
+            forward_contour(TWO, 0.2, nodes=bad)
+    for bad in (2.5, 4.0):
+        with pytest.raises(ValueError, match="max_support"):
+            forward_measure(TWO, 0.2, max_support=bad)
 
 
 def test_forward_measure_mean_and_hull():
@@ -271,6 +284,7 @@ def test_deconvolve_result_json_schema():
     assert list(payload["diagnostics"]) == [
         "imag_residue",
         "rank",
+        "proxy_atoms",
         "contour_radius",
         "nodes_used",
         "lift_steps_total",
@@ -298,6 +312,64 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
     slit_bound = choose_m_contour(critical_points(mu_f), 0.1)
     assert slit_bound < 1.0
     assert radius == slit_bound
+
+
+def sampled_s2_3():
+    # a fresh object per call: the spectral memo is keyed on identity
+    sc = SCENARIOS["S2_3"]
+    return sample_spectrum(sc.population, 400, 2000, 1), sc.c
+
+
+@pytest.mark.parametrize("kind", ["sampled", "clusters"])
+def test_gauss_proxy_reproduces_moments_through_2k_minus_1(kind):
+    if kind == "sampled":
+        mu, _ = sampled_s2_3()
+    else:
+        # three tight clusters of 100 atoms each, spaced 1e-7 apart
+        atoms = np.concatenate(
+            [x + 1e-7 * np.arange(100) for x in (0.5, 1.3, 2.9)]
+        )
+        mu = DiscreteMeasure(atoms, np.full(300, 1.0 / 300))
+    proxy = pipeline._gauss_proxy(mu)
+    assert proxy.n_atoms == GAUSS_NODES
+    order = 2 * GAUSS_NODES - 1
+    assert order == MAX_MOMENTS + 1
+    exact = np.asarray(MomentSequence.of_measure(mu, order).values)
+    approx = np.asarray(MomentSequence.of_measure(proxy, order).values)
+    assert np.max(np.abs(approx - exact) / np.abs(exact)) <= 1e-12
+
+
+def test_gauss_proxy_passes_small_measures_through():
+    for mu in (ONE, TWO, forward_measure(TWO, 0.2, tol=1e-8)):
+        assert mu.n_atoms <= GAUSS_NODES
+        assert pipeline._gauss_proxy(mu) is mu
+
+
+def test_gauss_proxy_reports_a_lanczos_breakdown():
+    # the first off-diagonal overflows to inf
+    mu = DiscreteMeasure(np.linspace(1.0, 2.0, 12) * 1e200, np.full(12, 1 / 12))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError) as exc_info:
+        pipeline._gauss_proxy(mu)
+    assert exc_info.value.stage == "gauss_proxy"
+
+
+def test_deconvolve_on_the_proxy_matches_the_full_measure(monkeypatch):
+    mu, c = sampled_s2_3()
+    res = deconvolve(mu, c)
+    assert res.diagnostics.proxy_atoms == GAUSS_NODES
+    monkeypatch.setattr(pipeline, "_gauss_proxy", lambda m: m)
+    ref = deconvolve(copy.copy(mu), c)
+    assert ref.diagnostics.proxy_atoms == mu.n_atoms
+    got = np.asarray(res.moments_used.values)
+    want = np.asarray(ref.moments_used.values)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+def test_deconvolve_chooses_the_radius_of_the_proxy():
+    mu, c = sampled_s2_3()
+    radius = deconvolve(mu, c).diagnostics.contour_radius
+    proxy = pipeline._gauss_proxy(mu)
+    assert radius == min(choose_m_contour(critical_points(proxy)), 0.5 / c)
 
 
 def test_deconvolve_rejects_inconsistent_input():

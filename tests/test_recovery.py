@@ -279,6 +279,11 @@ def test_recover_input_contracts():
             recover_measure(ms, bad)
     with pytest.raises(ValueError):
         recover_measure(MomentSequence([1.0]), 2)
+    # a bad tolerance is a bad argument, not a numerical failure
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        for check in (recover_measure, is_moment_sequence, jacobi_from_moments):
+            with pytest.raises(ValueError, match="tol"):
+                check(ms, 2, tol=bad)
 
 
 def test_recover_rejects_indefinite_sequence():

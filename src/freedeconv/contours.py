@@ -145,7 +145,13 @@ def contour_moment(rep: ContourRepresentation, k: int) -> complex:
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    dsigma = _parametric_derivative(rep.sigma)
+    return _moment_sum(rep, k, _parametric_derivative(rep.sigma))
+
+
+def _moment_sum(
+    rep: ContourRepresentation, k: int, dsigma: np.ndarray
+) -> complex:
+    # trapezoid sum of contour_moment, given the parametric derivative
     integrand = rep.sigma**k * rep.values * dsigma
     return complex(np.sum(integrand) / (1j * rep.sigma.size))
 
@@ -166,7 +172,8 @@ def moments_from_contour(rep: ContourRepresentation, K: int) -> ContourMoments:
     """
     if K < 1:
         raise ValueError("need at least orders 0 and 1")
-    raw = np.array([contour_moment(rep, k) for k in range(K + 1)])
+    dsigma = _parametric_derivative(rep.sigma)
+    raw = np.array([_moment_sum(rep, k, dsigma) for k in range(K + 1)])
     scaled = np.abs(raw.imag) / np.maximum(1.0, np.abs(raw.real))
     residue = float(np.max(scaled))
     if residue >= 1e-6:

@@ -44,11 +44,8 @@ class DegenerateRamificationError(NumericalError):
 
 
 class LiftFailureError(NumericalError):
-    """Path lifting stalled: step size underflowed before reaching the target."""
-
-    def __init__(self, message, *, state=None, stage=None, diagnostics=None):
-        super().__init__(message, stage=stage, diagnostics=diagnostics)
-        self.state = state
+    """Path lifting stalled: the asymptotic seed did not converge, or the
+    shared step of the ray march underflowed before reaching the targets."""
 
 
 class NoContourError(NumericalError):

@@ -5,7 +5,10 @@ degree-L rational cover of the sphere.  Its inverse branch fixed by
 Minv(0) = infinity is single valued on the plane minus vertical slits
 through the branch points.  This module finds the ramification data
 (critical points, branch points, slits) and evaluates Minv and the
-S-transform by predictor-corrector path lifting with Newton correction.
+S-transform on the slit-free disk about 0, the largest disk the slits
+leave clear.  All targets are lifted together: each along its own ray
+from the asymptotic regime at small |m|, by one predictor-corrector march
+with Newton correction and a shared step.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ from .errors import (
     IncompleteRootsError,
     LiftFailureError,
     NumericalError,
-    PoleError,
 )
 from .measures import DiscreteMeasure
 
 __all__ = [
     "RamificationData",
     "SlitDomain",
-    "PathLiftState",
     "critical_points",
     "slit_domain",
     "lift_path",
@@ -236,26 +237,6 @@ class SlitDomain:
     def contains(self, m):
         return self.distance(m) > 0.0
 
-    def segment_clear(self, a, b):
-        """True iff the closed segment [a, b] misses every slit."""
-        a, b = complex(a), complex(b)
-        if self.n_slits == 0:
-            return True
-        da = a.real - self.slit_re
-        db = b.real - self.slit_re
-        for k in range(self.n_slits):
-            if da[k] == 0.0 and db[k] == 0.0:
-                if max(abs(a.imag), abs(b.imag)) >= self.slit_im[k]:
-                    return False
-                continue
-            if da[k] * db[k] > 0.0:
-                continue
-            t = da[k] / (da[k] - db[k])
-            y = a.imag + t * (b.imag - a.imag)
-            if abs(y) >= self.slit_im[k]:
-                return False
-        return True
-
 
 def slit_domain(ram):
     """Slit domain of the inverse branch from ramification data."""
@@ -284,182 +265,117 @@ NEWTON_TOL = 1e-12
 MIN_STEP = 1e-9
 
 
-@dataclass(frozen=True)
-class PathLiftState:
-    m_current: complex
-    w_current: complex
-    residual: float
-    steps_taken: int
+def _mmap(z, x, c):
+    # M(z) and M'(z) from one pass over the poles
+    inv = 1.0 / (z[..., None] - x)
+    t = c * inv
+    return np.sum(t, axis=-1), -np.sum(t * inv, axis=-1)
 
 
-def _plan_path(dom, start, target):
-    """Segment chain from start to target avoiding all slits."""
-    if dom.segment_clear(start, target):
-        return [start, target]
-    if dom.n_slits:
-        level = 0.5 * float(np.min(dom.slit_im))
-        sign = 1.0 if target.imag >= 0.0 else -1.0
-        way = complex(target.real, sign * min(level, abs(target.imag) or level))
-        if dom.segment_clear(start, way) and dom.segment_clear(way, target):
-            return [start, way, target]
-    raise LiftFailureError(
-        "no slit-free path from the asymptotic seed to the target",
-        stage="lift",
-    )
+def _correct(x, c, w, m):
+    """Newton-correct all w together toward roots of M(.) = m, elementwise.
 
-
-def _newton(mu, w, m):
-    """Correct w to a root of M(.) = m; returns (w, residual, iterations)."""
-    for it in range(1, MAX_NEWTON + 1):
-        f = mu.moment_map(w) - m
-        res = abs(f)
-        if res <= NEWTON_TOL:
-            # one polish step: quadratic convergence takes a just-passing
-            # residual to machine precision, which downstream quadrature
-            # of high moments needs
-            d = mu.moment_map_derivative(w)
-            if d != 0.0 and np.isfinite(d):
-                w2 = w - f / d
-                if np.isfinite(w2):
-                    f2 = mu.moment_map(w2) - m
-                    if abs(f2) <= res:
-                        return w2, abs(f2), it
-            return w, res, it
-        d = mu.moment_map_derivative(w)
-        if d == 0.0 or not np.isfinite(d):
-            break
-        w = w - f / d
-        if not np.isfinite(w):
-            break
-    f = mu.moment_map(w) - m
-    return w, abs(f), MAX_NEWTON + 1
-
-
-def _walk(mu, dom, m0, w0, waypoints, coarse=False):
-    """March m from m0 through the waypoints, carrying the lift w along.
-
-    `coarse` starts at the full path length instead of the conservative
-    1/64 pacing: right for short continuation hops from an already
-    converged lift, where the predictor is nearly exact.  Step halving
-    still guards both modes.
+    Returns the corrected w, the residuals |M(w) - m| and the number of
+    residual evaluations until every entry met NEWTON_TOL (MAX_NEWTON + 1
+    when some did not).  A final polish step is kept where it does not
+    raise the residual: quadratic convergence takes a just-passing
+    residual to machine precision, which downstream quadrature of high
+    moments needs.
     """
-    total = sum(
-        abs(b - a) for a, b in zip([m0] + waypoints[:-1], waypoints)
-    )
-    h = total if coarse else total / 64.0
-    h_cap = total if coarse else total / 16.0
-    m_cur, w = m0, w0
-    steps = 0
-    easy_streak = 0
-    for target in waypoints:
-        while m_cur != target:
-            remaining = target - m_cur
-            # relative cap keeps geometric pacing near m = 0 where the
-            # branch behaves like m1/m and linear steps overshoot
-            dm = min(h, abs(remaining), 0.15 * abs(m_cur))
-            m_next = target if dm >= abs(remaining) else (
-                m_cur + remaining / abs(remaining) * dm
-            )
-            try:
-                d = mu.moment_map_derivative(w)
-                w_pred = w + (m_next - m_cur) / d if d != 0.0 else w
-                w_new, res, iters = _newton(mu, w_pred, m_next)
-            except (PoleError, FloatingPointError):
-                res, iters = np.inf, MAX_NEWTON + 1
-                w_new = w
-            if res <= NEWTON_TOL and np.isfinite(w_new):
-                m_cur, w = m_next, w_new
-                steps += 1
-                easy_streak = easy_streak + 1 if iters <= 1 else 0
-                if easy_streak >= 4:
-                    h = min(2.0 * h, h_cap)
-                    easy_streak = 0
-            else:
-                h *= 0.5
-                easy_streak = 0
-                if h < MIN_STEP:
-                    raise LiftFailureError(
-                        "lift step size underflow",
-                        stage="lift",
-                        state=PathLiftState(m_cur, w, float(res), steps),
-                    )
-    return w, steps
-
-
-def lift_path(mu, target_m, dom):
-    """Evaluate the inverse branch Minv(target_m) fixed by Minv(0) = inf.
-
-    The lift starts from the second-order asymptotic seed
-    w = m_1/m + m_2/m_1 at a small |m| on the ray toward the target, then
-    tracks M(w(t)) = m(t) by an explicit predictor and Newton corrector
-    with step halving/doubling.  The final residual satisfies
-    |M(w) - target_m| <= NEWTON_TOL.
-    """
-    w, steps = _lift_full(mu, target_m, dom)
-    log.debug(
-        "lift target=%s steps=%d residual=%.3e",
-        target_m, steps, abs(mu.moment_map(w) - target_m),
-    )
-    return w
-
-
-def _lift_full(mu, target_m, dom):
-    # lift_path plus the step count, for callers tracking effort
-    target_m = complex(target_m)
-    if target_m == 0.0:
-        raise ValueError("target m must be nonzero (the branch pole)")
-    if not dom.contains(target_m):
-        raise ValueError("target m lies on a slit, outside the domain")
-    m1 = mu.moment(1)
-    if m1 <= 0.0:
-        raise ValueError("path lifting requires a measure with positive mean")
-    start = target_m * (min(START_ABS, abs(target_m) / 10.0) / abs(target_m))
-    path = _plan_path(dom, start, target_m)
-    w0 = m1 / start + mu.moment(2) / m1
-    w0, res, _ = _newton(mu, w0, start)
-    if res > NEWTON_TOL:
-        raise LiftFailureError(
-            "asymptotic seed did not converge",
-            stage="lift",
-            state=PathLiftState(start, w0, res, 0),
-        )
-    return _walk(mu, dom, path[0], w0, path[1:])
+    with np.errstate(all="ignore"):
+        for it in range(1, MAX_NEWTON + 2):
+            f, d = _mmap(w, x, c)
+            f -= m
+            res = np.abs(f)
+            if it > MAX_NEWTON or np.all(res <= NEWTON_TOL):
+                break
+            w = w - f / d
+        w2 = w - f / d
+        res2 = np.abs(_mmap(w2, x, c)[0] - m)
+    better = res2 <= res
+    return np.where(better, w2, w), np.where(better, res2, res), it
 
 
 def lift_many(mu, targets, dom, step_counts=None):
-    """Lift a sequence of targets, warm-starting each from its predecessor.
+    """Evaluate the inverse branch Minv, fixed by Minv(0) = inf, at targets.
 
-    Inside the largest slit-free disk about 0 every chord stays in the
-    domain, so consecutive targets in that disk continue the previous
-    lift; others fall back to a fresh lift from the seed.  Intended for
-    contour nodes on a circle inside that disk.  When `step_counts` is a
-    list, per-target walk step counts are appended to it.
+    Every target must lie in the slit-free disk 0 < |m| < dom.distance(0),
+    where the branch is single valued; others raise ValueError.  Target m
+    is reached along its ray s*m, from the second-order asymptotic seed
+    w = m_1/(s m) + m_2/m_1 at s0 = min(START_ABS / max|m|, 0.1) to s = 1.
+    All rays advance in s together: an explicit predictor and a Newton
+    corrector on every node, with steps capped at 0.15 s, starting at
+    (1 - s0)/64, doubled after four steps that needed no correction up to
+    (1 - s0)/16, and halved when any node fails.  LiftFailureError is
+    raised when the step of the longest ray falls below MIN_STEP.  Every
+    result satisfies |M(w) - m| <= NEWTON_TOL.  When `step_counts` is a
+    list, each target appends the number of steps the march took.
     """
-    targets = np.asarray(targets, dtype=complex)
-    out = np.empty_like(targets)
+    m = np.asarray(targets, dtype=complex)
+    r = np.abs(m)
     free = dom.distance(0.0)
-    w = None
-    prev = None
-    for i, m in enumerate(targets):
-        m = complex(m)
-        steps = 0
-        if w is not None and max(abs(prev), abs(m)) < free:
-            try:
-                w, steps = _walk(mu, dom, prev, w, [m], coarse=True)
-            except LiftFailureError:
-                w, steps = _lift_full(mu, m, dom)
+    if not np.all((r > 0.0) & (r < free)):
+        raise ValueError(
+            f"targets must lie in the slit-free disk 0 < |m| < {free:.6g}"
+        )
+    m1 = mu.moment(1)
+    if m1 <= 0.0:
+        raise ValueError("path lifting requires a measure with positive mean")
+    if m.size == 0:
+        return m.copy()
+    x, c = _effective_poles(mu)
+    r_max = float(np.max(r))
+    s0 = min(START_ABS / r_max, 0.1)
+    w, res, _ = _correct(x, c, m1 / (s0 * m) + mu.moment(2) / m1, s0 * m)
+    if not np.all(res <= NEWTON_TOL):
+        raise LiftFailureError(
+            "asymptotic seed did not converge",
+            stage="lift",
+            diagnostics={"s": s0, "residual": float(np.max(res))},
+        )
+    s = s0
+    h = (1.0 - s0) / 64.0
+    h_cap = (1.0 - s0) / 16.0
+    steps = 0
+    easy_streak = 0
+    while s < 1.0:
+        # the relative cap keeps geometric pacing near m = 0, where the
+        # branch behaves like m_1/m and linear steps overshoot
+        ds = min(h, 1.0 - s, 0.15 * s)
+        s_next = 1.0 if ds >= 1.0 - s else s + ds
+        with np.errstate(all="ignore"):
+            w_pred = w + (s_next - s) * m / _mmap(w, x, c)[1]
+        w_new, res, evals = _correct(x, c, w_pred, s_next * m)
+        if np.all(res <= NEWTON_TOL) and np.all(np.isfinite(w_new)):
+            s, w = s_next, w_new
+            steps += 1
+            easy_streak = easy_streak + 1 if evals <= 1 else 0
+            if easy_streak >= 4:
+                h = min(2.0 * h, h_cap)
+                easy_streak = 0
         else:
-            w, steps = _lift_full(mu, m, dom)
-        out[i] = w
-        prev = m
-        if step_counts is not None:
-            step_counts.append(steps)
-    return out
+            h *= 0.5
+            easy_streak = 0
+            if h * r_max < MIN_STEP:
+                raise LiftFailureError(
+                    "lift step size underflow",
+                    stage="lift",
+                    diagnostics={
+                        "s": s, "steps": steps, "residual": float(np.max(res)),
+                    },
+                )
+    log.debug("lifted %d targets in %d steps", m.size, steps)
+    if step_counts is not None:
+        step_counts.extend([steps] * m.size)
+    return w
+
+
+def lift_path(mu, target_m, dom):
+    """Minv(target_m) for one target of the slit-free disk; see lift_many."""
+    return complex(lift_many(mu, [complex(target_m)], dom)[0])
 
 
 def s_transform(mu, m, dom):
-    """S(m) = (1+m) / (m * Minv(m)) via path lifting."""
+    """S(m) = (1+m) / (m * Minv(m)) for m in the slit-free disk."""
     m = complex(m)
-    if m == 0.0:
-        raise ValueError("S-transform argument must be nonzero")
     return (1.0 + m) / (m * lift_path(mu, m, dom))

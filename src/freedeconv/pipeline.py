@@ -100,7 +100,11 @@ class DeconvDiagnostics:
     """Run diagnostics: contour quality, recovery rank, lift effort, timings.
 
     `proxy_atoms` is the atom count of the Gauss proxy the spectral stage
-    ran on, and `t_ramification_s` includes building it.
+    ran on, and `t_ramification_s` includes building it.  Each lifted node
+    counts the steps of the ray march that reached it, and every node of
+    one node-doubling pass shares that march: `lift_steps_total` sums the
+    count over all lifted nodes of all passes, and `lift_steps_max` is the
+    longest march of any pass.
     """
 
     imag_residue: float
@@ -150,8 +154,8 @@ def _ratio_on_circle(
     step_counts: list,
 ) -> np.ndarray:
     # nodes are conjugate-symmetric half-offset circle samples ordered by
-    # angle: evaluate the upper half by warm-chained lifts and mirror, the
-    # ratio of transforms of real measures commutes with conjugation
+    # angle: lift the upper half and mirror, the ratio of transforms of
+    # real measures commutes with conjugation
     n = nodes.size
     upper = nodes[: n // 2]
     w = lift_many(mu_n, upper, dom, step_counts=step_counts)

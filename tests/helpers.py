@@ -95,23 +95,34 @@ def moment_map_roots(mu, m):
     return np.roots(coeffs)
 
 
-def s_by_radial_roots(nu, ms):
-    """Independent S_nu on points ms: invert M by np.roots plus continuation.
+def branch_by_eigenvalues(mu, targets, steps=500):
+    """Reference Minv, the branch with Minv(0) = infinity, at each target.
 
-    Walks radially from the asymptotic regime |m| = 1e-4 to each target,
-    keeping the root closest to the previous one; this follows the branch
-    with Minv(0) = infinity without any path-lifting code.
+    The roots of M(w) = m are the eigenvalues of diag(x) + c 1^T / m, where
+    c_j = w_j x_j.  Along the ray s*m the root nearest m_1/(s m) at
+    s = 1e-4 is followed by nearest-root steps: 100 geometric ones up to
+    s = 0.5, then `steps` equal ones up to 1.  Near a branch point at
+    distance d, a step dm moves the root by about |dm| / (4 d) of its
+    distance to the nearest other root: under 0.2 for 500 steps to a
+    target at 0.995 of the free radius.  Three Newton steps on the last
+    root restore the accuracy its eigenvalue loses near a branch point;
+    the tracking, not the polish, chooses the sheet.
     """
-    out = np.empty(len(ms), dtype=complex)
-    for i, m in enumerate(ms):
-        radii = np.geomspace(1e-4, abs(m), 40)
-        ray = radii * (m / abs(m))
-        w_cur = nu.moment(1) / ray[0] + nu.moment(2) / nu.moment(1)
-        for mk in ray:
-            roots = moment_map_roots(nu, mk)
-            w_cur = roots[np.argmin(np.abs(roots - w_cur))]
-        out[i] = (1 + m) / (m * w_cur)
-    return out
+    m = np.asarray(targets, dtype=complex)
+    x, c = mu.atoms, mu.weights * mu.atoms
+    s_grid = np.concatenate([
+        np.geomspace(1e-4, 0.5, 100, endpoint=False),
+        np.linspace(0.5, 1.0, steps),
+    ])
+    w = mu.moment(1) / (s_grid[0] * m)
+    rows = np.arange(m.size)
+    for s in s_grid:
+        a = np.diag(x) + c[None, :, None] / (s * m)[:, None, None]
+        roots = np.linalg.eigvals(a)
+        w = roots[rows, np.argmin(np.abs(roots - w[:, None]), axis=1)]
+    for _ in range(3):
+        w = w - (mu.moment_map(w) - m) / mu.moment_map_derivative(w)
+    return w
 
 
 def crossing_count(points):

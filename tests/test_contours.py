@@ -15,8 +15,8 @@ from freedeconv.errors import NoContourError, NoisyContourError
 from freedeconv.inversion import (
     RamificationData,
     critical_points,
+    lift_many,
     slit_domain,
-    s_transform,
 )
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur
 
@@ -365,7 +365,7 @@ def test_roundtrip_measure_to_contour_to_moments():
         ram = critical_points(mu)
         dom = slit_domain(ram)
         mc = circle_nodes(min(choose_m_contour(ram, 0.1), 0.5), 512)
-        s_vals = np.array([s_transform(mu, m, dom) for m in mc])
+        s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, dom))
         rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)
         exact = np.array([mu.moment(k) for k in range(2 * mu.n_atoms + 1)])

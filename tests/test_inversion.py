@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from freedeconv.errors import (
@@ -10,6 +12,7 @@ from freedeconv.errors import (
     PoleError,
 )
 from freedeconv.inversion import (
+    NEWTON_TOL,
     RamificationData,
     SlitDomain,
     critical_points,
@@ -22,6 +25,7 @@ from freedeconv.experiments import SCENARIOS
 from freedeconv.measures import DiscreteMeasure
 from freedeconv.pipeline import forward_measure
 from helpers import (
+    branch_by_eigenvalues,
     crossing_count,
     injectivity_check,
     markov_krein_zero_equivalence,
@@ -195,7 +199,6 @@ def test_slit_domain_without_branch_points_is_the_whole_plane():
     assert dom.n_slits == 0
     for m in (0.0, 100.0 + 100.0j, -0.5 + 2.0j):
         assert dom.contains(m)
-    assert dom.segment_clear(-100 - 100j, 100 + 100j)
 
 
 def test_slit_domain_rejects_near_real_branch_points():
@@ -205,16 +208,6 @@ def test_slit_domain_rejects_near_real_branch_points():
     )
     with pytest.raises(DegenerateRamificationError):
         slit_domain(ram)
-
-
-def test_segment_clear_detects_slit_crossings():
-    dom = SlitDomain(np.array([-0.5]), np.array([1.5]))
-    assert not dom.segment_clear(-1.0 + 1.6j, 0.0 + 1.6j)
-    assert dom.segment_clear(-1.0 + 1.0j, 0.0 + 1.0j)
-    assert dom.segment_clear(-1.0 - 0.4j, 0.0 + 0.4j)
-    # vertical segment lying on the slit line
-    assert not dom.segment_clear(-0.5 + 0.0j, -0.5 + 2.0j)
-    assert dom.segment_clear(-0.5 + 0.0j, -0.5 + 1.2j)
 
 
 def test_slit_domain_validation():
@@ -268,8 +261,10 @@ def test_lift_residuals_meet_the_tolerance_on_random_targets():
             dom = slit_domain(critical_points(mu))
         except NumericalError:
             continue
-        m = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(m) < 1e-3 or not dom.contains(m):
+        # uniform in the slit-free disk, capped at radius 1
+        radius = min(dom.distance(0.0), 1.0) * np.sqrt(rng.uniform())
+        m = radius * np.exp(2j * np.pi * rng.uniform())
+        if abs(m) < 1e-3:
             continue
         w = lift_path(mu, m, dom)
         assert abs(mu.moment_map(w) - m) <= 1e-12
@@ -290,17 +285,114 @@ def test_lift_rejects_zero_and_off_domain_targets():
 
 def test_lift_many_agrees_with_individual_lifts():
     dom = slit_domain(critical_points(TWO))
-    # radius 0.3 keeps every chord inside the slit-free disk (radius 1.5
-    # for TWO) and runs the warm chain; radius 2.0 crosses the slit at
-    # Re = -1/2 and falls back to fresh lifts
-    for radius in (0.3, 2.0):
-        targets = radius * np.exp(1j * 2 * np.pi * (np.arange(24) + 0.5) / 24)
-        batched = lift_many(TWO, targets, dom)
-        single = np.array([lift_path(TWO, m, dom) for m in targets])
-        assert np.max(np.abs(batched - single)) < 1e-10
-        steps = []
-        lift_many(TWO, targets, dom, step_counts=steps)
-        assert len(steps) == targets.size
+    # radius 0.3 lies inside the slit-free disk (radius 1.5 for TWO);
+    # radius 2.0 leaves it, and every lifting entry point refuses it
+    targets = 0.3 * np.exp(1j * 2 * np.pi * (np.arange(24) + 0.5) / 24)
+    batched = lift_many(TWO, targets, dom)
+    single = np.array([lift_path(TWO, m, dom) for m in targets])
+    assert np.max(np.abs(batched - single)) < 1e-10
+    steps = []
+    lift_many(TWO, targets, dom, step_counts=steps)
+    assert len(steps) == targets.size
+    outside = 2.0 * np.exp(1j * 2 * np.pi * (np.arange(24) + 0.5) / 24)
+    with pytest.raises(ValueError, match="slit-free disk"):
+        lift_many(TWO, outside, dom)
+    with pytest.raises(ValueError, match="slit-free disk"):
+        lift_path(TWO, outside[0], dom)
+    with pytest.raises(ValueError, match="slit-free disk"):
+        s_transform(TWO, outside[0], dom)
+
+
+def _oracle_measures(rng):
+    # two draws each of uniform, log-normal and clustered 9-atom measures
+    for _ in range(2):
+        centres = rng.uniform(0.5, 8.0, 3)
+        for atoms in (
+            rng.uniform(0.1, 10.0, 9),
+            rng.lognormal(0.0, 1.0, 9),
+            np.repeat(centres, 3) * (1.0 + 0.02 * rng.standard_normal(9)),
+        ):
+            weights = rng.uniform(0.2, 1.0, 9)
+            yield DiscreteMeasure(atoms, weights / weights.sum())
+
+
+def test_lift_many_matches_the_eigenvalue_oracle():
+    # targets up to 0.995 of the free radius, where the rays pass close to
+    # branch points and a coarse march can land on another sheet
+    rng = np.random.default_rng(31)
+    checked = 0
+    for mu in _oracle_measures(rng):
+        try:
+            dom = slit_domain(critical_points(mu))
+        except NumericalError:
+            continue
+        free = dom.distance(0.0)
+        angles = np.exp(2j * np.pi * rng.uniform(size=4))
+        targets = np.concatenate([f * free * angles for f in (0.9, 0.97, 0.995)])
+        got = lift_many(mu, targets, dom)
+        want = branch_by_eigenvalues(mu, targets)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+        checked += 1
+    assert checked >= 5
+
+
+def test_lift_stays_on_its_sheet_next_to_a_branch_cluster():
+    # a march on a fixed 15 % geometric schedule lands on 0.3607-0.0417j
+    mu = DiscreteMeasure(
+        [0.007943863874867091, 0.06863100698837989, 0.12094509621116258,
+         0.27643179219690156, 1.6987627905438747, 3.2977321369739614,
+         3.377703806965403, 5.502470220387932, 7.713838214159768],
+        [0.047445002491758266, 0.019571856057010818, 0.026957759676408354,
+         0.008986792567914181, 0.018493566664960905, 0.011484305719340874,
+         0.049740125012900774, 0.5130785575330177, 0.30424203427668806],
+    )
+    dom = slit_domain(critical_points(mu))
+    target = -0.9177622144919709 + 0.022736371347602133j
+    assert abs(target) / dom.distance(0.0) == pytest.approx(0.995, abs=1e-3)
+    want = -0.07300811971974142 - 0.06615889039817727j
+    assert branch_by_eigenvalues(mu, [target])[0] == pytest.approx(want, rel=1e-10)
+    assert lift_path(mu, target, dom) == pytest.approx(want, rel=1e-10)
+
+
+def test_lift_of_point_mass_is_exact_down_to_small_m():
+    # the march must end on every target, also those below START_ABS
+    rng = np.random.default_rng(32)
+    radii = np.array([1e-5, 1e-4, 1e-3, 2e-3, 0.5, 0.99])
+    for a in (0.3, 2.0, 5.0):
+        da = DiscreteMeasure([a], [1.0])
+        dom = slit_domain(critical_points(da))
+        targets = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
+        exact = a * (1.0 + targets) / targets
+        together = lift_many(da, targets, dom)
+        one_by_one = np.array([lift_path(da, m, dom) for m in targets])
+        for got in (together, one_by_one):
+            assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
+
+
+@st.composite
+def _measure_and_target(draw):
+    size = draw(st.integers(1, 9))
+    unit = st.floats(0.0, 1.0)
+    atoms = [0.1 + 9.9 * draw(unit) for _ in range(size)]
+    weights = np.array([0.05 + draw(unit) for _ in range(size)])
+    mu = DiscreteMeasure(atoms, weights / weights.sum())
+    try:
+        dom = slit_domain(critical_points(mu))
+    except NumericalError:
+        assume(False)
+    radius = min(dom.distance(0.0), 2.0) * draw(st.floats(0.01, 0.99))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    return mu, dom, radius * np.exp(1j * angle)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_measure_and_target())
+def test_lift_is_conjugate_symmetric_and_meets_the_residual(case):
+    mu, dom, m = case
+    w, w_conj = lift_many(mu, [m, np.conj(m)], dom)
+    assert w_conj == pytest.approx(np.conj(w), rel=1e-12)
+    for target, value in ((m, w), (np.conj(m), w_conj)):
+        assert abs(mu.moment_map(value) - target) <= NEWTON_TOL
 
 
 def test_lifting_is_path_independent_inside_the_domain():

@@ -8,12 +8,15 @@ contour, `moments` reconstructs a measure from a raw moment sequence,
 samples one empirical spectrum.
 
 Exit codes: 0 on success, 2 on an input contract violation, 3 on a
-numerical failure (the failing stage goes to standard error).
+numerical failure (the failing stage goes to standard error).  Log
+records of the package at `--log-level` and above (default warning) go
+to standard error too.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -108,6 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="freedeconv",
         description="Free multiplicative deconvolution of covariance spectra.",
     )
+    parser.add_argument(
+        "--log-level", default="warning",
+        choices=["debug", "info", "warning", "error"],
+        help="show the package's log records at this level and above on "
+        "standard error (default warning)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -177,6 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a no-op when the root logger already has a handler, e.g. in an
+    # embedding application
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger(__package__).setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

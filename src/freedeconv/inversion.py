@@ -8,7 +8,10 @@ through the branch points.  This module finds the ramification data
 S-transform on the slit-free disk about 0, the largest disk the slits
 leave clear.  All targets are lifted together: each along its own ray
 from the asymptotic regime at small |m|, by one predictor-corrector march
-with Newton correction and a shared step.
+with Newton correction and a shared step.  On a circle sampled at twice
+the nodes of a lifted one, the branch is instead predicted by
+trigonometric interpolation, Newton-corrected and certified node by node;
+only the nodes that fail are marched.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "slit_domain",
     "lift_path",
     "lift_many",
+    "lift_doubled",
     "s_transform",
 ]
 
@@ -272,15 +276,15 @@ def _mmap(z, x, c):
     return np.sum(t, axis=-1), -np.sum(t * inv, axis=-1)
 
 
-def _correct(x, c, w, m):
+def _correct(x, c, w, m, polish=True):
     """Newton-correct all w together toward roots of M(.) = m, elementwise.
 
-    Returns the corrected w, the residuals |M(w) - m| and the number of
-    residual evaluations until every entry met NEWTON_TOL (MAX_NEWTON + 1
-    when some did not).  A final polish step is kept where it does not
-    raise the residual: quadratic convergence takes a just-passing
-    residual to machine precision, which downstream quadrature of high
-    moments needs.
+    Returns the corrected w, the residuals |M(w) - m|, M'(w) at the
+    returned w, and the number of residual evaluations until every entry
+    met NEWTON_TOL (MAX_NEWTON + 1 when some did not).  With `polish`, a
+    final Newton step is kept where it does not raise the residual:
+    quadratic convergence takes a just-passing residual to machine
+    precision, which downstream quadrature of high moments needs.
     """
     with np.errstate(all="ignore"):
         for it in range(1, MAX_NEWTON + 2):
@@ -290,10 +294,15 @@ def _correct(x, c, w, m):
             if it > MAX_NEWTON or np.all(res <= NEWTON_TOL):
                 break
             w = w - f / d
-        w2 = w - f / d
-        res2 = np.abs(_mmap(w2, x, c)[0] - m)
-    better = res2 <= res
-    return np.where(better, w2, w), np.where(better, res2, res), it
+        if polish:
+            w2 = w - f / d
+            f2, d2 = _mmap(w2, x, c)
+            res2 = np.abs(f2 - m)
+            better = res2 <= res
+            w = np.where(better, w2, w)
+            res = np.where(better, res2, res)
+            d = np.where(better, d2, d)
+    return w, res, d, it
 
 
 def lift_many(mu, targets, dom, step_counts=None):
@@ -303,13 +312,15 @@ def lift_many(mu, targets, dom, step_counts=None):
     where the branch is single valued; others raise ValueError.  Target m
     is reached along its ray s*m, from the second-order asymptotic seed
     w = m_1/(s m) + m_2/m_1 at s0 = min(START_ABS / max|m|, 0.1) to s = 1.
-    All rays advance in s together: an explicit predictor and a Newton
-    corrector on every node, with steps capped at 0.15 s, starting at
-    (1 - s0)/64, doubled after four steps that needed no correction up to
-    (1 - s0)/16, and halved when any node fails.  LiftFailureError is
+    All rays advance in s together: an Euler predictor, which reuses M'
+    from the last corrector, and a Newton corrector on every node, with
+    steps capped at 0.15 s, starting at (1 - s0)/64, doubled after four
+    steps that needed no correction up to (1 - s0)/16, and halved when
+    any node fails.  LiftFailureError is
     raised when the step of the longest ray falls below MIN_STEP.  Every
-    result satisfies |M(w) - m| <= NEWTON_TOL.  When `step_counts` is a
-    list, each target appends the number of steps the march took.
+    result satisfies |M(w) - m| <= NEWTON_TOL and gets a final polish step.
+    When `step_counts` is a list, each target appends the number of steps
+    the march took.
     """
     m = np.asarray(targets, dtype=complex)
     r = np.abs(m)
@@ -326,7 +337,9 @@ def lift_many(mu, targets, dom, step_counts=None):
     x, c = _effective_poles(mu)
     r_max = float(np.max(r))
     s0 = min(START_ABS / r_max, 0.1)
-    w, res, _ = _correct(x, c, m1 / (s0 * m) + mu.moment(2) / m1, s0 * m)
+    w, res, d, _ = _correct(
+        x, c, m1 / (s0 * m) + mu.moment(2) / m1, s0 * m, polish=False
+    )
     if not np.all(res <= NEWTON_TOL):
         raise LiftFailureError(
             "asymptotic seed did not converge",
@@ -344,10 +357,13 @@ def lift_many(mu, targets, dom, step_counts=None):
         ds = min(h, 1.0 - s, 0.15 * s)
         s_next = 1.0 if ds >= 1.0 - s else s + ds
         with np.errstate(all="ignore"):
-            w_pred = w + (s_next - s) * m / _mmap(w, x, c)[1]
-        w_new, res, evals = _correct(x, c, w_pred, s_next * m)
+            w_pred = w + (s_next - s) * m / d
+        # an intermediate polish would be redone by the next corrector
+        w_new, res, d_new, evals = _correct(
+            x, c, w_pred, s_next * m, polish=s_next == 1.0
+        )
         if np.all(res <= NEWTON_TOL) and np.all(np.isfinite(w_new)):
-            s, w = s_next, w_new
+            s, w, d = s_next, w_new, d_new
             steps += 1
             easy_streak = easy_streak + 1 if evals <= 1 else 0
             if easy_streak >= 4:
@@ -368,6 +384,75 @@ def lift_many(mu, targets, dom, step_counts=None):
     if step_counts is not None:
         step_counts.extend([steps] * m.size)
     return w
+
+
+def _injectivity_radius(w, d, x, c):
+    # on |u - w| <= rho <= min_j |w - x_j| / 2, |M''(u)| <= 16 sum |c_j| /
+    # |w - x_j|^3, so rho <= |M'(w)| / that bound keeps |M'(u) - M'(w)|
+    # below |M'(w)|: w is the only root of M(.) = M(w) there
+    dist = np.abs(w[:, None] - x)
+    bound = 16.0 * np.sum(np.abs(c) / dist**3, axis=-1)
+    return np.minimum(0.5 * np.min(dist, axis=-1), np.abs(d) / bound)
+
+
+def _upper_circle(radius, n):
+    # the upper half of contours.circle_nodes(radius, n), bit for bit
+    theta = 2.0 * np.pi * (np.arange(n // 2) + 0.5) / n
+    return radius * np.exp(1j * theta)
+
+
+def lift_doubled(mu, radius, coarse, dom, step_counts=None):
+    """Minv on a circle from its values on the circle with half the nodes.
+
+    `coarse` holds Minv at the upper half of the N half-offset nodes
+    radius * exp(2 pi i (j + 1/2) / N), ordered by angle; the result holds
+    Minv at the upper half of the 2N half-offset nodes, and the number of
+    them that had to be marched.  On the slit-free disk g(m) = m Minv(m) is
+    analytic, with real Taylor coefficients, so the N coefficients of g's
+    samples predict g at the new nodes, each the old one turned by
+    +-pi / (2N).  Every prediction is Newton-corrected to NEWTON_TOL and
+    polished.  A corrected w is accepted when |w - guess| + eps <= rho / 2:
+    eps estimates the interpolation error from the top eighth of the
+    coefficients with a geometric tail of ratio radius / dom.distance(0),
+    and rho is the injectivity radius of M about w, inside which w is the
+    only root, so the branch value, within eps of the guess, is w.  Nodes
+    that fail are lifted by `lift_many`, which appends their step counts
+    to `step_counts`.
+    """
+    coarse = np.asarray(coarse, dtype=complex)
+    half = coarse.size
+    if coarse.ndim != 1 or half < 8:
+        raise ValueError("need the upper half of at least 16 coarse nodes")
+    free = dom.distance(0.0)
+    if not 0.0 < radius < free:
+        raise ValueError(
+            f"radius must lie in the slit-free disk 0 < r < {free:.6g}"
+        )
+    n = 2 * half
+    g = _upper_circle(radius, n) * coarse
+    coef = np.fft.fft(np.concatenate([g, np.conj(g[::-1])]))
+    # one-sided: g has no negative powers of m inside the disk
+    turn = np.exp(1j * np.pi * np.arange(n) / (2 * n))
+    g_new = np.empty(n, dtype=complex)
+    g_new[0::2] = np.fft.ifft(coef / turn)[:half]
+    g_new[1::2] = np.fft.ifft(coef * turn)[:half]
+    targets = _upper_circle(radius, 2 * n)
+    guess = g_new / targets
+
+    ratio = radius / free
+    band = float(np.max(np.abs(coef[n - n // 8 :]))) / n
+    eps = 2.0 * band / (1.0 - ratio) / radius
+    x, c = _effective_poles(mu)
+    w, res, d, _ = _correct(x, c, guess, targets)
+    with np.errstate(all="ignore"):
+        ok = (res <= NEWTON_TOL) & (
+            np.abs(w - guess) + eps <= 0.5 * _injectivity_radius(w, d, x, c)
+        )
+    marched = np.flatnonzero(~ok)
+    if marched.size:
+        log.debug("marching %d of %d refined nodes", marched.size, n)
+        w[marched] = lift_many(mu, targets[marched], dom, step_counts)
+    return w, int(marched.size)
 
 
 def lift_path(mu, target_m, dom):

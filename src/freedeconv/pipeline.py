@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ForwardSolverError, InvalidMomentsError, NumericalError
 from .measures import DiscreteMeasure, MarchenkoPastur, MomentSequence
-from .inversion import SlitDomain, critical_points, lift_many, slit_domain
+from .inversion import critical_points, lift_doubled, lift_many, slit_domain
 from .contours import (
     MAX_NODES,
     ContourMoments,
@@ -100,11 +100,14 @@ class DeconvDiagnostics:
     """Run diagnostics: contour quality, recovery rank, lift effort, timings.
 
     `proxy_atoms` is the atom count of the Gauss proxy the spectral stage
-    ran on, and `t_ramification_s` includes building it.  Each lifted node
-    counts the steps of the ray march that reached it, and every node of
-    one node-doubling pass shares that march: `lift_steps_total` sums the
-    count over all lifted nodes of all passes, and `lift_steps_max` is the
-    longest march of any pass.
+    ran on, and `t_ramification_s` includes building it.  `settled` is
+    False when the contour moments still moved by 1e-9 or more between
+    the last two node-doubling passes, at the node cap.  Only the nodes of
+    the first pass, and the refined nodes that failed their certificate
+    (`refined_nodes_marched`), are marched; each counts the steps of the
+    march that reached it, shared by the nodes of that march.
+    `lift_steps_total` sums the count over all marched nodes, and
+    `lift_steps_max` is the longest march.
     """
 
     imag_residue: float
@@ -112,8 +115,10 @@ class DeconvDiagnostics:
     proxy_atoms: int
     contour_radius: float
     nodes_used: int
+    settled: bool
     lift_steps_total: int
     lift_steps_max: int
+    refined_nodes_marched: int
     t_ramification_s: float
     t_lift_s: float
     t_moments_s: float
@@ -147,24 +152,14 @@ class DeconvResult:
 
 
 def _ratio_on_circle(
-    mu_n: DiscreteMeasure,
-    mp: MarchenkoPastur,
-    nodes: np.ndarray,
-    dom: SlitDomain,
-    step_counts: list,
+    upper: np.ndarray, w: np.ndarray, mp: MarchenkoPastur
 ) -> np.ndarray:
-    # nodes are conjugate-symmetric half-offset circle samples ordered by
-    # angle: lift the upper half and mirror, the ratio of transforms of
-    # real measures commutes with conjugation
-    n = nodes.size
-    upper = nodes[: n // 2]
-    w = lift_many(mu_n, upper, dom, step_counts=step_counts)
+    # upper: the upper half of conjugate-symmetric half-offset circle nodes
+    # ordered by angle, w: Minv there; the ratio of transforms of real
+    # measures commutes with conjugation, so the lower half is the mirror
     s_upper = (1.0 + upper) / (upper * w)
     t_upper = s_upper / mp.s_transform(upper)
-    out = np.empty(n, dtype=complex)
-    out[: n // 2] = t_upper
-    out[n // 2 :] = np.conj(t_upper[::-1])
-    return out
+    return np.concatenate([t_upper, np.conj(t_upper[::-1])])
 
 
 def _gauss_proxy(mu_n: DiscreteMeasure) -> DiscreteMeasure:
@@ -206,8 +201,10 @@ class _Spectral(NamedTuple):
     proxy_atoms: int
     radius: float
     nodes_used: int
+    settled: bool
     lift_steps_total: int
     lift_steps_max: int
+    refined_nodes_marched: int
     t_ramification_s: float
     t_lift_s: float
     t_moments_s: float
@@ -243,14 +240,26 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     t_ram = time.perf_counter() - t0
 
     step_counts: list = []
+    marched = 0
     t_lift = 0.0
     t_moments = 0.0
     prev_vals = None
+    settled = False
+    w = None
     n_nodes = START_NODES
     while True:
         nodes = circle_nodes(radius, n_nodes)
+        upper = nodes[: n_nodes // 2]
         t1 = time.perf_counter()
-        ratio = _ratio_on_circle(proxy, mp, nodes, dom, step_counts)
+        # march the first pass, refine each doubled one from the last
+        if w is None:
+            w = lift_many(proxy, upper, dom, step_counts=step_counts)
+        else:
+            w, failed = lift_doubled(
+                proxy, radius, w, dom, step_counts=step_counts
+            )
+            marched += failed
+        ratio = _ratio_on_circle(upper, w, mp)
         t2 = time.perf_counter()
         rep = contour_rep_from_s(ratio, nodes)
         extracted = moments_from_contour(rep, MAX_MOMENTS)
@@ -258,10 +267,9 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         t_moments += time.perf_counter() - t2
         vals = np.asarray(extracted.moments.values, dtype=float)
         if prev_vals is not None:
-            settle = np.max(
-                np.abs(vals - prev_vals) / np.maximum(1.0, np.abs(vals))
-            )
-            if float(settle) < 1e-9:
+            settle = np.abs(vals - prev_vals) / np.maximum(1.0, np.abs(vals))
+            settled = float(np.max(settle)) < 1e-9
+            if settled:
                 break
         if n_nodes >= MAX_NODES:
             log.warning(
@@ -275,8 +283,10 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         proxy_atoms=proxy.n_atoms,
         radius=radius,
         nodes_used=n_nodes,
+        settled=settled,
         lift_steps_total=int(np.sum(step_counts)) if step_counts else 0,
         lift_steps_max=int(np.max(step_counts)) if step_counts else 0,
+        refined_nodes_marched=marched,
         t_ramification_s=t_ram,
         t_lift_s=t_lift,
         t_moments_s=t_moments,
@@ -295,18 +305,20 @@ def deconvolve(
     Stages: mu_n is compressed to its GAUSS_NODES-point Gauss quadrature
     (mu_n itself when it has no more atoms), the proxy; ramification
     analysis of the proxy fixes a slit domain; a circle in the m plane
-    clear of the slits (and of the S_MP pole at -1/c) carries warm-chained
-    lifts evaluating the ratio S_proxy/S_MP; the ratio induces a sampled
-    Stieltjes contour of the estimate; contour moments feed the Hankel
-    recovery.  The compression is exact for what is kept: m_k of the
+    clear of the slits (and of the S_MP pole at -1/c) carries lifts of the
+    inverse moment map evaluating the ratio S_proxy/S_MP; the ratio
+    induces a sampled Stieltjes contour of the estimate; contour moments
+    feed the Hankel recovery.  The compression is exact for what is kept: m_k of the
     estimate is a polynomial in m_1 .. m_k of the input, and the proxy
     reproduces m_0 .. m_(2 GAUSS_NODES - 1) of mu_n, so the moments through
     m_MAX_MOMENTS come out the same up to roundoff.  The contour radius is
     the proxy's, which has fewer slits near 0 than mu_n.  The sanity
     window on the estimate's atoms is set by mu_n itself.  Node count
     doubles until the extracted moments settle below 1e-9 or the cap is
-    reached.  Every failure mode raises a typed error carrying its stage;
-    there is no silent fallback.
+    reached: the first pass is marched ray by ray, each later one is
+    interpolated from the pass before it and certified node by node
+    (`inversion.lift_doubled`).  Every failure mode raises a typed error
+    carrying its stage; there is no silent fallback.
 
     Everything before recovery depends on `mu_n` and `c` only; `cfg`
     holds the recovery knobs.  The last successful spectral stage is
@@ -343,8 +355,10 @@ def deconvolve(
         proxy_atoms=spectral.proxy_atoms,
         contour_radius=spectral.radius,
         nodes_used=spectral.nodes_used,
+        settled=spectral.settled,
         lift_steps_total=spectral.lift_steps_total,
         lift_steps_max=spectral.lift_steps_max,
+        refined_nodes_marched=spectral.refined_nodes_marched,
         t_ramification_s=spectral.t_ramification_s,
         t_lift_s=spectral.t_lift_s,
         t_moments_s=spectral.t_moments_s,

@@ -224,6 +224,23 @@ def test_module_entry_point_help():
         assert cmd in proc.stdout
 
 
+def test_log_level_shows_package_records_on_stderr(tmp_path):
+    inp = tmp_path / "mu.json"
+    inp.write_text(forward_measure(TWO, 0.2, tol=1e-8).to_json())
+
+    def run(*level):
+        return subprocess.run(
+            [sys.executable, "-m", "freedeconv.cli", *level, "deconvolve",
+             "--input", str(inp), "--c", "0.2", "--out", str(tmp_path / "r")],
+            capture_output=True, text=True,
+        )
+
+    quiet, verbose = run(), run("--log-level", "debug")
+    assert quiet.returncode == verbose.returncode == 0
+    assert quiet.stderr == ""
+    assert "DEBUG freedeconv.inversion: lifted 256 targets" in verbose.stderr
+
+
 # The launcher pip writes for a `[project.scripts]` entry `name = "mod:attr"`.
 CONSOLE_SCRIPT_TEMPLATE = r"""#!{python}
 # -*- coding: utf-8 -*-

@@ -16,11 +16,13 @@ from freedeconv.inversion import (
     RamificationData,
     SlitDomain,
     critical_points,
+    lift_doubled,
     lift_many,
     lift_path,
     s_transform,
     slit_domain,
 )
+from freedeconv.contours import circle_nodes
 from freedeconv.experiments import SCENARIOS
 from freedeconv.measures import DiscreteMeasure
 from freedeconv.pipeline import forward_measure
@@ -395,14 +397,11 @@ def test_lift_is_conjugate_symmetric_and_meets_the_residual(case):
         assert abs(mu.moment_map(value) - target) <= NEWTON_TOL
 
 
-def test_lifting_is_path_independent_inside_the_domain():
-    # same target reached along the upper and the lower arc of a circle
+def test_lift_of_a_target_does_not_depend_on_its_batch():
+    # a batch with a larger max |m| starts its march at a smaller s0 and
+    # paces it differently; the lift of a shared target must not move
     rng = np.random.default_rng(8)
-    r = 0.3
-    target = complex(-r, 0.0)
-    ts = np.linspace(0.3, np.pi, 7)
     checked = 0
-    worst = 0.0
     for _ in range(20):
         mu = rand_measure(rng, 4, 0.2, 8.0, min_gap=0.3)
         if mu.n_atoms == 1:
@@ -411,16 +410,71 @@ def test_lifting_is_path_independent_inside_the_domain():
             dom = slit_domain(critical_points(mu))
         except NumericalError:
             continue
-        upper = [r * np.exp(1j * t) for t in ts[:-1]] + [target]
-        lower = [r * np.exp(-1j * t) for t in ts[:-1]] + [target]
-        if not all(dom.contains(m) for m in upper + lower):
-            continue
-        wa = lift_many(mu, upper, dom)[-1]
-        wb = lift_many(mu, lower, dom)[-1]
-        worst = max(worst, abs(wa - wb))
+        free = min(dom.distance(0.0), 2.0)
+        angles = np.exp(2j * np.pi * rng.uniform(size=3))
+        target = 0.2 * free * angles[0]
+        batch = np.concatenate([[target], 0.95 * free * angles[1:]])
+        steps_alone, steps_batch = [], []
+        alone = lift_many(mu, [target], dom, step_counts=steps_alone)[0]
+        together = lift_many(mu, batch, dom, step_counts=steps_batch)[0]
+        assert steps_alone[0] != steps_batch[0]
+        assert abs(together - alone) <= 1e-12 * abs(alone)
         checked += 1
     assert checked >= 10
-    assert worst < 1e-10
+
+
+def _half_offset_upper(radius, n):
+    return circle_nodes(radius, n)[: n // 2]
+
+
+def test_lift_doubled_matches_the_march_and_the_eigenvalue_oracle():
+    # circles up to 0.995 of the free radius; near the top a node may fail
+    # its certificate and be marched, at 0.9 every node must be refined
+    rng = np.random.default_rng(33)
+    checked = 0
+    for mu in _oracle_measures(rng):
+        try:
+            dom = slit_domain(critical_points(mu))
+        except NumericalError:
+            continue
+        for frac in (0.9, 0.97, 0.995):
+            radius = frac * dom.distance(0.0)
+            coarse = lift_many(mu, _half_offset_upper(radius, 512), dom)
+            steps = []
+            got, marched = lift_doubled(mu, radius, coarse, dom, steps)
+            assert len(steps) == marched
+            if frac == 0.9:
+                assert marched == 0
+            targets = _half_offset_upper(radius, 1024)
+            marched_pass = lift_many(mu, targets, dom)
+            assert np.max(np.abs(got - marched_pass) / np.abs(got)) <= 1e-10
+            want = branch_by_eigenvalues(mu, targets[::64])
+            assert np.max(np.abs(got[::64] - want) / np.abs(want)) <= 1e-10
+            assert np.all(np.abs(mu.moment_map(got) - targets) <= NEWTON_TOL)
+        checked += 1
+    assert checked >= 5
+
+
+def test_lift_doubled_marches_nodes_it_cannot_certify():
+    # coarse values off by 5 % put a large interpolation error in the
+    # top band of the coefficients, so no prediction is certified
+    rng = np.random.default_rng(34)
+    mu = next(_oracle_measures(rng))
+    dom = slit_domain(critical_points(mu))
+    radius = 0.9 * dom.distance(0.0)
+    coarse = lift_many(mu, _half_offset_upper(radius, 64), dom)
+    noisy = coarse * (1.0 + 0.05 * rng.standard_normal(coarse.size))
+    steps = []
+    got, marched = lift_doubled(mu, radius, noisy, dom, steps)
+    assert marched == 64
+    assert len(steps) == 64
+    clean, none_marched = lift_doubled(mu, radius, coarse, dom)
+    assert none_marched == 0
+    want = branch_by_eigenvalues(mu, _half_offset_upper(radius, 128)[::8])
+    for values in (got, clean):
+        assert np.max(np.abs(values[::8] - want) / np.abs(want)) <= 1e-10
+    with pytest.raises(ValueError, match="slit-free disk"):
+        lift_doubled(mu, dom.distance(0.0), coarse, dom)
 
 
 # ---------------------------------------------------------------------------

@@ -287,8 +287,10 @@ def test_deconvolve_result_json_schema():
         "proxy_atoms",
         "contour_radius",
         "nodes_used",
+        "settled",
         "lift_steps_total",
         "lift_steps_max",
+        "refined_nodes_marched",
         "t_ramification_s",
         "t_lift_s",
         "t_moments_s",
@@ -297,6 +299,8 @@ def test_deconvolve_result_json_schema():
     ]
     assert list(payload["config"]) == ["rank_tol", "max_support"]
     assert len(payload["moments_used"]) == MAX_MOMENTS + 1
+    assert payload["diagnostics"]["settled"] is True
+    assert payload["diagnostics"]["refined_nodes_marched"] == 0
 
 
 def test_deconvolve_reports_the_chosen_radius_exactly():
@@ -312,6 +316,25 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
     slit_bound = choose_m_contour(critical_points(mu_f), 0.1)
     assert slit_bound < 1.0
     assert radius == slit_bound
+
+
+def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
+    # this sampled S3 spectrum settles only at 2048 nodes; with the node
+    # cap at 1024 the run still returns, reports it and logs a warning
+    sc = SCENARIOS["S3"]
+
+    def run():
+        mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 5)
+        return pipeline.deconvolve_with_retries(mu_n, sc.c).diagnostics
+
+    full = run()
+    assert (full.settled, full.nodes_used) == (True, 2048)
+    assert full.refined_nodes_marched == 0
+    monkeypatch.setattr(pipeline, "MAX_NODES", 1024)
+    with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
+        capped = run()
+    assert (capped.settled, capped.nodes_used) == (False, 1024)
+    assert "did not settle" in caplog.text
 
 
 def sampled_s2_3():
@@ -429,8 +452,10 @@ def test_deconvolve_reuses_the_spectral_stage_for_recovery_knobs(
     for name in (
         "contour_radius",
         "nodes_used",
+        "settled",
         "lift_steps_total",
         "lift_steps_max",
+        "refined_nodes_marched",
         "t_ramification_s",
         "t_lift_s",
         "t_moments_s",

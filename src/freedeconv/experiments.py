@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz as _toeplitz_matrix
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import BaselineFailureError, NumericalError
 from .measures import DiscreteMeasure, MarchenkoPastur, wasserstein_1
-from .pipeline import deconvolve_with_retries
+from .pipeline import _require_int, deconvolve_with_retries
 
 __all__ = [
     "ToeplitzPopulation",
@@ -126,15 +126,26 @@ class RunReport:
 def toeplitz_spectrum(p: int, rho: float) -> DiscreteMeasure:
     """Eigenvalue measure of the p x p matrix with entries rho^|i-j|.
 
-    All eigenvalues lie strictly between the symbol extremes
-    (1-rho)/(1+rho) and (1+rho)/(1-rho).
+    The matrix is the AR(1) covariance, and its inverse is tridiagonal:
+    (1 - rho^2) times the inverse has diagonal (1, 1+rho^2, ..., 1+rho^2, 1)
+    and off-diagonal -rho (Kac, Murdock & Szego, 1953).  The atoms are
+    (1 - rho^2) over that tridiagonal's eigenvalues, so no p x p matrix is
+    formed; relative to the largest atom their rounding error is about
+    machine epsilon times the condition number, below
+    ((1+|rho|)/(1-|rho|))^2.  All eigenvalues lie strictly between the
+    symbol extremes (1-rho)/(1+rho) and (1+rho)/(1-rho).
     """
+    _require_int("p", p)
     if p < 1:
         raise ValueError("p must be at least 1")
     if not abs(rho) < 1.0:
         raise ValueError("toeplitz parameter must satisfy |rho| < 1")
-    eigs = np.linalg.eigvalsh(_toeplitz_matrix(rho ** np.arange(p)))
-    return DiscreteMeasure(eigs, np.full(p, 1.0 / p))
+    if p == 1:
+        return DiscreteMeasure([1.0], [1.0])
+    diag = np.full(p, 1.0 + rho * rho)
+    diag[[0, -1]] = 1.0
+    inv_eigs = eigvalsh_tridiagonal(diag, np.full(p - 1, -rho))
+    return DiscreteMeasure((1.0 - rho * rho) / inv_eigs, np.full(p, 1.0 / p))
 
 
 def _multiplicities(weights: np.ndarray, p: int) -> np.ndarray:
@@ -152,21 +163,29 @@ def sample_spectrum(
     floor(w_k p), remainder assigned to the largest weight, or the
     Toeplitz matrix itself.  Y has i.i.d. standard normal entries from a
     seeded generator, so equal seeds give identical measures.
+
+    A Toeplitz V = L L^T is realized through its closed-form Cholesky
+    factor: Z = L^T Y takes O(pn) by a two-term backward recursion, and
+    eig(Z Z^T / n) = eig(Y Y^T V / n) is the spectrum of
+    V^1/2 Y Y^T V^1/2 / n for the same Y, up to rounding.
     """
+    _require_int("p", p)
+    _require_int("n", n)
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((p, n))
     if isinstance(pop, ToeplitzPopulation):
-        sig = _toeplitz_matrix(pop.rho ** np.arange(p))
-        vals, vecs = np.linalg.eigh(sig)
-        root = (vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]) @ vecs.T
-        x = root @ y
+        # L[i, 0] = rho^i and L[i, j] = sqrt(1 - rho^2) rho^(i-j) for
+        # 1 <= j <= i, so row j of L^T Y is a geometric tail sum of Y's rows
+        rho = pop.rho
+        for j in range(p - 2, -1, -1):
+            y[j] += rho * y[j + 1]
+        y[1:] *= math.sqrt(1.0 - rho * rho)
     else:
         counts = _multiplicities(pop.weights, p)
-        diag = np.repeat(pop.atoms, counts)
-        x = np.sqrt(diag)[:, None] * y
-    eigs = np.linalg.eigvalsh((x @ x.T) / n)
+        y *= np.sqrt(np.repeat(pop.atoms, counts))[:, None]
+    eigs = np.linalg.eigvalsh((y @ y.T) / n)
     return DiscreteMeasure(np.maximum(eigs, 0.0), np.full(p, 1.0 / p))
 
 

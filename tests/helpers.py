@@ -9,10 +9,12 @@ numbers) evaluate the moment map only through `DiscreteMeasure`.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from freedeconv.errors import PoleError
+from freedeconv.experiments import ToeplitzPopulation, _multiplicities
 from freedeconv.measures import DiscreteMeasure
 
 
@@ -363,3 +365,29 @@ def winding_number(sigma, z0):
     rel = np.asarray(sigma, dtype=complex) - z0
     turns = np.angle(np.roll(rel, -1) / rel)
     return int(round(float(np.sum(turns)) / (2.0 * np.pi)))
+
+
+def dense_toeplitz_spectrum(p, rho):
+    """Eigenvalue measure of the dense p x p matrix rho^|i-j| by eigvalsh."""
+    eigs = np.linalg.eigvalsh(scipy.linalg.toeplitz(rho ** np.arange(p)))
+    return DiscreteMeasure(eigs, np.full(p, 1.0 / p))
+
+
+def dense_sample_spectrum(pop, p, n, seed):
+    """Spectrum of V^1/2 Y Y^T V^1/2 / n with V^1/2 formed explicitly.
+
+    A Toeplitz V gets its symmetric square root from a full eigh; a
+    diagonal V scales a fresh copy of Y out of place.  The draw of Y is
+    the library's, so for the same seed the two agree up to rounding.
+    """
+    y = np.random.default_rng(seed).standard_normal((p, n))
+    if isinstance(pop, ToeplitzPopulation):
+        sig = scipy.linalg.toeplitz(pop.rho ** np.arange(p))
+        vals, vecs = np.linalg.eigh(sig)
+        root = (vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]) @ vecs.T
+        x = root @ y
+    else:
+        diag = np.repeat(pop.atoms, _multiplicities(pop.weights, p))
+        x = np.sqrt(diag)[:, None] * y
+    eigs = np.linalg.eigvalsh((x @ x.T) / n)
+    return DiscreteMeasure(np.maximum(eigs, 0.0), np.full(p, 1.0 / p))

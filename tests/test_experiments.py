@@ -25,8 +25,11 @@ from freedeconv.experiments import (
 )
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur, wasserstein_1
 from freedeconv.pipeline import DeconvConfig, deconvolve, forward_measure
+from helpers import dense_sample_spectrum, dense_toeplitz_spectrum
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
+ORACLE_RHOS = (-0.9, -0.3, 0.3, 0.9, 0.99)
+ORACLE_PS = (1, 2, 3, 50, 200)
 
 
 # ---------------------------------------------------------------------------
@@ -34,10 +37,25 @@ TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 # ---------------------------------------------------------------------------
 
 def test_toeplitz_spectrum_small_cases():
-    assert toeplitz_spectrum(1, 0.3) == DiscreteMeasure([1.0], [1.0])
-    mu = toeplitz_spectrum(2, 0.3)
-    assert np.allclose(mu.atoms, [0.7, 1.3], atol=1e-12)
-    assert np.allclose(mu.weights, [0.5, 0.5], atol=1e-15)
+    for rho in ORACLE_RHOS:
+        assert toeplitz_spectrum(1, rho) == DiscreteMeasure([1.0], [1.0])
+        mu = toeplitz_spectrum(2, rho)
+        assert np.allclose(
+            mu.atoms, sorted([1 - rho, 1 + rho]), rtol=0, atol=1e-12
+        )
+        assert np.allclose(mu.weights, [0.5, 0.5], atol=1e-15)
+    white = toeplitz_spectrum(7, 0.0)
+    assert white.atoms.tolist() == [1.0]
+    assert white.weights == pytest.approx([1.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("rho", ORACLE_RHOS)
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_toeplitz_spectrum_matches_dense_eigvalsh(rho, p):
+    mu, ref = toeplitz_spectrum(p, rho), dense_toeplitz_spectrum(p, rho)
+    assert mu.n_atoms == ref.n_atoms
+    assert np.max(np.abs(mu.atoms - ref.atoms)) <= 1e-12 * ref.atoms[-1]
+    assert np.array_equal(mu.weights, ref.weights)
 
 
 def test_toeplitz_spectrum_stays_inside_symbol_range():
@@ -55,6 +73,9 @@ def test_toeplitz_validation():
         toeplitz_spectrum(4, 1.0)
     with pytest.raises(ValueError):
         ToeplitzPopulation(-1.0)
+    for p in (2.0, True):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            toeplitz_spectrum(p, 0.3)
 
 
 def test_scenario_registry_contents():
@@ -94,10 +115,30 @@ def test_multiplicities_floor_plus_remainder():
 # ---------------------------------------------------------------------------
 
 def test_sample_spectrum_is_deterministic():
-    a = sample_spectrum(TWO, 40, 200, 11)
-    b = sample_spectrum(TWO, 40, 200, 11)
-    assert np.array_equal(a.atoms, b.atoms)
-    assert sample_spectrum(TWO, 40, 200, 12) != a
+    for pop in (TWO, ToeplitzPopulation(0.3)):
+        a = sample_spectrum(pop, 40, 200, 11)
+        b = sample_spectrum(pop, 40, 200, 11)
+        assert np.array_equal(a.atoms, b.atoms)
+        assert sample_spectrum(pop, 40, 200, 12) != a
+
+
+@pytest.mark.parametrize("sc_id", ["S2_3", "S2_2"])
+def test_sample_spectrum_diagonal_matches_out_of_place_product(sc_id):
+    # bit-for-bit: the benchmark fingerprints these inputs across commits
+    pop = SCENARIOS[sc_id].population
+    for p, n in ((37, 200), (190, 200)):
+        assert sample_spectrum(pop, p, n, 3) == dense_sample_spectrum(pop, p, n, 3)
+
+
+@pytest.mark.parametrize("rho", ORACLE_RHOS)
+@pytest.mark.parametrize("p", ORACLE_PS)
+def test_sample_spectrum_toeplitz_matches_dense_square_root(rho, p):
+    pop = ToeplitzPopulation(rho)
+    for seed in (1, 2):
+        mu = sample_spectrum(pop, p, 5 * p, seed)
+        ref = dense_sample_spectrum(pop, p, 5 * p, seed)
+        assert mu.n_atoms == ref.n_atoms
+        assert np.max(np.abs(mu.atoms - ref.atoms)) <= 1e-12 * ref.atoms[-1]
 
 
 def test_sample_spectrum_s1_statistics():
@@ -124,6 +165,10 @@ def test_sample_spectrum_input_contracts():
         sample_spectrum(TWO, 200, 200, 1)
     with pytest.raises(ValueError):
         sample_spectrum(TWO, 0, 200, 1)
+    for p, n, name in ((40.0, 200, "p"), (True, 200, "p"), (40, 200.0, "n"),
+                       (40, np.True_, "n")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_spectrum(TWO, p, n, 1)
 
 
 # ---------------------------------------------------------------------------

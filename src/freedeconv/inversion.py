@@ -7,8 +7,12 @@ through the branch points.  This module finds the ramification data
 (critical points, branch points, slits) and evaluates Minv and the
 S-transform on the slit-free disk about 0, the largest disk the slits
 leave clear.  All targets are lifted together: each along its own ray
-from the asymptotic regime at small |m|, by one predictor-corrector march
-with Newton correction and a shared step.  On a circle sampled at twice
+s*m from the asymptotic regime at small s, by one predictor-corrector
+march with a shared step.  The march follows u(s) = s Minv(s m), which is
+analytic at s = 0 where Minv has a pole, predicts it by cubic Hermite
+extrapolation, doubles the step whenever Newton converges within one
+step, and accepts a corrected value only within half the injectivity
+radius of M about it of its prediction.  On a circle sampled at twice
 the nodes of a lifted one, the branch is instead predicted by
 trigonometric interpolation, Newton-corrected and certified node by node;
 only the nodes that fail are marched.
@@ -312,13 +316,20 @@ def lift_many(mu, targets, dom, step_counts=None):
     where the branch is single valued; others raise ValueError.  Target m
     is reached along its ray s*m, from the second-order asymptotic seed
     w = m_1/(s m) + m_2/m_1 at s0 = min(START_ABS / max|m|, 0.1) to s = 1.
-    All rays advance in s together: an Euler predictor, which reuses M'
-    from the last corrector, and a Newton corrector on every node, with
-    steps capped at 0.15 s, starting at (1 - s0)/64, doubled after four
-    steps that needed no correction up to (1 - s0)/16, and halved when
-    any node fails.  LiftFailureError is
-    raised when the step of the longest ray falls below MIN_STEP.  Every
-    result satisfies |M(w) - m| <= NEWTON_TOL and gets a final polish step.
+    The march follows u(s) = s w(s), which is analytic at s = 0 with
+    u(0) = m_1/m, where w itself has a pole.  All rays advance in s
+    together.  The predictor is the cubic Hermite extrapolation of u
+    through the last two accepted points, with du/ds = w + s m / M'(w)
+    from the M' the corrector returns (Euler for the first step), and
+    w = u / s.  Every node is Newton-corrected.  The step starts at
+    (1 - s0)/64, doubles after each accepted step whose corrector met
+    NEWTON_TOL within 2 residual evaluations, up to (1 - s0)/4, and halves
+    when any node fails.  A step is accepted when every residual passes
+    and every corrected w lies within half the injectivity radius of M
+    about it of its prediction, so that Newton cannot have settled on
+    another sheet's root far from the path.  LiftFailureError is raised
+    when the step of the longest ray falls below MIN_STEP.  Every result
+    satisfies |M(w) - m| <= NEWTON_TOL and gets a final polish step.
     When `step_counts` is a list, each target appends the number of steps
     the march took.
     """
@@ -346,32 +357,30 @@ def lift_many(mu, targets, dom, step_counts=None):
             stage="lift",
             diagnostics={"s": s0, "residual": float(np.max(res))},
         )
-    s = s0
+    # (s, u, du/ds) at the last two accepted points; du/ds = w + s m / M'(w)
+    prev, last = None, (s0, s0 * w, w + s0 * m / d)
     h = (1.0 - s0) / 64.0
-    h_cap = (1.0 - s0) / 16.0
+    h_cap = (1.0 - s0) / 4.0
     steps = 0
-    easy_streak = 0
-    while s < 1.0:
-        # the relative cap keeps geometric pacing near m = 0, where the
-        # branch behaves like m_1/m and linear steps overshoot
-        ds = min(h, 1.0 - s, 0.15 * s)
-        s_next = 1.0 if ds >= 1.0 - s else s + ds
+    while last[0] < 1.0:
+        s = last[0]
+        s_next = 1.0 if h >= 1.0 - s else s + h
         with np.errstate(all="ignore"):
-            w_pred = w + (s_next - s) * m / d
-        # an intermediate polish would be redone by the next corrector
-        w_new, res, d_new, evals = _correct(
-            x, c, w_pred, s_next * m, polish=s_next == 1.0
-        )
-        if np.all(res <= NEWTON_TOL) and np.all(np.isfinite(w_new)):
-            s, w, d = s_next, w_new, d_new
+            w_pred = _hermite(prev, last, s_next) / s_next
+            # an intermediate polish would be redone by the next corrector
+            w, res, d, evals = _correct(
+                x, c, w_pred, s_next * m, polish=s_next == 1.0
+            )
+            ok = np.all(res <= NEWTON_TOL) and np.all(
+                np.abs(w - w_pred) <= 0.5 * _injectivity_radius(w, d, x, c)
+            )
+        if ok:
+            prev, last = last, (s_next, s_next * w, w + s_next * m / d)
             steps += 1
-            easy_streak = easy_streak + 1 if evals <= 1 else 0
-            if easy_streak >= 4:
+            if evals <= 2:
                 h = min(2.0 * h, h_cap)
-                easy_streak = 0
         else:
             h *= 0.5
-            easy_streak = 0
             if h * r_max < MIN_STEP:
                 raise LiftFailureError(
                     "lift step size underflow",
@@ -384,6 +393,24 @@ def lift_many(mu, targets, dom, step_counts=None):
     if step_counts is not None:
         step_counts.extend([steps] * m.size)
     return w
+
+
+def _hermite(prev, last, s):
+    # u at s: Euler from `last` alone, else the cubic Hermite interpolant
+    # of the two accepted points (s_k, u_k, du_k) extended past the last
+    s1, u1, du1 = last
+    if prev is None:
+        return u1 + (s - s1) * du1
+    s0, u0, du0 = prev
+    h = s1 - s0
+    t = (s - s0) / h
+    t2, t3 = t * t, t * t * t
+    return (
+        (2.0 * t3 - 3.0 * t2 + 1.0) * u0
+        + (t3 - 2.0 * t2 + t) * h * du0
+        + (3.0 * t2 - 2.0 * t3) * u1
+        + (t3 - t2) * h * du1
+    )
 
 
 def _injectivity_radius(w, d, x, c):

@@ -127,6 +127,62 @@ def branch_by_eigenvalues(mu, targets, steps=500):
     return w
 
 
+def reference_march(mu, targets, dom):
+    """Reference Minv at each target by a fixed-pace march in w along s*m.
+
+    A slow, simple march to hold `inversion.lift_many` against: from
+    w = m_1/(s m) + m_2/m_1 at s0 = min(1e-3 / max|m|, 0.1), Euler steps
+    in w capped at 0.15 s, starting at (1 - s0)/64, doubled after four
+    steps that needed no correction up to (1 - s0)/16 and halved when any
+    node fails the residual 1e-12 after 20 Newton steps; one polish step
+    at s = 1.  Its
+    own Newton corrector works on the definition of M, so agreement with
+    the library is evidence.  Raises AssertionError when the step
+    underflows or a target leaves the slit-free disk of `dom`.
+    """
+    m = np.asarray(targets, dtype=complex)
+    assert np.all(np.abs(m) < dom.distance(0.0))
+    x, c = mu.atoms, mu.weights * mu.atoms
+
+    def correct(w, target, polish):
+        with np.errstate(all="ignore"):
+            for it in range(1, 22):
+                t = c / (w[:, None] - x)
+                f = np.sum(t, axis=1) - target
+                d = -np.sum(t / (w[:, None] - x), axis=1)
+                if it > 20 or np.all(np.abs(f) <= 1e-12):
+                    break
+                w = w - f / d
+            if polish:
+                w2 = w - f / d
+                f2 = np.sum(c / (w2[:, None] - x), axis=1) - target
+                w = np.where(np.abs(f2) <= np.abs(f), w2, w)
+        return w, np.all(np.abs(f) <= 1e-12) and np.all(np.isfinite(w)), d, it
+
+    r_max = float(np.max(np.abs(m)))
+    s = min(1e-3 / r_max, 0.1)
+    m1 = mu.moment(1)
+    w, ok, d, _ = correct(m1 / (s * m) + mu.moment(2) / m1, s * m, False)
+    assert ok, "asymptotic seed did not converge"
+    h, h_cap = (1.0 - s) / 64.0, (1.0 - s) / 16.0
+    easy = 0
+    while s < 1.0:
+        ds = min(h, 1.0 - s, 0.15 * s)
+        s_next = 1.0 if ds >= 1.0 - s else s + ds
+        with np.errstate(all="ignore"):
+            guess = w + (s_next - s) * m / d
+        w_new, ok, d_new, evals = correct(guess, s_next * m, s_next == 1.0)
+        if ok:
+            s, w, d = s_next, w_new, d_new
+            easy = easy + 1 if evals <= 1 else 0
+            if easy >= 4:
+                h, easy = min(2.0 * h, h_cap), 0
+        else:
+            h, easy = 0.5 * h, 0
+            assert h * r_max >= 1e-9, "reference march step underflow"
+    return w
+
+
 def crossing_count(points):
     """Number of proper self-intersections of the closed polyline.
 

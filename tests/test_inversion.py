@@ -33,6 +33,7 @@ from helpers import (
     markov_krein_zero_equivalence,
     moment_map_roots,
     rand_measure,
+    reference_march,
     second_kind_zeros,
 )
 
@@ -336,6 +337,50 @@ def test_lift_many_matches_the_eigenvalue_oracle():
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
         checked += 1
     assert checked >= 5
+    # atoms log-uniform over three decades with Dirichlet(0.5) weights put
+    # branch points close to the rays; finer oracle tracking for 0.999
+    hard = 0
+    for _ in range(15):
+        atoms = np.exp(rng.uniform(np.log(0.005), np.log(10.0), 9))
+        mu = DiscreteMeasure(atoms, rng.dirichlet(np.full(9, 0.5)))
+        try:
+            dom = slit_domain(critical_points(mu))
+        except NumericalError:
+            continue
+        free = dom.distance(0.0)
+        angles = np.exp(2j * np.pi * rng.uniform(size=2))
+        targets = np.concatenate([f * free * angles for f in (0.99, 0.999)])
+        got = lift_many(mu, targets, dom)
+        want = branch_by_eigenvalues(mu, targets, steps=2000)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+        hard += 1
+    assert hard >= 12
+
+
+def test_lift_many_matches_the_fixed_pace_march_in_few_steps():
+    # half-offset upper nodes at three radii on random 2-9 atom measures;
+    # the reference march is compared on every eighth node, which it
+    # reaches to 1e-12 whatever the batch
+    rng = np.random.default_rng(36)
+    checked = 0
+    for _ in range(200):
+        size = rng.integers(2, 10)
+        mu = DiscreteMeasure(
+            rng.uniform(0.05, 10.0, size), rng.dirichlet(np.ones(size))
+        )
+        try:
+            dom = slit_domain(critical_points(mu))
+        except NumericalError:
+            continue
+        free = dom.distance(0.0)
+        circles = [_half_offset_upper(f * free, 512) for f in (0.5, 0.9, 0.99)]
+        steps = []
+        got = np.concatenate([lift_many(mu, t, dom, steps) for t in circles])
+        assert len(steps) == 3 * 256 and max(steps) <= 30
+        want = reference_march(mu, np.concatenate(circles)[::8], dom)
+        assert np.max(np.abs(got[::8] - want) / np.abs(want)) <= 1e-12
+        checked += 1
+    assert checked >= 190
 
 
 def test_lift_stays_on_its_sheet_next_to_a_branch_cluster():
@@ -353,6 +398,25 @@ def test_lift_stays_on_its_sheet_next_to_a_branch_cluster():
     assert abs(target) / dom.distance(0.0) == pytest.approx(0.995, abs=1e-3)
     want = -0.07300811971974142 - 0.06615889039817727j
     assert branch_by_eigenvalues(mu, [target])[0] == pytest.approx(want, rel=1e-10)
+    assert lift_path(mu, target, dom) == pytest.approx(want, rel=1e-10)
+
+
+def test_lift_rejects_a_corrector_that_leaves_its_prediction():
+    # without the injectivity-radius guard the march passes the residual
+    # test on another sheet's root, 3.04 from the branch value
+    mu = DiscreteMeasure(
+        [0.016964798394206733, 0.43256613678591005, 0.8401830383601725,
+         3.1827861463793967, 5.020743107739198, 6.001829086280926],
+        [0.02744682017228971, 0.008969884959504345, 0.054764055225243684,
+         0.4739461551212227, 3.557302899566059e-05, 0.43483751149274397],
+    )
+    dom = slit_domain(critical_points(mu))
+    target = -0.9768318514389415 + 0.00599384039440122j
+    assert abs(target) / dom.distance(0.0) == pytest.approx(0.999, abs=1e-4)
+    want = -0.02236070065801634 - 0.010315782339869758j
+    assert branch_by_eigenvalues(mu, [target], steps=2000)[0] == pytest.approx(
+        want, rel=1e-10
+    )
     assert lift_path(mu, target, dom) == pytest.approx(want, rel=1e-10)
 
 

@@ -32,9 +32,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# cap of the node-doubling policy for moment extraction driven by callers
-MAX_NODES = 8192
-
 
 def _as_complex_nodes(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)

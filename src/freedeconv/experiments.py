@@ -21,8 +21,13 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import BaselineFailureError, NumericalError
-from .measures import DiscreteMeasure, MarchenkoPastur, wasserstein_1
-from .pipeline import _require_int, deconvolve_with_retries
+from .measures import (
+    DiscreteMeasure,
+    MarchenkoPastur,
+    _require_int,
+    wasserstein_1,
+)
+from .pipeline import deconvolve_with_retries
 
 __all__ = [
     "ToeplitzPopulation",

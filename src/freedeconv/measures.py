@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +33,11 @@ MERGE_REL_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
 # Transform evaluation this close to an atom counts as hitting the pole.
 POLE_TOL = 1e-14
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _merge_close_atoms(atoms, weights):
@@ -127,15 +131,6 @@ class DiscreteMeasure:
         if np.min(np.abs(d)) <= POLE_TOL:
             raise PoleError("moment map evaluated at an atom", stage="measure")
         out = np.sum(self.weights * self.atoms / d, axis=-1)
-        return complex(out) if out.ndim == 0 else out
-
-    def moment_map_derivative(self, z):
-        """M'(z) = - sum_j w_j x_j / (z - x_j)^2."""
-        z = np.asarray(z, dtype=complex)
-        d = z[..., None] - self.atoms
-        if np.min(np.abs(d)) <= POLE_TOL:
-            raise PoleError("derivative evaluated at an atom", stage="measure")
-        out = -np.sum(self.weights * self.atoms / d**2, axis=-1)
         return complex(out) if out.ndim == 0 else out
 
     def moment(self, k):
@@ -237,13 +232,6 @@ class MomentSequence:
         return cls(np.array([mu.moment(k) for k in range(order + 1)]))
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre_theta(n):
-    # nodes/weights for integration over theta in [-pi/2, pi/2]
-    t, w = np.polynomial.legendre.leggauss(n)
-    return t * (np.pi / 2.0), w * (np.pi / 2.0)
-
-
 @dataclass(frozen=True)
 class MarchenkoPastur:
     """Marchenko-Pastur law MP_c with aspect ratio c in (0, 1).
@@ -269,62 +257,6 @@ class MarchenkoPastur:
     @property
     def upper_edge(self):
         return (1.0 + math.sqrt(self.c)) ** 2
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        l, r = self.lower_edge, self.upper_edge
-        inside = (x > l) & (x < r)
-        out = np.zeros_like(x)
-        xs = x[inside]
-        out[inside] = np.sqrt((xs - l) * (r - xs)) / (2.0 * np.pi * self.c * xs)
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x):
-        """Distribution function, integrated in the arcsine variable.
-
-        The substitution x = m0 + h sin(theta) with m0 = (l+r)/2, h = (r-l)/2
-        removes the square-root edge singularities, so a fixed-order
-        Gauss-Legendre rule is accurate to machine precision.
-        """
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        l, r = self.lower_edge, self.upper_edge
-        m0 = 0.5 * (l + r)
-        h = 0.5 * (r - l)
-        theta, base_w = _gauss_legendre_theta(256)
-        out = np.empty_like(x_arr)
-        for i, xi in enumerate(x_arr):
-            if xi <= l:
-                out[i] = 0.0
-            elif xi >= r:
-                out[i] = 1.0
-            else:
-                # rescale the rule from [-pi/2, pi/2] to [-pi/2, theta_x]
-                tx = math.asin(min(1.0, max(-1.0, (xi - m0) / h)))
-                half = 0.5 * (tx + np.pi / 2.0)
-                nodes = -np.pi / 2.0 + half * (theta / (np.pi / 2.0) + 1.0)
-                w = base_w * (half / (np.pi / 2.0))
-                s = m0 + h * np.sin(nodes)
-                out[i] = float(
-                    np.sum(w * (h**2) * np.cos(nodes) ** 2 / s) / (2.0 * np.pi * self.c)
-                )
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def moment(self, k):
-        """k-th moment in closed form, the Narayana polynomial.
-
-        m_k = sum over j < k of c^j/(j+1) C(k, j) C(k-1, j), and m_0 = 1.
-        """
-        if k < 0 or k != int(k):
-            raise ValueError("moment order must be a nonnegative integer")
-        k = int(k)
-        if k == 0:
-            return 1.0
-        return float(
-            sum(
-                self.c**j / (j + 1) * math.comb(k, j) * math.comb(k - 1, j)
-                for j in range(k)
-            )
-        )
 
     def stieltjes(self, z):
         """Closed-form G(z) = (z + c - 1 - sqrt(z-l) sqrt(z-r)) / (2 c z).

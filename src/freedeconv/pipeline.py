@@ -25,11 +25,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ForwardSolverError, InvalidMomentsError, NumericalError
-from .measures import DiscreteMeasure, MarchenkoPastur, MomentSequence
+from .measures import (
+    DiscreteMeasure,
+    MarchenkoPastur,
+    MomentSequence,
+    _require_int,
+)
 from .inversion import critical_points, lift_doubled, lift_many, slit_domain
 from .contours import (
-    MAX_NODES,
-    ContourMoments,
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
@@ -55,18 +58,14 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# contour nodes of the first node-doubling pass, and the highest moment
-# order the contour stage extracts
+# contour nodes of the first and the last node-doubling pass, and the
+# highest moment order the contour stage extracts
 START_NODES = 512
+MAX_NODES = 8192
 MAX_MOMENTS = 16
 # atoms of the Gauss proxy of mu_n: K nodes reproduce m_0 .. m_(2K-1),
 # at least the m_0 .. m_MAX_MOMENTS the extracted moments depend on
 GAUSS_NODES = (MAX_MOMENTS + 2) // 2
-
-
-def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,9 @@ class DeconvDiagnostics:
     (`refined_nodes_marched`), are marched; each counts the steps of the
     march that reached it, shared by the nodes of that march.
     `lift_steps_total` sums the count over all marched nodes, and
-    `lift_steps_max` is the longest march.
+    `lift_steps_max` is the longest march.  `t_total_s` is the spectral
+    stage's wall time plus the call's own, so a retry rung that reuses
+    the stage reports what a direct call would.
     """
 
     imag_residue: float
@@ -196,40 +197,26 @@ def _gauss_proxy(mu_n: DiscreteMeasure) -> DiscreteMeasure:
 
 
 class _Spectral(NamedTuple):
-    """What the spectral stage hands to recovery, with its own diagnostics."""
+    """What the spectral stage hands to recovery, and what it was built from.
 
-    proxy_atoms: int
-    radius: float
-    nodes_used: int
-    settled: bool
-    lift_steps_total: int
-    lift_steps_max: int
-    refined_nodes_marched: int
-    t_ramification_s: float
-    t_lift_s: float
-    t_moments_s: float
+    `diagnostics` holds the stage's own `DeconvDiagnostics` fields, by
+    name; `wall_s` is the stage's wall time.
+    """
+
+    mu_n: DiscreteMeasure
+    c: float
     contour: ContourRepresentation
-    extracted: ContourMoments
-
-
-# (mu_n, c, _Spectral) of the last successful spectral stage, replaced
-# as one tuple so a reader never sees half an update
-_last_spectral: tuple | None = None
+    moments: MomentSequence
+    diagnostics: dict
+    wall_s: float
 
 
 def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     """Ramification, radius, node-doubling lifts and contour moments.
 
-    All four run on the Gauss proxy of `mu_n`.  The last success is kept
-    and reused as the `deconvolve` docstring describes; `mu_n` is held by
-    a strong reference, so its identity cannot pass to another object
-    while it is the key.
+    All four run on the Gauss proxy of `mu_n`.  An aspect ratio outside
+    (0, 1) raises ValueError before any of them.
     """
-    global _last_spectral
-    memo = _last_spectral
-    if memo is not None and memo[0] is mu_n and memo[1] == c:
-        return memo[2]
-
     t0 = time.perf_counter()
     mp = MarchenkoPastur(c)
     proxy = _gauss_proxy(mu_n)
@@ -279,9 +266,10 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         prev_vals = vals
         n_nodes *= 2
 
-    spectral = _Spectral(
+    diagnostics = dict(
+        imag_residue=extracted.imag_residue,
         proxy_atoms=proxy.n_atoms,
-        radius=radius,
+        contour_radius=radius,
         nodes_used=n_nodes,
         settled=settled,
         lift_steps_total=int(np.sum(step_counts)) if step_counts else 0,
@@ -290,15 +278,23 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         t_ramification_s=t_ram,
         t_lift_s=t_lift,
         t_moments_s=t_moments,
-        contour=rep,
-        extracted=extracted,
     )
-    _last_spectral = (mu_n, c, spectral)
-    return spectral
+    return _Spectral(
+        mu_n,
+        c,
+        rep,
+        extracted.moments,
+        diagnostics,
+        time.perf_counter() - t0,
+    )
 
 
 def deconvolve(
-    mu_n: DiscreteMeasure, c: float, cfg: DeconvConfig = DeconvConfig()
+    mu_n: DiscreteMeasure,
+    c: float,
+    cfg: DeconvConfig = DeconvConfig(),
+    *,
+    spectral: _Spectral | None = None,
 ) -> DeconvResult:
     """Estimate the population spectrum behind the empirical spectrum mu_n.
 
@@ -321,24 +317,20 @@ def deconvolve(
     carrying its stage; there is no silent fallback.
 
     Everything before recovery depends on `mu_n` and `c` only; `cfg`
-    holds the recovery knobs.  The last successful spectral stage is
-    memoized, keyed on the identity of the `mu_n` object and on `c`, so a
-    call with another `cfg` on the same input reruns recovery alone.
-    Such a call reports the spectral stage's own radius, node count, lift
-    steps and stage timings; `t_total_s` is always the wall time of the
-    call itself.
+    holds the recovery knobs.  `spectral`, when given, is that part
+    already computed by `_spectral_stage(mu_n, c)`, and the call runs
+    recovery alone; a stage built from another input raises ValueError.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError("aspect ratio c must lie in (0, 1)")
-    t0 = time.perf_counter()
-    spectral = _spectral_stage(mu_n, c)
-    extracted = spectral.extracted
+    if spectral is None:
+        spectral = _spectral_stage(mu_n, c)
+    elif spectral.mu_n != mu_n or spectral.c != c:
+        raise ValueError("the spectral stage was built from another input")
 
-    t1 = time.perf_counter()
+    t0 = time.perf_counter()
     report = recover_measure_detailed(
-        extracted.moments, cfg.max_support, cfg.rank_tol
+        spectral.moments, cfg.max_support, cfg.rank_tol
     )
-    t_recovery = time.perf_counter() - t1
+    t_recovery = time.perf_counter() - t0
     estimate = report.measure
 
     window = float(np.max(mu_n.atoms)) / MarchenkoPastur(c).lower_edge * 1.1
@@ -350,23 +342,13 @@ def deconvolve(
         )
 
     diags = DeconvDiagnostics(
-        imag_residue=extracted.imag_residue,
         rank=report.rank,
-        proxy_atoms=spectral.proxy_atoms,
-        contour_radius=spectral.radius,
-        nodes_used=spectral.nodes_used,
-        settled=spectral.settled,
-        lift_steps_total=spectral.lift_steps_total,
-        lift_steps_max=spectral.lift_steps_max,
-        refined_nodes_marched=spectral.refined_nodes_marched,
-        t_ramification_s=spectral.t_ramification_s,
-        t_lift_s=spectral.t_lift_s,
-        t_moments_s=spectral.t_moments_s,
         t_recovery_s=t_recovery,
-        t_total_s=time.perf_counter() - t0,
+        t_total_s=spectral.wall_s + time.perf_counter() - t0,
+        **spectral.diagnostics,
     )
     return DeconvResult(
-        estimate, extracted.moments, diags, cfg, spectral.contour
+        estimate, spectral.moments, diags, cfg, spectral.contour
     )
 
 
@@ -379,10 +361,10 @@ def deconvolve_with_retries(
     arithmetic.  When recovery rejects the moments, the ladder raises the
     rank tolerance 10x and 100x, then lowers the support cap two at a time
     down to 1, so only statistically reliable low moments are used.  `cfg`
-    is the first rung.  Each rung is one `deconvolve` call; the rungs
-    after the first reuse its spectral stage.  The result records the
-    accepted rung as its `config`; when every rung fails, the last rung's
-    error propagates.
+    is the first rung.  The ladder computes the spectral stage once and
+    hands it to each rung, one `deconvolve` call that runs recovery
+    alone.  The result records the accepted rung as its `config`; when
+    every rung fails, the last rung's error propagates.
     """
     ladder = [
         (cfg.rank_tol, cfg.max_support),
@@ -393,9 +375,12 @@ def deconvolve_with_retries(
     while sup > 1:
         sup = max(1, sup - 2)
         ladder.append((100.0 * cfg.rank_tol, sup))
+    spectral = _spectral_stage(mu_n, c)
     for i, (rank_tol, max_support) in enumerate(ladder):
         try:
-            return deconvolve(mu_n, c, DeconvConfig(rank_tol, max_support))
+            return deconvolve(
+                mu_n, c, DeconvConfig(rank_tol, max_support), spectral=spectral
+            )
         except InvalidMomentsError:
             if i == len(ladder) - 1:
                 raise

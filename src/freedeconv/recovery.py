@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidMomentsError, NumericalError
-from .measures import DiscreteMeasure, MomentSequence
+from .measures import DiscreteMeasure, MomentSequence, _require_int
 
 __all__ = [
     "MomentVerdict",
@@ -259,10 +259,7 @@ def recover_measure_detailed(
     measure reproduces the input moments over the Gauss-exactness range
     k <= 2 rank - 1; on exact inputs these errors sit at 10 tol or below.
     """
-    if isinstance(max_support, bool) or not isinstance(
-        max_support, (int, np.integer)
-    ):
-        raise ValueError(f"max_support must be an integer, got {max_support!r}")
+    _require_int("max_support", max_support)
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
     _require_tol(tol)

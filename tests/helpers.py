@@ -5,8 +5,11 @@ sums, polynomial roots, quadrature, brentq), never by calling back into
 the code paths under test, so agreement between a helper and the library
 is evidence and not a tautology.  The cross-checks at the end (zeros of
 the second kind, the Markov-Krein pair, injectivity on a contour, winding
-numbers) evaluate the moment map only through `DiscreteMeasure`.
+numbers) evaluate the moment map only through `DiscreteMeasure`, and its
+derivative through `moment_map_derivative` here.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -84,6 +87,16 @@ def is_conjugate_symmetric(sigma, values, rtol=1e-10):
     return bool(np.max(np.abs(values[idx] - np.conj(values))) <= rtol * vscale)
 
 
+def moment_map_derivative(mu, z):
+    """M'(z) = - sum_j w_j x_j / (z - x_j)^2."""
+    z = np.asarray(z, dtype=complex)
+    d = z[..., None] - mu.atoms
+    if np.min(np.abs(d)) <= 1e-14:
+        raise PoleError("derivative evaluated at an atom", stage="measure")
+    out = -np.sum(mu.weights * mu.atoms / d**2, axis=-1)
+    return complex(out) if out.ndim == 0 else out
+
+
 def moment_map_roots(mu, m):
     """All finite solutions of M_mu(z) = m via the cleared polynomial.
 
@@ -123,7 +136,7 @@ def branch_by_eigenvalues(mu, targets, steps=500):
         roots = np.linalg.eigvals(a)
         w = roots[rows, np.argmin(np.abs(roots - w[:, None]), axis=1)]
     for _ in range(3):
-        w = w - (mu.moment_map(w) - m) / mu.moment_map_derivative(w)
+        w = w - (mu.moment_map(w) - m) / moment_map_derivative(mu, w)
     return w
 
 
@@ -209,6 +222,32 @@ def crossing_count(points):
             if d1 * d2 < 0.0 and d3 * d4 < 0.0:
                 count += 1
     return count
+
+
+def mp_density(mp, x):
+    """Density sqrt((x - l)(r - x)) / (2 pi c x) of MP_c, 0 off (l, r)."""
+    x = np.asarray(x, dtype=float)
+    l, r = mp.lower_edge, mp.upper_edge
+    inside = (x > l) & (x < r)
+    out = np.zeros_like(x)
+    xs = x[inside]
+    out[inside] = np.sqrt((xs - l) * (r - xs)) / (2.0 * np.pi * mp.c * xs)
+    return float(out) if out.ndim == 0 else out
+
+
+def mp_moment(mp, k):
+    """k-th moment of MP_c in closed form, the Narayana polynomial.
+
+    m_k = sum over j < k of c^j/(j+1) C(k, j) C(k-1, j), and m_0 = 1.
+    """
+    if k == 0:
+        return 1.0
+    return float(
+        sum(
+            mp.c**j / (j + 1) * math.comb(k, j) * math.comb(k - 1, j)
+            for j in range(k)
+        )
+    )
 
 
 def mp_g_quadrature(mp, n=160):
@@ -335,7 +374,7 @@ def markov_krein_zero_equivalence(mu, z):
         raise PoleError(
             "markov-krein transform evaluated at a pole", stage="ramification"
         )
-    mprime = mu.moment_map_derivative(z)
+    mprime = moment_map_derivative(mu, z)
     fprime = 1.0 / z + np.sum(1.0 / (z - y)) - np.sum(1.0 / (z - mu.atoms))
     return mprime, complex(fprime)
 

@@ -1,9 +1,8 @@
 """Forward model, S-transform ratio, deconvolution, and REE assembly."""
 
-import copy
 import json
-import time
-from dataclasses import asdict, replace
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,11 +13,7 @@ from freedeconv.contours import (
     choose_m_contour,
     moments_from_contour,
 )
-from freedeconv.errors import (
-    InvalidMomentsError,
-    NoisyContourError,
-    NumericalError,
-)
+from freedeconv.errors import InvalidMomentsError, NumericalError
 from freedeconv.experiments import SCENARIOS, sample_spectrum
 from freedeconv.inversion import critical_points, slit_domain, s_transform
 from freedeconv.measures import (
@@ -38,7 +33,7 @@ from freedeconv.pipeline import (
     ree_assemble,
 )
 
-from helpers import is_conjugate_symmetric, mp_g_quadrature
+from helpers import is_conjugate_symmetric, mp_density, mp_g_quadrature
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 ONE = DiscreteMeasure([1.0], [1.0])
@@ -109,7 +104,7 @@ def test_t_ratio_is_one_on_pure_noise_spectrum():
     mp = MarchenkoPastur(0.2)
     nodes, wts = leggauss(200)
     xq = 0.5 * (nodes + 1) * (mp.upper_edge - mp.lower_edge) + mp.lower_edge
-    wq = wts * np.array([mp.density(x) for x in xq])
+    wq = wts * np.array([mp_density(mp, x) for x in xq])
     mp_disc = DiscreteMeasure(xq, wq / wq.sum())
     dom = slit_domain(critical_points(mp_disc))
     for m in (0.05 + 0.02j, -0.04 + 0.03j, 0.06j):
@@ -322,9 +317,9 @@ def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
     # this sampled S3 spectrum settles only at 2048 nodes; with the node
     # cap at 1024 the run still returns, reports it and logs a warning
     sc = SCENARIOS["S3"]
+    mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 5)
 
     def run():
-        mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 5)
         return pipeline.deconvolve_with_retries(mu_n, sc.c).diagnostics
 
     full = run()
@@ -338,7 +333,6 @@ def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
 
 
 def sampled_s2_3():
-    # a fresh object per call: the spectral memo is keyed on identity
     sc = SCENARIOS["S2_3"]
     return sample_spectrum(sc.population, 400, 2000, 1), sc.c
 
@@ -381,7 +375,7 @@ def test_deconvolve_on_the_proxy_matches_the_full_measure(monkeypatch):
     res = deconvolve(mu, c)
     assert res.diagnostics.proxy_atoms == GAUSS_NODES
     monkeypatch.setattr(pipeline, "_gauss_proxy", lambda m: m)
-    ref = deconvolve(copy.copy(mu), c)
+    ref = deconvolve(mu, c)
     assert ref.diagnostics.proxy_atoms == mu.n_atoms
     got = np.asarray(res.moments_used.values)
     want = np.asarray(ref.moments_used.values)
@@ -403,11 +397,17 @@ def test_deconvolve_rejects_inconsistent_input():
     assert exc_info.value.stage == "recover_measure"
 
 
-def test_deconvolve_validates_aspect_ratio():
+def test_deconvolve_validates_aspect_ratio(monkeypatch):
     mu_f = forward_measure(TWO, 0.2, tol=1e-8)
-    for c in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            deconvolve(mu_f, c)
+
+    def stage_work(mu):
+        raise AssertionError("the spectral stage started before checking c")
+
+    monkeypatch.setattr(pipeline, "_gauss_proxy", stage_work)
+    for run in (deconvolve, pipeline.deconvolve_with_retries):
+        for c in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ValueError, match="aspect ratio"):
+                run(mu_f, c)
 
 
 def test_deconvolve_honors_config():
@@ -434,70 +434,60 @@ def ramification_calls(monkeypatch):
     return calls
 
 
-def test_deconvolve_reuses_the_spectral_stage_for_recovery_knobs(
+def test_deconvolve_runs_the_spectral_stage_unless_handed_one(
     ramification_calls,
 ):
-    mu_f = forward_measure(TWO, 0.2, tol=1e-8)
-    first = deconvolve(mu_f, 0.2)
-    assert len(ramification_calls) == 1
-    t0 = time.perf_counter()
-    again = deconvolve(mu_f, 0.2, replace(first.config, rank_tol=1e-3))
-    wall = time.perf_counter() - t0
-    coarse = deconvolve(mu_f, 0.2, replace(first.config, max_support=2))
-    assert len(ramification_calls) == 1
-    assert coarse.config.max_support == 2
-    # a reused stage reports its own effort and timings; the total is the
-    # wall time of the call that reports it
-    a, b = first.diagnostics, again.diagnostics
-    for name in (
-        "contour_radius",
-        "nodes_used",
-        "settled",
-        "lift_steps_total",
-        "lift_steps_max",
-        "refined_nodes_marched",
-        "t_ramification_s",
-        "t_lift_s",
-        "t_moments_s",
-        "imag_residue",
-    ):
-        assert getattr(b, name) == getattr(a, name)
-    assert b.t_recovery_s <= b.t_total_s <= wall
-    assert again.contour is first.contour
-    assert again.estimate == first.estimate
-
-
-def test_deconvolve_recomputes_the_spectral_stage_for_a_new_key(
-    ramification_calls,
-):
-    mu_f = forward_measure(TWO, 0.2, tol=1e-8)
-    base = deconvolve(mu_f, 0.2)
-    # equal content in another object: keyed by identity, so recomputed
-    twin = copy.copy(mu_f)
-    assert twin is not mu_f and twin == mu_f
-    same = deconvolve(twin, 0.2)
+    sc = SCENARIOS["S1"]
+    mu_n = sample_spectrum(sc.population, 50, 250, 4)
+    cfg = DeconvConfig(rank_tol=1e-2, max_support=1)
+    first = deconvolve(mu_n, sc.c, cfg)
+    again = deconvolve(mu_n, sc.c, cfg)
     assert len(ramification_calls) == 2
-    assert same.estimate == base.estimate
-    # c is the rest of the key
-    deconvolve(twin, 0.19)
+    stage = pipeline._spectral_stage(mu_n, sc.c)
+    rung = deconvolve(mu_n, sc.c, cfg, spectral=stage)
+    assert len(ramification_calls) == 3
+    assert rung.contour is stage.contour
+    # a rung reports the stage's own effort, and its total includes it
+    diags = asdict(rung.diagnostics)
+    assert {k: diags[k] for k in stage.diagnostics} == stage.diagnostics
+    assert diags["t_total_s"] >= stage.wall_s + diags["t_recovery_s"]
+    for res in (again, rung):
+        assert repr(res.estimate.atoms.tolist()) == repr(
+            first.estimate.atoms.tolist()
+        )
+        assert repr(res.estimate.weights.tolist()) == repr(
+            first.estimate.weights.tolist()
+        )
+        assert res.diagnostics.nodes_used == first.diagnostics.nodes_used
+        assert res.diagnostics.rank == first.diagnostics.rank
+    # a stage is tied to the input it was built from
+    with pytest.raises(ValueError, match="another input"):
+        deconvolve(TWO, sc.c, cfg, spectral=stage)
+    with pytest.raises(ValueError, match="another input"):
+        deconvolve(mu_n, 0.19, cfg, spectral=stage)
     assert len(ramification_calls) == 3
 
 
-def test_deconvolve_does_not_memoize_a_failed_spectral_stage(
-    ramification_calls, monkeypatch
-):
-    mu_f = forward_measure(TWO, 0.2, tol=1e-8)
-
-    def fail(*args, **kwargs):
-        raise NoisyContourError("synthetic", stage="moments_from_contour")
-
-    original = pipeline.moments_from_contour
-    monkeypatch.setattr(pipeline, "moments_from_contour", fail)
-    with pytest.raises(NoisyContourError):
-        deconvolve(mu_f, 0.2)
-    monkeypatch.setattr(pipeline, "moments_from_contour", original)
-    deconvolve(mu_f, 0.2)
-    assert len(ramification_calls) == 2
+def test_a_retry_ladder_run_rebinds_no_module_global():
+    # state carried from one call to the next would live in a module global
+    names = [
+        name
+        for name in sys.modules
+        if name == "freedeconv" or name.startswith("freedeconv.")
+    ]
+    # the copies keep every old object alive, so its id cannot be reused
+    before = {name: dict(vars(sys.modules[name])) for name in names}
+    sc = SCENARIOS["S2_1"]
+    mu_n = sample_spectrum(sc.population, 100, 500, 1)
+    pipeline.deconvolve_with_retries(mu_n, sc.c)
+    for name, old in before.items():
+        new = vars(sys.modules[name])
+        rebound = sorted(
+            key
+            for key in old.keys() | new.keys()
+            if key not in old or key not in new or new[key] is not old[key]
+        )
+        assert rebound == [], f"{name} rebinds {rebound}"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoContourError, NoisyContourError
 from .measures import MomentSequence
-from .inversion import RamificationData, slit_domain
+from .inversion import SlitDomain
 
 __all__ = [
     "ContourRepresentation",
@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# relative clearance the m contour keeps from the foot of every slit
+SLIT_MARGIN = 0.1
 
 
 def _as_complex_nodes(values, name: str) -> np.ndarray:
@@ -219,20 +222,17 @@ def contour_rep_from_s(
     return ContourRepresentation(z, g)
 
 
-def choose_m_contour(ram: RamificationData, margin: float = 0.1) -> float:
+def choose_m_contour(dom: SlitDomain) -> float:
     """Radius of a circle about 0 in the m plane that clears every slit.
 
     The slits are vertical rays starting at the conjugate pairs of branch
     points, so a circle of radius r avoids the slit at (re, im_min) exactly
     when its crossing height sqrt(r^2 - re^2) stays below im_min (or it
-    never reaches the line Re = re).  Keeping a relative `margin` of
-    clearance bounds the radius by hypot(re, (1 - margin) im_min) for every
-    slit; the radius is the least of these bounds and a cap of 1.
+    never reaches the line Re = re).  Keeping a relative SLIT_MARGIN of
+    clearance bounds the radius by hypot(re, (1 - SLIT_MARGIN) im_min) for
+    every slit; the radius is the least of these bounds and a cap of 1.
     """
-    if not 0.0 < margin < 1.0:
-        raise ValueError("margin must lie in (0, 1)")
-    dom = slit_domain(ram)
-    bounds = np.hypot(dom.slit_re, (1.0 - margin) * dom.slit_im)
+    bounds = np.hypot(dom.slit_re, (1.0 - SLIT_MARGIN) * dom.slit_im)
     # cap of 1 for conditioning: larger radii inflate high-order powers
     radius = float(np.min(bounds, initial=1.0))
     if radius < 1e-8:

@@ -16,6 +16,9 @@ radius of M about it of its prediction.  On a circle sampled at twice
 the nodes of a lifted one, the branch is instead predicted by
 trigonometric interpolation, Newton-corrected and certified node by node;
 only the nodes that fail are marched.
+
+The critical points are the finite eigenvalues of one matrix pencil
+whose transfer function is -M'.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DegenerateRamificationError,
@@ -90,39 +94,6 @@ def _msecond(z, x, c):
     return 2.0 * np.sum(c / (z[..., None] - x) ** 3, axis=-1)
 
 
-def _gap_seeds(x, c):
-    # one conjugate pair of starting points per gap, from the two-pole
-    # local model c_j/(z-x_j)^2 + c_{j+1}/(z-x_{j+1})^2 = 0
-    gamma = 1j * np.sqrt(c[1:] / c[:-1])
-    upper = (x[1:] - gamma * x[:-1]) / (1.0 - gamma)
-    return np.concatenate([upper, np.conj(upper)])
-
-
-def _aberth(z, x, c, sweeps=80, active=None):
-    # simultaneous Newton with pairwise repulsion, evaluated on the rational
-    # form: N'/N = M''/M' + sum_k 2/(z - x_k) for N = -M' * prod (z-x_k)^2;
-    # `active` restricts updates to a subset while keeping full repulsion
-    scale = max(abs(x[0]), abs(x[-1]), 1.0)
-    z = np.array(z, dtype=complex)
-    idx = np.arange(z.size) if active is None else np.asarray(active, dtype=int)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(sweeps):
-            za = z[idx]
-            mp = _mprime(za, x, c)
-            ms = _msecond(za, x, c)
-            ratio = ms / mp + 2.0 * np.sum(1.0 / (za[:, None] - x), axis=1)
-            diff = za[:, None] - z[None, :]
-            diff[np.arange(idx.size), idx] = np.inf
-            repel = np.sum(1.0 / diff, axis=1)
-            denom = ratio - repel
-            step = 1.0 / denom
-            step = np.where(np.isfinite(step), step, 0.0)
-            z[idx] = za - step
-            if np.max(np.abs(step)) < 1e-14 * scale:
-                break
-    return z
-
-
 def _newton_polish(z, x, c, iters=3):
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(iters):
@@ -150,8 +121,16 @@ def critical_points(mu):
     clearing denominators) and the branch points M(q) canonicalized to the
     upper half plane.  Atoms at 0 carry no pole of M and are ignored.
 
-    Raises IncompleteRootsError when the residual certificate fails for any
-    root: finding *all* solutions is what the downstream slit domain needs.
+    The roots are the finite eigenvalues of the real (2L+1)-square pencil
+    ([[A, b], [u^T, 0]], diag(1, ..., 1, 0)) with Jordan blocks
+    A_j = [[x_j, 1], [0, x_j]], b_j = (0, 1) and u_j = (w_j x_j, 0), whose
+    transfer function u^T (z I - A)^-1 b is -M' (Emami-Naeini & Van Dooren,
+    Automatica 1982).  One O(L^3) QZ solve and three Newton steps find
+    them; the pipeline calls this on its Gauss proxy only, at most 9 atoms.
+
+    Raises IncompleteRootsError when fewer than 2(L-1) eigenvalues come
+    back finite or the residual certificate fails for any root: finding
+    *all* solutions is what the downstream slit domain needs.
     """
     if np.any(mu.atoms < 0.0):
         raise ValueError("ramification analysis expects nonnegative atoms")
@@ -159,30 +138,20 @@ def critical_points(mu):
     if x.size <= 1:
         return RamificationData(np.empty(0, complex), np.empty(0, complex))
     degree = 2 * (x.size - 1)
-    # simultaneous iteration on the rational form from one conjugate pair
-    # of starts per gap; the cleared polynomial is avoided because its
-    # coefficients are badly conditioned for clustered near-real roots
-    roots = _newton_polish(_aberth(_gap_seeds(x, c), x, c), x, c)
-    for jig in (0.0, 3e-2, 1e-1):
-        bad = np.where(~_certify(roots, x, c))[0]
-        if bad.size == 0:
-            break
-        # restart only the uncertified roots from their own gap seeds
-        # (seed order is preserved by the sweeps) while the certified ones
-        # stay frozen as repulsors, then iterate the subset harder
-        roots[bad] = _gap_seeds(x, c)[bad] * (1.0 + jig * 1j)
-        roots = _aberth(roots, x, c, sweeps=300, active=bad)
-        roots[bad] = _newton_polish(roots[bad], x, c)
+    n = 2 * x.size
+    P = np.zeros((n + 1, n + 1))
+    P[:n, :n] = np.diag(np.repeat(x, 2))
+    P[np.arange(0, n, 2), np.arange(1, n, 2)] = 1.0
+    P[1:n:2, n] = 1.0
+    P[n, 0:n:2] = c
+    Q = np.diag(np.append(np.ones(n), 0.0))
+    alpha, beta = scipy.linalg.eig(P, Q, right=False, homogeneous_eigvals=True)
+    roots = _newton_polish(alpha[beta != 0.0] / beta[beta != 0.0], x, c)
     ok = _certify(roots, x, c)
-    scale = max(abs(x[0]), abs(x[-1]))
-    if np.all(ok):
-        up = np.sort_complex(roots[roots.imag > 0.0])
-        if up.size > 1 and np.min(np.abs(np.diff(up))) < 1e-12 * scale:
-            ok = np.zeros(roots.size, dtype=bool)  # collapsed onto duplicates
-    if not np.all(ok):
+    if roots.size < degree or not np.all(ok):
         raise IncompleteRootsError(
-            f"{int(np.sum(~ok))} of {degree} critical points failed the "
-            "residual certificate",
+            f"{roots.size} of {degree} critical points came back finite and "
+            f"{int(np.sum(~ok))} of them failed the residual certificate",
             stage="critical_points",
             diagnostics={"bad": roots[~ok][:8].tolist()},
         )

@@ -99,7 +99,10 @@ class DeconvDiagnostics:
     """Run diagnostics: contour quality, recovery rank, lift effort, timings.
 
     `proxy_atoms` is the atom count of the Gauss proxy the spectral stage
-    ran on, and `t_ramification_s` includes building it.  `settled` is
+    ran on, and `t_ramification_s` includes building it.  `n_slits` counts
+    the proxy's conjugate slit pairs.  `radius_limiter` names what bounds
+    `contour_radius`: a branch slit (`slit`), the S_MP pole at -1/c
+    (`mp_pole`) or the cap of 1 (`unit_cap`).  `settled` is
     False when the contour moments still moved by 1e-9 or more between
     the last two node-doubling passes, at the node cap.  Only the nodes of
     the first pass, and the refined nodes that failed their certificate
@@ -114,7 +117,9 @@ class DeconvDiagnostics:
     imag_residue: float
     rank: int
     proxy_atoms: int
+    n_slits: int
     contour_radius: float
+    radius_limiter: str
     nodes_used: int
     settled: bool
     lift_steps_total: int
@@ -220,10 +225,14 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     t0 = time.perf_counter()
     mp = MarchenkoPastur(c)
     proxy = _gauss_proxy(mu_n)
-    ram = critical_points(proxy)
-    dom = slit_domain(ram)
+    dom = slit_domain(critical_points(proxy))
     # stay clear of the S_MP pole at m = -1/c
-    radius = min(choose_m_contour(ram), 0.5 / c)
+    slit_bound = choose_m_contour(dom)
+    radius = min(slit_bound, 0.5 / c)
+    if radius < slit_bound:
+        limiter = "mp_pole"
+    else:
+        limiter = "slit" if radius < 1.0 else "unit_cap"
     t_ram = time.perf_counter() - t0
 
     step_counts: list = []
@@ -269,7 +278,9 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     diagnostics = dict(
         imag_residue=extracted.imag_residue,
         proxy_atoms=proxy.n_atoms,
+        n_slits=dom.n_slits,
         contour_radius=radius,
+        radius_limiter=limiter,
         nodes_used=n_nodes,
         settled=settled,
         lift_steps_total=int(np.sum(step_counts)) if step_counts else 0,

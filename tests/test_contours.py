@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freedeconv.contours import (
+    SLIT_MARGIN,
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
@@ -13,7 +14,7 @@ from freedeconv.contours import (
 )
 from freedeconv.errors import NoContourError, NoisyContourError
 from freedeconv.inversion import (
-    RamificationData,
+    SlitDomain,
     critical_points,
     lift_many,
     slit_domain,
@@ -261,61 +262,46 @@ def test_contour_rep_from_s_input_contracts():
 
 def test_choose_m_contour_hits_unit_cap_for_clear_slits():
     # TWO's only slit starts at -1/2 + sqrt(2) i, beyond the unit cap
-    assert choose_m_contour(critical_points(TWO), 0.1) == 1.0
+    assert choose_m_contour(slit_domain(critical_points(TWO))) == 1.0
 
 
 def test_choose_m_contour_backs_off_from_low_slits():
     # slit starting at 0.2i above the origin: the largest circle keeping a
     # 10% clearance has radius 0.9 * 0.2 = 0.18
-    ram = RamificationData(
-        np.array([0.3 + 0.3j, 0.3 - 0.3j]),
-        np.array([0.0 + 0.2j]),
-    )
-    assert choose_m_contour(ram, 0.1) == pytest.approx(0.18, abs=1e-9)
+    assert SLIT_MARGIN == 0.1
+    dom = SlitDomain([0.0], [0.2])
+    assert choose_m_contour(dom) == pytest.approx(0.18, abs=1e-9)
 
 
 def test_choose_m_contour_radius_is_the_tightest_slit_bound():
-    # multi-slit ramification of random measures: the radius keeps the
-    # margin's clearance from every slit, and is exactly either the unit
-    # cap or one slit's bound hypot(re, (1 - margin) im)
+    # multi-slit ramification of random measures: the radius keeps a 10%
+    # clearance from every slit, and is exactly either the unit cap or one
+    # slit's bound hypot(re, 0.9 im)
     rng = np.random.default_rng(11)
     limited = 0
     for _ in range(12):
         mu = rand_measure(rng, 6, 0.05, 3.0)
-        ram = critical_points(mu)
-        dom = slit_domain(ram)
+        dom = slit_domain(critical_points(mu))
         if dom.n_slits < 2:
             continue
-        for margin in (0.05, 0.1, 0.3):
-            r = choose_m_contour(ram, margin)
-            assert isinstance(r, float)
-            bounds = np.hypot(dom.slit_re, (1.0 - margin) * dom.slit_im)
-            assert np.all(r <= bounds)
-            # the circle crosses Re = re below the shortened slit
-            crossing = np.sqrt(np.maximum(r**2 - dom.slit_re**2, 0.0))
-            assert np.all(crossing <= (1.0 - margin) * dom.slit_im + 1e-12)
-            if r < 1.0:
-                limited += 1
-                assert r in bounds
-            else:
-                assert r == 1.0
+        r = choose_m_contour(dom)
+        assert isinstance(r, float)
+        bounds = np.hypot(dom.slit_re, 0.9 * dom.slit_im)
+        assert np.all(r <= bounds)
+        # the circle crosses Re = re below the shortened slit
+        crossing = np.sqrt(np.maximum(r**2 - dom.slit_re**2, 0.0))
+        assert np.all(crossing <= 0.9 * dom.slit_im + 1e-12)
+        if r < 1.0:
+            limited += 1
+            assert r in bounds
+        else:
+            assert r == 1.0
     assert limited > 0
 
 
 def test_choose_m_contour_fails_when_slit_touches_origin():
-    ram = RamificationData(
-        np.array([0.3 + 0.3j, 0.3 - 0.3j]),
-        np.array([0.0 + 1e-9j]),
-    )
     with pytest.raises(NoContourError):
-        choose_m_contour(ram, 0.1)
-
-
-def test_choose_m_contour_input_contracts():
-    ram = critical_points(TWO)
-    for margin in (0.0, 1.0, 1.5, -0.2):
-        with pytest.raises(ValueError):
-            choose_m_contour(ram, margin)
+        choose_m_contour(SlitDomain([0.0], [1e-9]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +353,8 @@ def test_roundtrip_measure_to_contour_to_moments():
         mu = rand_measure(rng, 5, 0.2, 8.0)
         if mu.n_atoms == 1:
             continue
-        ram = critical_points(mu)
-        dom = slit_domain(ram)
-        mc = circle_nodes(min(choose_m_contour(ram, 0.1), 0.5), 512)
+        dom = slit_domain(critical_points(mu))
+        mc = circle_nodes(min(choose_m_contour(dom), 0.5), 512)
         s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, dom))
         rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)

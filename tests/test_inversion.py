@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from freedeconv import inversion
 from freedeconv.errors import (
     DegenerateRamificationError,
+    IncompleteRootsError,
     NumericalError,
     PoleError,
 )
@@ -86,6 +88,14 @@ def test_atom_at_zero_carries_no_pole():
     assert ram.critical_points.size == 0
 
 
+def test_critical_points_raise_when_the_certificate_fails(monkeypatch):
+    # no residual passes a zero backward-error budget
+    monkeypatch.setattr(inversion, "CERT_TOL", 0.0)
+    with pytest.raises(IncompleteRootsError) as exc_info:
+        critical_points(TWO)
+    assert exc_info.value.stage == "critical_points"
+
+
 def test_negative_atoms_are_rejected():
     with pytest.raises(ValueError):
         critical_points(DiscreteMeasure([-1.0, 2.0], [0.5, 0.5]))
@@ -106,16 +116,42 @@ def test_critical_points_are_conjugate_closed_with_small_residuals():
         forward_measure(sc.population, sc.c, tol=1e-8),
     ]
     assert [mu.n_atoms for mu in proxies] == [10, 8]
-    for mu in measures + wide + proxies:
-        if mu.n_atoms < 2:
-            continue
-        ram = critical_points(mu)
-        assert ram.critical_points.size == 2 * (mu.n_atoms - 1)
-        for q in ram.critical_points:
-            # conjugate partner present
-            assert np.min(np.abs(ram.critical_points - np.conj(q))) < 1e-8
-            assert abs(moment_map_derivative(mu, q)) < 1e-8
-        assert np.all(ram.branch_points_upper.imag > 0.0)
+    # 9 atoms log-uniform over three decades with Dirichlet(0.5) weights,
+    # whose weights span many orders of magnitude
+    rng = np.random.default_rng(23)
+    spread = [
+        DiscreteMeasure(
+            np.exp(rng.uniform(np.log(0.005), np.log(10.0), 9)),
+            rng.dirichlet(np.full(9, 0.5)),
+        )
+        for _ in range(40)
+    ]
+    # up to 9 atoms within 1e-3 of each other, whose critical points
+    # crowd within about 1e-3 of the real axis
+    clusters = []
+    for _ in range(20):
+        size = int(rng.integers(2, 10))
+        atoms = rng.uniform(0.1, 5.0) + rng.uniform(0.0, 1e-3, size)
+        clusters.append(DiscreteMeasure(atoms, rng.dirichlet(np.ones(size))))
+    assert max(np.ptp(mu.atoms) for mu in clusters) < 1e-3
+    # |M'(q)| is roundoff in the size of M''s terms, which reaches 1e12
+    # between clustered atoms: it is bounded relative to that size
+    # everywhere (measured at most 3e-10) and absolutely where it is small
+    groups = [(measures + wide + proxies, 1e-8), (spread + clusters, np.inf)]
+    for group, absolute in groups:
+        for mu in group:
+            if mu.n_atoms < 2:
+                continue
+            ram = critical_points(mu)
+            assert ram.critical_points.size == 2 * (mu.n_atoms - 1)
+            for q in ram.critical_points:
+                # conjugate partner present
+                assert np.min(np.abs(ram.critical_points - np.conj(q))) < 1e-8
+                level = np.sum(mu.weights * mu.atoms / np.abs(q - mu.atoms) ** 2)
+                residual = abs(moment_map_derivative(mu, q))
+                assert residual < absolute
+                assert residual <= 1e-9 * level
+            assert np.all(ram.branch_points_upper.imag > 0.0)
 
 
 # ---------------------------------------------------------------------------

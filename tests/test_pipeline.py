@@ -280,7 +280,9 @@ def test_deconvolve_result_json_schema():
         "imag_residue",
         "rank",
         "proxy_atoms",
+        "n_slits",
         "contour_radius",
+        "radius_limiter",
         "nodes_used",
         "settled",
         "lift_steps_total",
@@ -296,6 +298,11 @@ def test_deconvolve_result_json_schema():
     assert len(payload["moments_used"]) == MAX_MOMENTS + 1
     assert payload["diagnostics"]["settled"] is True
     assert payload["diagnostics"]["refined_nodes_marched"] == 0
+    # an L-atom proxy has L - 1 conjugate pairs of critical points, and
+    # each carries one slit pair
+    d = payload["diagnostics"]
+    assert d["n_slits"] == d["proxy_atoms"] - 1
+    assert d["radius_limiter"] == "unit_cap"
 
 
 def test_deconvolve_reports_the_chosen_radius_exactly():
@@ -303,14 +310,18 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
     def run(sc_id):
         sc = SCENARIOS[sc_id]
         mu_f = forward_measure(sc.population, sc.c, tol=1e-8)
-        return mu_f, deconvolve(mu_f, sc.c).diagnostics.contour_radius
+        return mu_f, deconvolve(mu_f, sc.c).diagnostics
 
-    assert run("S2_1")[1] == 1.0  # unit cap
-    assert run("S2_2")[1] == 0.5 / 0.95  # Marchenko-Pastur pole cap
-    mu_f, radius = run("S2_3")
-    slit_bound = choose_m_contour(critical_points(mu_f), 0.1)
+    d = run("S2_1")[1]
+    assert (d.contour_radius, d.radius_limiter) == (1.0, "unit_cap")
+    d = run("S2_2")[1]
+    assert (d.contour_radius, d.radius_limiter) == (0.5 / 0.95, "mp_pole")
+    mu_f, d = run("S2_3")
+    dom = slit_domain(critical_points(mu_f))
+    slit_bound = choose_m_contour(dom)
     assert slit_bound < 1.0
-    assert radius == slit_bound
+    assert (d.contour_radius, d.radius_limiter) == (slit_bound, "slit")
+    assert d.n_slits == dom.n_slits > 0
 
 
 def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
@@ -386,7 +397,8 @@ def test_deconvolve_chooses_the_radius_of_the_proxy():
     mu, c = sampled_s2_3()
     radius = deconvolve(mu, c).diagnostics.contour_radius
     proxy = pipeline._gauss_proxy(mu)
-    assert radius == min(choose_m_contour(critical_points(proxy)), 0.5 / c)
+    dom = slit_domain(critical_points(proxy))
+    assert radius == min(choose_m_contour(dom), 0.5 / c)
 
 
 def test_deconvolve_rejects_inconsistent_input():

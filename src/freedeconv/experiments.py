@@ -2,7 +2,10 @@
 
 The scenario registry pairs named population spectra with aspect ratios.
 `sample_spectrum` draws the empirical eigenvalue measure of a sample
-covariance matrix for a given population; `run_scenario` sweeps (n, seed)
+covariance matrix for a given population from the Bartlett factor of a
+Wishart matrix (Bartlett 1933; Muirhead 1982, Thm 3.2.14), so it draws
+p(p+1)/2 numbers and forms one p x p product instead of generating p x n
+samples; `run_scenario` sweeps (n, seed)
 grids through either the contour estimator or the subordination baseline
 and returns flat report rows ready for CSV.
 """
@@ -162,35 +165,47 @@ def _multiplicities(weights: np.ndarray, p: int) -> np.ndarray:
 def sample_spectrum(
     pop: DiscreteMeasure | ToeplitzPopulation, p: int, n: int, seed: int
 ) -> DiscreteMeasure:
-    """Empirical spectral measure of (1/n) V^1/2 Y Y^T V^1/2.
+    """Empirical spectral measure of (1/n) V^1/2 W V^1/2, W ~ Wishart_p(n, I).
 
     V realizes the population: a diagonal matrix with multiplicities
     floor(w_k p), remainder assigned to the largest weight, or the
-    Toeplitz matrix itself.  Y has i.i.d. standard normal entries from a
-    seeded generator, so equal seeds give identical measures.
+    Toeplitz matrix itself.  W is drawn through its Bartlett factor
+    (Bartlett 1933; Muirhead 1982, Thm 3.2.14): A is lower triangular with
+    N(0, 1) entries below the diagonal and A_ii^2 ~ chi^2_(n-i) for
+    i = 0..p-1, and A A^T has the law of Y Y^T for a p x n standard
+    normal Y.  Only p(p+1)/2 numbers are drawn, from a seeded generator,
+    so equal seeds give identical measures.
 
-    A Toeplitz V = L L^T is realized through its closed-form Cholesky
-    factor: Z = L^T Y takes O(pn) by a two-term backward recursion, and
-    eig(Z Z^T / n) = eig(Y Y^T V / n) is the spectrum of
-    V^1/2 Y Y^T V^1/2 / n for the same Y, up to rounding.
+    A diagonal V scales the rows of A by its square root.  A Toeplitz
+    V = L L^T acts through its closed-form Cholesky factor: L^T W L takes
+    O(p^2) by a two-term backward recursion over the rows of W and then
+    over its columns, and has the spectrum of V^1/2 W V^1/2.  The recursion
+    runs on W rather than A, whose upper triangle would fill with
+    subnormal tails rho^(k-j).
     """
     _require_int("p", p)
     _require_int("n", n)
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((p, n))
+    a = np.zeros((p, p))
+    a[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
+    a[np.diag_indices(p)] = np.sqrt(rng.chisquare(n - np.arange(p)))
     if isinstance(pop, ToeplitzPopulation):
+        w = a @ a.T
         # L[i, 0] = rho^i and L[i, j] = sqrt(1 - rho^2) rho^(i-j) for
-        # 1 <= j <= i, so row j of L^T Y is a geometric tail sum of Y's rows
+        # 1 <= j <= i, so row j of L^T X is a geometric tail sum of X's
+        # rows; the pass over w.T applies L to the columns
         rho = pop.rho
-        for j in range(p - 2, -1, -1):
-            y[j] += rho * y[j + 1]
-        y[1:] *= math.sqrt(1.0 - rho * rho)
+        for x in (w, w.T):
+            for j in range(p - 2, -1, -1):
+                x[j] += rho * x[j + 1]
+            x[1:] *= math.sqrt(1.0 - rho * rho)
     else:
         counts = _multiplicities(pop.weights, p)
-        y *= np.sqrt(np.repeat(pop.atoms, counts))[:, None]
-    eigs = np.linalg.eigvalsh((y @ y.T) / n)
+        a *= np.sqrt(np.repeat(pop.atoms, counts))[:, None]
+        w = a @ a.T
+    eigs = np.linalg.eigvalsh(w / n)
     return DiscreteMeasure(np.maximum(eigs, 0.0), np.full(p, 1.0 / p))
 
 

@@ -468,21 +468,45 @@ def dense_toeplitz_spectrum(p, rho):
     return DiscreteMeasure(eigs, np.full(p, 1.0 / p))
 
 
-def dense_sample_spectrum(pop, p, n, seed):
-    """Spectrum of V^1/2 Y Y^T V^1/2 / n with V^1/2 formed explicitly.
+def _spectrum_of_root_times(pop, n, x):
+    """Spectrum of (V^1/2 x)(V^1/2 x)^T / n, with V^1/2 formed explicitly.
 
     A Toeplitz V gets its symmetric square root from a full eigh; a
-    diagonal V scales a fresh copy of Y out of place.  The draw of Y is
-    the library's, so for the same seed the two agree up to rounding.
+    diagonal V scales a fresh copy of x out of place.
     """
-    y = np.random.default_rng(seed).standard_normal((p, n))
+    p = x.shape[0]
     if isinstance(pop, ToeplitzPopulation):
         sig = scipy.linalg.toeplitz(pop.rho ** np.arange(p))
         vals, vecs = np.linalg.eigh(sig)
         root = (vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]) @ vecs.T
-        x = root @ y
+        vx = root @ x
     else:
         diag = np.repeat(pop.atoms, _multiplicities(pop.weights, p))
-        x = np.sqrt(diag)[:, None] * y
-    eigs = np.linalg.eigvalsh((x @ x.T) / n)
+        vx = np.sqrt(diag)[:, None] * x
+    eigs = np.linalg.eigvalsh((vx @ vx.T) / n)
     return DiscreteMeasure(np.maximum(eigs, 0.0), np.full(p, 1.0 / p))
+
+
+def dense_sample_spectrum(pop, p, n, seed):
+    """Spectrum of V^1/2 A A^T V^1/2 / n with V^1/2 formed explicitly.
+
+    A is the library's Bartlett factor for the same seed, drawn in the
+    same order, so the diagonal branch agrees bit for bit and the
+    Toeplitz one up to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.zeros((p, p))
+    a[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+    np.fill_diagonal(a, np.sqrt(rng.chisquare(n - np.arange(p))))
+    return _spectrum_of_root_times(pop, n, a)
+
+
+def gaussian_sample_spectrum(pop, p, n, seed):
+    """Spectrum of V^1/2 Y Y^T V^1/2 / n for a p x n standard normal Y.
+
+    The textbook draw of the sample covariance, with V^1/2 formed
+    explicitly: a reference for the law of the library's Bartlett draw,
+    not for any one sample.
+    """
+    y = np.random.default_rng(seed).standard_normal((p, n))
+    return _spectrum_of_root_times(pop, n, y)

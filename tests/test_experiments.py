@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import freedeconv.experiments as experiments
 import freedeconv.pipeline as pipeline
@@ -25,7 +26,11 @@ from freedeconv.experiments import (
 )
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur, wasserstein_1
 from freedeconv.pipeline import DeconvConfig, deconvolve, forward_measure
-from helpers import dense_sample_spectrum, dense_toeplitz_spectrum
+from helpers import (
+    dense_sample_spectrum,
+    dense_toeplitz_spectrum,
+    gaussian_sample_spectrum,
+)
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 ORACLE_RHOS = (-0.9, -0.3, 0.3, 0.9, 0.99)
@@ -160,6 +165,46 @@ def test_sample_spectrum_toeplitz_branch():
     assert np.all(mu.atoms >= 0.0)
 
 
+LAW_DRAWS = 1000
+LAW_P, LAW_N = 40, 200
+
+
+def _moment_draws(sampler, pop, seeds):
+    """m_1 .. m_6 of one sampled spectrum per seed, as rows."""
+    powers = np.arange(1, 7)
+    return np.array([
+        np.mean(sampler(pop, LAW_P, LAW_N, s).atoms[:, None] ** powers, axis=0)
+        for s in seeds
+    ])
+
+
+@pytest.mark.parametrize(
+    "pop",
+    [SCENARIOS["S2_3"].population, ToeplitzPopulation(0.3),
+     ToeplitzPopulation(0.9)],
+    ids=["S2_3", "rho0.3", "rho0.9"],
+)
+def test_sample_spectrum_has_the_wishart_law(pop):
+    # the Bartlett draw against exact Wishart moments and against the
+    # textbook draw from a p x n Gaussian, on disjoint fixed seeds
+    p, n, k = LAW_P, LAW_N, LAW_DRAWS
+    bart = _moment_draws(sample_spectrum, pop, range(k))
+    gauss = _moment_draws(gaussian_sample_spectrum, pop, range(k, 2 * k))
+    if isinstance(pop, ToeplitzPopulation):
+        v = scipy.linalg.toeplitz(pop.rho ** np.arange(p))
+    else:
+        v = np.diag(np.repeat(pop.atoms, _multiplicities(pop.weights, p)))
+    tr1, tr2 = np.trace(v), np.sum(v * v)
+    mean_m1, sd_m1 = tr1 / p, math.sqrt(2.0 * tr2 / (n * p * p))
+    mean_m2 = ((1.0 + 1.0 / n) * tr2 + tr1 * tr1 / n) / p
+    m1, m2 = bart[:, 0], bart[:, 1]
+    assert abs(m1.mean() - mean_m1) <= 4.0 * sd_m1 / math.sqrt(k)
+    assert np.std(m1, ddof=1) == pytest.approx(sd_m1, rel=0.1)
+    assert abs(m2.mean() - mean_m2) <= 4.0 * np.std(m2, ddof=1) / math.sqrt(k)
+    se = np.sqrt((bart.var(axis=0, ddof=1) + gauss.var(axis=0, ddof=1)) / k)
+    assert np.all(np.abs(bart.mean(axis=0) - gauss.mean(axis=0)) <= 4.0 * se)
+
+
 def test_sample_spectrum_input_contracts():
     with pytest.raises(ValueError):
         sample_spectrum(TWO, 200, 200, 1)
@@ -272,7 +317,7 @@ def test_run_scenario_turns_failures_into_nan_rows(monkeypatch):
 
 
 def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):
-    # S1 at n = 250, seed 4 succeeds only on the last of the 7 rungs
+    # S1 at n = 250, seed 33 succeeds only on the last of the 7 rungs
     # (rank_tol 1e-2, max_support 1); every rung calls deconvolve with
     # the spectral stage the ladder computed once
     ramified, rungs = [], []
@@ -289,7 +334,7 @@ def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):
     monkeypatch.setattr(pipeline, "critical_points", counted_ramification)
     monkeypatch.setattr(pipeline, "deconvolve", counted_rung)
     sc = SCENARIOS["S1"]
-    mu_n = sample_spectrum(sc.population, 50, 250, 4)
+    mu_n = sample_spectrum(sc.population, 50, 250, 33)
     result = pipeline.deconvolve_with_retries(mu_n, sc.c)
     assert len(rungs) == 7
     assert len(ramified) == 1

@@ -62,7 +62,6 @@ from .pipeline import (
 )
 from .recovery import (
     JacobiCoefficients,
-    is_moment_sequence,
     jacobi_from_moments,
     measure_from_jacobi,
     recover_measure,
@@ -104,7 +103,6 @@ __all__ = [
     "deconvolve_with_retries",
     "forward_contour",
     "forward_measure",
-    "is_moment_sequence",
     "jacobi_from_moments",
     "lift_many",
     "lift_path",

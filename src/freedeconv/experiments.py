@@ -205,7 +205,8 @@ def sample_spectrum(
         counts = _multiplicities(pop.weights, p)
         a *= np.sqrt(np.repeat(pop.atoms, counts))[:, None]
         w = a @ a.T
-    eigs = np.linalg.eigvalsh(w / n)
+    w /= n
+    eigs = np.linalg.eigvalsh(w)
     return DiscreteMeasure(np.maximum(eigs, 0.0), np.full(p, 1.0 / p))
 
 

@@ -109,13 +109,16 @@ class DeconvDiagnostics:
     (`refined_nodes_marched`), are marched; each counts the steps of the
     march that reached it, shared by the nodes of that march.
     `lift_steps_total` sums the count over all marched nodes, and
-    `lift_steps_max` is the longest march.  `t_total_s` is the spectral
-    stage's wall time plus the call's own, so a retry rung that reuses
-    the stage reports what a direct call would.
+    `lift_steps_max` is the longest march.  `moment_error` is the worst
+    relative error with which the estimate reproduces the moments it was
+    recovered from, over orders 0 to 2 rank - 1.  `t_total_s` is the
+    spectral stage's wall time plus the call's own, so a retry rung that
+    reuses the stage reports what a direct call would.
     """
 
     imag_residue: float
     rank: int
+    moment_error: float
     proxy_atoms: int
     n_slits: int
     contour_radius: float
@@ -354,6 +357,7 @@ def deconvolve(
 
     diags = DeconvDiagnostics(
         rank=report.rank,
+        moment_error=float(np.max(report.moment_errors)),
         t_recovery_s=t_recovery,
         t_total_s=spectral.wall_s + time.perf_counter() - t0,
         **spectral.diagnostics,

@@ -10,6 +10,7 @@ derivative through `moment_map_derivative` here.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -318,6 +319,55 @@ def lanczos_jacobi(mu, n):
         b_out.append(float(b_last))
         p_prev, p = p, p_next
     return np.array(a_out), np.array(b_out)
+
+
+def hankel(moments, n):
+    """Leading n x n moment matrix H[i, j] = m_(i+j), read-only.
+
+    Requires moments m_0 .. m_(2n-2).
+    """
+    if n < 1:
+        raise ValueError("hankel order must be at least 1")
+    if moments.order < 2 * n - 2:
+        raise ValueError(
+            f"order-{n} Hankel matrix needs moments up to m_{2 * n - 2}, "
+            f"got {moments.order}"
+        )
+    m = np.asarray(moments.values, dtype=float)
+    idx = np.arange(n)
+    H = m[idx[:, None] + idx[None, :]]
+    H.setflags(write=False)
+    return H
+
+
+class MomentVerdict(NamedTuple):
+    """Outcome of the Hankel eigenvalue test.
+
+    status is "valid", "rank_deficient" or "invalid"; rank is the detected
+    support cardinality (n for valid, None for invalid).
+    """
+
+    status: str
+    rank: int | None
+    eigenvalues: np.ndarray
+
+
+def is_moment_sequence(moments, n, tol=1e-8):
+    """Classify the order-n Hankel matrix of the sequence by its eigenvalues.
+
+    Eigenvalues below -tol * ||H|| mean the numbers are not moments of any
+    positive measure; eigenvalues inside the +-tol band signal finite
+    support of cardinality equal to the count above the band.  A route to
+    positivity independent of the library's scaled Cholesky pivots.
+    """
+    eig = np.linalg.eigvalsh(hankel(moments, n))
+    band = tol * max(float(np.max(np.abs(eig))), 1e-300)
+    if eig[0] < -band:
+        return MomentVerdict("invalid", None, eig)
+    above = int(np.sum(eig > band))
+    if above == n:
+        return MomentVerdict("valid", n, eig)
+    return MomentVerdict("rank_deficient", above, eig)
 
 
 def second_kind_zeros(mu):

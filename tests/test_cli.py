@@ -114,7 +114,7 @@ def test_cli_deconvolve_retries_recovery_on_a_sampled_spectrum(tmp_path):
     ])
     assert rc == 0
     payload = json.loads(out.read_text())
-    assert payload["config"] == {"rank_tol": 1e-2, "max_support": 8}
+    assert payload["config"] == {"rank_tol": 1e-3, "max_support": 8}
 
 
 def test_cli_deconvolve_missing_input_file(tmp_path, capsys):

@@ -279,6 +279,7 @@ def test_deconvolve_result_json_schema():
     assert list(payload["diagnostics"]) == [
         "imag_residue",
         "rank",
+        "moment_error",
         "proxy_atoms",
         "n_slits",
         "contour_radius",
@@ -298,6 +299,7 @@ def test_deconvolve_result_json_schema():
     assert len(payload["moments_used"]) == MAX_MOMENTS + 1
     assert payload["diagnostics"]["settled"] is True
     assert payload["diagnostics"]["refined_nodes_marched"] == 0
+    assert 0.0 <= payload["diagnostics"]["moment_error"] <= 10.0 * 1e-4
     # an L-atom proxy has L - 1 conjugate pairs of critical points, and
     # each carries one slit pair
     d = payload["diagnostics"]

@@ -8,15 +8,13 @@ from freedeconv.errors import InvalidMomentsError, NumericalError
 from freedeconv.measures import DiscreteMeasure, MomentSequence
 from freedeconv.recovery import (
     JacobiCoefficients,
-    hankel,
-    is_moment_sequence,
     jacobi_from_moments,
     measure_from_jacobi,
     recover_measure,
     recover_measure_detailed,
 )
 
-from helpers import lanczos_jacobi, rand_measure
+from helpers import hankel, is_moment_sequence, lanczos_jacobi, rand_measure
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 
@@ -123,7 +121,7 @@ def test_jacobi_requires_enough_moments():
 def test_jacobi_rejects_indefinite_input():
     with pytest.raises(InvalidMomentsError) as exc_info:
         jacobi_from_moments(MomentSequence([1.0, 0.0, -1.0, 0.0]), 2)
-    assert exc_info.value.stage == "jacobi_from_moments"
+    assert exc_info.value.stage == "recover_measure"
 
 
 def test_jacobi_coefficient_validation():
@@ -281,7 +279,7 @@ def test_recover_input_contracts():
         recover_measure(MomentSequence([1.0]), 2)
     # a bad tolerance is a bad argument, not a numerical failure
     for bad in (-1.0, 0.0, np.inf, np.nan):
-        for check in (recover_measure, is_moment_sequence, jacobi_from_moments):
+        for check in (recover_measure, jacobi_from_moments):
             with pytest.raises(ValueError, match="tol"):
                 check(ms, 2, tol=bad)
 
@@ -290,13 +288,27 @@ def test_recover_rejects_indefinite_sequence():
     with pytest.raises(InvalidMomentsError) as exc_info:
         recover_measure(MomentSequence([1.0, 0.0, -1.0, 0.0]), 2)
     assert exc_info.value.stage == "recover_measure"
-    assert exc_info.value.diagnostics["eigenvalue"] < 0.0
+    assert exc_info.value.diagnostics["pivot"] < 0.0
+
+
+def test_recovery_ignores_moments_above_the_detected_rank():
+    # m_6 of this two-atom sequence is spoiled, so the order-4 Hankel
+    # matrix is indefinite, but no pivot falls below -tol: the third pivot
+    # vanishes first and truncates at rank 2, which m_6 does not enter
+    vals = np.array([TWO.moment(k) for k in range(8)])
+    vals[6] *= 0.5
+    ms = MomentSequence(vals)
+    assert is_moment_sequence(ms, 4).status == "invalid"
+    report = recover_measure_detailed(ms, 4)
+    assert report.rank == 2
+    assert report.coefficients.truncated
+    assert np.allclose(report.measure.atoms, [1.0, 2.0], atol=1e-12)
+    assert np.allclose(report.measure.weights, [0.5, 0.5], atol=1e-12)
 
 
 def test_recover_detailed_report_fields():
     ms = MomentSequence.of_measure(TWO, 4)
     report = recover_measure_detailed(ms, 2)
-    assert report.verdict.status == "valid"
     assert report.rank == 2
     assert report.coefficients.rank == 2
     assert report.moment_errors.size == 4  # orders 0 .. 2*rank - 1

@@ -17,8 +17,8 @@ the nodes of a lifted one, the branch is instead predicted by
 trigonometric interpolation, Newton-corrected and certified node by node;
 only the nodes that fail are marched.
 
-The critical points are the finite eigenvalues of one matrix pencil
-whose transfer function is -M'.
+The critical points are the zeros of a linear system whose transfer
+function is -M', the eigenvalues of its zero dynamics.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateRamificationError,
@@ -90,17 +89,18 @@ def _mprime(z, x, c):
     return -np.sum(c / (z[..., None] - x) ** 2, axis=-1)
 
 
-def _msecond(z, x, c):
-    return 2.0 * np.sum(c / (z[..., None] - x) ** 3, axis=-1)
-
-
-def _newton_polish(z, x, c, iters=3):
+def _newton_polish(z, x, c, iters=8):
+    """Up to `iters` Newton steps on M'(z) = 0, stopping once every step is
+    below a unit of rounding of its root."""
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(iters):
-            mp = _mprime(z, x, c)
-            ms = _msecond(z, x, c)
-            step = mp / ms
-            z = z - np.where(np.isfinite(step), step, 0.0)
+            inv = 1.0 / (z[:, None] - x)
+            term = c * inv * inv
+            step = -np.sum(term, axis=1) / (2.0 * np.sum(term * inv, axis=1))
+            step = np.where(np.isfinite(step), step, 0.0)
+            z = z - step
+            if np.all(np.abs(step) <= np.finfo(float).eps * np.abs(z)):
+                break
     return z
 
 
@@ -121,12 +121,18 @@ def critical_points(mu):
     clearing denominators) and the branch points M(q) canonicalized to the
     upper half plane.  Atoms at 0 carry no pole of M and are ignored.
 
-    The roots are the finite eigenvalues of the real (2L+1)-square pencil
-    ([[A, b], [u^T, 0]], diag(1, ..., 1, 0)) with Jordan blocks
-    A_j = [[x_j, 1], [0, x_j]], b_j = (0, 1) and u_j = (w_j x_j, 0), whose
-    transfer function u^T (z I - A)^-1 b is -M' (Emami-Naeini & Van Dooren,
-    Automatica 1982).  One O(L^3) QZ solve and three Newton steps find
-    them; the pipeline calls this on its Gauss proxy only, at most 9 atoms.
+    The roots are the zeros of the real system (A, b, u^T) with Jordan
+    blocks A_j = [[x_j, 1], [0, x_j]], b_j = (0, 1) and u_j = (w_j x_j, 0),
+    whose transfer function u^T (z I - A)^-1 b is -M' (Emami-Naeini & Van
+    Dooren, Automatica 1982).  Its relative degree is 2, since u^T b = 0
+    and u^T A b = sum_j w_j x_j != 0, so its 2L - 2 zeros are the
+    eigenvalues of N = A - b (u^T A^2) / (u^T A b) on ker [u^T; u^T A],
+    a subspace N maps into itself.  With V an orthonormal basis of that
+    kernel, one O(L^3) eigensolve of V^T N V and up to eight Newton steps
+    find them; the pipeline calls this on its Gauss proxy only, at most 9
+    atoms.  The atoms are centred at their mean first, so the eigenvalues' rounding
+    scales with the spread of the atoms, not their size; uncentred, tight
+    clusters fail the certificate where the exact roots, rounded, pass it.
 
     Raises IncompleteRootsError when fewer than 2(L-1) eigenvalues come
     back finite or the residual certificate fails for any root: finding
@@ -139,14 +145,17 @@ def critical_points(mu):
         return RamificationData(np.empty(0, complex), np.empty(0, complex))
     degree = 2 * (x.size - 1)
     n = 2 * x.size
-    P = np.zeros((n + 1, n + 1))
-    P[:n, :n] = np.diag(np.repeat(x, 2))
-    P[np.arange(0, n, 2), np.arange(1, n, 2)] = 1.0
-    P[1:n:2, n] = 1.0
-    P[n, 0:n:2] = c
-    Q = np.diag(np.append(np.ones(n), 0.0))
-    alpha, beta = scipy.linalg.eig(P, Q, right=False, homogeneous_eigvals=True)
-    roots = _newton_polish(alpha[beta != 0.0] / beta[beta != 0.0], x, c)
+    centre = np.mean(x)
+    A = np.diag(np.repeat(x - centre, 2))
+    A[np.arange(0, n, 2), np.arange(1, n, 2)] = 1.0
+    b = np.zeros(n)
+    b[1::2] = 1.0
+    u = np.zeros(n)
+    u[0::2] = c
+    uA = u @ A
+    N = A - np.outer(b, uA @ A) / (uA @ b)
+    V = np.linalg.svd(np.vstack([u, uA]))[2][2:].T
+    roots = _newton_polish(np.linalg.eigvals(V.T @ N @ V) + centre, x, c)
     ok = _certify(roots, x, c)
     if roots.size < degree or not np.all(ok):
         raise IncompleteRootsError(

@@ -10,8 +10,8 @@ moments of a positive measure, and a pivot below tol fixes the rank.
 Extended precision is kept where it decides something: the moment
 rescaling and those pivots, because Hankel matrices of measures with
 spread-out support are violently ill conditioned.  The Jacobi coefficients
-are stored in double precision, so the final eigenproblem is LAPACK's
-symmetric tridiagonal solver.
+are stored in double precision, and the final eigenproblem is solved as a
+dense symmetric one: the pipeline's Jacobi matrices have at most 8 rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidMomentsError, NumericalError
 from .measures import DiscreteMeasure, MomentSequence, _require_int
@@ -162,8 +161,10 @@ def measure_from_jacobi(jc: JacobiCoefficients) -> DiscreteMeasure:
     is the squared first component of its unit eigenvector, so the weights
     sum to 1 by orthonormality of the eigenbasis.
     """
+    off = np.sqrt(jc.b)
+    jacobi = np.diag(jc.a) + np.diag(off, 1) + np.diag(off, -1)
     try:
-        atoms, vecs = scipy.linalg.eigh_tridiagonal(jc.a, np.sqrt(jc.b))
+        atoms, vecs = np.linalg.eigh(jacobi)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"tridiagonal eigensolver failed: {exc}", stage="measure_from_jacobi"

@@ -17,6 +17,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
+from freedeconv import inversion
 from freedeconv.errors import PoleError
 from freedeconv.experiments import ToeplitzPopulation, _multiplicities
 from freedeconv.measures import DiscreteMeasure
@@ -96,6 +97,29 @@ def moment_map_derivative(mu, z):
         raise PoleError("derivative evaluated at an atom", stage="measure")
     out = -np.sum(mu.weights * mu.atoms / d**2, axis=-1)
     return complex(out) if out.ndim == 0 else out
+
+
+def qz_critical_points(mu):
+    """Critical points of M by QZ, a reference for `critical_points`.
+
+    They are the finite eigenvalues of the real (2L+1)-square pencil
+    ([[A, b], [u^T, 0]], diag(1, ..., 1, 0)) with the Jordan blocks, b and
+    u of `critical_points`, whose transfer function is -M' (Emami-Naeini &
+    Van Dooren, Automatica 1982), polished by the library's Newton steps.
+    Returns the roots and whether each passes the residual certificate.
+    """
+    x, c = inversion._effective_poles(mu)
+    n = 2 * x.size
+    P = np.zeros((n + 1, n + 1))
+    P[:n, :n] = np.diag(np.repeat(x, 2))
+    P[np.arange(0, n, 2), np.arange(1, n, 2)] = 1.0
+    P[1:n:2, n] = 1.0
+    P[n, 0:n:2] = c
+    Q = np.diag(np.append(np.ones(n), 0.0))
+    alpha, beta = scipy.linalg.eig(P, Q, right=False, homogeneous_eigvals=True)
+    finite = beta != 0.0
+    roots = inversion._newton_polish(alpha[finite] / beta[finite], x, c)
+    return roots, inversion._certify(roots, x, c)
 
 
 def moment_map_roots(mu, m):

@@ -54,13 +54,38 @@ def test_toeplitz_spectrum_small_cases():
     assert white.weights == pytest.approx([1.0], abs=1e-15)
 
 
-@pytest.mark.parametrize("rho", ORACLE_RHOS)
-@pytest.mark.parametrize("p", ORACLE_PS)
+@pytest.mark.parametrize("rho", ORACLE_RHOS + (0.0,))
+@pytest.mark.parametrize("p", ORACLE_PS + (400, 1600))
 def test_toeplitz_spectrum_matches_dense_eigvalsh(rho, p):
     mu, ref = toeplitz_spectrum(p, rho), dense_toeplitz_spectrum(p, rho)
     assert mu.n_atoms == ref.n_atoms
     assert np.max(np.abs(mu.atoms - ref.atoms)) <= 1e-12 * ref.atoms[-1]
     assert np.array_equal(mu.weights, ref.weights)
+
+
+def _toeplitz_secular(theta, p, rho):
+    return (
+        np.sin((p + 1) * theta)
+        - 2.0 * rho * np.sin(p * theta)
+        + rho * rho * np.sin((p - 1) * theta)
+    )
+
+
+@pytest.mark.parametrize("r", (0.0, 0.3, 0.5, 0.9, 0.99, 0.999))
+@pytest.mark.parametrize("p", (2, 3, 50, 1600))
+def test_toeplitz_angles_lie_inside_their_brackets(r, p):
+    k = np.arange(1, p + 1)
+    # the proof's lemma: f alternates in sign at the bracket ends
+    for rho in (r, -r):
+        ends = k[:-1] * np.pi / p
+        signs = np.sign(_toeplitz_secular(ends, p, rho))
+        assert np.array_equal(signs, (-1.0) ** k[:-1])
+    theta = experiments._toeplitz_angles(p, r)
+    assert np.all((k - 1) * np.pi / p < theta)
+    assert np.all(theta < k * np.pi / p)
+    # and each angle is a root: f is rounding in the size of its terms,
+    # whose arguments carry an absolute error of about p pi eps
+    assert np.max(np.abs(_toeplitz_secular(theta, p, r))) <= 1e-14 * p
 
 
 def test_toeplitz_spectrum_stays_inside_symbol_range():

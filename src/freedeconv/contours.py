@@ -47,7 +47,8 @@ def _as_complex_nodes(values, name: str) -> np.ndarray:
 
 def _signed_area(z: np.ndarray) -> float:
     # shoelace formula: positive for a counterclockwise polygon
-    return 0.5 * float(np.sum(np.imag(np.conj(z) * np.roll(z, -1))))
+    area = np.sum(np.imag(np.conj(z[:-1]) * z[1:]))
+    return 0.5 * float(area + np.imag(np.conj(z[-1]) * z[0]))
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,14 @@ def moments_from_contour(rep: ContourRepresentation, K: int) -> ContourMoments:
     """
     if K < 1:
         raise ValueError("need at least orders 0 and 1")
-    dsigma = _parametric_derivative(rep.sigma)
-    raw = np.array([_moment_sum(rep, k, dsigma) for k in range(K + 1)])
+    # sigma^k values dsigma for k = 0..K by one running product
+    g = rep.values * _parametric_derivative(rep.sigma)
+    raw = np.empty(K + 1, dtype=complex)
+    raw[0] = np.sum(g)
+    for k in range(1, K + 1):
+        g = g * rep.sigma
+        raw[k] = np.sum(g)
+    raw /= 1j * rep.sigma.size
     scaled = np.abs(raw.imag) / np.maximum(1.0, np.abs(raw.real))
     residue = float(np.max(scaled))
     if residue >= 1e-6:

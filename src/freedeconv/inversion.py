@@ -10,12 +10,12 @@ leave clear.  All targets are lifted together: each along its own ray
 s*m from the asymptotic regime at small s, by one predictor-corrector
 march with a shared step.  The march follows u(s) = s Minv(s m), which is
 analytic at s = 0 where Minv has a pole, predicts it by cubic Hermite
-extrapolation, doubles the step whenever Newton converges within one
-step, and accepts a corrected value only within half the injectivity
-radius of M about it of its prediction.  On a circle sampled at twice
-the nodes of a lifted one, the branch is instead predicted by
-trigonometric interpolation, Newton-corrected and certified node by node;
-only the nodes that fail are marched.
+extrapolation, and accepts a corrected value only within half the
+injectivity radius of M about it of its prediction.  That guard's ratio
+of distance to allowance is also the error estimate that sizes the next
+step.  On a circle sampled at twice the nodes of a lifted one, the branch
+is instead predicted by trigonometric interpolation, Newton-corrected and
+certified node by node; only the nodes that fail are marched.
 
 The critical points are the zeros of a linear system whose transfer
 function is -M', the eigenvalues of its zero dynamics.
@@ -252,25 +252,30 @@ MIN_STEP = 1e-9
 
 
 def _mmap(z, x, c):
-    # M(z) and M'(z) from one pass over the poles
-    inv = 1.0 / (z[..., None] - x)
-    t = c * inv
-    return np.sum(t, axis=-1), -np.sum(t * inv, axis=-1)
+    # M(z), M'(z) and the pole-major array 1/(z - x_j) from one pass over
+    # the poles, which run along axis 0
+    inv = 1.0 / (z - x[:, None])
+    t = c[:, None] * inv
+    return np.sum(t, axis=0), -np.sum(t * inv, axis=0), inv
 
 
 def _correct(x, c, w, m, polish=True):
     """Newton-correct all w together toward roots of M(.) = m, elementwise.
 
     Returns the corrected w, the residuals |M(w) - m|, M'(w) at the
-    returned w, and the number of residual evaluations until every entry
-    met NEWTON_TOL (MAX_NEWTON + 1 when some did not).  With `polish`, a
-    final Newton step is kept where it does not raise the residual:
-    quadratic convergence takes a just-passing residual to machine
-    precision, which downstream quadrature of high moments needs.
+    returned w, the injectivity radius rho of M about it, and the number
+    of residual evaluations until every entry met NEWTON_TOL (MAX_NEWTON + 1
+    when some did not).  On |u - w| <= rho <= min_j |w - x_j| / 2,
+    |M''(u)| <= 16 sum |c_j| / |w - x_j|^3, so taking rho no larger than
+    |M'(w)| over that bound keeps |M'(u) - M'(w)| below |M'(w)|: w is the
+    only root of M(.) = M(w) there.  With `polish`, a final Newton step is
+    kept where it does not raise the residual: quadratic convergence takes
+    a just-passing residual to machine precision, which downstream
+    quadrature of high moments needs.
     """
     with np.errstate(all="ignore"):
         for it in range(1, MAX_NEWTON + 2):
-            f, d = _mmap(w, x, c)
+            f, d, inv = _mmap(w, x, c)
             f -= m
             res = np.abs(f)
             if it > MAX_NEWTON or np.all(res <= NEWTON_TOL):
@@ -278,13 +283,17 @@ def _correct(x, c, w, m, polish=True):
             w = w - f / d
         if polish:
             w2 = w - f / d
-            f2, d2 = _mmap(w2, x, c)
+            f2, d2, inv2 = _mmap(w2, x, c)
             res2 = np.abs(f2 - m)
             better = res2 <= res
             w = np.where(better, w2, w)
             res = np.where(better, res2, res)
             d = np.where(better, d2, d)
-    return w, res, d, it
+            inv = np.where(better, inv2, inv)
+        a = np.abs(inv)
+        bound = 16.0 * np.sum(np.abs(c)[:, None] * (a * a * a), axis=0)
+        rho = np.minimum(0.5 / np.max(a, axis=0), np.abs(d) / bound)
+    return w, res, d, rho, it
 
 
 def lift_many(mu, targets, dom, step_counts=None):
@@ -299,19 +308,24 @@ def lift_many(mu, targets, dom, step_counts=None):
     together.  The predictor is the cubic Hermite extrapolation of u
     through the last two accepted points, with du/ds = w + s m / M'(w)
     from the M' the corrector returns (Euler for the first step), and
-    w = u / s.  Every node is Newton-corrected.  The step starts at
-    (1 - s0)/64, doubles after each accepted step whose corrector met
-    NEWTON_TOL within 2 residual evaluations, up to (1 - s0)/4, and halves
-    when any node fails.  A step is accepted when every residual passes
-    and every corrected w lies within half the injectivity radius of M
-    about it of its prediction, so that Newton cannot have settled on
-    another sheet's root far from the path.  LiftFailureError is raised
-    when the step of the longest ray falls below MIN_STEP.  Every result
-    satisfies |M(w) - m| <= NEWTON_TOL and gets a final polish step.
-    When `step_counts` is a list, each target appends the number of steps
-    the march took.
+    w = u / s.  Every node is Newton-corrected.  A step is accepted when
+    every residual passes and ratio = max |w - w_pred| / (rho / 2) <= 1,
+    with rho the injectivity radius of M about the corrected w, so that
+    Newton cannot have settled on another sheet's root far from the path.
+    The step starts at (1 - s0)/8 and is sized from that ratio, read as
+    the predictor's error against the allowance: it is multiplied by
+    0.9 (0.25 / ratio)^(1/q), with q = 2 after the Euler step and 4 after
+    a Hermite one, clipped to [0.5, 4] after an accepted step (to at most
+    1 when the corrector needed more than 3 residual evaluations) and to
+    [0.1, 0.5] after a rejected one; a failed residual halves it.
+    LiftFailureError is raised when the step of the longest ray falls
+    below MIN_STEP.  Every result satisfies |M(w) - m| <= NEWTON_TOL and
+    gets a final polish step.  When `step_counts` is a list, each target
+    appends the number of steps the march took.
     """
     m = np.asarray(targets, dtype=complex)
+    shape = m.shape
+    m = m.ravel()
     r = np.abs(m)
     free = dom.distance(0.0)
     if not np.all((r > 0.0) & (r < free)):
@@ -322,11 +336,11 @@ def lift_many(mu, targets, dom, step_counts=None):
     if m1 <= 0.0:
         raise ValueError("path lifting requires a measure with positive mean")
     if m.size == 0:
-        return m.copy()
+        return m.reshape(shape).copy()
     x, c = _effective_poles(mu)
     r_max = float(np.max(r))
     s0 = min(START_ABS / r_max, 0.1)
-    w, res, d, _ = _correct(
+    w, res, d, _, _ = _correct(
         x, c, m1 / (s0 * m) + mu.moment(2) / m1, s0 * m, polish=False
     )
     if not np.all(res <= NEWTON_TOL):
@@ -337,28 +351,28 @@ def lift_many(mu, targets, dom, step_counts=None):
         )
     # (s, u, du/ds) at the last two accepted points; du/ds = w + s m / M'(w)
     prev, last = None, (s0, s0 * w, w + s0 * m / d)
-    h = (1.0 - s0) / 64.0
-    h_cap = (1.0 - s0) / 4.0
+    h = (1.0 - s0) / 8.0
     steps = 0
     while last[0] < 1.0:
         s = last[0]
         s_next = 1.0 if h >= 1.0 - s else s + h
+        # local order of the predictor: Euler on the first step, else Hermite
+        q = 2.0 if prev is None else 4.0
         with np.errstate(all="ignore"):
             w_pred = _hermite(prev, last, s_next) / s_next
             # an intermediate polish would be redone by the next corrector
-            w, res, d, evals = _correct(
+            w, res, d, rho, evals = _correct(
                 x, c, w_pred, s_next * m, polish=s_next == 1.0
             )
-            ok = np.all(res <= NEWTON_TOL) and np.all(
-                np.abs(w - w_pred) <= 0.5 * _injectivity_radius(w, d, x, c)
-            )
-        if ok:
+            converged = np.all(res <= NEWTON_TOL)
+            ratio = np.max(np.abs(w - w_pred) / (0.5 * rho))
+            gain = 0.9 * (0.25 / ratio) ** (1.0 / q)
+        if converged and ratio <= 1.0:
             prev, last = last, (s_next, s_next * w, w + s_next * m / d)
             steps += 1
-            if evals <= 2:
-                h = min(2.0 * h, h_cap)
+            h *= min(max(gain, 0.5), 4.0 if evals <= 3 else 1.0)
         else:
-            h *= 0.5
+            h *= min(0.5, max(0.1, gain)) if converged else 0.5
             if h * r_max < MIN_STEP:
                 raise LiftFailureError(
                     "lift step size underflow",
@@ -370,7 +384,7 @@ def lift_many(mu, targets, dom, step_counts=None):
     log.debug("lifted %d targets in %d steps", m.size, steps)
     if step_counts is not None:
         step_counts.extend([steps] * m.size)
-    return w
+    return w.reshape(shape)
 
 
 def _hermite(prev, last, s):
@@ -389,15 +403,6 @@ def _hermite(prev, last, s):
         + (3.0 * t2 - 2.0 * t3) * u1
         + (t3 - t2) * h * du1
     )
-
-
-def _injectivity_radius(w, d, x, c):
-    # on |u - w| <= rho <= min_j |w - x_j| / 2, |M''(u)| <= 16 sum |c_j| /
-    # |w - x_j|^3, so rho <= |M'(w)| / that bound keeps |M'(u) - M'(w)|
-    # below |M'(w)|: w is the only root of M(.) = M(w) there
-    dist = np.abs(w[:, None] - x)
-    bound = 16.0 * np.sum(np.abs(c) / dist**3, axis=-1)
-    return np.minimum(0.5 * np.min(dist, axis=-1), np.abs(d) / bound)
 
 
 def _upper_circle(radius, n):
@@ -448,11 +453,8 @@ def lift_doubled(mu, radius, coarse, dom, step_counts=None):
     band = float(np.max(np.abs(coef[n - n // 8 :]))) / n
     eps = 2.0 * band / (1.0 - ratio) / radius
     x, c = _effective_poles(mu)
-    w, res, d, _ = _correct(x, c, guess, targets)
-    with np.errstate(all="ignore"):
-        ok = (res <= NEWTON_TOL) & (
-            np.abs(w - guess) + eps <= 0.5 * _injectivity_radius(w, d, x, c)
-        )
+    w, res, _, rho, _ = _correct(x, c, guess, targets)
+    ok = (res <= NEWTON_TOL) & (np.abs(w - guess) + eps <= 0.5 * rho)
     marched = np.flatnonzero(~ok)
     if marched.size:
         log.debug("marching %d of %d refined nodes", marched.size, n)

@@ -47,6 +47,8 @@ def _merge_close_atoms(atoms, weights):
     weights = weights[order]
     span = float(atoms[-1] - atoms[0]) if atoms.size > 1 else 0.0
     tol = MERGE_REL_TOL * span
+    if not np.any(np.diff(atoms) <= tol):
+        return atoms, weights
     out_a = [atoms[0]]
     out_w = [weights[0]]
     for a, w in zip(atoms[1:], weights[1:]):

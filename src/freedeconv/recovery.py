@@ -131,9 +131,8 @@ def jacobi_from_moments(
             truncated = True
             break
         L[j, j] = np.sqrt(pivot)
-        for i in range(j + 1, rows):
-            acc = m[i + j] - np.sum(L[i, :j] * L[j, :j])
-            L[i, j] = acc / L[j, j]
+        acc = m[2 * j + 1 : rows + j] - L[j + 1 :, :j] @ L[j, :j]
+        L[j + 1 :, j] = acc / L[j, j]
     if rank == 0:
         raise InvalidMomentsError(
             "leading Hankel pivot vanished; no mass to recover",
@@ -213,13 +212,9 @@ def recover_measure_detailed(
     jc = jacobi_from_moments(moments, n, tol)
     mu = measure_from_jacobi(jc)
     upto = min(2 * jc.rank - 1, moments.order)
-    errs = np.array(
-        [
-            abs(mu.moment(k) - float(moments[k]))
-            / max(1.0, abs(float(moments[k])))
-            for k in range(upto + 1)
-        ]
-    )
+    want = np.asarray(moments.values[: upto + 1], dtype=float)
+    got = mu.atoms ** np.arange(upto + 1)[:, None] @ mu.weights
+    errs = np.abs(got - want) / np.maximum(1.0, np.abs(want))
     worst = float(np.max(errs)) if errs.size else 0.0
     if worst > 10.0 * tol:
         log.warning(

@@ -6,7 +6,9 @@ the code paths under test, so agreement between a helper and the library
 is evidence and not a tautology.  The cross-checks at the end (zeros of
 the second kind, the Markov-Krein pair, injectivity on a contour, winding
 numbers) evaluate the moment map only through `DiscreteMeasure`, and its
-derivative through `moment_map_derivative` here.
+derivative through `moment_map_derivative` here.  `injectivity_radius` is
+the radius the lift's sheet guard takes from the pole-major arrays of
+`inversion._correct`, written out from the distances to the atoms.
 """
 
 import math
@@ -527,6 +529,15 @@ def injectivity_check(mu, contour):
     i_idx, j_idx = i_idx[near], j_idx[near]
     dist = _segment_min_distance(p[i_idx], q[i_idx], p[j_idx], q[j_idx])
     return not np.any(dist < 1e-10)
+
+
+def injectivity_radius(w, d, x, c):
+    # on |u - w| <= rho <= min_j |w - x_j| / 2, |M''(u)| <= 16 sum |c_j| /
+    # |w - x_j|^3, so rho <= |M'(w)| / that bound keeps |M'(u) - M'(w)|
+    # below |M'(w)|: w is the only root of M(.) = M(w) there
+    dist = np.abs(w[:, None] - x)
+    bound = 16.0 * np.sum(np.abs(c) / dist**3, axis=-1)
+    return np.minimum(0.5 * np.min(dist, axis=-1), np.abs(d) / bound)
 
 
 def winding_number(sigma, z0):

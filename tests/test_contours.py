@@ -6,6 +6,7 @@ import pytest
 from freedeconv.contours import (
     SLIT_MARGIN,
     ContourRepresentation,
+    _parametric_derivative,
     choose_m_contour,
     circle_nodes,
     contour_moment,
@@ -13,6 +14,7 @@ from freedeconv.contours import (
     moments_from_contour,
 )
 from freedeconv.errors import NoContourError, NoisyContourError
+from freedeconv.experiments import SCENARIOS, toeplitz_spectrum
 from freedeconv.inversion import (
     SlitDomain,
     critical_points,
@@ -20,6 +22,7 @@ from freedeconv.inversion import (
     slit_domain,
 )
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur
+from freedeconv.pipeline import forward_contour
 
 from helpers import (
     is_conjugate_symmetric,
@@ -204,6 +207,24 @@ def test_moments_from_contour_detects_noisy_values():
     with pytest.raises(NoisyContourError) as exc_info:
         moments_from_contour(rep, 4)
     assert exc_info.value.diagnostics["imag_residue"] >= 1e-6
+
+
+def test_moments_from_contour_matches_contour_moment_order_by_order():
+    # the running product sigma^k and contour_moment's power round
+    # differently, each by a few eps of the sum of the absolute terms;
+    # at k = 16 that sum is up to 3 200 |m_k| on these contours
+    K = 16
+    for nu in (
+        SCENARIOS["S2_1"].population,
+        SCENARIOS["S2_3"].population,
+        toeplitz_spectrum(100, 0.3),
+    ):
+        rep = forward_contour(nu, 0.2)
+        got = moments_from_contour(rep, K).moments.values
+        terms = np.abs(rep.values * _parametric_derivative(rep.sigma))
+        for k in range(K + 1):
+            scale = np.sum(np.abs(rep.sigma) ** k * terms) / rep.n_nodes
+            assert abs(got[k] - contour_moment(rep, k).real) <= 1e-14 * scale
 
 
 def test_moments_from_contour_needs_order_one():

@@ -32,6 +32,7 @@ from helpers import (
     branch_by_eigenvalues,
     crossing_count,
     injectivity_check,
+    injectivity_radius,
     markov_krein_zero_equivalence,
     moment_map_derivative,
     moment_map_roots,
@@ -376,6 +377,8 @@ def test_lift_many_agrees_with_individual_lifts():
     batched = lift_many(TWO, targets, dom)
     single = np.array([lift_path(TWO, m, dom) for m in targets])
     assert np.max(np.abs(batched - single)) < 1e-10
+    grid = lift_many(TWO, targets.reshape(4, 6), dom)
+    assert grid.shape == (4, 6) and np.array_equal(grid.ravel(), batched)
     steps = []
     lift_many(TWO, targets, dom, step_counts=steps)
     assert len(steps) == targets.size
@@ -445,6 +448,7 @@ def test_lift_many_matches_the_fixed_pace_march_in_few_steps():
     # reaches to 1e-12 whatever the batch
     rng = np.random.default_rng(36)
     checked = 0
+    far = []
     for _ in range(200):
         size = rng.integers(2, 10)
         mu = DiscreteMeasure(
@@ -459,10 +463,34 @@ def test_lift_many_matches_the_fixed_pace_march_in_few_steps():
         steps = []
         got = np.concatenate([lift_many(mu, t, dom, steps) for t in circles])
         assert len(steps) == 3 * 256 and max(steps) <= 30
+        far.append(steps[-1])
         want = reference_march(mu, np.concatenate(circles)[::8], dom)
         assert np.max(np.abs(got[::8] - want) / np.abs(want)) <= 1e-12
         checked += 1
     assert checked >= 190
+    # the step controller reaches 0.99 of the free radius in a few steps
+    assert np.median(far) <= 8 and max(far) <= 12
+
+
+def test_correct_returns_the_injectivity_radius_at_its_result():
+    # random points, and points within 1e-9 to 1e-3 of an atom, where
+    # the radius is set by the distance to that atom
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        mu = rand_measure(rng, 9)
+        x, c = inversion._effective_poles(mu)
+        near = x[rng.integers(x.size, size=40)] + 10.0 ** rng.uniform(
+            -9, -3, 40
+        ) * np.exp(2j * np.pi * rng.uniform(size=40))
+        far = rng.uniform(-1, 11, 40) + 1j * rng.uniform(-5, 5, 40)
+        w0 = np.concatenate([near, far])
+        for polish in (False, True):
+            w, _, d, rho, _ = inversion._correct(
+                x, c, w0, mu.moment_map(w0), polish=polish
+            )
+            want = injectivity_radius(w, d, x, c)
+            assert np.all(np.isfinite(rho))
+            assert np.max(np.abs(rho - want) / want) <= 1e-14
 
 
 def test_lift_stays_on_its_sheet_next_to_a_branch_cluster():

@@ -336,7 +336,16 @@ def test_recover_random_measures_roundtrip():
     for _ in range(25):
         mu = rand_measure(rng, 6, 0.1, 10.0, min_gap=0.3)
         mom = MomentSequence.of_measure(mu, 2 * mu.n_atoms, dtype=np.longdouble)
-        rec = recover_measure(mom, mu.n_atoms, tol=1e-12)
+        report = recover_measure_detailed(mom, mu.n_atoms, tol=1e-12)
+        rec = report.measure
         assert rec.n_atoms == mu.n_atoms
         assert np.max(np.abs(rec.atoms - mu.atoms)) < 1e-7
         assert np.max(np.abs(rec.weights - mu.weights)) < 1e-7
+        # the moment errors, order by order from the measure's own moments
+        want = [
+            abs(rec.moment(k) - float(mom[k])) / max(1.0, abs(float(mom[k])))
+            for k in range(2 * rec.n_atoms)
+        ]
+        assert np.allclose(
+            report.moment_errors, want, rtol=0.0, atol=64 * np.finfo(float).eps
+        )

@@ -8,23 +8,17 @@ For each workload named in BENCHMARK.json it runs
 
     python3 bench/run.py --workload W --seed 0 --seconds 30 --trace 1
 
-in a fresh interpreter, reads the record that run leaves in
-``.bench_out/W-seed0-trace1.json`` and writes all of them to
-``BENCH_<tag>.json`` at the repository root.  Each record keeps its
-per-layer metrics, per-run results, input fingerprints and environment;
-the span list is dropped, since the per-layer metrics summarise it and it
-runs to megabytes.  An ``end_to_end`` block adds what the untraced pass of
-the same run gives:
+once and the same command with ``--trace 0`` UNTRACED_RUNS times, each in
+a fresh interpreter, and writes the records to ``BENCH_<tag>.json`` at the
+repository root.  The record of the traced run, read from
+``.bench_out/W-seed0-trace1.json``, keeps its per-layer metrics, per-run
+results, input fingerprints and environment; the span list is dropped,
+since the per-layer metrics summarise it and it runs to megabytes.  Its
+``end_to_end`` block holds the per-metric median of the six end-to-end
+``metrics`` of the untraced runs, and ``end_to_end_runs`` each run's own,
+so that one noisy pass neither sets a figure nor hides its spread.
 
-- ``scaled_wall_s``: its wall time scaled by the reference kernel, as
-  ``bench/run.py --trace 0`` reports it;
-- ``setup_s``: the median scaled set-up time;
-- ``success_rate``: the share of runs without error;
-- ``w1_mean_ok``: the mean W1 of the runs that succeeded (``w1_mean`` of
-  ``--trace 0`` equals it when every run succeeds);
-- ``noise_free_w1``: the noise-free W1, floored as the benchmark floors it.
-
-Takes a few minutes on a 2-core machine.
+Takes about ten minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -39,31 +33,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 SECONDS = 30
-# noise-free W1 below this is exact recovery (NOISE_FREE_FLOOR in bench/run.py)
-NOISE_FREE_FLOOR = 1e-7
+# untraced runs per workload whose median makes the end-to-end block
+UNTRACED_RUNS = 3
 
 
-def end_to_end(record: dict, reference_s: float) -> dict:
-    runs = record["runs"]
-    ok = [run["w1"] for run in runs if not run["error"]]
-    raw = record["noise_free_w1_raw"]
-    return {
-        "scaled_wall_s": record["wall_s"] * reference_s
-        / statistics.fmean(record["kernel_s"]),
-        "setup_s": statistics.median(record["setup_rounds_scaled_s"]),
-        "success_rate": len(ok) / len(runs),
-        "w1_mean_ok": statistics.fmean(ok) if ok else None,
-        "noise_free_w1": max(NOISE_FREE_FLOOR, raw) if raw == raw else None,
-    }
+def run_bench(workload: str, trace: int) -> dict:
+    """One bench/run.py invocation in a fresh interpreter; its record."""
+    cmd = [
+        sys.executable, "bench/run.py", "--workload", workload,
+        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace),
+    ]
+    print("running", " ".join(cmd[1:]), flush=True)
+    subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+    path = ROOT / ".bench_out" / f"{workload}-seed{SEED}-trace{trace}.json"
+    return json.loads(path.read_text())
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True, help="names BENCH_<tag>.json")
     args = ap.parse_args(argv)
-
-    sys.path.insert(0, str(ROOT / "bench"))
-    from calibrate import REFERENCE_S
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     # environment.git_commit names HEAD; uncommitted changes are flagged
@@ -76,17 +65,18 @@ def main(argv=None) -> int:
         "uncommitted_changes": bool(status.stdout.strip()),
         "workloads": {},
     }
+    names = [m["name"] for m in declared["end_to_end"]]
     for workload in (w["name"] for w in declared["workloads"]):
-        cmd = [
-            sys.executable, "bench/run.py", "--workload", workload,
-            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "1",
-        ]
-        print("running", " ".join(cmd[1:]), flush=True)
-        subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-        path = ROOT / ".bench_out" / f"{workload}-seed{SEED}-trace1.json"
-        record = json.loads(path.read_text())
+        record = run_bench(workload, 1)
         record["n_spans"] = len(record.pop("spans", []))
-        record["end_to_end"] = end_to_end(record, REFERENCE_S)
+        untraced = [
+            run_bench(workload, 0)["metrics"] for _ in range(UNTRACED_RUNS)
+        ]
+        record["end_to_end"] = {
+            name: statistics.median(m[name] for m in untraced)
+            for name in names
+        }
+        record["end_to_end_runs"] = untraced
         merged["workloads"][workload] = record
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(merged, indent=1) + "\n")

@@ -11,7 +11,6 @@ from .contours import (
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
-    contour_moment,
     contour_rep_from_s,
     moments_from_contour,
 )
@@ -37,14 +36,7 @@ from .experiments import (
     toeplitz_spectrum,
     write_report_csv,
 )
-from .inversion import (
-    SlitDomain,
-    critical_points,
-    lift_many,
-    lift_path,
-    s_transform,
-    slit_domain,
-)
+from .inversion import critical_points, lift_many, slit_free_radius
 from .measures import (
     DiscreteMeasure,
     MarchenkoPastur,
@@ -92,11 +84,9 @@ __all__ = [
     "RunReport",
     "SCENARIOS",
     "Scenario",
-    "SlitDomain",
     "baseline_subordination",
     "choose_m_contour",
     "circle_nodes",
-    "contour_moment",
     "contour_rep_from_s",
     "critical_points",
     "deconvolve",
@@ -105,16 +95,14 @@ __all__ = [
     "forward_measure",
     "jacobi_from_moments",
     "lift_many",
-    "lift_path",
     "measure_from_jacobi",
     "moments_from_contour",
     "recover_measure",
     "recover_measure_detailed",
     "ree_assemble",
     "run_scenario",
-    "s_transform",
     "sample_spectrum",
-    "slit_domain",
+    "slit_free_radius",
     "toeplitz_spectrum",
     "wasserstein_1",
     "write_report_csv",

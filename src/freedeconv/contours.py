@@ -18,12 +18,10 @@ import numpy as np
 
 from .errors import NoContourError, NoisyContourError
 from .measures import MomentSequence
-from .inversion import SlitDomain
 
 __all__ = [
     "ContourRepresentation",
     "ContourMoments",
-    "contour_moment",
     "moments_from_contour",
     "contour_rep_from_s",
     "choose_m_contour",
@@ -135,28 +133,6 @@ def _parametric_derivative(sigma: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * wavenumbers * np.fft.fft(sigma))
 
 
-def contour_moment(rep: ContourRepresentation, k: int) -> complex:
-    """k-th moment functional (1/2pi i) of z^k G(z) dz over the contour.
-
-    The nodes are treated as equispaced samples of an analytic periodic
-    parametrization, so the trapezoid sum with a spectral derivative of
-    sigma(t) converges faster than any power of the node count.  For exact
-    values of G of a measure supported inside the contour the result is the
-    k-th moment up to that quadrature error.
-    """
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
-    return _moment_sum(rep, k, _parametric_derivative(rep.sigma))
-
-
-def _moment_sum(
-    rep: ContourRepresentation, k: int, dsigma: np.ndarray
-) -> complex:
-    # trapezoid sum of contour_moment, given the parametric derivative
-    integrand = rep.sigma**k * rep.values * dsigma
-    return complex(np.sum(integrand) / (1j * rep.sigma.size))
-
-
 class ContourMoments(NamedTuple):
     moments: MomentSequence
     imag_residue: float
@@ -229,17 +205,19 @@ def contour_rep_from_s(
     return ContourRepresentation(z, g)
 
 
-def choose_m_contour(dom: SlitDomain) -> float:
+def choose_m_contour(branch_points_upper: np.ndarray) -> float:
     """Radius of a circle about 0 in the m plane that clears every slit.
 
-    The slits are vertical rays starting at the conjugate pairs of branch
-    points, so a circle of radius r avoids the slit at (re, im_min) exactly
-    when its crossing height sqrt(r^2 - re^2) stays below im_min (or it
-    never reaches the line Re = re).  Keeping a relative SLIT_MARGIN of
-    clearance bounds the radius by hypot(re, (1 - SLIT_MARGIN) im_min) for
-    every slit; the radius is the least of these bounds and a cap of 1.
+    The slits are vertical rays away from the real axis, starting at the
+    upper branch points b and their conjugates, so a circle of radius r
+    avoids the slit of b exactly when its crossing height
+    sqrt(r^2 - Re(b)^2) stays below Im b (or it never reaches the line
+    Re = Re(b)).  Keeping a relative SLIT_MARGIN of clearance bounds the
+    radius by hypot(Re b, (1 - SLIT_MARGIN) Im b) for every b; the radius
+    is the least of these bounds and a cap of 1.
     """
-    bounds = np.hypot(dom.slit_re, (1.0 - SLIT_MARGIN) * dom.slit_im)
+    bp = np.asarray(branch_points_upper, dtype=complex)
+    bounds = np.hypot(bp.real, (1.0 - SLIT_MARGIN) * bp.imag)
     # cap of 1 for conditioning: larger radii inflate high-order powers
     radius = float(np.min(bounds, initial=1.0))
     if radius < 1e-8:

@@ -16,7 +16,7 @@ import csv
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -45,22 +45,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-REPORT_COLUMNS = (
-    "scenario",
-    "n",
-    "p",
-    "seed",
-    "method",
-    "w1_error",
-    "t_total_s",
-    "t_lift_s",
-    "t_recovery_s",
-    "diag_rank",
-    "diag_imag_residue",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class ToeplitzPopulation:
@@ -127,6 +111,9 @@ class RunReport:
 
     def row(self) -> list:
         return [getattr(self, col) for col in REPORT_COLUMNS]
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
 
 
 def _toeplitz_angles(p: int, r: float) -> np.ndarray:
@@ -250,14 +237,6 @@ def sample_spectrum(
 # subordination baseline
 # ---------------------------------------------------------------------------
 
-def _f_transform_mp(mp: MarchenkoPastur, w: complex) -> complex:
-    return 1.0 / mp.stieltjes(w)
-
-
-def _f_transform_discrete(mu: DiscreteMeasure, w: complex) -> complex:
-    return 1.0 / mu.stieltjes(w)
-
-
 def _steffensen(T, w0, cap=200, tol=1e-10):
     """Fixed point of T by Aitken-accelerated iteration; (value, converged)."""
     w = w0
@@ -296,9 +275,10 @@ def baseline_subordination(
 
     The subordination value can sit close to the real axis on empirical
     inputs, where plain iteration orbits instead of converging, so the
-    solver accelerates the iteration, continues along the grid with
-    adaptive substeps, and falls back to descending in sigma from far
-    above the axis.  The smoothing scale trades bias against stability and
+    solver accelerates the iteration and seeds each grid point from the
+    previous point's value and from z, x + 2i sigma and x + 4i sigma; when
+    none converges it falls back to descending in sigma from far above
+    the axis.  The smoothing scale trades bias against stability and
     wants manual tuning.
     """
     if sigma <= 0.0:
@@ -313,10 +293,10 @@ def baseline_subordination(
     mp = MarchenkoPastur(c)
 
     def h1(w):
-        return w - _f_transform_mp(mp, w)
+        return w - 1.0 / mp.stieltjes(w)
 
     def h3(w):
-        return (w - _f_transform_discrete(mu3, w)) / (w * w)
+        return (w - 1.0 / mu3.stieltjes(w)) / (w * w)
 
     def solve_line(s):
         # subordination values along Im z = s; a point is trusted when the
@@ -360,7 +340,7 @@ def baseline_subordination(
             # the highest candidate approximates the limiting branch best
             w_best = max(cands, key=lambda u: u.imag)
             w_prev = w_best
-            f2 = _f_transform_discrete(mu3, w_best) * z / w_best
+            f2 = 1.0 / mu3.stieltjes(w_best) * z / w_best
             vals[i] = max(-float(np.imag(1.0 / f2)) / np.pi, 0.0)
             trusted[i] = w_best.imag >= 0.05 * s
         return vals, trusted, fails

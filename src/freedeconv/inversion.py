@@ -4,9 +4,9 @@ The moment map M(z) = sum_j w_j x_j / (z - x_j) of an L-atom measure is a
 degree-L rational cover of the sphere.  Its inverse branch fixed by
 Minv(0) = infinity is single valued on the plane minus vertical slits
 through the branch points.  This module finds the ramification data
-(critical points, branch points, slits) and evaluates Minv and the
-S-transform on the slit-free disk about 0, the largest disk the slits
-leave clear.  All targets are lifted together: each along its own ray
+(critical points and branch points), the radius min |b| of the slit-free
+disk about 0, the largest disk the slits leave clear, and evaluates Minv
+on that disk.  All targets are lifted together: each along its own ray
 s*m from the asymptotic regime at small s, by one predictor-corrector
 march with a shared step.  The march follows u(s) = s Minv(s m), which is
 analytic at s = 0 where Minv has a pole, predicts it by cubic Hermite
@@ -28,23 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contours import circle_nodes
 from .errors import (
     DegenerateRamificationError,
     IncompleteRootsError,
     LiftFailureError,
-    NumericalError,
 )
-from .measures import DiscreteMeasure
 
 __all__ = [
     "RamificationData",
-    "SlitDomain",
     "critical_points",
-    "slit_domain",
-    "lift_path",
+    "slit_free_radius",
     "lift_many",
     "lift_doubled",
-    "s_transform",
 ]
 
 log = logging.getLogger(__name__)
@@ -136,7 +132,7 @@ def critical_points(mu):
 
     Raises IncompleteRootsError when fewer than 2(L-1) eigenvalues come
     back finite or the residual certificate fails for any root: finding
-    *all* solutions is what the downstream slit domain needs.
+    *all* solutions is what the downstream slit-free radius needs.
     """
     if np.any(mu.atoms < 0.0):
         raise ValueError("ramification analysis expects nonnegative atoms")
@@ -182,60 +178,28 @@ def critical_points(mu):
 
 
 # ---------------------------------------------------------------------------
-# slit domain
+# slit-free disk
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlitDomain:
-    """Plane minus vertical rays {re + i t : |t| >= im_min}, one conjugate
-    pair of rays per branch point."""
+def slit_free_radius(branch_points_upper):
+    """Radius min |b| of the slit-free disk about 0, from the upper branch
+    points b; inf when there are none.
 
-    slit_re: np.ndarray
-    slit_im: np.ndarray
-
-    def __post_init__(self):
-        re = np.asarray(self.slit_re, dtype=float).ravel()
-        im = np.asarray(self.slit_im, dtype=float).ravel()
-        if re.size != im.size:
-            raise ValueError("slit arrays must have equal length")
-        if np.any(im <= 0.0):
-            raise ValueError("slit im_min values must be positive")
-        re.setflags(write=False)
-        im.setflags(write=False)
-        object.__setattr__(self, "slit_re", re)
-        object.__setattr__(self, "slit_im", im)
-
-    @property
-    def n_slits(self):
-        return int(self.slit_re.size)
-
-    def distance(self, m):
-        """Euclidean distance from m (scalar or array) to the slit set."""
-        m = np.asarray(m, dtype=complex)
-        if self.n_slits == 0:
-            shape = m.shape
-            return float("inf") if shape == () else np.full(shape, np.inf)
-        dx = np.abs(m[..., None].real - self.slit_re)
-        dy = np.maximum(self.slit_im - np.abs(m[..., None].imag), 0.0)
-        d = np.min(np.hypot(dx, dy), axis=-1)
-        return float(d) if d.ndim == 0 else d
-
-    def contains(self, m):
-        return self.distance(m) > 0.0
-
-
-def slit_domain(ram):
-    """Slit domain of the inverse branch from ramification data."""
-    bp = ram.branch_points_upper
+    The slit of b is the vertical ray from b away from the real axis, and
+    that of conj(b) its mirror image, so the point of a slit nearest 0 is
+    its foot.  Raises DegenerateRamificationError when some b lies closer
+    than DEGENERATE_IM to the real axis.
+    """
+    bp = np.asarray(branch_points_upper, dtype=complex)
     if bp.size == 0:
-        return SlitDomain(np.empty(0), np.empty(0))
+        return float("inf")
     if np.any(bp.imag < DEGENERATE_IM):
         worst = bp[np.argmin(bp.imag)]
         raise DegenerateRamificationError(
             f"branch point {worst} is too close to the real axis to slit",
             stage="slit_domain",
         )
-    return SlitDomain(bp.real.copy(), bp.imag.copy())
+    return float(np.min(np.hypot(bp.real, bp.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +260,13 @@ def _correct(x, c, w, m, polish=True):
     return w, res, d, rho, it
 
 
-def lift_many(mu, targets, dom, step_counts=None):
+def lift_many(mu, targets, free, step_counts=None):
     """Evaluate the inverse branch Minv, fixed by Minv(0) = inf, at targets.
 
-    Every target must lie in the slit-free disk 0 < |m| < dom.distance(0),
-    where the branch is single valued; others raise ValueError.  Target m
-    is reached along its ray s*m, from the second-order asymptotic seed
+    Every target must lie in the slit-free disk 0 < |m| < free, with `free`
+    the `slit_free_radius` of mu's branch points, where the branch is
+    single valued; others raise ValueError.  Target m is reached along its
+    ray s*m, from the second-order asymptotic seed
     w = m_1/(s m) + m_2/m_1 at s0 = min(START_ABS / max|m|, 0.1) to s = 1.
     The march follows u(s) = s w(s), which is analytic at s = 0 with
     u(0) = m_1/m, where w itself has a pole.  All rays advance in s
@@ -327,7 +292,6 @@ def lift_many(mu, targets, dom, step_counts=None):
     shape = m.shape
     m = m.ravel()
     r = np.abs(m)
-    free = dom.distance(0.0)
     if not np.all((r > 0.0) & (r < free)):
         raise ValueError(
             f"targets must lie in the slit-free disk 0 < |m| < {free:.6g}"
@@ -405,13 +369,7 @@ def _hermite(prev, last, s):
     )
 
 
-def _upper_circle(radius, n):
-    # the upper half of contours.circle_nodes(radius, n), bit for bit
-    theta = 2.0 * np.pi * (np.arange(n // 2) + 0.5) / n
-    return radius * np.exp(1j * theta)
-
-
-def lift_doubled(mu, radius, coarse, dom, step_counts=None):
+def lift_doubled(mu, radius, coarse, free, step_counts=None):
     """Minv on a circle from its values on the circle with half the nodes.
 
     `coarse` holds Minv at the upper half of the N half-offset nodes
@@ -423,30 +381,29 @@ def lift_doubled(mu, radius, coarse, dom, step_counts=None):
     +-pi / (2N).  Every prediction is Newton-corrected to NEWTON_TOL and
     polished.  A corrected w is accepted when |w - guess| + eps <= rho / 2:
     eps estimates the interpolation error from the top eighth of the
-    coefficients with a geometric tail of ratio radius / dom.distance(0),
-    and rho is the injectivity radius of M about w, inside which w is the
-    only root, so the branch value, within eps of the guess, is w.  Nodes
-    that fail are lifted by `lift_many`, which appends their step counts
-    to `step_counts`.
+    coefficients with a geometric tail of ratio radius / free, `free`
+    being the slit-free radius, and rho is the injectivity radius of M
+    about w, inside which w is the only root, so the branch value, within
+    eps of the guess, is w.  Nodes that fail are lifted by `lift_many`,
+    which appends their step counts to `step_counts`.
     """
     coarse = np.asarray(coarse, dtype=complex)
     half = coarse.size
     if coarse.ndim != 1 or half < 8:
         raise ValueError("need the upper half of at least 16 coarse nodes")
-    free = dom.distance(0.0)
     if not 0.0 < radius < free:
         raise ValueError(
             f"radius must lie in the slit-free disk 0 < r < {free:.6g}"
         )
     n = 2 * half
-    g = _upper_circle(radius, n) * coarse
+    g = circle_nodes(radius, n)[:half] * coarse
     coef = np.fft.fft(np.concatenate([g, np.conj(g[::-1])]))
     # one-sided: g has no negative powers of m inside the disk
     turn = np.exp(1j * np.pi * np.arange(n) / (2 * n))
     g_new = np.empty(n, dtype=complex)
     g_new[0::2] = np.fft.ifft(coef / turn)[:half]
     g_new[1::2] = np.fft.ifft(coef * turn)[:half]
-    targets = _upper_circle(radius, 2 * n)
+    targets = circle_nodes(radius, 2 * n)[:n]
     guess = g_new / targets
 
     ratio = radius / free
@@ -458,16 +415,5 @@ def lift_doubled(mu, radius, coarse, dom, step_counts=None):
     marched = np.flatnonzero(~ok)
     if marched.size:
         log.debug("marching %d of %d refined nodes", marched.size, n)
-        w[marched] = lift_many(mu, targets[marched], dom, step_counts)
+        w[marched] = lift_many(mu, targets[marched], free, step_counts)
     return w, int(marched.size)
-
-
-def lift_path(mu, target_m, dom):
-    """Minv(target_m) for one target of the slit-free disk; see lift_many."""
-    return complex(lift_many(mu, [complex(target_m)], dom)[0])
-
-
-def s_transform(mu, m, dom):
-    """S(m) = (1+m) / (m * Minv(m)) for m in the slit-free disk."""
-    m = complex(m)
-    return (1.0 + m) / (m * lift_path(mu, m, dom))

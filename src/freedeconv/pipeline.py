@@ -31,7 +31,12 @@ from .measures import (
     MomentSequence,
     _require_int,
 )
-from .inversion import critical_points, lift_doubled, lift_many, slit_domain
+from .inversion import (
+    critical_points,
+    lift_doubled,
+    lift_many,
+    slit_free_radius,
+)
 from .contours import (
     ContourRepresentation,
     choose_m_contour,
@@ -228,9 +233,10 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     t0 = time.perf_counter()
     mp = MarchenkoPastur(c)
     proxy = _gauss_proxy(mu_n)
-    dom = slit_domain(critical_points(proxy))
+    branch = critical_points(proxy).branch_points_upper
+    free = slit_free_radius(branch)
     # stay clear of the S_MP pole at m = -1/c
-    slit_bound = choose_m_contour(dom)
+    slit_bound = choose_m_contour(branch)
     radius = min(slit_bound, 0.5 / c)
     if radius < slit_bound:
         limiter = "mp_pole"
@@ -252,10 +258,10 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         t1 = time.perf_counter()
         # march the first pass, refine each doubled one from the last
         if w is None:
-            w = lift_many(proxy, upper, dom, step_counts=step_counts)
+            w = lift_many(proxy, upper, free, step_counts=step_counts)
         else:
             w, failed = lift_doubled(
-                proxy, radius, w, dom, step_counts=step_counts
+                proxy, radius, w, free, step_counts=step_counts
             )
             marched += failed
         ratio = _ratio_on_circle(upper, w, mp)
@@ -281,7 +287,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     diagnostics = dict(
         imag_residue=extracted.imag_residue,
         proxy_atoms=proxy.n_atoms,
-        n_slits=dom.n_slits,
+        n_slits=branch.size,
         contour_radius=radius,
         radius_limiter=limiter,
         nodes_used=n_nodes,
@@ -314,13 +320,14 @@ def deconvolve(
 
     Stages: mu_n is compressed to its GAUSS_NODES-point Gauss quadrature
     (mu_n itself when it has no more atoms), the proxy; ramification
-    analysis of the proxy fixes a slit domain; a circle in the m plane
-    clear of the slits (and of the S_MP pole at -1/c) carries lifts of the
-    inverse moment map evaluating the ratio S_proxy/S_MP; the ratio
-    induces a sampled Stieltjes contour of the estimate; contour moments
-    feed the Hankel recovery.  The compression is exact for what is kept: m_k of the
-    estimate is a polynomial in m_1 .. m_k of the input, and the proxy
-    reproduces m_0 .. m_(2 GAUSS_NODES - 1) of mu_n, so the moments through
+    analysis of the proxy fixes the slits and the slit-free disk they
+    leave about 0; a circle in the m plane clear of the slits (and of the
+    S_MP pole at -1/c) carries lifts of the inverse moment map evaluating
+    the ratio S_proxy/S_MP; the ratio induces a sampled Stieltjes contour
+    of the estimate; contour moments feed the Hankel recovery.  The
+    compression is exact for what is kept: m_k of the estimate is a
+    polynomial in m_1 .. m_k of the input, and the proxy reproduces
+    m_0 .. m_(2 GAUSS_NODES - 1) of mu_n, so the moments through
     m_MAX_MOMENTS come out the same up to roundoff.  The contour radius is
     the proxy's, which has fewer slits near 0 than mu_n.  The sanity
     window on the estimate's atoms is set by mu_n itself.  Node count

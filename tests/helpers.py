@@ -9,6 +9,11 @@ numbers) evaluate the moment map only through `DiscreteMeasure`, and its
 derivative through `moment_map_derivative` here.  `injectivity_radius` is
 the radius the lift's sheet guard takes from the pole-major arrays of
 `inversion._correct`, written out from the distances to the atoms.
+
+Three references sit on top of library code on purpose: `s_transform`
+composes the library's lift, `contour_moment` shares the spectral
+derivative of `moments_from_contour` and checks only its running product,
+and `qz_critical_points` shares the Newton polish and the certificate.
 """
 
 import math
@@ -19,7 +24,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from freedeconv import inversion
+from freedeconv import contours, inversion
 from freedeconv.errors import PoleError
 from freedeconv.experiments import ToeplitzPopulation, _multiplicities
 from freedeconv.measures import DiscreteMeasure
@@ -167,7 +172,7 @@ def branch_by_eigenvalues(mu, targets, steps=500):
     return w
 
 
-def reference_march(mu, targets, dom):
+def reference_march(mu, targets, free):
     """Reference Minv at each target by a fixed-pace march in w along s*m.
 
     A slow, simple march to hold `inversion.lift_many` against: from
@@ -178,10 +183,10 @@ def reference_march(mu, targets, dom):
     at s = 1.  Its
     own Newton corrector works on the definition of M, so agreement with
     the library is evidence.  Raises AssertionError when the step
-    underflows or a target leaves the slit-free disk of `dom`.
+    underflows or a target leaves the slit-free disk of radius `free`.
     """
     m = np.asarray(targets, dtype=complex)
-    assert np.all(np.abs(m) < dom.distance(0.0))
+    assert np.all(np.abs(m) < free)
     x, c = mu.atoms, mu.weights * mu.atoms
 
     def correct(w, target, polish):
@@ -221,6 +226,46 @@ def reference_march(mu, targets, dom):
             h, easy = 0.5 * h, 0
             assert h * r_max >= 1e-9, "reference march step underflow"
     return w
+
+
+def s_transform(mu, m, free):
+    """Reference S(m) = (1 + m) / (m Minv(m)) for one m in the slit-free
+    disk of radius `free`, from the library's lift of that one target."""
+    m = complex(m)
+    return (1.0 + m) / (m * complex(inversion.lift_many(mu, [m], free)[0]))
+
+
+def slit_distance(branch_points_upper, m):
+    """Euclidean distance from m to the slit set of the upper branch points.
+
+    The slits are the vertical rays {Re b + i t : |t| >= Im b}, one
+    conjugate pair per branch point b; inf when there are none.  The general
+    geometry that `slit_free_radius` specializes to m = 0.
+    """
+    bp = np.asarray(branch_points_upper, dtype=complex)
+    m = np.asarray(m, dtype=complex)
+    if bp.size == 0:
+        return np.full(m.shape, np.inf)[()]
+    dx = np.abs(m[..., None].real - bp.real)
+    dy = np.maximum(bp.imag - np.abs(m[..., None].imag), 0.0)
+    return np.min(np.hypot(dx, dy), axis=-1)[()]
+
+
+def contour_moment(rep, k):
+    """Reference k-th moment functional (1/2pi i) of z^k G(z) dz.
+
+    The trapezoid sum over the contour's nodes with the spectral derivative
+    of sigma(t), each order's power sigma^k formed on its own: the
+    reference that the running product of `moments_from_contour` is held
+    against.  For exact values of G of a measure supported inside the
+    contour the result is the k-th moment up to the quadrature error,
+    which falls faster than any power of the node count.
+    """
+    if k < 0:
+        raise ValueError("moment order must be nonnegative")
+    dsigma = contours._parametric_derivative(rep.sigma)
+    integrand = rep.sigma**k * rep.values * dsigma
+    return complex(np.sum(integrand) / (1j * rep.sigma.size))
 
 
 def crossing_count(points):

@@ -9,22 +9,17 @@ from freedeconv.contours import (
     _parametric_derivative,
     choose_m_contour,
     circle_nodes,
-    contour_moment,
     contour_rep_from_s,
     moments_from_contour,
 )
 from freedeconv.errors import NoContourError, NoisyContourError
 from freedeconv.experiments import SCENARIOS, toeplitz_spectrum
-from freedeconv.inversion import (
-    SlitDomain,
-    critical_points,
-    lift_many,
-    slit_domain,
-)
+from freedeconv.inversion import critical_points, lift_many, slit_free_radius
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur
 from freedeconv.pipeline import forward_contour
 
 from helpers import (
+    contour_moment,
     is_conjugate_symmetric,
     mp_moment,
     rand_measure,
@@ -123,7 +118,7 @@ def test_contour_csv_rejects_foreign_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# moment quadrature
+# moment quadrature: the reference contour_moment of tests/helpers.py
 # ---------------------------------------------------------------------------
 
 def test_contour_moment_point_mass():
@@ -283,15 +278,14 @@ def test_contour_rep_from_s_input_contracts():
 
 def test_choose_m_contour_hits_unit_cap_for_clear_slits():
     # TWO's only slit starts at -1/2 + sqrt(2) i, beyond the unit cap
-    assert choose_m_contour(slit_domain(critical_points(TWO))) == 1.0
+    assert choose_m_contour(critical_points(TWO).branch_points_upper) == 1.0
 
 
 def test_choose_m_contour_backs_off_from_low_slits():
     # slit starting at 0.2i above the origin: the largest circle keeping a
     # 10% clearance has radius 0.9 * 0.2 = 0.18
     assert SLIT_MARGIN == 0.1
-    dom = SlitDomain([0.0], [0.2])
-    assert choose_m_contour(dom) == pytest.approx(0.18, abs=1e-9)
+    assert choose_m_contour(np.array([0.2j])) == pytest.approx(0.18, abs=1e-9)
 
 
 def test_choose_m_contour_radius_is_the_tightest_slit_bound():
@@ -302,16 +296,16 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
     limited = 0
     for _ in range(12):
         mu = rand_measure(rng, 6, 0.05, 3.0)
-        dom = slit_domain(critical_points(mu))
-        if dom.n_slits < 2:
+        bp = critical_points(mu).branch_points_upper
+        if bp.size < 2:
             continue
-        r = choose_m_contour(dom)
+        r = choose_m_contour(bp)
         assert isinstance(r, float)
-        bounds = np.hypot(dom.slit_re, 0.9 * dom.slit_im)
+        bounds = np.hypot(bp.real, 0.9 * bp.imag)
         assert np.all(r <= bounds)
         # the circle crosses Re = re below the shortened slit
-        crossing = np.sqrt(np.maximum(r**2 - dom.slit_re**2, 0.0))
-        assert np.all(crossing <= 0.9 * dom.slit_im + 1e-12)
+        crossing = np.sqrt(np.maximum(r**2 - bp.real**2, 0.0))
+        assert np.all(crossing <= 0.9 * bp.imag + 1e-12)
         if r < 1.0:
             limited += 1
             assert r in bounds
@@ -322,7 +316,7 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
 
 def test_choose_m_contour_fails_when_slit_touches_origin():
     with pytest.raises(NoContourError):
-        choose_m_contour(SlitDomain([0.0], [1e-9]))
+        choose_m_contour(np.array([1e-9j]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +368,9 @@ def test_roundtrip_measure_to_contour_to_moments():
         mu = rand_measure(rng, 5, 0.2, 8.0)
         if mu.n_atoms == 1:
             continue
-        dom = slit_domain(critical_points(mu))
-        mc = circle_nodes(min(choose_m_contour(dom), 0.5), 512)
-        s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, dom))
+        bp = critical_points(mu).branch_points_upper
+        mc = circle_nodes(min(choose_m_contour(bp), 0.5), 512)
+        s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, slit_free_radius(bp)))
         rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)
         exact = np.array([mu.moment(k) for k in range(2 * mu.n_atoms + 1)])

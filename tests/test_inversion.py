@@ -1,4 +1,4 @@
-"""Ramification geometry, slit domains, path lifting, injectivity."""
+"""Ramification geometry, the slit-free radius, path lifting, injectivity."""
 
 import numpy as np
 import pytest
@@ -15,16 +15,12 @@ from freedeconv.errors import (
 )
 from freedeconv.inversion import (
     NEWTON_TOL,
-    RamificationData,
-    SlitDomain,
     critical_points,
     lift_doubled,
     lift_many,
-    lift_path,
-    s_transform,
-    slit_domain,
+    slit_free_radius,
 )
-from freedeconv.contours import circle_nodes
+from freedeconv.contours import choose_m_contour, circle_nodes
 from freedeconv.experiments import SCENARIOS
 from freedeconv.measures import DiscreteMeasure
 from freedeconv.pipeline import forward_measure
@@ -39,7 +35,9 @@ from helpers import (
     qz_critical_points,
     rand_measure,
     reference_march,
+    s_transform,
     second_kind_zeros,
+    slit_distance,
 )
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
@@ -47,6 +45,10 @@ TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 # w1 x1 (z - x2)^2 + w2 x2 (z - x1)^2 = 0 with x = (1, 2), w = (1/2, 1/2)
 # reduces to (z - 2)^2 = -2 (z - 1)^2, whose roots are (4 +- sqrt(2) i)/3.
 TWO_CRIT = (4.0 + np.sqrt(2.0) * 1j) / 3.0
+
+
+def _free(mu):
+    return slit_free_radius(critical_points(mu).branch_points_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -261,46 +263,51 @@ def test_markov_krein_equivalence_on_random_measures():
 
 
 # ---------------------------------------------------------------------------
-# slit domain
+# slit-free radius
 # ---------------------------------------------------------------------------
 
-def test_slit_domain_from_branch_points():
-    ram = RamificationData(
-        np.array([1.5 + 0.5j, 1.5 - 0.5j]),
-        np.array([-0.5 + 1.5j]),
-    )
-    dom = slit_domain(ram)
-    assert dom.n_slits == 1
-    assert dom.slit_re == pytest.approx([-0.5])
-    assert dom.slit_im == pytest.approx([1.5])
-    assert not dom.contains(-0.5 + 2.0j)
-    assert not dom.contains(-0.5 - 2.0j)
-    assert not dom.contains(-0.5 + 1.5j)
-    assert dom.contains(-0.5 + 1.0j)
-    assert dom.contains(0.0)
+def test_slit_free_radius_is_the_modulus_of_one_branch_point():
+    # the slits run from -0.5 + 1.5i upward and from its conjugate
+    # downward, so the nearest slit point to 0 is the branch point itself
+    free = slit_free_radius(np.array([-0.5 + 1.5j]))
+    assert isinstance(free, float)
+    assert free == pytest.approx(np.hypot(0.5, 1.5), rel=1e-15)
+    # TWO's branch point is M(TWO_CRIT), and the radius its modulus
+    b = TWO.moment_map(TWO_CRIT)
+    assert _free(TWO) == pytest.approx(abs(b), rel=1e-12)
 
 
-def test_slit_domain_without_branch_points_is_the_whole_plane():
-    dom = slit_domain(critical_points(DiscreteMeasure([2.0], [1.0])))
-    assert dom.n_slits == 0
-    for m in (0.0, 100.0 + 100.0j, -0.5 + 2.0j):
-        assert dom.contains(m)
+def test_slit_free_radius_without_branch_points_is_infinite():
+    assert slit_free_radius(np.empty(0, complex)) == np.inf
+    assert _free(DiscreteMeasure([2.0], [1.0])) == np.inf
 
 
-def test_slit_domain_rejects_near_real_branch_points():
-    ram = RamificationData(
-        np.array([0.7 + 1e-12j, 0.7 - 1e-12j]),
-        np.array([0.3 + 1e-12j]),
-    )
-    with pytest.raises(DegenerateRamificationError):
-        slit_domain(ram)
+def test_slit_free_radius_rejects_near_real_branch_points():
+    with pytest.raises(DegenerateRamificationError) as exc_info:
+        slit_free_radius(np.array([1.0 + 1.0j, 0.3 + 1e-12j]))
+    assert exc_info.value.stage == "slit_domain"
 
 
-def test_slit_domain_validation():
-    with pytest.raises(ValueError):
-        SlitDomain(np.array([0.0]), np.array([-1.0]))
-    with pytest.raises(ValueError):
-        SlitDomain(np.array([0.0, 1.0]), np.array([1.0]))
+def test_slit_free_radius_is_the_distance_from_0_to_the_slits():
+    # the general slit geometry of tests/helpers.py at m = 0, and the
+    # contour radius keeps strictly inside it
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(60):
+        mu = rand_measure(rng, 9, 0.05, 10.0)
+        try:
+            bp = critical_points(mu).branch_points_upper
+            free = slit_free_radius(bp)
+        except NumericalError:
+            continue
+        assert free == slit_distance(bp, 0.0)
+        if bp.size:
+            assert choose_m_contour(bp) < free
+            # a ray just past the foot of the nearest slit is on it
+            foot = bp[np.argmin(np.abs(bp))]
+            assert slit_distance(bp, foot + 1e-3j) == 0.0
+            checked += 1
+    assert checked >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +317,24 @@ def test_slit_domain_validation():
 def test_lift_point_mass_matches_moebius_inverse():
     # M of a point mass at a inverts in closed form: Minv(m) = a (1 + m) / m
     d2 = DiscreteMeasure([2.0], [1.0])
-    dom = slit_domain(critical_points(d2))
-    assert lift_path(d2, 0.5, dom) == pytest.approx(6.0, abs=1e-12)
+    free = _free(d2)
+    assert lift_many(d2, [0.5], free)[0] == pytest.approx(6.0, abs=1e-12)
     rng = np.random.default_rng(23)
     for _ in range(20):
         a = rng.uniform(0.2, 5.0)
         da = DiscreteMeasure([a], [1.0])
-        dom_a = slit_domain(critical_points(da))
+        free_a = _free(da)
         m = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if abs(m) < 1e-2:
             continue
-        w = lift_path(da, m, dom_a)
+        w = lift_many(da, [m], free_a)[0]
         assert w == pytest.approx(a * (1 + m) / m, rel=1e-12)
 
 
 def test_lift_real_target_matches_bisection_on_the_outer_branch():
     # real m > 0 lifts to the real branch beyond the largest atom
-    dom = slit_domain(critical_points(TWO))
-    w = lift_path(TWO, 0.2, dom)
+    free = _free(TWO)
+    w = lift_many(TWO, [0.2], free)[0]
     assert w.imag == pytest.approx(0.0, abs=1e-12)
     assert w.real > 2.0
     ref = brentq(
@@ -344,51 +351,50 @@ def test_lift_residuals_meet_the_tolerance_on_random_targets():
     while done < 50:
         mu = rand_measure(rng, 6)
         try:
-            dom = slit_domain(critical_points(mu))
+            free = _free(mu)
         except NumericalError:
             continue
         # uniform in the slit-free disk, capped at radius 1
-        radius = min(dom.distance(0.0), 1.0) * np.sqrt(rng.uniform())
+        radius = min(free, 1.0) * np.sqrt(rng.uniform())
         m = radius * np.exp(2j * np.pi * rng.uniform())
         if abs(m) < 1e-3:
             continue
-        w = lift_path(mu, m, dom)
+        w = lift_many(mu, [m], free)[0]
         assert abs(mu.moment_map(w) - m) <= 1e-12
         done += 1
 
 
 def test_lift_rejects_zero_and_off_domain_targets():
-    dom = slit_domain(critical_points(TWO))
+    bp = critical_points(TWO).branch_points_upper
+    free = slit_free_radius(bp)
     with pytest.raises(ValueError):
-        lift_path(TWO, 0.0, dom)
-    # directly on the slit above the branch point; use the domain's own
-    # coordinates, a hand-rounded abscissa sits off the slit by ~1e-13
-    bad = complex(dom.slit_re[0], dom.slit_im[0] + 0.5)
-    assert not dom.contains(bad)
+        lift_many(TWO, [0.0], free)
+    # directly on the slit above the branch point; use the computed branch
+    # point, a hand-rounded abscissa sits off the slit by ~1e-13
+    bad = bp[0] + 0.5j
+    assert slit_distance(bp, bad) == 0.0
     with pytest.raises(ValueError):
-        lift_path(TWO, bad, dom)
+        lift_many(TWO, [bad], free)
 
 
 def test_lift_many_agrees_with_individual_lifts():
-    dom = slit_domain(critical_points(TWO))
+    free = _free(TWO)
     # radius 0.3 lies inside the slit-free disk (radius 1.5 for TWO);
     # radius 2.0 leaves it, and every lifting entry point refuses it
     targets = 0.3 * np.exp(1j * 2 * np.pi * (np.arange(24) + 0.5) / 24)
-    batched = lift_many(TWO, targets, dom)
-    single = np.array([lift_path(TWO, m, dom) for m in targets])
+    batched = lift_many(TWO, targets, free)
+    single = np.array([lift_many(TWO, [m], free)[0] for m in targets])
     assert np.max(np.abs(batched - single)) < 1e-10
-    grid = lift_many(TWO, targets.reshape(4, 6), dom)
+    grid = lift_many(TWO, targets.reshape(4, 6), free)
     assert grid.shape == (4, 6) and np.array_equal(grid.ravel(), batched)
     steps = []
-    lift_many(TWO, targets, dom, step_counts=steps)
+    lift_many(TWO, targets, free, step_counts=steps)
     assert len(steps) == targets.size
     outside = 2.0 * np.exp(1j * 2 * np.pi * (np.arange(24) + 0.5) / 24)
     with pytest.raises(ValueError, match="slit-free disk"):
-        lift_many(TWO, outside, dom)
+        lift_many(TWO, outside, free)
     with pytest.raises(ValueError, match="slit-free disk"):
-        lift_path(TWO, outside[0], dom)
-    with pytest.raises(ValueError, match="slit-free disk"):
-        s_transform(TWO, outside[0], dom)
+        s_transform(TWO, outside[0], free)
 
 
 def _oracle_measures(rng):
@@ -411,13 +417,12 @@ def test_lift_many_matches_the_eigenvalue_oracle():
     checked = 0
     for mu in _oracle_measures(rng):
         try:
-            dom = slit_domain(critical_points(mu))
+            free = _free(mu)
         except NumericalError:
             continue
-        free = dom.distance(0.0)
         angles = np.exp(2j * np.pi * rng.uniform(size=4))
         targets = np.concatenate([f * free * angles for f in (0.9, 0.97, 0.995)])
-        got = lift_many(mu, targets, dom)
+        got = lift_many(mu, targets, free)
         want = branch_by_eigenvalues(mu, targets)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
         checked += 1
@@ -429,13 +434,12 @@ def test_lift_many_matches_the_eigenvalue_oracle():
         atoms = np.exp(rng.uniform(np.log(0.005), np.log(10.0), 9))
         mu = DiscreteMeasure(atoms, rng.dirichlet(np.full(9, 0.5)))
         try:
-            dom = slit_domain(critical_points(mu))
+            free = _free(mu)
         except NumericalError:
             continue
-        free = dom.distance(0.0)
         angles = np.exp(2j * np.pi * rng.uniform(size=2))
         targets = np.concatenate([f * free * angles for f in (0.99, 0.999)])
-        got = lift_many(mu, targets, dom)
+        got = lift_many(mu, targets, free)
         want = branch_by_eigenvalues(mu, targets, steps=2000)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
         hard += 1
@@ -455,16 +459,15 @@ def test_lift_many_matches_the_fixed_pace_march_in_few_steps():
             rng.uniform(0.05, 10.0, size), rng.dirichlet(np.ones(size))
         )
         try:
-            dom = slit_domain(critical_points(mu))
+            free = _free(mu)
         except NumericalError:
             continue
-        free = dom.distance(0.0)
         circles = [_half_offset_upper(f * free, 512) for f in (0.5, 0.9, 0.99)]
         steps = []
-        got = np.concatenate([lift_many(mu, t, dom, steps) for t in circles])
+        got = np.concatenate([lift_many(mu, t, free, steps) for t in circles])
         assert len(steps) == 3 * 256 and max(steps) <= 30
         far.append(steps[-1])
-        want = reference_march(mu, np.concatenate(circles)[::8], dom)
+        want = reference_march(mu, np.concatenate(circles)[::8], free)
         assert np.max(np.abs(got[::8] - want) / np.abs(want)) <= 1e-12
         checked += 1
     assert checked >= 190
@@ -503,12 +506,12 @@ def test_lift_stays_on_its_sheet_next_to_a_branch_cluster():
          0.008986792567914181, 0.018493566664960905, 0.011484305719340874,
          0.049740125012900774, 0.5130785575330177, 0.30424203427668806],
     )
-    dom = slit_domain(critical_points(mu))
+    free = _free(mu)
     target = -0.9177622144919709 + 0.022736371347602133j
-    assert abs(target) / dom.distance(0.0) == pytest.approx(0.995, abs=1e-3)
+    assert abs(target) / free == pytest.approx(0.995, abs=1e-3)
     want = -0.07300811971974142 - 0.06615889039817727j
     assert branch_by_eigenvalues(mu, [target])[0] == pytest.approx(want, rel=1e-10)
-    assert lift_path(mu, target, dom) == pytest.approx(want, rel=1e-10)
+    assert lift_many(mu, [target], free)[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_lift_rejects_a_corrector_that_leaves_its_prediction():
@@ -520,14 +523,14 @@ def test_lift_rejects_a_corrector_that_leaves_its_prediction():
         [0.02744682017228971, 0.008969884959504345, 0.054764055225243684,
          0.4739461551212227, 3.557302899566059e-05, 0.43483751149274397],
     )
-    dom = slit_domain(critical_points(mu))
+    free = _free(mu)
     target = -0.9768318514389415 + 0.00599384039440122j
-    assert abs(target) / dom.distance(0.0) == pytest.approx(0.999, abs=1e-4)
+    assert abs(target) / free == pytest.approx(0.999, abs=1e-4)
     want = -0.02236070065801634 - 0.010315782339869758j
     assert branch_by_eigenvalues(mu, [target], steps=2000)[0] == pytest.approx(
         want, rel=1e-10
     )
-    assert lift_path(mu, target, dom) == pytest.approx(want, rel=1e-10)
+    assert lift_many(mu, [target], free)[0] == pytest.approx(want, rel=1e-10)
 
 
 def test_lift_of_point_mass_is_exact_down_to_small_m():
@@ -536,11 +539,11 @@ def test_lift_of_point_mass_is_exact_down_to_small_m():
     radii = np.array([1e-5, 1e-4, 1e-3, 2e-3, 0.5, 0.99])
     for a in (0.3, 2.0, 5.0):
         da = DiscreteMeasure([a], [1.0])
-        dom = slit_domain(critical_points(da))
+        free = _free(da)
         targets = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
         exact = a * (1.0 + targets) / targets
-        together = lift_many(da, targets, dom)
-        one_by_one = np.array([lift_path(da, m, dom) for m in targets])
+        together = lift_many(da, targets, free)
+        one_by_one = np.array([lift_many(da, [m], free)[0] for m in targets])
         for got in (together, one_by_one):
             assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12
 
@@ -553,19 +556,19 @@ def _measure_and_target(draw):
     weights = np.array([0.05 + draw(unit) for _ in range(size)])
     mu = DiscreteMeasure(atoms, weights / weights.sum())
     try:
-        dom = slit_domain(critical_points(mu))
+        free = _free(mu)
     except NumericalError:
         assume(False)
-    radius = min(dom.distance(0.0), 2.0) * draw(st.floats(0.01, 0.99))
+    radius = min(free, 2.0) * draw(st.floats(0.01, 0.99))
     angle = draw(st.floats(0.0, 2.0 * np.pi))
-    return mu, dom, radius * np.exp(1j * angle)
+    return mu, free, radius * np.exp(1j * angle)
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(_measure_and_target())
 def test_lift_is_conjugate_symmetric_and_meets_the_residual(case):
-    mu, dom, m = case
-    w, w_conj = lift_many(mu, [m, np.conj(m)], dom)
+    mu, free, m = case
+    w, w_conj = lift_many(mu, [m, np.conj(m)], free)
     assert w_conj == pytest.approx(np.conj(w), rel=1e-12)
     for target, value in ((m, w), (np.conj(m), w_conj)):
         assert abs(mu.moment_map(value) - target) <= NEWTON_TOL
@@ -581,16 +584,16 @@ def test_lift_of_a_target_does_not_depend_on_its_batch():
         if mu.n_atoms == 1:
             continue
         try:
-            dom = slit_domain(critical_points(mu))
+            free = _free(mu)
         except NumericalError:
             continue
-        free = min(dom.distance(0.0), 2.0)
+        cap = min(free, 2.0)
         angles = np.exp(2j * np.pi * rng.uniform(size=3))
-        target = 0.2 * free * angles[0]
-        batch = np.concatenate([[target], 0.95 * free * angles[1:]])
+        target = 0.2 * cap * angles[0]
+        batch = np.concatenate([[target], 0.95 * cap * angles[1:]])
         steps_alone, steps_batch = [], []
-        alone = lift_many(mu, [target], dom, step_counts=steps_alone)[0]
-        together = lift_many(mu, batch, dom, step_counts=steps_batch)[0]
+        alone = lift_many(mu, [target], free, step_counts=steps_alone)[0]
+        together = lift_many(mu, batch, free, step_counts=steps_batch)[0]
         assert steps_alone[0] != steps_batch[0]
         assert abs(together - alone) <= 1e-12 * abs(alone)
         checked += 1
@@ -608,19 +611,19 @@ def test_lift_doubled_matches_the_march_and_the_eigenvalue_oracle():
     checked = 0
     for mu in _oracle_measures(rng):
         try:
-            dom = slit_domain(critical_points(mu))
+            free = _free(mu)
         except NumericalError:
             continue
         for frac in (0.9, 0.97, 0.995):
-            radius = frac * dom.distance(0.0)
-            coarse = lift_many(mu, _half_offset_upper(radius, 512), dom)
+            radius = frac * free
+            coarse = lift_many(mu, _half_offset_upper(radius, 512), free)
             steps = []
-            got, marched = lift_doubled(mu, radius, coarse, dom, steps)
+            got, marched = lift_doubled(mu, radius, coarse, free, steps)
             assert len(steps) == marched
             if frac == 0.9:
                 assert marched == 0
             targets = _half_offset_upper(radius, 1024)
-            marched_pass = lift_many(mu, targets, dom)
+            marched_pass = lift_many(mu, targets, free)
             assert np.max(np.abs(got - marched_pass) / np.abs(got)) <= 1e-10
             want = branch_by_eigenvalues(mu, targets[::64])
             assert np.max(np.abs(got[::64] - want) / np.abs(want)) <= 1e-10
@@ -634,21 +637,21 @@ def test_lift_doubled_marches_nodes_it_cannot_certify():
     # top band of the coefficients, so no prediction is certified
     rng = np.random.default_rng(34)
     mu = next(_oracle_measures(rng))
-    dom = slit_domain(critical_points(mu))
-    radius = 0.9 * dom.distance(0.0)
-    coarse = lift_many(mu, _half_offset_upper(radius, 64), dom)
+    free = _free(mu)
+    radius = 0.9 * free
+    coarse = lift_many(mu, _half_offset_upper(radius, 64), free)
     noisy = coarse * (1.0 + 0.05 * rng.standard_normal(coarse.size))
     steps = []
-    got, marched = lift_doubled(mu, radius, noisy, dom, steps)
+    got, marched = lift_doubled(mu, radius, noisy, free, steps)
     assert marched == 64
     assert len(steps) == 64
-    clean, none_marched = lift_doubled(mu, radius, coarse, dom)
+    clean, none_marched = lift_doubled(mu, radius, coarse, free)
     assert none_marched == 0
     want = branch_by_eigenvalues(mu, _half_offset_upper(radius, 128)[::8])
     for values in (got, clean):
         assert np.max(np.abs(values[::8] - want) / np.abs(want)) <= 1e-10
     with pytest.raises(ValueError, match="slit-free disk"):
-        lift_doubled(mu, dom.distance(0.0), coarse, dom)
+        lift_doubled(mu, free, coarse, free)
 
 
 # ---------------------------------------------------------------------------
@@ -660,25 +663,25 @@ def test_s_transform_of_point_mass_is_constant():
     for _ in range(20):
         a = rng.uniform(0.2, 5.0)
         da = DiscreteMeasure([a], [1.0])
-        dom = slit_domain(critical_points(da))
+        free = _free(da)
         m = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if abs(m) < 1e-2:
             continue
-        assert s_transform(da, m, dom) == pytest.approx(1.0 / a, rel=1e-12)
+        assert s_transform(da, m, free) == pytest.approx(1.0 / a, rel=1e-12)
 
 
 def test_s_transform_tends_to_inverse_mean_at_zero():
-    dom = slit_domain(critical_points(TWO))
+    free = _free(TWO)
     ms = 1e-3 * np.exp(1j * 2 * np.pi * (np.arange(32) + 0.5) / 32)
-    devs = [abs(s_transform(TWO, m, dom) - 1.0 / 1.5) for m in ms]
+    devs = [abs(s_transform(TWO, m, free) - 1.0 / 1.5) for m in ms]
     # deviation is O(|m|): measured 7.4e-5 at |m| = 1e-3
     assert max(devs) < 1e-3
 
 
 def test_s_transform_rejects_zero():
-    dom = slit_domain(critical_points(TWO))
+    free = _free(TWO)
     with pytest.raises(ValueError):
-        s_transform(TWO, 0.0, dom)
+        s_transform(TWO, 0.0, free)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from freedeconv.contours import (
 )
 from freedeconv.errors import InvalidMomentsError, NumericalError
 from freedeconv.experiments import SCENARIOS, sample_spectrum
-from freedeconv.inversion import critical_points, slit_domain, s_transform
+from freedeconv.inversion import critical_points, slit_free_radius
 from freedeconv.measures import (
     DiscreteMeasure,
     MarchenkoPastur,
@@ -33,15 +33,24 @@ from freedeconv.pipeline import (
     ree_assemble,
 )
 
-from helpers import is_conjugate_symmetric, mp_density, mp_g_quadrature
+from helpers import (
+    is_conjugate_symmetric,
+    mp_density,
+    mp_g_quadrature,
+    s_transform,
+)
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 ONE = DiscreteMeasure([1.0], [1.0])
 
 
-def t_ratio(mu_n, c, m, dom):
+def _free(mu):
+    return slit_free_radius(critical_points(mu).branch_points_upper)
+
+
+def t_ratio(mu_n, c, m, free):
     """Pointwise ratio S_mu_n(m) / S_MP(m), the S-transform of the estimate."""
-    return s_transform(mu_n, m, dom) / MarchenkoPastur(c).s_transform(m)
+    return s_transform(mu_n, m, free) / MarchenkoPastur(c).s_transform(m)
 
 
 def forward_mp_G(nu, c, z):
@@ -106,25 +115,25 @@ def test_t_ratio_is_one_on_pure_noise_spectrum():
     xq = 0.5 * (nodes + 1) * (mp.upper_edge - mp.lower_edge) + mp.lower_edge
     wq = wts * np.array([mp_density(mp, x) for x in xq])
     mp_disc = DiscreteMeasure(xq, wq / wq.sum())
-    dom = slit_domain(critical_points(mp_disc))
+    free = _free(mp_disc)
     for m in (0.05 + 0.02j, -0.04 + 0.03j, 0.06j):
-        assert abs(t_ratio(mp_disc, 0.2, m, dom) - 1.0) < 1e-6
+        assert abs(t_ratio(mp_disc, 0.2, m, free) - 1.0) < 1e-6
 
 
 def test_t_ratio_recovers_population_s_as_noise_vanishes():
     # with c -> 0 the spectrum is the population itself, so the ratio
     # tends to S of the point mass at 2, the constant 1/2
     d2 = DiscreteMeasure([2.0], [1.0])
-    dom = slit_domain(critical_points(d2))
+    free = _free(d2)
     for m in (0.1 + 0.05j, -0.2 + 0.1j, 0.3j):
-        assert abs(t_ratio(d2, 1e-6, m, dom) - 0.5) < 1e-5
+        assert abs(t_ratio(d2, 1e-6, m, free) - 0.5) < 1e-5
 
 
 def test_t_ratio_commutes_with_conjugation():
-    dom = slit_domain(critical_points(TWO))
+    free = _free(TWO)
     m = 0.2 + 0.1j
-    t_up = t_ratio(TWO, 0.2, m, dom)
-    t_dn = t_ratio(TWO, 0.2, np.conj(m), dom)
+    t_up = t_ratio(TWO, 0.2, m, free)
+    t_dn = t_ratio(TWO, 0.2, np.conj(m), free)
     assert abs(t_dn - np.conj(t_up)) < 1e-12
 
 
@@ -220,9 +229,9 @@ def test_forward_measure_satisfies_s_factorization():
     # on the exact proxy of a point mass at 2
     c = 0.2
     proxy = forward_measure(DiscreteMeasure([2.0], [1.0]), c, tol=1e-8)
-    dom = slit_domain(critical_points(proxy))
+    free = _free(proxy)
     for m in (0.05 + 0.05j, -0.1 + 0.08j):
-        lhs = s_transform(proxy, m, dom)
+        lhs = s_transform(proxy, m, free)
         rhs = 0.5 / (1.0 + c * m)
         assert abs(lhs - rhs) < 1e-8
 
@@ -319,11 +328,11 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
     d = run("S2_2")[1]
     assert (d.contour_radius, d.radius_limiter) == (0.5 / 0.95, "mp_pole")
     mu_f, d = run("S2_3")
-    dom = slit_domain(critical_points(mu_f))
-    slit_bound = choose_m_contour(dom)
+    bp = critical_points(mu_f).branch_points_upper
+    slit_bound = choose_m_contour(bp)
     assert slit_bound < 1.0
     assert (d.contour_radius, d.radius_limiter) == (slit_bound, "slit")
-    assert d.n_slits == dom.n_slits > 0
+    assert d.n_slits == bp.size > 0
 
 
 def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
@@ -401,8 +410,8 @@ def test_deconvolve_chooses_the_radius_of_the_proxy():
     mu, c = sampled_s2_3()
     radius = pipeline._spectral_stage(mu, c).diagnostics["contour_radius"]
     proxy = pipeline._gauss_proxy(mu)
-    dom = slit_domain(critical_points(proxy))
-    assert radius == min(choose_m_contour(dom), 0.5 / c)
+    bp = critical_points(proxy).branch_points_upper
+    assert radius == min(choose_m_contour(bp), 0.5 / c)
 
 
 def test_deconvolve_rejects_inconsistent_input():

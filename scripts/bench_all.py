@@ -8,17 +8,19 @@ For each workload named in BENCHMARK.json it runs
 
     python3 bench/run.py --workload W --seed 0 --seconds 30 --trace 1
 
-once and the same command with ``--trace 0`` UNTRACED_RUNS times, each in
-a fresh interpreter, and writes the records to ``BENCH_<tag>.json`` at the
-repository root.  The record of the traced run, read from
-``.bench_out/W-seed0-trace1.json``, keeps its per-layer metrics, per-run
-results, input fingerprints and environment; the span list is dropped,
-since the per-layer metrics summarise it and it runs to megabytes.  Its
-``end_to_end`` block holds the per-metric median of the six end-to-end
-``metrics`` of the untraced runs, and ``end_to_end_runs`` each run's own,
-so that one noisy pass neither sets a figure nor hides its spread.
+TRACED_RUNS times and the same command with ``--trace 0`` UNTRACED_RUNS
+times, each in a fresh interpreter, and writes the records to
+``BENCH_<tag>.json`` at the repository root.  The record of the first
+traced run, read from ``.bench_out/W-seed0-trace1.json``, keeps its
+per-run results, input fingerprints and environment; the span list is
+dropped, since the per-layer metrics summarise it and it runs to
+megabytes.  Its ``metrics`` block holds the per-metric median of the
+per-layer metrics of the traced runs, and ``metrics_runs`` each run's
+own; its ``end_to_end`` block holds the per-metric median of the six
+end-to-end ``metrics`` of the untraced runs, and ``end_to_end_runs`` each
+run's own.  So one noisy pass neither sets a figure nor hides its spread.
 
-Takes about ten minutes on a 2-core machine.
+Takes about a minute on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -33,8 +35,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 SECONDS = 30
-# untraced runs per workload whose median makes the end-to-end block
+# traced runs per workload whose median makes the per-layer block, and
+# untraced runs whose median makes the end-to-end block
+TRACED_RUNS = 3
 UNTRACED_RUNS = 3
+
+
+def median_block(records: list[dict], names) -> dict:
+    """Per-metric median over the records, for each of `names`."""
+    return {name: statistics.median(r[name] for r in records) for name in names}
 
 
 def run_bench(workload: str, trace: int) -> dict:
@@ -69,13 +78,15 @@ def main(argv=None) -> int:
     for workload in (w["name"] for w in declared["workloads"]):
         record = run_bench(workload, 1)
         record["n_spans"] = len(record.pop("spans", []))
+        traced = [record["metrics"]] + [
+            run_bench(workload, 1)["metrics"] for _ in range(TRACED_RUNS - 1)
+        ]
+        record["metrics"] = median_block(traced, record["metrics"])
+        record["metrics_runs"] = traced
         untraced = [
             run_bench(workload, 0)["metrics"] for _ in range(UNTRACED_RUNS)
         ]
-        record["end_to_end"] = {
-            name: statistics.median(m[name] for m in untraced)
-            for name in names
-        }
+        record["end_to_end"] = median_block(untraced, names)
         record["end_to_end_runs"] = untraced
         merged["workloads"][workload] = record
     out = ROOT / f"BENCH_{args.tag}.json"

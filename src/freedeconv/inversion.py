@@ -102,11 +102,19 @@ def _newton_polish(z, x, c, iters=8):
 
 def _certify(roots, x, c):
     # backward-error certificate: |M'(q)| must be tiny relative to the
-    # absolute-value sum of its terms
+    # absolute-value sum of its terms, plus what rounding q itself to
+    # double can add to first order, |M''(q)| eps |q| with
+    # |M''(q)| <= 2 sum |c_j| / |q - x_j|^3
     with np.errstate(divide="ignore", invalid="ignore"):
-        level = np.sum(np.abs(c) / np.abs(roots[:, None] - x) ** 2, axis=1)
+        dist = np.abs(roots[:, None] - x)
+        terms = np.abs(c) / dist**2
+        level = np.sum(terms, axis=1)
+        rounding = (
+            2.0 * np.finfo(float).eps * np.abs(roots)
+            * np.sum(terms / dist, axis=1)
+        )
         resid = np.abs(_mprime(roots, x, c))
-    return np.isfinite(resid) & (resid <= CERT_TOL * level)
+    return np.isfinite(resid) & (resid <= CERT_TOL * level + rounding)
 
 
 def critical_points(mu):
@@ -219,8 +227,7 @@ def _mmap(z, x, c):
     # M(z), M'(z) and the pole-major array 1/(z - x_j) from one pass over
     # the poles, which run along axis 0
     inv = 1.0 / (z - x[:, None])
-    t = c[:, None] * inv
-    return np.sum(t, axis=0), -np.sum(t * inv, axis=0), inv
+    return c @ inv, -(c @ (inv * inv)), inv
 
 
 def _correct(x, c, w, m, polish=True):
@@ -255,7 +262,7 @@ def _correct(x, c, w, m, polish=True):
             d = np.where(better, d2, d)
             inv = np.where(better, inv2, inv)
         a = np.abs(inv)
-        bound = 16.0 * np.sum(np.abs(c)[:, None] * (a * a * a), axis=0)
+        bound = 16.0 * (np.abs(c) @ (a * a * a))
         rho = np.minimum(0.5 / np.max(a, axis=0), np.abs(d) / bound)
     return w, res, d, rho, it
 

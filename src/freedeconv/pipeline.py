@@ -107,12 +107,14 @@ class DeconvDiagnostics:
     ran on, and `t_ramification_s` includes building it.  `n_slits` counts
     the proxy's conjugate slit pairs.  `radius_limiter` names what bounds
     `contour_radius`: a branch slit (`slit`), the S_MP pole at -1/c
-    (`mp_pole`) or the cap of 1 (`unit_cap`).  `settled` is
-    False when the contour moments still moved by 1e-9 or more between
-    the last two node-doubling passes, at the node cap.  Only the nodes of
-    the first pass, and the refined nodes that failed their certificate
-    (`refined_nodes_marched`), are marched; each counts the steps of the
-    march that reached it, shared by the nodes of that march.
+    (`mp_pole`) or the cap of 1 (`unit_cap`).  `settle_gap` is the
+    largest distance, relative to max(1, |m_k|), between the complex
+    contour sums of the last pass and those of its own even nodes;
+    `settled` is False when that gap is still 1e-9 or more at the node
+    cap.  Only the nodes of the first pass, and the refined nodes that
+    failed their certificate (`refined_nodes_marched`), are marched; each
+    counts the steps of the march that reached it, shared by the nodes of
+    that march.
     `lift_steps_total` sums the count over all marched nodes, and
     `lift_steps_max` is the longest march.  `moment_error` is the worst
     relative error with which the estimate reproduces the moments it was
@@ -130,6 +132,7 @@ class DeconvDiagnostics:
     radius_limiter: str
     nodes_used: int
     settled: bool
+    settle_gap: float
     lift_steps_total: int
     lift_steps_max: int
     refined_nodes_marched: int
@@ -248,8 +251,6 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     marched = 0
     t_lift = 0.0
     t_moments = 0.0
-    prev_vals = None
-    settled = False
     w = None
     n_nodes = START_NODES
     while True:
@@ -270,18 +271,15 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         extracted = moments_from_contour(rep, MAX_MOMENTS)
         t_lift += t2 - t1
         t_moments += time.perf_counter() - t2
-        vals = np.asarray(extracted.moments.values, dtype=float)
-        if prev_vals is not None:
-            settle = np.abs(vals - prev_vals) / np.maximum(1.0, np.abs(vals))
-            settled = float(np.max(settle)) < 1e-9
-            if settled:
-                break
+        # the pass settles when its own even nodes agree with all of it
+        settled = extracted.half_gap < 1e-9
+        if settled:
+            break
         if n_nodes >= MAX_NODES:
             log.warning(
                 "contour moments did not settle below 1e-9 at %d nodes", n_nodes
             )
             break
-        prev_vals = vals
         n_nodes *= 2
 
     diagnostics = dict(
@@ -292,6 +290,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         radius_limiter=limiter,
         nodes_used=n_nodes,
         settled=settled,
+        settle_gap=extracted.half_gap,
         lift_steps_total=int(np.sum(step_counts)) if step_counts else 0,
         lift_steps_max=int(np.max(step_counts)) if step_counts else 0,
         refined_nodes_marched=marched,
@@ -330,9 +329,11 @@ def deconvolve(
     m_0 .. m_(2 GAUSS_NODES - 1) of mu_n, so the moments through
     m_MAX_MOMENTS come out the same up to roundoff.  The contour radius is
     the proxy's, which has fewer slits near 0 than mu_n.  The sanity
-    window on the estimate's atoms is set by mu_n itself.  Node count
-    doubles until the extracted moments settle below 1e-9 or the cap is
-    reached: the first pass is marched ray by ray, each later one is
+    window on the estimate's atoms is set by mu_n itself.  A pass of N
+    nodes is settled when its complex contour sums agree within 1e-9,
+    relative to max(1, |m_k|), with those of its N/2 even nodes, the
+    trapezoid rule one level down; otherwise the node count doubles, up
+    to the cap.  The first pass is marched ray by ray, each later one is
     interpolated from the pass before it and certified node by node
     (`inversion.lift_doubled`).  Every failure mode raises a typed error
     carrying its stage; there is no silent fallback.

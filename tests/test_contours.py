@@ -222,6 +222,26 @@ def test_moments_from_contour_matches_contour_moment_order_by_order():
             assert abs(got[k] - contour_moment(rep, k).real) <= 1e-14 * scale
 
 
+def test_moments_from_contour_half_gap_is_the_even_node_rules_distance():
+    # on the circle of radius 0.7 about 1.5 the atoms of TWO sit 0.5 from
+    # the centre, so the rule on n nodes errs by about (0.5 / 0.7)^n; the
+    # gap to the rule on the even nodes is the coarser rule's error, which
+    # bounds the full rule's
+    exact = np.array([(1.0 + 2.0**k) / 2.0 for k in range(5)])
+    for n in (48, 64, 96):
+        rep = _stieltjes_rep(TWO, 1.5, 0.7, n)
+        cm = moments_from_contour(rep, 4)
+        even = ContourRepresentation(rep.sigma[::2], rep.values[::2])
+        full = np.array([contour_moment(rep, k) for k in range(5)])
+        half = np.array([contour_moment(even, k) for k in range(5)])
+        gap = np.max(np.abs(full - half) / np.maximum(1.0, np.abs(full.real)))
+        assert cm.half_gap == pytest.approx(gap, rel=1e-6)
+        assert np.max(np.abs(cm.moments.values - exact) / exact) <= cm.half_gap
+    # an odd node count has no rule on every other node
+    odd = _stieltjes_rep(TWO, 1.5, 0.7, 65)
+    assert moments_from_contour(odd, 4).half_gap == np.inf
+
+
 def test_moments_from_contour_needs_order_one():
     rep = _stieltjes_rep(TWO, 1.5, 2.0, 64)
     with pytest.raises(ValueError):

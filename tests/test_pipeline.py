@@ -34,6 +34,7 @@ from freedeconv.pipeline import (
 )
 
 from helpers import (
+    contour_moment,
     is_conjugate_symmetric,
     mp_density,
     mp_g_quadrature,
@@ -268,7 +269,7 @@ def test_deconvolve_result_structure():
     assert res.diagnostics.rank == res.estimate.n_atoms
     assert res.diagnostics.imag_residue < 1e-6
     assert res.diagnostics.t_total_s >= 0.0
-    # node doubling stops at the first settled refinement
+    # node doubling stops at the first settled pass
     assert res.diagnostics.nodes_used >= pipeline.START_NODES
     assert res.diagnostics.nodes_used % pipeline.START_NODES == 0
     assert res.moments_used[1] == pytest.approx(1.5, abs=1e-6)
@@ -295,6 +296,7 @@ def test_deconvolve_result_json_schema():
         "radius_limiter",
         "nodes_used",
         "settled",
+        "settle_gap",
         "lift_steps_total",
         "lift_steps_max",
         "refined_nodes_marched",
@@ -307,6 +309,7 @@ def test_deconvolve_result_json_schema():
     assert list(payload["config"]) == ["rank_tol", "max_support"]
     assert len(payload["moments_used"]) == MAX_MOMENTS + 1
     assert payload["diagnostics"]["settled"] is True
+    assert 0.0 <= payload["diagnostics"]["settle_gap"] < 1e-9
     assert payload["diagnostics"]["refined_nodes_marched"] == 0
     assert 0.0 <= payload["diagnostics"]["moment_error"] <= 10.0 * 1e-4
     # an L-atom proxy has L - 1 conjugate pairs of critical points, and
@@ -351,6 +354,52 @@ def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
     with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
         capped = run()
     assert (capped.settled, capped.nodes_used) == (False, 1024)
+    assert "did not settle" in caplog.text
+
+
+def test_a_pass_settled_at_the_start_matches_a_forced_doubled_pass(
+    monkeypatch,
+):
+    # sampled spectra whose first pass settles against its own even nodes:
+    # a first pass at twice the nodes moves none of their moments by 1e-9
+    for sc_id, seed in (("S2_1", 1), ("S2_3", 2), ("S3", 1)):
+        sc = SCENARIOS[sc_id]
+        mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, seed)
+        first = pipeline.deconvolve_with_retries(mu_n, sc.c)
+        assert first.diagnostics.nodes_used == pipeline.START_NODES
+        assert first.diagnostics.settle_gap < 1e-9
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "START_NODES", 2 * pipeline.START_NODES)
+            forced = pipeline.deconvolve_with_retries(mu_n, sc.c)
+        assert forced.diagnostics.nodes_used == 2 * pipeline.START_NODES
+        got = np.asarray(first.moments_used.values)
+        ref = np.asarray(forced.moments_used.values)
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
+    monkeypatch, caplog
+):
+    # sampled S2_3 at n = 500, seed 1, at 512 nodes: the real parts of the
+    # full and the even-node sums agree to 1e-14, the sums to 5e-9 only.
+    # The even nodes sit a quarter node off, which turns the leading alias
+    # term imaginary, so only the complex gap measures the error
+    sc = SCENARIOS["S2_3"]
+    mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 1)
+    monkeypatch.setattr(pipeline, "MAX_NODES", pipeline.START_NODES)
+    with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
+        res = pipeline.deconvolve_with_retries(mu_n, sc.c)
+    rep = res.contour
+    even = ContourRepresentation(rep.sigma[::2], rep.values[::2])
+    full = np.array([contour_moment(rep, k) for k in range(MAX_MOMENTS + 1)])
+    half = np.array([contour_moment(even, k) for k in range(MAX_MOMENTS + 1)])
+    scale = np.maximum(1.0, np.abs(full.real))
+    assert np.max(np.abs((full - half).real) / scale) < 1e-12
+    gap = np.max(np.abs(full - half) / scale)
+    d = res.diagnostics
+    assert d.settle_gap == pytest.approx(gap, rel=1e-3)
+    assert d.settle_gap >= 1e-9
+    assert (d.settled, d.nodes_used) == (False, pipeline.START_NODES)
     assert "did not settle" in caplog.text
 
 

@@ -30,7 +30,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# relative clearance the m contour keeps from the foot of every slit
+# relative radial clearance the m contour keeps from every branch point
 SLIT_MARGIN = 0.1
 
 
@@ -232,15 +232,14 @@ def choose_m_contour(branch_points_upper: np.ndarray) -> float:
     """Radius of a circle about 0 in the m plane that clears every slit.
 
     The slits are vertical rays away from the real axis, starting at the
-    upper branch points b and their conjugates, so a circle of radius r
-    avoids the slit of b exactly when its crossing height
-    sqrt(r^2 - Re(b)^2) stays below Im b (or it never reaches the line
-    Re = Re(b)).  Keeping a relative SLIT_MARGIN of clearance bounds the
-    radius by hypot(Re b, (1 - SLIT_MARGIN) Im b) for every b; the radius
-    is the least of these bounds and a cap of 1.
+    upper branch points b and their conjugates, so every point of the slit
+    of b lies at |m| >= |b|.  The radius is (1 - SLIT_MARGIN) min |b|,
+    capped at 1: the circle keeps a relative SLIT_MARGIN of radial
+    clearance from every branch point, which bounds the convergence ratio
+    r / min |b| of the trapezoid rule on it by 1 - SLIT_MARGIN.
     """
     bp = np.asarray(branch_points_upper, dtype=complex)
-    bounds = np.hypot(bp.real, (1.0 - SLIT_MARGIN) * bp.imag)
+    bounds = (1.0 - SLIT_MARGIN) * np.abs(bp)
     # cap of 1 for conditioning: larger radii inflate high-order powers
     radius = float(np.min(bounds, initial=1.0))
     if radius < 1e-8:

@@ -237,6 +237,12 @@ def sample_spectrum(
 # subordination baseline
 # ---------------------------------------------------------------------------
 
+# points of the baseline's grid on [0, 1.2 max atom], and the Tychonov
+# weight of its ridge deconvolution
+GRID_POINTS = 400
+RIDGE_ALPHA = 1e-3
+
+
 def _steffensen(T, w0, cap=200, tol=1e-10):
     """Fixed point of T by Aitken-accelerated iteration; (value, converged)."""
     w = w0
@@ -263,15 +269,14 @@ def baseline_subordination(
     mu3: DiscreteMeasure,
     c: float,
     sigma: float = 0.5,
-    grid: Sequence[float] | None = None,
-    ridge_alpha: float = 1e-3,
 ) -> DiscreteMeasure:
     """Subordination fixed point plus Cauchy-kernel ridge deconvolution.
 
-    At each grid point x, solve w = T_z(w) with T_z(w) = z h1(1/(h3(w) z))
-    at z = x + i sigma, read off the smoothed target density from the
-    subordinated F-transform, then undo the Cauchy(sigma) smoothing on the
-    grid by Tychonov-regularized least squares with a nonnegativity clamp.
+    At each of GRID_POINTS grid points x on [0, 1.2 max atom], solve
+    w = T_z(w) with T_z(w) = z h1(1/(h3(w) z)) at z = x + i sigma, read
+    off the smoothed target density from the subordinated F-transform,
+    then undo the Cauchy(sigma) smoothing on the grid by least squares
+    with Tychonov weight RIDGE_ALPHA and a nonnegativity clamp.
 
     The subordination value can sit close to the real axis on empirical
     inputs, where plain iteration orbits instead of converging, so the
@@ -283,13 +288,7 @@ def baseline_subordination(
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    if ridge_alpha <= 0.0:
-        raise ValueError("ridge_alpha must be positive")
-    if grid is None:
-        grid = np.linspace(0.0, 1.2 * float(np.max(mu3.atoms)), 400)
-    xs = np.asarray(grid, dtype=float)
-    if xs.size < 8 or np.any(np.diff(xs) <= 0.0):
-        raise ValueError("grid must be ascending with at least 8 points")
+    xs = np.linspace(0.0, 1.2 * float(np.max(mu3.atoms)), GRID_POINTS)
     mp = MarchenkoPastur(c)
 
     def h1(w):
@@ -370,7 +369,7 @@ def baseline_subordination(
             stage="baseline_subordination",
         )
     u = np.linalg.solve(
-        design.T @ design + ridge_alpha**2 * np.eye(xs.size), design.T @ rhs
+        design.T @ design + RIDGE_ALPHA**2 * np.eye(xs.size), design.T @ rhs
     )
     u = np.maximum(u, 0.0)
     mass = float(np.sum(u) * dx)

@@ -13,9 +13,7 @@ analytic at s = 0 where Minv has a pole, predicts it by cubic Hermite
 extrapolation, and accepts a corrected value only within half the
 injectivity radius of M about it of its prediction.  That guard's ratio
 of distance to allowance is also the error estimate that sizes the next
-step.  On a circle sampled at twice the nodes of a lifted one, the branch
-is instead predicted by trigonometric interpolation, Newton-corrected and
-certified node by node; only the nodes that fail are marched.
+step.
 
 The critical points are the zeros of a linear system whose transfer
 function is -M', the eigenvalues of its zero dynamics.
@@ -28,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import circle_nodes
 from .errors import (
     DegenerateRamificationError,
     IncompleteRootsError,
@@ -40,7 +37,6 @@ __all__ = [
     "critical_points",
     "slit_free_radius",
     "lift_many",
-    "lift_doubled",
 ]
 
 log = logging.getLogger(__name__)
@@ -374,53 +370,3 @@ def _hermite(prev, last, s):
         + (3.0 * t2 - 2.0 * t3) * u1
         + (t3 - t2) * h * du1
     )
-
-
-def lift_doubled(mu, radius, coarse, free, step_counts=None):
-    """Minv on a circle from its values on the circle with half the nodes.
-
-    `coarse` holds Minv at the upper half of the N half-offset nodes
-    radius * exp(2 pi i (j + 1/2) / N), ordered by angle; the result holds
-    Minv at the upper half of the 2N half-offset nodes, and the number of
-    them that had to be marched.  On the slit-free disk g(m) = m Minv(m) is
-    analytic, with real Taylor coefficients, so the N coefficients of g's
-    samples predict g at the new nodes, each the old one turned by
-    +-pi / (2N).  Every prediction is Newton-corrected to NEWTON_TOL and
-    polished.  A corrected w is accepted when |w - guess| + eps <= rho / 2:
-    eps estimates the interpolation error from the top eighth of the
-    coefficients with a geometric tail of ratio radius / free, `free`
-    being the slit-free radius, and rho is the injectivity radius of M
-    about w, inside which w is the only root, so the branch value, within
-    eps of the guess, is w.  Nodes that fail are lifted by `lift_many`,
-    which appends their step counts to `step_counts`.
-    """
-    coarse = np.asarray(coarse, dtype=complex)
-    half = coarse.size
-    if coarse.ndim != 1 or half < 8:
-        raise ValueError("need the upper half of at least 16 coarse nodes")
-    if not 0.0 < radius < free:
-        raise ValueError(
-            f"radius must lie in the slit-free disk 0 < r < {free:.6g}"
-        )
-    n = 2 * half
-    g = circle_nodes(radius, n)[:half] * coarse
-    coef = np.fft.fft(np.concatenate([g, np.conj(g[::-1])]))
-    # one-sided: g has no negative powers of m inside the disk
-    turn = np.exp(1j * np.pi * np.arange(n) / (2 * n))
-    g_new = np.empty(n, dtype=complex)
-    g_new[0::2] = np.fft.ifft(coef / turn)[:half]
-    g_new[1::2] = np.fft.ifft(coef * turn)[:half]
-    targets = circle_nodes(radius, 2 * n)[:n]
-    guess = g_new / targets
-
-    ratio = radius / free
-    band = float(np.max(np.abs(coef[n - n // 8 :]))) / n
-    eps = 2.0 * band / (1.0 - ratio) / radius
-    x, c = _effective_poles(mu)
-    w, res, _, rho, _ = _correct(x, c, guess, targets)
-    ok = (res <= NEWTON_TOL) & (np.abs(w - guess) + eps <= 0.5 * rho)
-    marched = np.flatnonzero(~ok)
-    if marched.size:
-        log.debug("marching %d of %d refined nodes", marched.size, n)
-        w[marched] = lift_many(mu, targets[marched], free, step_counts)
-    return w, int(marched.size)

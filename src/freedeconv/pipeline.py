@@ -4,9 +4,11 @@ Given an empirical spectral measure mu_n of a sample covariance matrix with
 aspect ratio c, estimate the population spectrum nu: evaluate the
 S-transform ratio S_mu_n / S_MP on a circle in the m plane, map it to a
 sampled Stieltjes contour of the estimate, extract moments, and reconstruct
-a discrete measure.  Only the moments m_0 .. m_MAX_MOMENTS of the estimate
-are kept, and each is a polynomial in the moments of mu_n of the same
-order or lower.  So the spectral stage runs on a GAUSS_NODES-point Gauss
+a discrete measure.  The circle stays 10 % inside the nearest branch
+point and at most half way to the S_MP pole, so the trapezoid rule on it
+converges at a geometric rate of at most 0.9.  Only the moments
+m_0 .. m_MAX_MOMENTS of the estimate are kept, and each is a polynomial
+in the moments of mu_n of the same order or lower.  So the spectral stage runs on a GAUSS_NODES-point Gauss
 quadrature of mu_n, which has the same moments through that order, and
 its cost does not grow with the dimension p.  The forward direction (nu to
 the spectrum of the product) is solved from the fixed-point form of the
@@ -33,7 +35,6 @@ from .measures import (
 )
 from .inversion import (
     critical_points,
-    lift_doubled,
     lift_many,
     slit_free_radius,
 )
@@ -111,11 +112,9 @@ class DeconvDiagnostics:
     largest distance, relative to max(1, |m_k|), between the complex
     contour sums of the last pass and those of its own even nodes;
     `settled` is False when that gap is still 1e-9 or more at the node
-    cap.  Only the nodes of the first pass, and the refined nodes that
-    failed their certificate (`refined_nodes_marched`), are marched; each
-    counts the steps of the march that reached it, shared by the nodes of
-    that march.
-    `lift_steps_total` sums the count over all marched nodes, and
+    cap.  Each pass marches the upper half of its nodes in one
+    `lift_many` call, and each node counts the steps of that march.
+    `lift_steps_total` sums the count over the nodes of every pass, and
     `lift_steps_max` is the longest march.  `moment_error` is the worst
     relative error with which the estimate reproduces the moments it was
     recovered from, over orders 0 to 2 rank - 1.  `t_total_s` is the
@@ -135,7 +134,6 @@ class DeconvDiagnostics:
     settle_gap: float
     lift_steps_total: int
     lift_steps_max: int
-    refined_nodes_marched: int
     t_ramification_s: float
     t_lift_s: float
     t_moments_s: float
@@ -248,23 +246,14 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     t_ram = time.perf_counter() - t0
 
     step_counts: list = []
-    marched = 0
     t_lift = 0.0
     t_moments = 0.0
-    w = None
     n_nodes = START_NODES
     while True:
         nodes = circle_nodes(radius, n_nodes)
         upper = nodes[: n_nodes // 2]
         t1 = time.perf_counter()
-        # march the first pass, refine each doubled one from the last
-        if w is None:
-            w = lift_many(proxy, upper, free, step_counts=step_counts)
-        else:
-            w, failed = lift_doubled(
-                proxy, radius, w, free, step_counts=step_counts
-            )
-            marched += failed
+        w = lift_many(proxy, upper, free, step_counts=step_counts)
         ratio = _ratio_on_circle(upper, w, mp)
         t2 = time.perf_counter()
         rep = contour_rep_from_s(ratio, nodes)
@@ -293,7 +282,6 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         settle_gap=extracted.half_gap,
         lift_steps_total=int(np.sum(step_counts)) if step_counts else 0,
         lift_steps_max=int(np.max(step_counts)) if step_counts else 0,
-        refined_nodes_marched=marched,
         t_ramification_s=t_ram,
         t_lift_s=t_lift,
         t_moments_s=t_moments,
@@ -333,10 +321,11 @@ def deconvolve(
     nodes is settled when its complex contour sums agree within 1e-9,
     relative to max(1, |m_k|), with those of its N/2 even nodes, the
     trapezoid rule one level down; otherwise the node count doubles, up
-    to the cap.  The first pass is marched ray by ray, each later one is
-    interpolated from the pass before it and certified node by node
-    (`inversion.lift_doubled`).  Every failure mode raises a typed error
-    carrying its stage; there is no silent fallback.
+    to the cap, and the new pass is marched again.  The circle keeps 10 %
+    radial clearance from every branch point, so the rule converges at
+    least like 0.9^N and a pass rarely needs to double.  Every failure
+    mode raises a typed error carrying its stage; there is no silent
+    fallback.
 
     Everything before recovery depends on `mu_n` and `c` only; `cfg`
     holds the recovery knobs.  `spectral`, when given, is that part

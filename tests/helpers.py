@@ -13,12 +13,15 @@ the radius the lift's sheet guard takes from the pole-major arrays of
 Three references sit on top of library code on purpose: `s_transform`
 composes the library's lift, `contour_moment` shares the spectral
 derivative of `moments_from_contour` and checks only its running product,
-and `qz_critical_points` shares the Newton polish and the certificate.
+and `qz_critical_points` shares the Newton polish and the certificate;
+`mp_critical_points` stands in for it where its roots fail that
+certificate.
 """
 
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
@@ -127,6 +130,32 @@ def qz_critical_points(mu):
     finite = beta != 0.0
     roots = inversion._newton_polish(alpha[finite] / beta[finite], x, c)
     return roots, inversion._certify(roots, x, c)
+
+
+def mp_critical_points(mu, dps=80):
+    """Critical points of M as the roots of its cleared numerator, at `dps`
+    digits, a reference for `critical_points` independent of QZ.
+
+    M'(z) = 0 exactly where sum_j c_j prod_{i != j} (z - x_i)^2 = 0, with
+    c_j = w_j x_j; the atoms and residues enter exactly as the doubles
+    they are, and `mpmath.polyroots` solves the polynomial.
+    """
+    x, c = inversion._effective_poles(mu)
+    with mpmath.workdps(dps):
+        num = [mpmath.mpf(0)] * (2 * x.size - 1)
+        for j in range(x.size):
+            # coefficients, highest first, times (z - x_i)^2 for i != j
+            poly = [mpmath.mpf(1)]
+            for xi in np.delete(x, j):
+                quad = [1, -2 * mpmath.mpf(xi), mpmath.mpf(xi) ** 2]
+                poly = [
+                    sum(poly[k - d] * quad[d] for d in range(3)
+                        if 0 <= k - d < len(poly))
+                    for k in range(len(poly) + 2)
+                ]
+            num = [a + mpmath.mpf(c[j]) * b for a, b in zip(num, poly)]
+        roots = mpmath.polyroots(num, maxsteps=500, extraprec=4 * dps)
+    return np.array([complex(r) for r in roots])
 
 
 def moment_map_roots(mu, m):

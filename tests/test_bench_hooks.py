@@ -33,12 +33,13 @@ def test_tracer_finds_every_stage():
     assert freedeconv.deconvolve is original
 
 
-def test_lift_hook_reads_targets_and_step_counts():
+def test_lift_hook_reads_targets_and_step_counts(monkeypatch):
     params = inspect.signature(lift_many).parameters
     assert "targets" in params
     assert "step_counts" in params
-    # this sampled S3 spectrum's first pass does not settle: it doubles
-    # twice, to 2048 nodes
+    # this sampled S3 spectrum settles at 512 nodes: started at 64, its
+    # passes double three times
+    monkeypatch.setattr(pipeline, "START_NODES", 64)
     sc = SCENARIOS["S3"]
     mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
     tracer = Tracer(STAGES)
@@ -46,12 +47,9 @@ def test_lift_hook_reads_targets_and_step_counts():
         # looked up on the module, where the tracer installs its wrapper
         result = pipeline.deconvolve(mu_n, sc.c)
     lifts = [span for span in tracer.spans if span.name == "lift_many"]
-    # the first pass marches the upper half of its nodes; later passes are
-    # refined, and only their nodes that fail the certificate are marched
-    nodes = [span.counts["nodes"] for span in lifts]
-    assert nodes[0] == pipeline.START_NODES // 2
-    assert sum(nodes[1:]) == result.diagnostics.refined_nodes_marched
-    assert result.diagnostics.nodes_used > pipeline.START_NODES
+    # every pass marches the upper half of its nodes
+    assert [span.counts["nodes"] for span in lifts] == [32, 64, 128, 256]
+    assert result.diagnostics.nodes_used == 512
     assert sum(span.counts["steps"] for span in lifts) == (
         result.diagnostics.lift_steps_total
     )
@@ -73,7 +71,7 @@ def test_retry_ladder_shows_every_rung_and_one_spectral_stage():
     assert names.count("deconvolve") == 7
     assert names.count("critical_points") == 1
     lifts = [span for span in tracer.spans if span.name == "lift_many"]
-    # one march of the first pass; every refined node passed its certificate
+    # one march: the first pass settles
     assert [span.counts["nodes"] for span in lifts] == [256]
     decon = [span for span in tracer.spans if span.name == "deconvolve"]
     assert all(span.error for span in decon[:-1])

@@ -310,8 +310,8 @@ def test_choose_m_contour_backs_off_from_low_slits():
 
 def test_choose_m_contour_radius_is_the_tightest_slit_bound():
     # multi-slit ramification of random measures: the radius keeps a 10%
-    # clearance from every slit, and is exactly either the unit cap or one
-    # slit's bound hypot(re, 0.9 im)
+    # radial clearance from every branch point, and is exactly either the
+    # unit cap or one branch point's bound 0.9 |b|
     rng = np.random.default_rng(11)
     limited = 0
     for _ in range(12):
@@ -321,7 +321,7 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
             continue
         r = choose_m_contour(bp)
         assert isinstance(r, float)
-        bounds = np.hypot(bp.real, 0.9 * bp.imag)
+        bounds = 0.9 * np.abs(bp)
         assert np.all(r <= bounds)
         # the circle crosses Re = re below the shortened slit
         crossing = np.sqrt(np.maximum(r**2 - bp.real**2, 0.0))

@@ -284,12 +284,6 @@ def test_baseline_fails_loudly_on_atomic_input():
 def test_baseline_input_contracts():
     with pytest.raises(ValueError):
         baseline_subordination(TWO, 0.2, sigma=0.0)
-    with pytest.raises(ValueError):
-        baseline_subordination(TWO, 0.2, ridge_alpha=0.0)
-    with pytest.raises(ValueError):
-        baseline_subordination(TWO, 0.2, grid=[0.0, 1.0])
-    with pytest.raises(ValueError):
-        baseline_subordination(TWO, 0.2, grid=np.ones(10))
 
 
 # ---------------------------------------------------------------------------

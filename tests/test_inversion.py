@@ -16,7 +16,6 @@ from freedeconv.errors import (
 from freedeconv.inversion import (
     NEWTON_TOL,
     critical_points,
-    lift_doubled,
     lift_many,
     slit_free_radius,
 )
@@ -32,6 +31,7 @@ from helpers import (
     markov_krein_zero_equivalence,
     moment_map_derivative,
     moment_map_roots,
+    mp_critical_points,
     qz_critical_points,
     rand_measure,
     reference_march,
@@ -185,16 +185,19 @@ def test_critical_points_match_qz_on_tight_clusters_and_spread_atoms():
     # in a tight cluster a pair of roots can sit within ~1e-8 of an atom,
     # where rounding the root itself moves M' by more than the 1e-8
     # backward-error budget; the certificate allows for that rounding, so
-    # every measure here is certified (critical_points raises otherwise)
+    # every measure here is certified (critical_points raises otherwise).
+    # Where QZ's polished roots fail that certificate (3 of the 1 500),
+    # 80-digit roots of the cleared numerator are the reference instead
     clusters, spread = _dirichlet_measures(np.random.default_rng(31))
     for mu in clusters + spread:
         ref, ref_ok = qz_critical_points(mu)
+        if not np.all(ref_ok):
+            ref = mp_critical_points(mu)
         got = critical_points(mu).critical_points
         assert got.size == ref.size == 2 * (mu.n_atoms - 1)
-        if np.all(ref_ok):
-            gap = np.abs(got[:, None] - ref[None, :])
-            assert np.all(np.min(gap, axis=1) <= 1e-10 * np.abs(got))
-            assert np.all(np.min(gap, axis=0) <= 1e-10 * np.abs(ref))
+        gap = np.abs(got[:, None] - ref[None, :])
+        assert np.all(np.min(gap, axis=1) <= 1e-10 * np.abs(got))
+        assert np.all(np.min(gap, axis=0) <= 1e-10 * np.abs(ref))
 
 
 def test_certificate_rejects_roots_moved_by_a_millionth():
@@ -405,6 +408,10 @@ def test_lift_many_agrees_with_individual_lifts():
         s_transform(TWO, outside[0], free)
 
 
+def _half_offset_upper(radius, n):
+    return circle_nodes(radius, n)[: n // 2]
+
+
 def _oracle_measures(rng):
     # two draws each of uniform, log-normal and clustered 9-atom measures
     for _ in range(2):
@@ -606,60 +613,6 @@ def test_lift_of_a_target_does_not_depend_on_its_batch():
         assert abs(together - alone) <= 1e-12 * abs(alone)
         checked += 1
     assert checked >= 10
-
-
-def _half_offset_upper(radius, n):
-    return circle_nodes(radius, n)[: n // 2]
-
-
-def test_lift_doubled_matches_the_march_and_the_eigenvalue_oracle():
-    # circles up to 0.995 of the free radius; near the top a node may fail
-    # its certificate and be marched, at 0.9 every node must be refined
-    rng = np.random.default_rng(33)
-    checked = 0
-    for mu in _oracle_measures(rng):
-        try:
-            free = _free(mu)
-        except NumericalError:
-            continue
-        for frac in (0.9, 0.97, 0.995):
-            radius = frac * free
-            coarse = lift_many(mu, _half_offset_upper(radius, 512), free)
-            steps = []
-            got, marched = lift_doubled(mu, radius, coarse, free, steps)
-            assert len(steps) == marched
-            if frac == 0.9:
-                assert marched == 0
-            targets = _half_offset_upper(radius, 1024)
-            marched_pass = lift_many(mu, targets, free)
-            assert np.max(np.abs(got - marched_pass) / np.abs(got)) <= 1e-10
-            want = branch_by_eigenvalues(mu, targets[::64])
-            assert np.max(np.abs(got[::64] - want) / np.abs(want)) <= 1e-10
-            assert np.all(np.abs(mu.moment_map(got) - targets) <= NEWTON_TOL)
-        checked += 1
-    assert checked >= 5
-
-
-def test_lift_doubled_marches_nodes_it_cannot_certify():
-    # coarse values off by 5 % put a large interpolation error in the
-    # top band of the coefficients, so no prediction is certified
-    rng = np.random.default_rng(34)
-    mu = next(_oracle_measures(rng))
-    free = _free(mu)
-    radius = 0.9 * free
-    coarse = lift_many(mu, _half_offset_upper(radius, 64), free)
-    noisy = coarse * (1.0 + 0.05 * rng.standard_normal(coarse.size))
-    steps = []
-    got, marched = lift_doubled(mu, radius, noisy, free, steps)
-    assert marched == 64
-    assert len(steps) == 64
-    clean, none_marched = lift_doubled(mu, radius, coarse, free)
-    assert none_marched == 0
-    want = branch_by_eigenvalues(mu, _half_offset_upper(radius, 128)[::8])
-    for values in (got, clean):
-        assert np.max(np.abs(values[::8] - want) / np.abs(want)) <= 1e-10
-    with pytest.raises(ValueError, match="slit-free disk"):
-        lift_doubled(mu, free, coarse, free)
 
 
 # ---------------------------------------------------------------------------

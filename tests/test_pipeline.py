@@ -299,7 +299,6 @@ def test_deconvolve_result_json_schema():
         "settle_gap",
         "lift_steps_total",
         "lift_steps_max",
-        "refined_nodes_marched",
         "t_ramification_s",
         "t_lift_s",
         "t_moments_s",
@@ -310,7 +309,6 @@ def test_deconvolve_result_json_schema():
     assert len(payload["moments_used"]) == MAX_MOMENTS + 1
     assert payload["diagnostics"]["settled"] is True
     assert 0.0 <= payload["diagnostics"]["settle_gap"] < 1e-9
-    assert payload["diagnostics"]["refined_nodes_marched"] == 0
     assert 0.0 <= payload["diagnostics"]["moment_error"] <= 10.0 * 1e-4
     # an L-atom proxy has L - 1 conjugate pairs of critical points, and
     # each carries one slit pair
@@ -320,18 +318,22 @@ def test_deconvolve_result_json_schema():
 
 
 def test_deconvolve_reports_the_chosen_radius_exactly():
-    # noise-free spectra of three scenarios, one per radius limiter
+    # noise-free spectra of three scenarios, one per radius limiter; each
+    # circle reaches at most 0.9 of the way to the nearest branch point or
+    # to the S_MP pole
     def run(sc_id):
         sc = SCENARIOS[sc_id]
         mu_f = forward_measure(sc.population, sc.c, tol=1e-8)
-        return mu_f, deconvolve(mu_f, sc.c).diagnostics
+        d = deconvolve(mu_f, sc.c).diagnostics
+        bp = critical_points(pipeline._gauss_proxy(mu_f)).branch_points_upper
+        assert d.contour_radius <= 0.9 * min(slit_free_radius(bp), 1 / sc.c)
+        return bp, d
 
     d = run("S2_1")[1]
     assert (d.contour_radius, d.radius_limiter) == (1.0, "unit_cap")
     d = run("S2_2")[1]
     assert (d.contour_radius, d.radius_limiter) == (0.5 / 0.95, "mp_pole")
-    mu_f, d = run("S2_3")
-    bp = critical_points(mu_f).branch_points_upper
+    bp, d = run("S2_3")
     slit_bound = choose_m_contour(bp)
     assert slit_bound < 1.0
     assert (d.contour_radius, d.radius_limiter) == (slit_bound, "slit")
@@ -339,21 +341,22 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
 
 
 def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
-    # this sampled S3 spectrum settles only at 2048 nodes; with the node
-    # cap at 1024 the run still returns, reports it and logs a warning
+    # this sampled S3 spectrum, started at 64 nodes, settles only at 512;
+    # with the node cap at 256 the run still returns, reports it and logs
+    # a warning
     sc = SCENARIOS["S3"]
     mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
+    monkeypatch.setattr(pipeline, "START_NODES", 64)
 
     def run():
         return pipeline.deconvolve_with_retries(mu_n, sc.c).diagnostics
 
     full = run()
-    assert (full.settled, full.nodes_used) == (True, 2048)
-    assert full.refined_nodes_marched == 0
-    monkeypatch.setattr(pipeline, "MAX_NODES", 1024)
+    assert (full.settled, full.nodes_used) == (True, 512)
+    monkeypatch.setattr(pipeline, "MAX_NODES", 256)
     with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
         capped = run()
-    assert (capped.settled, capped.nodes_used) == (False, 1024)
+    assert (capped.settled, capped.nodes_used) == (False, 256)
     assert "did not settle" in caplog.text
 
 
@@ -361,8 +364,10 @@ def test_a_pass_settled_at_the_start_matches_a_forced_doubled_pass(
     monkeypatch,
 ):
     # sampled spectra whose first pass settles against its own even nodes:
-    # a first pass at twice the nodes moves none of their moments by 1e-9
-    for sc_id, seed in (("S2_1", 1), ("S2_3", 2), ("S3", 1)):
+    # a first pass at twice the nodes moves none of their moments by 1e-9.
+    # S3 at seed 7 is slit-limited: its circle keeps only the 10 % radial
+    # clearance from its nearest branch point
+    for sc_id, seed in (("S2_1", 1), ("S2_3", 2), ("S3", 1), ("S3", 7)):
         sc = SCENARIOS[sc_id]
         mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, seed)
         first = pipeline.deconvolve_with_retries(mu_n, sc.c)
@@ -380,13 +385,14 @@ def test_a_pass_settled_at_the_start_matches_a_forced_doubled_pass(
 def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
     monkeypatch, caplog
 ):
-    # sampled S2_3 at n = 500, seed 1, at 512 nodes: the real parts of the
-    # full and the even-node sums agree to 1e-14, the sums to 5e-9 only.
+    # sampled S3 at n = 500, seed 7, at 256 nodes: the real parts of the
+    # full and the even-node sums agree to 1e-14, the sums to 2e-8 only.
     # The even nodes sit a quarter node off, which turns the leading alias
     # term imaginary, so only the complex gap measures the error
-    sc = SCENARIOS["S2_3"]
-    mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 1)
-    monkeypatch.setattr(pipeline, "MAX_NODES", pipeline.START_NODES)
+    sc = SCENARIOS["S3"]
+    mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
+    monkeypatch.setattr(pipeline, "START_NODES", 256)
+    monkeypatch.setattr(pipeline, "MAX_NODES", 256)
     with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
         res = pipeline.deconvolve_with_retries(mu_n, sc.c)
     rep = res.contour
@@ -399,7 +405,7 @@ def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
     d = res.diagnostics
     assert d.settle_gap == pytest.approx(gap, rel=1e-3)
     assert d.settle_gap >= 1e-9
-    assert (d.settled, d.nodes_used) == (False, pipeline.START_NODES)
+    assert (d.settled, d.nodes_used) == (False, 256)
     assert "did not settle" in caplog.text
 
 

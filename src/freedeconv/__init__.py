@@ -2,9 +2,9 @@
 
 Estimates the population spectral measure behind an observed sample
 covariance spectrum by inverting the moment map on its Riemann surface,
-forming the S-transform ratio against the Marchenko-Pastur law, extracting
-moments of the estimate by contour integration, and reconstructing a
-discrete measure through Hankel/Jacobi recovery.
+dividing out the Marchenko-Pastur S-transform, extracting moments of the
+estimate by Lagrange inversion on a circle, and reconstructing a discrete
+measure through Hankel/Jacobi recovery.
 """
 
 from .contours import (

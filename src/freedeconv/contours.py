@@ -1,10 +1,10 @@
-"""Contour representations of Stieltjes transforms.
+"""Contour representations of Stieltjes transforms, and moments from them.
 
 A closed contour in the z plane together with samples of G on it determines
-every moment of the underlying measure by residue calculus.  This module
-discretizes that calculus: moment extraction from sampled contours, and the
-construction of a sampled G contour for a product measure from an
-S-transform evaluator composed with a circle in the m plane.
+every moment of the underlying measure by residue calculus; so does the
+inverse moment map on a circle about 0 in the m plane, by Lagrange
+inversion.  This module discretizes both by the trapezoid rule, chooses
+that circle, and maps it to a sampled G contour of the measure.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "ContourRepresentation",
     "ContourMoments",
     "moments_from_contour",
+    "moments_from_circle",
     "contour_rep_from_s",
     "choose_m_contour",
     "circle_nodes",
@@ -139,63 +140,73 @@ class ContourMoments(NamedTuple):
     half_gap: float
 
 
-def moments_from_contour(rep: ContourRepresentation, K: int) -> ContourMoments:
-    """Extract moments m_0..m_K and report the worst imaginary residue and
-    the gap to the rule on every other node.
-
-    Real measures have real moments; the imaginary parts of the contour
-    sums are pure discretization noise and the maximum across orders, scaled
-    by max(1, |m_k|), is the returned quality diagnostic.  A residue at or
-    above 1e-6, or a total mass off 1 by more than 1e-6, means the contour
-    does not faithfully enclose a probability measure.
-
-    For an even node count the even-indexed nodes form an equispaced
-    trapezoid rule of their own, with their own spectral derivative.
-    `half_gap` is the largest distance between its complex sums and the
-    full rule's, scaled by max(1, |m_k|): the error estimate of the
-    coarser rule, which bounds that of the full one.  With an odd node
-    count there is no such rule and `half_gap` is inf.
-    """
-    if K < 1:
-        raise ValueError("need at least orders 0 and 1")
-    n = rep.sigma.size
-    sigma = rep.sigma
-    # sigma^k values dsigma for k = 0..K by one running product, over the
-    # n nodes followed by the n/2 even ones; weight 2 scales the half rule
-    # to the full rule's 1 / n
-    g = rep.values * _parametric_derivative(sigma)
-    if n % 2 == 0:
-        even = sigma[::2]
-        g = np.concatenate(
-            [g, 2.0 * rep.values[::2] * _parametric_derivative(even)]
-        )
-        sigma = np.concatenate([sigma, even])
-    full, half = g[:n], g[n:]
-    sums = np.empty((2, K + 1), dtype=complex)
-    for k in range(K + 1):
-        sums[:, k] = np.add.reduce(full), np.add.reduce(half)
-        np.multiply(g, sigma, out=g)
-    sums /= 1j * n
-    raw = sums[0]
-    scale = np.maximum(1.0, np.abs(raw.real))
-    residue = float(np.max(np.abs(raw.imag) / scale))
-    half_gap = float("inf")
-    if n % 2 == 0:
-        half_gap = float(np.max(np.abs(raw - sums[1]) / scale))
+def _checked(sums: np.ndarray, half_gap: float) -> ContourMoments:
+    scale = np.maximum(1.0, np.abs(sums.real))
+    residue = float(np.max(np.abs(sums.imag) / scale))
     if residue >= 1e-6:
         raise NoisyContourError(
             f"imaginary moment residue {residue:.3e} exceeds 1e-6",
             stage="moments_from_contour",
             diagnostics={"imag_residue": residue},
         )
-    if abs(raw[0].real - 1.0) > 1e-6:
+    if abs(sums[0].real - 1.0) > 1e-6:
         raise NoisyContourError(
-            f"contour mass {raw[0].real:.9f} is not 1; the contour misses "
+            f"contour mass {sums[0].real:.9f} is not 1; the contour misses "
             "support or the transform values are unreliable",
             stage="moments_from_contour",
-            diagnostics={"mass": float(raw[0].real)},
+            diagnostics={"mass": float(sums[0].real)},
         )
-    return ContourMoments(MomentSequence(raw.real), residue, half_gap)
+    return ContourMoments(MomentSequence(sums.real), residue, half_gap)
+
+
+def moments_from_contour(rep: ContourRepresentation, K: int) -> ContourMoments:
+    """Extract moments m_0..m_K by the trapezoid rule on a sampled G contour.
+
+    Real measures have real moments; the worst imaginary residue across
+    orders, scaled by max(1, |m_k|), is the quality diagnostic.  A residue
+    at or above 1e-6, or a mass off 1 by more than 1e-6, means the contour
+    does not faithfully enclose a probability measure.  `half_gap` is inf.
+    """
+    if K < 1:
+        raise ValueError("need at least orders 0 and 1")
+    sigma = rep.sigma
+    # sigma^k values dsigma for k = 0..K by one running product
+    g = rep.values * _parametric_derivative(sigma)
+    sums = np.empty(K + 1, dtype=complex)
+    for k in range(K + 1):
+        sums[k] = np.add.reduce(g)
+        np.multiply(g, sigma, out=g)
+    return _checked(sums / (1j * sigma.size), float("inf"))
+
+
+def moments_from_circle(m: np.ndarray, z: np.ndarray, K: int) -> ContourMoments:
+    """Moments m_0..m_K from z = Minv(m) on a counterclockwise circle.
+
+    `m` holds an even number n of equispaced nodes on a circle about 0
+    where the inverse branch is single valued.  By Lagrange inversion
+    m_k = (1/2 pi i k) of Minv(m)^k dm, whose trapezoid rule is
+    mean(m z^k) / k for k >= 1; m_0 is the rule of `moments_from_contour`
+    on the clockwise image contour z.  `half_gap` is the largest distance,
+    scaled by max(1, |m_k|), to the same sums over the n/2 even nodes:
+    the error estimate of the coarser rule, which bounds the full one's.
+    Residue and mass are checked as in `moments_from_contour`.
+    """
+    if K < 1:
+        raise ValueError("need at least orders 0 and 1")
+    if m.shape != z.shape or m.ndim != 1 or m.size % 2:
+        raise ValueError("m and z must be matching arrays of even length")
+    n = m.size
+    sums = np.empty((2, K + 1), dtype=complex)
+    sums[:, 0] = -np.sum((1.0 + m) / z * _parametric_derivative(z)) / (1j * n)
+    # m z^k for k = 1..K by one running product, over all and even nodes
+    g = m.astype(complex)
+    for k in range(1, K + 1):
+        g *= z
+        sums[:, k] = np.add.reduce(g), np.add.reduce(g[::2])
+    sums[:, 1:] /= np.outer([n, n // 2], np.arange(1, K + 1))
+    full, half = sums
+    scale = np.maximum(1.0, np.abs(full.real))
+    return _checked(full, float(np.max(np.abs(full - half) / scale)))
 
 
 def contour_rep_from_s(
@@ -211,8 +222,6 @@ def contour_rep_from_s(
     counterclockwise representation.
     """
     m = _as_complex_nodes(m_contour, "m_contour")
-    if m.size < 16:
-        raise ValueError("m contour needs at least 16 nodes")
     if np.any(m == 0.0):
         raise ValueError("m = 0 is the pole of the inverse moment map")
     s = np.asarray(s_values, dtype=complex)

@@ -108,6 +108,7 @@ class RunReport:
     diag_rank: int
     diag_imag_residue: float
     error: str = ""
+    error_stage: str = ""  # the NumericalError.stage of a failed run
 
     def row(self) -> list:
         return [getattr(self, col) for col in REPORT_COLUMNS]
@@ -418,6 +419,7 @@ def _run_one(args):
             sc_id, n, p, seed, method, float("nan"),
             time.perf_counter() - t0, 0.0, 0.0, 0,
             float("nan"), error=str(exc),
+            error_stage=getattr(exc, "stage", None) or "",
         )
 
 

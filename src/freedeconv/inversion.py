@@ -130,9 +130,10 @@ def critical_points(mu):
     a subspace N maps into itself.  With V an orthonormal basis of that
     kernel, one O(L^3) eigensolve of V^T N V and up to eight Newton steps
     find them; the pipeline calls this on its Gauss proxy only, at most 9
-    atoms.  The atoms are centred at their mean first, so the eigenvalues' rounding
-    scales with the spread of the atoms, not their size; uncentred, tight
-    clusters fail the certificate where the exact roots, rounded, pass it.
+    atoms.  The atoms are centred at their mean first, so the eigenvalues'
+    rounding scales with the spread of the atoms, not their size;
+    uncentred, tight clusters fail the certificate where the exact roots,
+    rounded, pass it.
 
     Raises IncompleteRootsError when fewer than 2(L-1) eigenvalues come
     back finite or the residual certificate fails for any root: finding

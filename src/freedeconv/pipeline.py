@@ -1,19 +1,19 @@
 """End-to-end free multiplicative deconvolution.
 
 Given an empirical spectral measure mu_n of a sample covariance matrix with
-aspect ratio c, estimate the population spectrum nu: evaluate the
-S-transform ratio S_mu_n / S_MP on a circle in the m plane, map it to a
-sampled Stieltjes contour of the estimate, extract moments, and reconstruct
-a discrete measure.  The circle stays 10 % inside the nearest branch
-point and at most half way to the S_MP pole, so the trapezoid rule on it
-converges at a geometric rate of at most 0.9.  Only the moments
-m_0 .. m_MAX_MOMENTS of the estimate are kept, and each is a polynomial
-in the moments of mu_n of the same order or lower.  So the spectral stage runs on a GAUSS_NODES-point Gauss
+aspect ratio c, estimate the population spectrum nu.  S_nu = S_mu_n / S_MP
+reads Minv_nu(m) = Minv_mu_n(m) / (1 + c m) for the inverse moment maps:
+evaluate it on a circle in the m plane, take the estimate's moments by
+Lagrange inversion, and recover a discrete measure.  The circle stays
+10 % inside the nearest branch point and at most half way to the S_MP
+pole, so the trapezoid rule on it converges at a geometric rate of at
+most 0.9.  Only the moments m_0 .. m_MAX_MOMENTS of the estimate are
+kept, and each is a polynomial in the moments of mu_n of the same order
+or lower.  So the spectral stage runs on a GAUSS_NODES-point Gauss
 quadrature of mu_n, which has the same moments through that order, and
-its cost does not grow with the dimension p.  The forward direction (nu to
-the spectrum of the product) is solved from the fixed-point form of the
-Marchenko-Pastur equation and serves as the noise-free oracle in tests
-and calibrations.
+its cost does not grow with the dimension p.  The forward direction (nu
+to the spectrum of the product) is solved from the fixed-point form of
+the Marchenko-Pastur equation and serves as the noise-free oracle.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .contours import (
     choose_m_contour,
     circle_nodes,
     contour_rep_from_s,
+    moments_from_circle,
     moments_from_contour,
 )
 from .recovery import (
@@ -72,6 +73,9 @@ MAX_MOMENTS = 16
 # atoms of the Gauss proxy of mu_n: K nodes reproduce m_0 .. m_(2K-1),
 # at least the m_0 .. m_MAX_MOMENTS the extracted moments depend on
 GAUSS_NODES = (MAX_MOMENTS + 2) // 2
+# nodes of the forward contour, and the atom cap of the forward measure
+FORWARD_NODES = 2048
+FORWARD_SUPPORT = 16
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,9 @@ class DeconvDiagnostics:
     `contour_radius`: a branch slit (`slit`), the S_MP pole at -1/c
     (`mp_pole`) or the cap of 1 (`unit_cap`).  `settle_gap` is the
     largest distance, relative to max(1, |m_k|), between the complex
-    contour sums of the last pass and those of its own even nodes;
-    `settled` is False when that gap is still 1e-9 or more at the node
-    cap.  Each pass marches the upper half of its nodes in one
+    Lagrange sums of orders k >= 1 on the last pass's circle and on its
+    even nodes; `settled` is False when that gap is still 1e-9 or more at
+    the node cap.  Each pass marches the upper half of its nodes in one
     `lift_many` call, and each node counts the steps of that march.
     `lift_steps_total` sums the count over the nodes of every pass, and
     `lift_steps_max` is the longest march.  `moment_error` is the worst
@@ -166,17 +170,6 @@ class DeconvResult:
         return json.dumps(payload, indent=2)
 
 
-def _ratio_on_circle(
-    upper: np.ndarray, w: np.ndarray, mp: MarchenkoPastur
-) -> np.ndarray:
-    # upper: the upper half of conjugate-symmetric half-offset circle nodes
-    # ordered by angle, w: Minv there; the ratio of transforms of real
-    # measures commutes with conjugation, so the lower half is the mirror
-    s_upper = (1.0 + upper) / (upper * w)
-    t_upper = s_upper / mp.s_transform(upper)
-    return np.concatenate([t_upper, np.conj(t_upper[::-1])])
-
-
 def _gauss_proxy(mu_n: DiscreteMeasure) -> DiscreteMeasure:
     """GAUSS_NODES-point Gauss quadrature of mu_n, or mu_n if it is smaller.
 
@@ -226,7 +219,7 @@ class _Spectral(NamedTuple):
 
 
 def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
-    """Ramification, radius, node-doubling lifts and contour moments.
+    """Ramification, radius, node-doubling lifts and circle moments.
 
     All four run on the Gauss proxy of `mu_n`.  An aspect ratio outside
     (0, 1) raises ValueError before any of them.
@@ -250,14 +243,16 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     t_moments = 0.0
     n_nodes = START_NODES
     while True:
-        nodes = circle_nodes(radius, n_nodes)
-        upper = nodes[: n_nodes // 2]
+        m = circle_nodes(radius, n_nodes)
+        upper = m[: n_nodes // 2]
         t1 = time.perf_counter()
+        # Minv_nu = Minv_proxy S_MP; the lower half of the nodes is the
+        # mirror, as transforms of real measures commute with conjugation
         w = lift_many(proxy, upper, free, step_counts=step_counts)
-        ratio = _ratio_on_circle(upper, w, mp)
+        z_upper = w / (1.0 + mp.c * upper)
+        z = np.concatenate([z_upper, np.conj(z_upper[::-1])])
         t2 = time.perf_counter()
-        rep = contour_rep_from_s(ratio, nodes)
-        extracted = moments_from_contour(rep, MAX_MOMENTS)
+        extracted = moments_from_circle(m, z, MAX_MOMENTS)
         t_lift += t2 - t1
         t_moments += time.perf_counter() - t2
         # the pass settles when its own even nodes agree with all of it
@@ -270,6 +265,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
             )
             break
         n_nodes *= 2
+    rep = contour_rep_from_s((1.0 + m) / (m * z), m)
 
     diagnostics = dict(
         imag_residue=extracted.imag_residue,
@@ -309,23 +305,25 @@ def deconvolve(
     (mu_n itself when it has no more atoms), the proxy; ramification
     analysis of the proxy fixes the slits and the slit-free disk they
     leave about 0; a circle in the m plane clear of the slits (and of the
-    S_MP pole at -1/c) carries lifts of the inverse moment map evaluating
-    the ratio S_proxy/S_MP; the ratio induces a sampled Stieltjes contour
-    of the estimate; contour moments feed the Hankel recovery.  The
+    S_MP pole at -1/c) carries lifts of the inverse moment map of the
+    proxy; dividing them by 1 + c m gives the estimate's inverse moment
+    map, Minv_nu = Minv_proxy S_MP; Lagrange inversion on the circle
+    gives the estimate's moments, which feed the Hankel recovery.  The
     compression is exact for what is kept: m_k of the estimate is a
     polynomial in m_1 .. m_k of the input, and the proxy reproduces
     m_0 .. m_(2 GAUSS_NODES - 1) of mu_n, so the moments through
     m_MAX_MOMENTS come out the same up to roundoff.  The contour radius is
     the proxy's, which has fewer slits near 0 than mu_n.  The sanity
     window on the estimate's atoms is set by mu_n itself.  A pass of N
-    nodes is settled when its complex contour sums agree within 1e-9,
+    nodes is settled when its complex Lagrange sums agree within 1e-9,
     relative to max(1, |m_k|), with those of its N/2 even nodes, the
     trapezoid rule one level down; otherwise the node count doubles, up
     to the cap, and the new pass is marched again.  The circle keeps 10 %
     radial clearance from every branch point, so the rule converges at
-    least like 0.9^N and a pass rarely needs to double.  Every failure
-    mode raises a typed error carrying its stage; there is no silent
-    fallback.
+    least like 0.9^N and a pass rarely needs to double.  The returned
+    `contour` is the estimate's Stieltjes contour, the image of the
+    accepted pass's circle.  Every failure mode raises a typed error
+    carrying its stage; there is no silent fallback.
 
     Everything before recovery depends on `mu_n` and `c` only; `cfg`
     holds the recovery knobs.  `spectral`, when given, is that part
@@ -451,9 +449,7 @@ def _mp_fixed_point_vec(
     return B
 
 
-def forward_contour(
-    nu: DiscreteMeasure, c: float, nodes: int = 2048
-) -> ContourRepresentation:
+def forward_contour(nu: DiscreteMeasure, c: float) -> ContourRepresentation:
     """Sampled exact Stieltjes contour of the spectrum produced by nu.
 
     The contour is an ellipse around the support hull
@@ -462,13 +458,8 @@ def forward_contour(
     the support, while the horizontal pad stays small: moment sums at
     order k amplify roundoff by (max |sigma| / support edge)^k, so the
     contour must not overshoot the hull horizontally.  Only the upper half
-    is solved; the lower half is its mirror.
+    is solved; the lower half is its mirror.  It has FORWARD_NODES nodes.
     """
-    _require_int("nodes", nodes)
-    if nodes < 64 or nodes % 2:
-        raise ValueError(f"need an even count of at least 64 nodes, got {nodes}")
-    if not 0.0 < c < 1.0:
-        raise ValueError("aspect ratio c must lie in (0, 1)")
     mp = MarchenkoPastur(c)
     lo = mp.lower_edge * float(np.min(nu.atoms))
     hi = mp.upper_edge * float(np.max(nu.atoms))
@@ -476,35 +467,28 @@ def forward_contour(
     eta = 0.5 * span
     center = 0.5 * (lo + hi)
     half_width = 0.5 * span + 0.02 * span
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
+    theta = 2.0 * np.pi * (np.arange(FORWARD_NODES) + 0.5) / FORWARD_NODES
     sigma = center + half_width * np.cos(theta) + 1j * eta * np.sin(theta)
-    upper = sigma[: nodes // 2]
+    upper = sigma[: FORWARD_NODES // 2]
     B = _mp_fixed_point_vec(nu.atoms, nu.weights, c, upper)
     g_upper = (-B - (1.0 - c) / upper) / c
-    values = np.empty(nodes, dtype=complex)
-    values[: nodes // 2] = g_upper
-    values[nodes // 2 :] = np.conj(g_upper[::-1])
+    values = np.concatenate([g_upper, np.conj(g_upper[::-1])])
     return ContourRepresentation(sigma, values)
 
 
 def forward_measure(
-    nu: DiscreteMeasure,
-    c: float,
-    nodes: int = 2048,
-    max_support: int = 16,
-    tol: float = 1e-10,
+    nu: DiscreteMeasure, c: float, tol: float = 1e-10
 ) -> DiscreteMeasure:
     """Discretization of the exact spectrum of the product, as a measure.
 
-    Extracts 2 x max_support moments from the forward contour and runs the
-    rank-truncated recovery: the result is the Gauss quadrature proxy of
-    the (absolutely continuous) product spectrum, the noise-free stand-in
-    for an empirical eigenvalue measure.
+    Extracts 2 FORWARD_SUPPORT moments from the forward contour and runs
+    the rank-truncated recovery: the result is the Gauss quadrature proxy
+    of the (absolutely continuous) product spectrum, the noise-free
+    stand-in for an empirical eigenvalue measure.
     """
-    _require_int("max_support", max_support)
-    rep = forward_contour(nu, c, nodes)
-    extracted = moments_from_contour(rep, 2 * max_support)
-    return recover_measure_detailed(extracted.moments, max_support, tol).measure
+    rep = forward_contour(nu, c)
+    moments = moments_from_contour(rep, 2 * FORWARD_SUPPORT).moments
+    return recover_measure_detailed(moments, FORWARD_SUPPORT, tol).measure
 
 
 def ree_assemble(

@@ -197,9 +197,10 @@ def recover_measure_detailed(
     Chooses the largest tractable Hankel order given the available moments
     and the requested support bound, extracts the recurrence, and
     diagonalizes.  The scaled Cholesky pivots of `jacobi_from_moments` both
-    reject non-moments and truncate the rank.  The report records how well the output
-    measure reproduces the input moments over the Gauss-exactness range
-    k <= 2 rank - 1; on exact inputs these errors sit at 10 tol or below.
+    reject non-moments and truncate the rank.  The report records how well
+    the output measure reproduces the input moments over the
+    Gauss-exactness range k <= 2 rank - 1; on exact inputs these errors
+    sit at 10 tol or below.
     """
     _require_int("max_support", max_support)
     if max_support < 1:

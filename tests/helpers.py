@@ -15,7 +15,10 @@ composes the library's lift, `contour_moment` shares the spectral
 derivative of `moments_from_contour` and checks only its running product,
 and `qz_critical_points` shares the Newton polish and the certificate;
 `mp_critical_points` stands in for it where its roots fail that
-certificate.
+certificate.  `lagrange_sums` checks the running product and the
+even-node rule of `moments_from_circle`, and `deconvolved_moment_series`
+computes the estimate's moments from the input's in 60-digit arithmetic,
+with no contour at all.
 """
 
 import math
@@ -295,6 +298,60 @@ def contour_moment(rep, k):
     dsigma = contours._parametric_derivative(rep.sigma)
     integrand = rep.sigma**k * rep.values * dsigma
     return complex(np.sum(integrand) / (1j * rep.sigma.size))
+
+
+def lagrange_sums(m, z, K):
+    """Reference sums mean(m z^k) / k, k = 1..K, over all and the even nodes.
+
+    With m equispaced on a counterclockwise circle about 0 and z = Minv(m),
+    these are the trapezoid rules for the Lagrange inversion formula
+    m_k = (1/2pi i k) of Minv(m)^k dm, on the n nodes and on the n/2 even
+    ones.  Each order's power z^k is formed on its own.  Returns the two
+    complex arrays (full, even).
+    """
+    m = np.asarray(m, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    full = np.array([np.mean(m * z**k) / k for k in range(1, K + 1)])
+    even = np.array(
+        [np.mean(m[::2] * z[::2] ** k) / k for k in range(1, K + 1)]
+    )
+    return full, even
+
+
+def deconvolved_moment_series(mu, c, K, dps=60):
+    """Moments m_0..m_K of nu with mu = nu boxtimes MP_c, by the series.
+
+    With psi(z) = sum_{k >= 1} m_k z^k, S_mu = S_nu S_MP and
+    S_MP(m) = 1 / (1 + c m) give psi_mu(z) = psi_nu(u(z)) with
+    u(z) = z (1 + c psi_mu(z)).  Comparing coefficients of z^k,
+    m^nu_k = m^mu_k - sum_{j < k} m^nu_j [z^k] u^j: a unit lower
+    triangular solve.  It runs in mpmath at `dps` digits on the moments
+    of mu's atoms and weights, and returns floats.
+    """
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(a)) for a in mu.atoms]
+        w = [mpmath.mpf(float(b)) for b in mu.weights]
+        c = mpmath.mpf(float(c))
+        a = [
+            mpmath.fsum(wi * xi**k for wi, xi in zip(w, x))
+            for k in range(K + 1)
+        ]
+        u = [0, 1] + [c * a[k - 1] for k in range(2, K + 1)]
+        # powers[j][k] = [z^k] u^j, truncated after z^K
+        powers = [[mpmath.mpf(1)] + [mpmath.mpf(0)] * K]
+        for _ in range(K):
+            prev = powers[-1]
+            powers.append(
+                [
+                    mpmath.fsum(prev[i] * u[k - i] for i in range(k + 1))
+                    for k in range(K + 1)
+                ]
+            )
+        nu = [mpmath.mpf(1)]
+        for k in range(1, K + 1):
+            tail = mpmath.fsum(nu[j] * powers[j][k] for j in range(1, k))
+            nu.append(a[k] - tail)
+        return np.array([float(v) for v in nu])
 
 
 def crossing_count(points):

@@ -10,6 +10,7 @@ from freedeconv.contours import (
     choose_m_contour,
     circle_nodes,
     contour_rep_from_s,
+    moments_from_circle,
     moments_from_contour,
 )
 from freedeconv.errors import NoContourError, NoisyContourError
@@ -21,6 +22,7 @@ from freedeconv.pipeline import forward_contour
 from helpers import (
     contour_moment,
     is_conjugate_symmetric,
+    lagrange_sums,
     mp_moment,
     rand_measure,
     winding_number,
@@ -222,24 +224,57 @@ def test_moments_from_contour_matches_contour_moment_order_by_order():
             assert abs(got[k] - contour_moment(rep, k).real) <= 1e-14 * scale
 
 
-def test_moments_from_contour_half_gap_is_the_even_node_rules_distance():
-    # on the circle of radius 0.7 about 1.5 the atoms of TWO sit 0.5 from
-    # the centre, so the rule on n nodes errs by about (0.5 / 0.7)^n; the
+def test_moments_from_contour_has_no_coarser_rule():
+    rep = _stieltjes_rep(TWO, 1.5, 0.7, 64)
+    assert moments_from_contour(rep, 4).half_gap == np.inf
+
+
+def _two_inverse(m):
+    # Minv of TWO in closed form: m = 0.5/(z - 1) + 1/(z - 2) is the
+    # quadratic m z^2 - (3m + 1.5) z + 2m + 2 = 0, and the root near
+    # 1.5 / m is the branch with Minv(0) = inf.  The discriminant
+    # m^2 + m + 2.25 vanishes at -1/2 +- sqrt(2) i, |b| = 1.5, and keeps a
+    # positive real part on |m| <= 1.05
+    root = np.sqrt(m * m + m + 2.25)
+    return (3.0 * m + 1.5 + root) / (2.0 * m)
+
+
+def test_moments_from_circle_half_gap_is_the_even_node_rules_distance():
+    # on the circle of radius 1.05 about 0 the branch points of TWO sit at
+    # |b| = 1.5, so the rule on n nodes errs by about (1.05 / 1.5)^n; the
     # gap to the rule on the even nodes is the coarser rule's error, which
     # bounds the full rule's
     exact = np.array([(1.0 + 2.0**k) / 2.0 for k in range(5)])
     for n in (48, 64, 96):
-        rep = _stieltjes_rep(TWO, 1.5, 0.7, n)
-        cm = moments_from_contour(rep, 4)
-        even = ContourRepresentation(rep.sigma[::2], rep.values[::2])
-        full = np.array([contour_moment(rep, k) for k in range(5)])
-        half = np.array([contour_moment(even, k) for k in range(5)])
+        m = _circle_nodes(0.0, 1.05, n)
+        z = _two_inverse(m)
+        cm = moments_from_circle(m, z, 4)
+        full, half = lagrange_sums(m, z, 4)
         gap = np.max(np.abs(full - half) / np.maximum(1.0, np.abs(full.real)))
         assert cm.half_gap == pytest.approx(gap, rel=1e-6)
         assert np.max(np.abs(cm.moments.values - exact) / exact) <= cm.half_gap
     # an odd node count has no rule on every other node
-    odd = _stieltjes_rep(TWO, 1.5, 0.7, 65)
-    assert moments_from_contour(odd, 4).half_gap == np.inf
+    m = _circle_nodes(0.0, 1.05, 65)
+    with pytest.raises(ValueError, match="even"):
+        moments_from_circle(m, _two_inverse(m), 4)
+
+
+def test_moments_from_circle_keeps_the_contour_checks():
+    m = _circle_nodes(0.0, 1.05, 64)
+    z = _two_inverse(m)
+    with pytest.raises(NoisyContourError) as exc_info:
+        moments_from_circle(m, z * (1.0 + 0.01j), 4)
+    assert exc_info.value.stage == "moments_from_contour"
+    assert exc_info.value.diagnostics["imag_residue"] >= 1e-6
+    # Minv(m) + 1/2 is no inverse moment map: its image contour encloses
+    # the atoms shifted by 1/2, where the residues of (1 + M(z - 1/2)) / z
+    # sum to 0.5 / 1.5 + 1 / 2.5 = 11/15
+    with pytest.raises(NoisyContourError) as exc_info:
+        moments_from_circle(m, z + 0.5, 4)
+    mass = exc_info.value.diagnostics["mass"]
+    assert mass == pytest.approx(11.0 / 15.0, abs=1e-8)
+    with pytest.raises(ValueError):
+        moments_from_circle(m, z, 0)
 
 
 def test_moments_from_contour_needs_order_one():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import freedeconv.contours as contours
 import freedeconv.experiments as experiments
 import freedeconv.pipeline as pipeline
 from freedeconv.errors import BaselineFailureError, NumericalError
@@ -333,6 +334,30 @@ def test_run_scenario_turns_failures_into_nan_rows(monkeypatch):
     assert len(reports) == 1
     assert math.isnan(reports[0].w1_error)
     assert "synthetic failure" in reports[0].error
+    assert reports[0].error_stage == "test"
+
+
+def test_a_failed_run_writes_its_stage_to_the_csv(monkeypatch, tmp_path):
+    # with no radial clearance the circle has radius 0 and the contour
+    # choice raises NoContourError before any rung runs
+    monkeypatch.setattr(contours, "SLIT_MARGIN", 1.0)
+    reports = run_scenario(SCENARIOS["S1"], [250], seeds=[1], workers=1)
+    path = tmp_path / "report.csv"
+    write_report_csv(reports, path)
+    with open(path, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["error_stage"] == "choose_m_contour"
+    assert "no circle around 0 clears the branch slits" in row["error"]
+
+    # contract violations carry no stage
+    def bad_input(mu_n, c):
+        raise ValueError("synthetic contract violation")
+
+    monkeypatch.setattr(experiments, "deconvolve_with_retries", bad_input)
+    (report,) = run_scenario(SCENARIOS["S1"], [250], seeds=[1], workers=1)
+    assert (report.error, report.error_stage) == (
+        "synthetic contract violation", ""
+    )
 
 
 def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):

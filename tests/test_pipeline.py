@@ -34,8 +34,9 @@ from freedeconv.pipeline import (
 )
 
 from helpers import (
-    contour_moment,
+    deconvolved_moment_series,
     is_conjugate_symmetric,
+    lagrange_sums,
     mp_density,
     mp_g_quadrature,
     s_transform,
@@ -203,18 +204,7 @@ def test_forward_contour_weak_noise_returns_population_moments():
 
 def test_forward_contour_input_contracts():
     with pytest.raises(ValueError):
-        forward_contour(TWO, 0.2, nodes=32)
-    with pytest.raises(ValueError, match="even"):
-        forward_contour(TWO, 0.2, nodes=65)
-    with pytest.raises(ValueError):
         forward_contour(TWO, 1.5)
-    # integral floats and bools are not counts
-    for bad in (64.0, True):
-        with pytest.raises(ValueError, match="nodes"):
-            forward_contour(TWO, 0.2, nodes=bad)
-    for bad in (2.5, 4.0):
-        with pytest.raises(ValueError, match="max_support"):
-            forward_measure(TWO, 0.2, max_support=bad)
 
 
 def test_forward_measure_mean_and_hull():
@@ -386,27 +376,76 @@ def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
     monkeypatch, caplog
 ):
     # sampled S3 at n = 500, seed 7, at 256 nodes: the real parts of the
-    # full and the even-node sums agree to 1e-14, the sums to 2e-8 only.
-    # The even nodes sit a quarter node off, which turns the leading alias
-    # term imaginary, so only the complex gap measures the error
+    # full and the even-node Lagrange sums agree to 1e-15, the sums to
+    # 7e-9 only.  The even nodes sit a quarter node off, which turns the
+    # leading alias term imaginary, so only the complex gap measures the
+    # error
     sc = SCENARIOS["S3"]
     mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
     monkeypatch.setattr(pipeline, "START_NODES", 256)
     monkeypatch.setattr(pipeline, "MAX_NODES", 256)
     with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
         res = pipeline.deconvolve_with_retries(mu_n, sc.c)
+    d = res.diagnostics
+    # the result's contour is the clockwise image of the circle, reversed,
+    # with G = (1 + m) / z on it
+    theta = 2.0 * np.pi * (np.arange(256) + 0.5) / 256
+    m = d.contour_radius * np.exp(1j * theta)
     rep = res.contour
-    even = ContourRepresentation(rep.sigma[::2], rep.values[::2])
-    full = np.array([contour_moment(rep, k) for k in range(MAX_MOMENTS + 1)])
-    half = np.array([contour_moment(even, k) for k in range(MAX_MOMENTS + 1)])
+    assert np.allclose((rep.sigma * rep.values - 1.0)[::-1], m, atol=1e-12)
+    full, half = lagrange_sums(m, rep.sigma[::-1], MAX_MOMENTS)
     scale = np.maximum(1.0, np.abs(full.real))
     assert np.max(np.abs((full - half).real) / scale) < 1e-12
     gap = np.max(np.abs(full - half) / scale)
-    d = res.diagnostics
     assert d.settle_gap == pytest.approx(gap, rel=1e-3)
     assert d.settle_gap >= 1e-9
     assert (d.settled, d.nodes_used) == (False, 256)
     assert "did not settle" in caplog.text
+
+
+# the series oracle on the proxy's moments; S2_2 is not sampled at
+# n = 8000, where p = 7600 takes minutes and 1.4 GB to sample
+SERIES_RUNS = [
+    (sc_id, n, seed, 5e-11 if sc_id == "S2_2" else 1e-11)
+    for sc_id in ("S1", "S2_1", "S2_2", "S2_3", "S3")
+    for n in (500, 2000, 8000)
+    for seed in (1, 2)
+    if (sc_id, n) != ("S2_2", 8000)
+]
+
+
+@pytest.mark.parametrize("sc_id, n, seed, tol", SERIES_RUNS)
+def test_spectral_stage_moments_match_the_series(sc_id, n, seed, tol):
+    sc = SCENARIOS[sc_id]
+    mu_n = sample_spectrum(sc.population, round(sc.c * n), n, seed)
+    spectral = pipeline._spectral_stage(mu_n, sc.c)
+    ref = deconvolved_moment_series(
+        pipeline._gauss_proxy(mu_n), sc.c, MAX_MOMENTS
+    )
+    got = np.asarray(spectral.moments.values)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= tol
+
+
+@pytest.mark.parametrize(
+    "atoms, weights, c",
+    [
+        ((2.9635, 3.9618, 4.0518), (0.2656, 0.4802, 0.2542), 0.95),
+        ((1.8801, 1.3212, 1.7577), (0.4356, 0.3236, 0.2409), 0.95),
+        ((3.54, 7.8421, 5.2472), (0.3879, 0.3271, 0.285), 0.8),
+    ],
+)
+def test_circles_capped_by_the_mp_pole_settle(atoms, weights, c):
+    # inputs whose circle the S_MP pole caps; they settle at 512, 512 and
+    # 1024 nodes, with gaps of 1e-10 to 8e-10, and match the series
+    w = np.asarray(weights)
+    mu = DiscreteMeasure(atoms, w / w.sum())
+    spectral = pipeline._spectral_stage(mu, c)
+    d = spectral.diagnostics
+    assert d["radius_limiter"] == "mp_pole"
+    assert d["settled"] and d["nodes_used"] <= 1024
+    ref = deconvolved_moment_series(mu, c, MAX_MOMENTS)
+    got = np.asarray(spectral.moments.values)
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-8
 
 
 def sampled_s2_3():

@@ -140,20 +140,20 @@ class ContourMoments(NamedTuple):
     half_gap: float
 
 
-def _checked(sums: np.ndarray, half_gap: float) -> ContourMoments:
+def _checked(sums: np.ndarray, half_gap: float, stage: str) -> ContourMoments:
     scale = np.maximum(1.0, np.abs(sums.real))
     residue = float(np.max(np.abs(sums.imag) / scale))
     if residue >= 1e-6:
         raise NoisyContourError(
             f"imaginary moment residue {residue:.3e} exceeds 1e-6",
-            stage="moments_from_contour",
+            stage=stage,
             diagnostics={"imag_residue": residue},
         )
     if abs(sums[0].real - 1.0) > 1e-6:
         raise NoisyContourError(
             f"contour mass {sums[0].real:.9f} is not 1; the contour misses "
             "support or the transform values are unreliable",
-            stage="moments_from_contour",
+            stage=stage,
             diagnostics={"mass": float(sums[0].real)},
         )
     return ContourMoments(MomentSequence(sums.real), residue, half_gap)
@@ -176,7 +176,8 @@ def moments_from_contour(rep: ContourRepresentation, K: int) -> ContourMoments:
     for k in range(K + 1):
         sums[k] = np.add.reduce(g)
         np.multiply(g, sigma, out=g)
-    return _checked(sums / (1j * sigma.size), float("inf"))
+    sums /= 1j * sigma.size
+    return _checked(sums, float("inf"), "moments_from_contour")
 
 
 def moments_from_circle(m: np.ndarray, z: np.ndarray, K: int) -> ContourMoments:
@@ -205,8 +206,8 @@ def moments_from_circle(m: np.ndarray, z: np.ndarray, K: int) -> ContourMoments:
         sums[:, k] = np.add.reduce(g), np.add.reduce(g[::2])
     sums[:, 1:] /= np.outer([n, n // 2], np.arange(1, K + 1))
     full, half = sums
-    scale = np.maximum(1.0, np.abs(full.real))
-    return _checked(full, float(np.max(np.abs(full - half) / scale)))
+    gap = np.max(np.abs(full - half) / np.maximum(1.0, np.abs(full.real)))
+    return _checked(full, float(gap), "moments_from_circle")
 
 
 def contour_rep_from_s(
@@ -237,15 +238,19 @@ def contour_rep_from_s(
     return ContourRepresentation(z, g)
 
 
-def choose_m_contour(branch_points_upper: np.ndarray) -> float:
-    """Radius of a circle about 0 in the m plane that clears every slit.
+def choose_m_contour(
+    branch_points_upper: np.ndarray, c: float
+) -> tuple[float, str]:
+    """Radius of a circle about 0 in the m plane, and the bound that sets it.
 
     The slits are vertical rays away from the real axis, starting at the
     upper branch points b and their conjugates, so every point of the slit
-    of b lies at |m| >= |b|.  The radius is (1 - SLIT_MARGIN) min |b|,
-    capped at 1: the circle keeps a relative SLIT_MARGIN of radial
+    of b lies at |m| >= |b|.  The radius is (1 - SLIT_MARGIN) min |b|
+    (`slit`), capped at 1 (`unit_cap`) and then at 0.5 / c (`mp_pole`, only
+    when strictly below): the circle keeps a relative SLIT_MARGIN of radial
     clearance from every branch point, which bounds the convergence ratio
-    r / min |b| of the trapezoid rule on it by 1 - SLIT_MARGIN.
+    r / min |b| of the trapezoid rule on it by 1 - SLIT_MARGIN, and half
+    the distance to the S_MP pole at m = -1/c for aspect ratio c.
     """
     bp = np.asarray(branch_points_upper, dtype=complex)
     bounds = (1.0 - SLIT_MARGIN) * np.abs(bp)
@@ -258,8 +263,11 @@ def choose_m_contour(branch_points_upper: np.ndarray) -> float:
             stage="choose_m_contour",
             diagnostics={"radius": radius},
         )
-    log.debug("m contour radius %.6g", radius)
-    return radius
+    limiter = "slit" if radius < 1.0 else "unit_cap"
+    if 0.5 / c < radius:
+        radius, limiter = 0.5 / c, "mp_pole"
+    log.debug("m contour radius %.6g, set by %s", radius, limiter)
+    return radius, limiter
 
 
 def circle_nodes(radius: float, n: int) -> np.ndarray:

@@ -9,11 +9,11 @@ disk about 0, the largest disk the slits leave clear, and evaluates Minv
 on that disk.  All targets are lifted together: each along its own ray
 s*m from the asymptotic regime at small s, by one predictor-corrector
 march with a shared step.  The march follows u(s) = s Minv(s m), which is
-analytic at s = 0 where Minv has a pole, predicts it by cubic Hermite
-extrapolation, and accepts a corrected value only within half the
-injectivity radius of M about it of its prediction.  That guard's ratio
-of distance to allowance is also the error estimate that sizes the next
-step.
+analytic at s = 0 where Minv has a pole, starts from its exact value
+there, predicts it by cubic Hermite extrapolation, and accepts a
+corrected value only within half the injectivity radius of M about it
+of its prediction.  That guard's ratio of distance to allowance is also
+the error estimate that sizes the next step.
 
 The critical points are the zeros of a linear system whose transfer
 function is -M', the eigenvalues of its zero dynamics.
@@ -202,7 +202,7 @@ def slit_free_radius(branch_points_upper):
         worst = bp[np.argmin(bp.imag)]
         raise DegenerateRamificationError(
             f"branch point {worst} is too close to the real axis to slit",
-            stage="slit_domain",
+            stage="slit_free_radius",
         )
     return float(np.min(np.hypot(bp.real, bp.imag)))
 
@@ -273,24 +273,24 @@ def lift_many(mu, targets, free, step_counts=None):
     ray s*m, from the second-order asymptotic seed
     w = m_1/(s m) + m_2/m_1 at s0 = min(START_ABS / max|m|, 0.1) to s = 1.
     The march follows u(s) = s w(s), which is analytic at s = 0 with
-    u(0) = m_1/m, where w itself has a pole.  All rays advance in s
-    together.  The predictor is the cubic Hermite extrapolation of u
-    through the last two accepted points, with du/ds = w + s m / M'(w)
-    from the M' the corrector returns (Euler for the first step), and
+    u(0) = m_1/m and du/ds(0) = m_2/m_1, where w itself has a pole.  All
+    rays advance in s together.  The predictor is the cubic Hermite
+    extrapolation of u through the last two points, s = 0 before the seed,
+    with du/ds = w + s m / M'(w) from the M' the corrector returns, and
     w = u / s.  Every node is Newton-corrected.  A step is accepted when
     every residual passes and ratio = max |w - w_pred| / (rho / 2) <= 1,
     with rho the injectivity radius of M about the corrected w, so that
     Newton cannot have settled on another sheet's root far from the path.
     The step starts at (1 - s0)/8 and is sized from that ratio, read as
     the predictor's error against the allowance: it is multiplied by
-    0.9 (0.25 / ratio)^(1/q), with q = 2 after the Euler step and 4 after
-    a Hermite one, clipped to [0.5, 4] after an accepted step (to at most
-    1 when the corrector needed more than 3 residual evaluations) and to
-    [0.1, 0.5] after a rejected one; a failed residual halves it.
-    LiftFailureError is raised when the step of the longest ray falls
-    below MIN_STEP.  Every result satisfies |M(w) - m| <= NEWTON_TOL and
-    gets a final polish step.  When `step_counts` is a list, each target
-    appends the number of steps the march took.
+    0.9 (0.25 / ratio)^(1/4), clipped to [0.5, 4] after an accepted step
+    (to at most 1 when the corrector needed more than 3 residual
+    evaluations) and to [0.1, 0.5] after a rejected one; a failed residual
+    halves it.  LiftFailureError is raised when the step of the longest
+    ray falls below MIN_STEP.  Every result satisfies
+    |M(w) - m| <= NEWTON_TOL and gets a final polish step.  When
+    `step_counts` is a list, each target appends the number of steps the
+    march took.
     """
     m = np.asarray(targets, dtype=complex)
     shape = m.shape
@@ -308,24 +308,22 @@ def lift_many(mu, targets, free, step_counts=None):
     x, c = _effective_poles(mu)
     r_max = float(np.max(r))
     s0 = min(START_ABS / r_max, 0.1)
-    w, res, d, _, _ = _correct(
-        x, c, m1 / (s0 * m) + mu.moment(2) / m1, s0 * m, polish=False
-    )
+    slope = mu.moment(2) / m1
+    w, res, d, _, _ = _correct(x, c, m1 / (s0 * m) + slope, s0 * m, polish=False)
     if not np.all(res <= NEWTON_TOL):
         raise LiftFailureError(
             "asymptotic seed did not converge",
-            stage="lift",
+            stage="lift_many",
             diagnostics={"s": s0, "residual": float(np.max(res))},
         )
-    # (s, u, du/ds) at the last two accepted points; du/ds = w + s m / M'(w)
-    prev, last = None, (s0, s0 * w, w + s0 * m / d)
+    # (s, u, du/ds) at the last two points, du/ds = w + s m / M'(w): the
+    # exact start at s = 0, then the accepted ones
+    prev, last = (0.0, m1 / m, slope), (s0, s0 * w, w + s0 * m / d)
     h = (1.0 - s0) / 8.0
     steps = 0
     while last[0] < 1.0:
         s = last[0]
         s_next = 1.0 if h >= 1.0 - s else s + h
-        # local order of the predictor: Euler on the first step, else Hermite
-        q = 2.0 if prev is None else 4.0
         with np.errstate(all="ignore"):
             w_pred = _hermite(prev, last, s_next) / s_next
             # an intermediate polish would be redone by the next corrector
@@ -334,7 +332,7 @@ def lift_many(mu, targets, free, step_counts=None):
             )
             converged = np.all(res <= NEWTON_TOL)
             ratio = np.max(np.abs(w - w_pred) / (0.5 * rho))
-            gain = 0.9 * (0.25 / ratio) ** (1.0 / q)
+            gain = 0.9 * (0.25 / ratio) ** 0.25
         if converged and ratio <= 1.0:
             prev, last = last, (s_next, s_next * w, w + s_next * m / d)
             steps += 1
@@ -344,7 +342,7 @@ def lift_many(mu, targets, free, step_counts=None):
             if h * r_max < MIN_STEP:
                 raise LiftFailureError(
                     "lift step size underflow",
-                    stage="lift",
+                    stage="lift_many",
                     diagnostics={
                         "s": s, "steps": steps, "residual": float(np.max(res)),
                     },
@@ -356,12 +354,10 @@ def lift_many(mu, targets, free, step_counts=None):
 
 
 def _hermite(prev, last, s):
-    # u at s: Euler from `last` alone, else the cubic Hermite interpolant
-    # of the two accepted points (s_k, u_k, du_k) extended past the last
-    s1, u1, du1 = last
-    if prev is None:
-        return u1 + (s - s1) * du1
+    # u at s: the cubic Hermite interpolant of the two points
+    # (s_k, u_k, du_k) extended past the last
     s0, u0, du0 = prev
+    s1, u1, du1 = last
     h = s1 - s0
     t = (s - s0) / h
     t2, t3 = t * t, t * t * t

@@ -110,9 +110,9 @@ class DeconvDiagnostics:
 
     `proxy_atoms` is the atom count of the Gauss proxy the spectral stage
     ran on, and `t_ramification_s` includes building it.  `n_slits` counts
-    the proxy's conjugate slit pairs.  `radius_limiter` names what bounds
-    `contour_radius`: a branch slit (`slit`), the S_MP pole at -1/c
-    (`mp_pole`) or the cap of 1 (`unit_cap`).  `settle_gap` is the
+    the proxy's conjugate slit pairs.  `contour_radius` is the radius
+    `choose_m_contour` picks and `radius_limiter` the bound that sets it:
+    `slit`, `unit_cap` or `mp_pole`.  `settle_gap` is the
     largest distance, relative to max(1, |m_k|), between the complex
     Lagrange sums of orders k >= 1 on the last pass's circle and on its
     even nodes; `settled` is False when that gap is still 1e-9 or more at
@@ -229,13 +229,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     proxy = _gauss_proxy(mu_n)
     branch = critical_points(proxy).branch_points_upper
     free = slit_free_radius(branch)
-    # stay clear of the S_MP pole at m = -1/c
-    slit_bound = choose_m_contour(branch)
-    radius = min(slit_bound, 0.5 / c)
-    if radius < slit_bound:
-        limiter = "mp_pole"
-    else:
-        limiter = "slit" if radius < 1.0 else "unit_cap"
+    radius, limiter = choose_m_contour(branch, c)
     t_ram = time.perf_counter() - t0
 
     step_counts: list = []
@@ -513,6 +507,6 @@ def ree_assemble(
         raise ValueError("eigenvalues must be ascending")
     if np.max(np.abs(O.T @ O - np.eye(p))) > 1e-8:
         raise ValueError("eigenvector matrix is not orthogonal")
-    q = np.array([nu_hat.quantile((i + 0.5) / p) for i in range(p)])
+    q = nu_hat.quantile((np.arange(p) + 0.5) / p)
     sigma = (O * q[None, :]) @ O.T
     return 0.5 * (sigma + sigma.T)

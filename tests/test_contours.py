@@ -264,7 +264,7 @@ def test_moments_from_circle_keeps_the_contour_checks():
     z = _two_inverse(m)
     with pytest.raises(NoisyContourError) as exc_info:
         moments_from_circle(m, z * (1.0 + 0.01j), 4)
-    assert exc_info.value.stage == "moments_from_contour"
+    assert exc_info.value.stage == "moments_from_circle"
     assert exc_info.value.diagnostics["imag_residue"] >= 1e-6
     # Minv(m) + 1/2 is no inverse moment map: its image contour encloses
     # the atoms shifted by 1/2, where the residues of (1 + M(z - 1/2)) / z
@@ -333,14 +333,26 @@ def test_contour_rep_from_s_input_contracts():
 
 def test_choose_m_contour_hits_unit_cap_for_clear_slits():
     # TWO's only slit starts at -1/2 + sqrt(2) i, beyond the unit cap
-    assert choose_m_contour(critical_points(TWO).branch_points_upper) == 1.0
+    bp = critical_points(TWO).branch_points_upper
+    assert choose_m_contour(bp, 0.2) == (1.0, "unit_cap")
 
 
 def test_choose_m_contour_backs_off_from_low_slits():
     # slit starting at 0.2i above the origin: the largest circle keeping a
     # 10% clearance has radius 0.9 * 0.2 = 0.18
     assert SLIT_MARGIN == 0.1
-    assert choose_m_contour(np.array([0.2j])) == pytest.approx(0.18, abs=1e-9)
+    r, limiter = choose_m_contour(np.array([0.2j]), 0.5)
+    assert r == pytest.approx(0.18, abs=1e-9)
+    assert limiter == "slit"
+
+
+def test_choose_m_contour_caps_at_the_mp_pole_only_below_the_other_bounds():
+    # 0.5 / c limits the radius only when it lies strictly below both the
+    # slit bound and the unit cap; a tie keeps the other limiter
+    bp = critical_points(TWO).branch_points_upper
+    assert choose_m_contour(bp, 0.95) == (0.5 / 0.95, "mp_pole")
+    assert choose_m_contour(bp, 0.5) == (1.0, "unit_cap")
+    assert choose_m_contour(np.array([0.5j]), 0.95) == (0.9 * 0.5, "slit")
 
 
 def test_choose_m_contour_radius_is_the_tightest_slit_bound():
@@ -354,7 +366,7 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
         bp = critical_points(mu).branch_points_upper
         if bp.size < 2:
             continue
-        r = choose_m_contour(bp)
+        r, limiter = choose_m_contour(bp, 0.2)
         assert isinstance(r, float)
         bounds = 0.9 * np.abs(bp)
         assert np.all(r <= bounds)
@@ -363,15 +375,15 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
         assert np.all(crossing <= 0.9 * bp.imag + 1e-12)
         if r < 1.0:
             limited += 1
-            assert r in bounds
+            assert r in bounds and limiter == "slit"
         else:
-            assert r == 1.0
+            assert (r, limiter) == (1.0, "unit_cap")
     assert limited > 0
 
 
 def test_choose_m_contour_fails_when_slit_touches_origin():
     with pytest.raises(NoContourError):
-        choose_m_contour(np.array([1e-9j]))
+        choose_m_contour(np.array([1e-9j]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +436,7 @@ def test_roundtrip_measure_to_contour_to_moments():
         if mu.n_atoms == 1:
             continue
         bp = critical_points(mu).branch_points_upper
-        mc = circle_nodes(min(choose_m_contour(bp), 0.5), 512)
+        mc = circle_nodes(choose_m_contour(bp, 1.0)[0], 512)
         s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, slit_free_radius(bp)))
         rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)

@@ -254,23 +254,26 @@ def test_baseline_concentrates_on_noise_only_spectrum():
     assert float(np.sum(est.weights[np.abs(est.atoms - 1.0) < 0.75])) > 0.65
 
 
-def test_baseline_separates_two_atoms_at_n_2000():
+@pytest.fixture(scope="module")
+def s2_1_baseline():
+    # the sigma = 0.5 baseline on S2_1 at n = 2000, seed 1, with its input
     sc = SCENARIOS["S2_1"]
     p = round(sc.c * 2000)
     mu_n = sample_spectrum(sc.population, p, 2000, 1)
-    est = baseline_subordination(mu_n, sc.c)
-    truth = sc.ground_truth(p)
+    est = baseline_subordination(mu_n, sc.c, sigma=0.5)
+    return sc, mu_n, sc.ground_truth(p), est
+
+
+def test_baseline_separates_two_atoms_at_n_2000(s2_1_baseline):
+    _, _, truth, est = s2_1_baseline
     assert float(np.sum(est.weights[np.abs(est.atoms - 1.0) < 0.5])) >= 0.35
     assert float(np.sum(est.weights[np.abs(est.atoms - 2.0) < 0.5])) >= 0.35
     assert wasserstein_1(est, truth) < 0.25
 
 
-def test_baseline_oversmoothing_degrades_accuracy():
-    sc = SCENARIOS["S2_1"]
-    p = round(sc.c * 2000)
-    mu_n = sample_spectrum(sc.population, p, 2000, 1)
-    truth = sc.ground_truth(p)
-    w_small = wasserstein_1(baseline_subordination(mu_n, sc.c, sigma=0.5), truth)
+def test_baseline_oversmoothing_degrades_accuracy(s2_1_baseline):
+    sc, mu_n, truth, est = s2_1_baseline
+    w_small = wasserstein_1(est, truth)
     w_big = wasserstein_1(baseline_subordination(mu_n, sc.c, sigma=5.0), truth)
     assert w_big > w_small
 

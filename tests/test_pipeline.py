@@ -324,9 +324,11 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
     d = run("S2_2")[1]
     assert (d.contour_radius, d.radius_limiter) == (0.5 / 0.95, "mp_pole")
     bp, d = run("S2_3")
-    slit_bound = choose_m_contour(bp)
-    assert slit_bound < 1.0
-    assert (d.contour_radius, d.radius_limiter) == (slit_bound, "slit")
+    assert d.contour_radius < 1.0 and d.contour_radius in 0.9 * np.abs(bp)
+    assert (d.contour_radius, d.radius_limiter) == choose_m_contour(
+        bp, SCENARIOS["S2_3"].c
+    )
+    assert d.radius_limiter == "slit"
     assert d.n_slits == bp.size > 0
 
 
@@ -502,10 +504,10 @@ def test_deconvolve_on_the_proxy_matches_the_full_measure(monkeypatch):
 
 def test_deconvolve_chooses_the_radius_of_the_proxy():
     mu, c = sampled_s2_3()
-    radius = pipeline._spectral_stage(mu, c).diagnostics["contour_radius"]
+    d = pipeline._spectral_stage(mu, c).diagnostics
     proxy = pipeline._gauss_proxy(mu)
     bp = critical_points(proxy).branch_points_upper
-    assert radius == min(choose_m_contour(bp), 0.5 / c)
+    assert (d["contour_radius"], d["radius_limiter"]) == choose_m_contour(bp, c)
 
 
 def test_deconvolve_rejects_inconsistent_input():

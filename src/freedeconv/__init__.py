@@ -17,7 +17,6 @@ from .contours import (
 from .errors import (
     BaselineFailureError,
     DegenerateRamificationError,
-    ForwardSolverError,
     IncompleteRootsError,
     InvalidMomentsError,
     LiftFailureError,
@@ -70,7 +69,6 @@ __all__ = [
     "DeconvResult",
     "DegenerateRamificationError",
     "DiscreteMeasure",
-    "ForwardSolverError",
     "IncompleteRootsError",
     "InvalidMomentsError",
     "JacobiCoefficients",

@@ -17,7 +17,6 @@ __all__ = [
     "NoContourError",
     "NoisyContourError",
     "InvalidMomentsError",
-    "ForwardSolverError",
     "BaselineFailureError",
 ]
 
@@ -58,10 +57,6 @@ class NoisyContourError(NumericalError):
 
 class InvalidMomentsError(NumericalError):
     """Moment sequence is not realizable by a positive measure."""
-
-
-class ForwardSolverError(NumericalError):
-    """Fixed-point solver for the forward spectral equation did not converge."""
 
 
 class BaselineFailureError(NumericalError):

@@ -12,8 +12,10 @@ kept, and each is a polynomial in the moments of mu_n of the same order
 or lower.  So the spectral stage runs on a GAUSS_NODES-point Gauss
 quadrature of mu_n, which has the same moments through that order, and
 its cost does not grow with the dimension p.  The forward direction (nu
-to the spectrum of the product) is solved from the fixed-point form of
-the Marchenko-Pastur equation and serves as the noise-free oracle.
+to the spectrum of the product) is the noise-free oracle.  It too works
+where the inverse is explicit: the image of a circle in the plane of the
+companion Stieltjes transform B, under the inverse z(B) of the
+Marchenko-Pastur equation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ForwardSolverError, InvalidMomentsError, NumericalError
+from .errors import InvalidMomentsError, NumericalError
 from .measures import (
     DiscreteMeasure,
     MarchenkoPastur,
@@ -39,6 +41,7 @@ from .inversion import (
     slit_free_radius,
 )
 from .contours import (
+    SLIT_MARGIN,
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
@@ -390,84 +393,48 @@ def deconvolve_with_retries(
                 raise
 
 
-def _mp_fixed_point_vec(
-    lam: np.ndarray, w: np.ndarray, c: float, z: np.ndarray
-) -> np.ndarray:
-    """Physical root of B (z - c sum w lam/(1 + lam B)) + 1 = 0, Im z > 0.
-
-    A damped fixed point of B = -1/(z - c h(B)) carries every node to the
-    physical branch, then vectorized Newton sharpens to machine precision.
-    """
-    B = 1.0 / z
-    prev = np.full(z.shape, np.inf)
-    damp = np.zeros(z.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(10000):
-            h = np.sum(
-                w[None, :] * lam[None, :] / (1.0 + lam[None, :] * B[:, None]),
-                axis=1,
-            )
-            nxt = -1.0 / (z - c * h)
-            step = np.abs(nxt - B)
-            damp |= step > prev
-            cand = np.where(damp, 0.5 * (B + nxt), nxt)
-            done = np.abs(cand - B) <= 1e-8 * np.maximum(1.0, np.abs(cand))
-            prev = step
-            B = cand
-            if np.all(done & np.isfinite(B)):
-                break
-        else:
-            bad = z[~(done & np.isfinite(B))]
-            raise ForwardSolverError(
-                f"fixed point did not converge at z = {bad[:4].tolist()}",
-                stage="forward_contour",
-            )
-        for _ in range(6):
-            q = 1.0 + lam[None, :] * B[:, None]
-            h = np.sum(w[None, :] * lam[None, :] / q, axis=1)
-            dh = -np.sum(w[None, :] * lam[None, :] ** 2 / q**2, axis=1)
-            F = B * (z - c * h) + 1.0
-            dF = z - c * h - c * B * dh
-            newton = F / dF
-            B = B - np.where(np.isfinite(newton), newton, 0.0)
-        q = 1.0 + lam[None, :] * B[:, None]
-        h = np.sum(w[None, :] * lam[None, :] / q, axis=1)
-        resid = np.abs(B * (z - c * h) + 1.0)
-    scale = 1.0 + np.abs(z) * np.abs(B)
-    if np.any(~np.isfinite(B)) or np.any(resid > 1e-11 * scale):
-        raise ForwardSolverError(
-            "forward solve stalled above residual tolerance",
-            stage="forward_contour",
-            diagnostics={"worst_residual": float(np.max(resid))},
-        )
-    return B
-
-
 def forward_contour(nu: DiscreteMeasure, c: float) -> ContourRepresentation:
     """Sampled exact Stieltjes contour of the spectrum produced by nu.
 
-    The contour is an ellipse around the support hull
-    [lower_edge(c) min(nu), upper_edge(c) max(nu)].  Its half-height is
-    half the hull span, keeping the solver in its contraction regime above
-    the support, while the horizontal pad stays small: moment sums at
-    order k amplify roundoff by (max |sigma| / support edge)^k, so the
-    contour must not overshoot the hull horizontally.  Only the upper half
-    is solved; the lower half is its mirror.  It has FORWARD_NODES nodes.
+    The Marchenko-Pastur equation has an explicit inverse in the companion
+    Stieltjes transform B (Silverstein & Bai, J. Multivariate Anal. 1995):
+    z(B) = -1/B + c h(B), with h(B) = sum_j w_j x_j / (1 + x_j B), and
+    G = (1 - B h(B)) / z.  The contour is the image of the circle
+    |B| = r = (1 - SLIT_MARGIN) / (max x (1 + sqrt c)), so no equation is
+    solved.  Writing a = max x r:
+
+    - z(B1) - z(B2) = (B1 - B2) [1/(B1 B2)
+      - c sum w x^2 / ((1 + x B1)(1 + x B2))], and on |B| <= r the bracket
+      cannot vanish, since c (a / (1 - a))^2 < 1.  So z is univalent
+      there, and the image curve encloses the support.
+    - By the same bound, Im z = sin(theta)
+      (1/r - c r sum w x^2 / |1 + x B|^2) > 0 for B = r e^(i theta), so
+      the upper B nodes map to the upper z nodes.
+    - The nearest pole of the moment integrand in B is -1/max x, so the
+      trapezoid rule converges at least like (1 - SLIT_MARGIN)^N.
+    - G is taken as (1 - B h) / z, not as the equivalent
+      (-B - (1 - c)/z) / c, which cancels by c as c -> 0.
+
+    Only the upper half of the FORWARD_NODES nodes is mapped; the result
+    runs counterclockwise and its lower half is the mirror.  An aspect
+    ratio outside (0, 1), a negative atom, or no positive atom raises
+    ValueError.
     """
-    mp = MarchenkoPastur(c)
-    lo = mp.lower_edge * float(np.min(nu.atoms))
-    hi = mp.upper_edge * float(np.max(nu.atoms))
-    span = max(hi - lo, 1e-6 * max(abs(hi), 1.0))
-    eta = 0.5 * span
-    center = 0.5 * (lo + hi)
-    half_width = 0.5 * span + 0.02 * span
-    theta = 2.0 * np.pi * (np.arange(FORWARD_NODES) + 0.5) / FORWARD_NODES
-    sigma = center + half_width * np.cos(theta) + 1j * eta * np.sin(theta)
-    upper = sigma[: FORWARD_NODES // 2]
-    B = _mp_fixed_point_vec(nu.atoms, nu.weights, c, upper)
-    g_upper = (-B - (1.0 - c) / upper) / c
-    values = np.concatenate([g_upper, np.conj(g_upper[::-1])])
-    return ContourRepresentation(sigma, values)
+    c = MarchenkoPastur(c).c
+    x, w = nu.atoms, nu.weights
+    if x[0] < 0.0 or x[-1] <= 0.0:
+        raise ValueError("population atoms must be nonnegative, one positive")
+    r = (1.0 - SLIT_MARGIN) / (x[-1] * (1.0 + np.sqrt(c)))
+    B = circle_nodes(r, FORWARD_NODES)[: FORWARD_NODES // 2]
+    h = np.sum(w * x / (1.0 + x * B[:, None]), axis=1)
+    z = -1.0 / B + c * h
+    g = (1.0 - B * h) / z
+    # B runs counterclockwise over its upper half, z clockwise over its own
+    z, g = z[::-1], g[::-1]
+    return ContourRepresentation(
+        np.concatenate([z, np.conj(z[::-1])]),
+        np.concatenate([g, np.conj(g[::-1])]),
+    )
 
 
 def forward_measure(
@@ -478,7 +445,9 @@ def forward_measure(
     Extracts 2 FORWARD_SUPPORT moments from the forward contour and runs
     the rank-truncated recovery: the result is the Gauss quadrature proxy
     of the (absolutely continuous) product spectrum, the noise-free
-    stand-in for an empirical eigenvalue measure.
+    stand-in for an empirical eigenvalue measure.  The rank cut `tol` sets
+    its size: at tol = 1e-8 it has 7, 7, 8 and 8 atoms on the populations
+    of the scenarios S1, S2_1, S2_2 and S2_3.
     """
     rep = forward_contour(nu, c)
     moments = moments_from_contour(rep, 2 * FORWARD_SUPPORT).moments

@@ -18,7 +18,8 @@ and `qz_critical_points` shares the Newton polish and the certificate;
 certificate.  `lagrange_sums` checks the running product and the
 even-node rule of `moments_from_circle`, and `deconvolved_moment_series`
 computes the estimate's moments from the input's in 60-digit arithmetic,
-with no contour at all.
+with no contour at all; `forward_moment_series` runs the same series
+forward, from a population's moments to those of its sample spectrum.
 """
 
 import math
@@ -352,6 +353,41 @@ def deconvolved_moment_series(mu, c, K, dps=60):
             tail = mpmath.fsum(nu[j] * powers[j][k] for j in range(1, k))
             nu.append(a[k] - tail)
         return np.array([float(v) for v in nu])
+
+
+def forward_moment_series(nu, c, K, dps=60):
+    """Moments m_0..m_K of mu = nu boxtimes MP_c, by the series.
+
+    The identity of `deconvolved_moment_series` read forward:
+    m^mu_k = m^nu_k + sum_{j < k} m^nu_j [z^k] u^j, with
+    u(z) = z (1 + c psi_mu(z)).  [z^k] u^j needs only m^mu_1 .. m^mu_(k-1),
+    so the power table fills column by column.  It runs in mpmath at `dps`
+    digits on the moments of nu's atoms and weights, and returns floats.
+    """
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(a)) for a in nu.atoms]
+        w = [mpmath.mpf(float(b)) for b in nu.weights]
+        c = mpmath.mpf(float(c))
+        a = [
+            mpmath.fsum(wi * xi**k for wi, xi in zip(w, x))
+            for k in range(K + 1)
+        ]
+        mu = [mpmath.mpf(1)]
+        u = [mpmath.mpf(0), mpmath.mpf(1)]
+        # powers[j][k] = [z^k] u^j; u has no constant term, so it is 0
+        # for j > k
+        powers = [[mpmath.mpf(1)] + [mpmath.mpf(0)] * K]
+        powers += [[mpmath.mpf(0)] * (K + 1) for _ in range(K)]
+        for k in range(1, K + 1):
+            if k >= 2:
+                u.append(c * mu[k - 1])
+            for j in range(1, k + 1):
+                powers[j][k] = mpmath.fsum(
+                    powers[j - 1][i] * u[k - i] for i in range(k)
+                )
+            tail = mpmath.fsum(a[j] * powers[j][k] for j in range(1, k))
+            mu.append(a[k] + tail)
+        return np.array([float(v) for v in mu])
 
 
 def crossing_count(points):

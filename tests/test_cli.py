@@ -149,6 +149,17 @@ def test_cli_forward_contour_moments(tmp_path):
     assert np.allclose(cm.moments.values, [1.0, 1.0, 1.2], atol=1e-6)
 
 
+def test_cli_forward_rejects_a_negative_atom(tmp_path, capsys):
+    inp = tmp_path / "pop.json"
+    inp.write_text(DiscreteMeasure([-1.0, 2.0], [0.5, 0.5]).to_json())
+    out = tmp_path / "contour.csv"
+    rc = main(["forward", "--population", str(inp), "--c", "0.2",
+               "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # moments command
 # ---------------------------------------------------------------------------

@@ -203,10 +203,29 @@ def test_forward_contour_moments_match_the_exact_series():
         assert np.max(np.abs(got / exact - 1.0)) < 1e-10, (nu, c)
 
 
-def test_forward_contour_input_contracts():
+def test_forward_mp_g_conjugate_equivariant():
+    # the forward G on the contour: the lower half is the exact mirror of
+    # the upper half, nodes and values alike
+    rep = forward_contour(TWO, 0.2)
+    half = len(rep.sigma) // 2
+    assert np.array_equal(rep.sigma[half:], np.conj(rep.sigma[:half][::-1]))
+    assert np.array_equal(rep.values[half:], np.conj(rep.values[:half][::-1]))
+
+
+def test_forward_mp_g_input_contracts():
+    # G is only taken off the real axis, and the aspect ratio must lie in
+    # (0, 1) on every forward path
+    assert np.all(forward_contour(TWO, 0.2).sigma.imag != 0.0)
     for c in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError, match="aspect ratio"):
             forward_contour(TWO, c)
+        with pytest.raises(ValueError, match="aspect ratio"):
+            forward_measure(TWO, c)
+
+
+def test_forward_contour_input_contracts():
+    with pytest.raises(ValueError, match="aspect ratio"):
+        forward_contour(TWO, 1.5)
     for nu in (
         DiscreteMeasure([-1.0, 2.0], [0.5, 0.5]),
         DiscreteMeasure([0.0], [1.0]),

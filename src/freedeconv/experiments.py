@@ -242,16 +242,19 @@ def sample_spectrum(
 # weight of its ridge deconvolution
 GRID_POINTS = 400
 RIDGE_ALPHA = 1e-3
+# iteration cap and step tolerance of the subordination fixed point
+STEFFENSEN_CAP = 200
+STEFFENSEN_TOL = 1e-10
 
 
-def _steffensen(T, w0, cap=200, tol=1e-10):
+def _steffensen(T, w0):
     """Fixed point of T by Aitken-accelerated iteration; (value, converged)."""
     w = w0
-    for _ in range(cap):
+    for _ in range(STEFFENSEN_CAP):
         t1 = T(w)
         if not np.isfinite(t1):
             return w, False
-        if abs(t1 - w) < tol:
+        if abs(t1 - w) < STEFFENSEN_TOL:
             return t1, True
         t2 = T(t1)
         if not np.isfinite(t2):
@@ -298,6 +301,10 @@ def baseline_subordination(
     def h3(w):
         return (w - 1.0 / mu3.stieltjes(w)) / (w * w)
 
+    def subordination(z):
+        # the map T_z whose fixed point is the subordination value at z
+        return lambda w: z * h1(1.0 / (h3(w) * z))
+
     def solve_line(s):
         # subordination values along Im z = s; a point is trusted when the
         # fixed point sits clearly off the real axis, where the empirical
@@ -308,10 +315,7 @@ def baseline_subordination(
         w_prev = None
         for i, x in enumerate(xs):
             z = complex(x, s)
-
-            def T(w, z=z):
-                return z * h1(1.0 / (h3(w) * z))
-
+            T = subordination(z)
             cands = []
             seeds = [w_prev] if w_prev is not None else []
             seeds += [z, complex(x, 2 * s), complex(x, 4 * s)]
@@ -326,10 +330,7 @@ def baseline_subordination(
                 w = complex(x, 8.0 * max(s, 1.0))
                 okd = True
                 for lvl in np.geomspace(8.0 * max(s, 1.0), s, 12):
-                    zz = complex(x, lvl)
-                    w, okd = _steffensen(
-                        lambda u, zz=zz: zz * h1(1.0 / (h3(u) * zz)), w
-                    )
+                    w, okd = _steffensen(subordination(complex(x, lvl)), w)
                     if not okd:
                         break
                 if okd:

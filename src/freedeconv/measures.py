@@ -126,15 +126,6 @@ class DiscreteMeasure:
         out = np.sum(self.weights / d, axis=-1)
         return complex(out) if out.ndim == 0 else out
 
-    def moment_map(self, z):
-        """M(z) = z G(z) - 1 = sum_j w_j x_j / (z - x_j)."""
-        z = np.asarray(z, dtype=complex)
-        d = z[..., None] - self.atoms
-        if np.min(np.abs(d)) <= POLE_TOL:
-            raise PoleError("moment map evaluated at an atom", stage="measure")
-        out = np.sum(self.weights * self.atoms / d, axis=-1)
-        return complex(out) if out.ndim == 0 else out
-
     def moment(self, k):
         """Exact k-th moment sum_j w_j x_j^k (k = 0 gives 1)."""
         if k < 0 or k != int(k):
@@ -181,9 +172,12 @@ class DiscreteMeasure:
 class MomentSequence:
     """Finite sequence (m_0, m_1, ..., m_K) of raw moments with m_0 = 1.
 
-    Extended-precision input is kept as is: high orders of well separated
-    atoms exhaust double precision, and recovery quality is bounded by the
-    precision the moments arrive in.  Everything else is stored as float64.
+    Long-double input is kept as given and everything else is stored as
+    float64.  Recovery runs in the precision the moments arrive in, so the
+    pipeline's float64 moments give the same estimate on every platform,
+    while long-double moments of well separated atoms keep the high orders
+    that double precision exhausts, wherever long double is wider than
+    double.
     """
 
     values: np.ndarray
@@ -223,15 +217,6 @@ class MomentSequence:
         if not isinstance(data, list):
             raise ValueError("expected a JSON array of moments")
         return cls(np.asarray(data, dtype=float))
-
-    @classmethod
-    def of_measure(cls, mu, order, dtype=float):
-        if dtype == np.longdouble:
-            x = mu.atoms.astype(np.longdouble)
-            w = mu.weights.astype(np.longdouble)
-            powers = x[None, :] ** np.arange(order + 1, dtype=np.longdouble)[:, None]
-            return cls(powers @ w)
-        return cls(np.array([mu.moment(k) for k in range(order + 1)]))
 
 
 @dataclass(frozen=True)
@@ -273,23 +258,6 @@ class MarchenkoPastur:
         s = np.sqrt(z - l) * np.sqrt(z - r)
         out = (z + self.c - 1.0 - s) / (2.0 * self.c * z)
         return complex(out) if out.ndim == 0 else out
-
-    def moment_map(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = z * self.stieltjes(z) - 1.0
-        return complex(out) if out.ndim == 0 else out
-
-    def s_transform(self, m):
-        """S_MP(m) = 1 / (1 + c m), the closed form certified in the tests."""
-        m = np.asarray(m, dtype=complex)
-        d = 1.0 + self.c * m
-        if np.min(np.abs(d)) <= 1e-12:
-            raise PoleError("S-transform pole at m = -1/c", stage="measure")
-        out = 1.0 / d
-        if out.ndim == 0:
-            out = complex(out)
-            return out.real if out.imag == 0.0 else out
-        return out
 
 
 def wasserstein_1(mu, nu):

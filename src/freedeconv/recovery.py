@@ -7,11 +7,13 @@ eigendecomposition delivers atoms (eigenvalues) and weights (squared first
 components of unit eigenvectors).  The Cholesky pivots are the one
 positivity test: a pivot below -tol certifies that the numbers are not
 moments of a positive measure, and a pivot below tol fixes the rank.
-Extended precision is kept where it decides something: the moment
-rescaling and those pivots, because Hankel matrices of measures with
-spread-out support are violently ill conditioned.  The Jacobi coefficients
-are stored in double precision, and the final eigenproblem is solved as a
-dense symmetric one: the pipeline's Jacobi matrices have at most 8 rows.
+The rescaling and the factorization run in the precision of the moments
+they are handed: the pipeline's moments are float64, so every estimate is
+computed in IEEE double on every platform, whatever width long double has
+there.  A caller who builds long-double moments gets a long-double
+factorization.  The Jacobi coefficients are stored in double precision,
+and the final eigenproblem is solved as a dense symmetric one: the
+pipeline's Jacobi matrices have at most 8 rows.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ def jacobi_from_moments(
     """Recurrence coefficients from moments m_0 .. m_(2n-1).
 
     Runs a rectangular Cholesky factorization of the extended Hankel matrix
-    in extended precision: L[i, j] is the j-th orthonormal-basis coefficient
-    of x^i, so a_j = L[j+1, j]/L[j, j] - L[j, j-1]/L[j-1, j-1] and
-    b_j = (L[j, j]/L[j-1, j-1])^2.  A pivot below tol (relative to m_0 = 1
+    in the dtype of the moments: L[i, j] is the j-th orthonormal-basis
+    coefficient of x^i, so a_j = L[j+1, j]/L[j, j] - L[j, j-1]/L[j-1, j-1]
+    and b_j = (L[j, j]/L[j-1, j-1])^2.  A pivot below tol (relative to m_0 = 1
     after rescaling) truncates: the moments carry fewer than n support
     points.  A pivot below -tol is a certificate that the input is not a
     moment sequence.
@@ -111,10 +113,9 @@ def jacobi_from_moments(
             f"{n} recurrence coefficients need moments up to m_{2 * n - 1}, "
             f"got {moments.order}"
         )
-    scaled, s = _scaled_moments(np.asarray(moments.values))
-    m = scaled.astype(np.longdouble)
+    m, s = _scaled_moments(np.asarray(moments.values))
     rows = n + 1
-    L = np.zeros((rows, n), dtype=np.longdouble)
+    L = np.zeros((rows, n), dtype=m.dtype)
     rank = n
     truncated = False
     for j in range(n):
@@ -138,8 +139,8 @@ def jacobi_from_moments(
             "leading Hankel pivot vanished; no mass to recover",
             stage="recover_measure",
         )
-    a = np.empty(rank, dtype=np.longdouble)
-    b = np.empty(max(rank - 1, 0), dtype=np.longdouble)
+    a = np.empty(rank, dtype=m.dtype)
+    b = np.empty(max(rank - 1, 0), dtype=m.dtype)
     for j in range(rank):
         a[j] = L[j + 1, j] / L[j, j]
         if j > 0:
@@ -205,8 +206,6 @@ def recover_measure_detailed(
     _require_int("max_support", max_support)
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
-    if abs(float(moments[0]) - 1.0) > 1e-12:
-        raise ValueError("moment recovery expects a probability sequence")
     n = min(max_support, (moments.order + 1) // 2)
     if n < 1:
         raise ValueError("need moments at least up to m_1")

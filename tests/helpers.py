@@ -5,8 +5,8 @@ sums, polynomial roots, quadrature, brentq), never by calling back into
 the code paths under test, so agreement between a helper and the library
 is evidence and not a tautology.  The cross-checks at the end (zeros of
 the second kind, the Markov-Krein pair, injectivity on a contour, winding
-numbers) evaluate the moment map only through `DiscreteMeasure`, and its
-derivative through `moment_map_derivative` here.  `injectivity_radius` is
+numbers) evaluate the moment map through `moment_map` here, and its
+derivative through `moment_map_derivative`.  `injectivity_radius` is
 the radius the lift's sheet guard takes from the pole-major arrays of
 `inversion._correct`, written out from the distances to the atoms.
 
@@ -20,6 +20,13 @@ even-node rule of `moments_from_circle`, and `deconvolved_moment_series`
 computes the estimate's moments from the input's in 60-digit arithmetic,
 with no contour at all; `forward_moment_series` runs the same series
 forward, from a population's moments to those of its sample spectrum.
+
+Three references were library members that only the tests called, and
+moved here with their bodies unchanged: `moment_map(mu, z)` was
+`DiscreteMeasure.moment_map`, `mp_s_transform(c, m)` was
+`MarchenkoPastur.s_transform`, and `moments_of(mu, order, dtype)` was
+`MomentSequence.of_measure`.  The last one's long-double option feeds the
+recovery tests that need more than double precision in their input.
 """
 
 import math
@@ -34,7 +41,7 @@ from scipy.spatial import cKDTree
 from freedeconv import contours, inversion
 from freedeconv.errors import PoleError
 from freedeconv.experiments import ToeplitzPopulation, _multiplicities
-from freedeconv.measures import DiscreteMeasure
+from freedeconv.measures import POLE_TOL, DiscreteMeasure, MomentSequence
 
 
 def rand_measure(rng, l_max, lo=0.1, hi=10.0, min_gap=0.0, w_lo=0.2):
@@ -101,6 +108,16 @@ def is_conjugate_symmetric(sigma, values, rtol=1e-10):
         return False
     vscale = max(float(np.max(np.abs(values))), 1.0)
     return bool(np.max(np.abs(values[idx] - np.conj(values))) <= rtol * vscale)
+
+
+def moment_map(mu, z):
+    """M(z) = z G(z) - 1 = sum_j w_j x_j / (z - x_j)."""
+    z = np.asarray(z, dtype=complex)
+    d = z[..., None] - mu.atoms
+    if np.min(np.abs(d)) <= POLE_TOL:
+        raise PoleError("moment map evaluated at an atom", stage="measure")
+    out = np.sum(mu.weights * mu.atoms / d, axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def moment_map_derivative(mu, z):
@@ -201,7 +218,7 @@ def branch_by_eigenvalues(mu, targets, steps=500):
         roots = np.linalg.eigvals(a)
         w = roots[rows, np.argmin(np.abs(roots - w[:, None]), axis=1)]
     for _ in range(3):
-        w = w - (mu.moment_map(w) - m) / moment_map_derivative(mu, w)
+        w = w - (moment_map(mu, w) - m) / moment_map_derivative(mu, w)
     return w
 
 
@@ -418,6 +435,19 @@ def crossing_count(points):
     return count
 
 
+def mp_s_transform(c, m):
+    """S_MP(m) = 1 / (1 + c m), the closed form certified in the tests."""
+    m = np.asarray(m, dtype=complex)
+    d = 1.0 + c * m
+    if np.min(np.abs(d)) <= 1e-12:
+        raise PoleError("S-transform pole at m = -1/c", stage="measure")
+    out = 1.0 / d
+    if out.ndim == 0:
+        out = complex(out)
+        return out.real if out.imag == 0.0 else out
+    return out
+
+
 def mp_density(mp, x):
     """Density sqrt((x - l)(r - x)) / (2 pi c x) of MP_c, 0 off (l, r)."""
     x = np.asarray(x, dtype=float)
@@ -485,6 +515,16 @@ def mp_s_numeric(mp, m, n=160):
         z_star = brentq(f, r * (1.0 + 1e-12), r + 40.0 / m + 10.0,
                         xtol=1e-14, rtol=8.9e-16)
     return (1.0 + m) / (m * z_star)
+
+
+def moments_of(mu, order, dtype=float):
+    """MomentSequence m_0 .. m_order of mu, in long double on request."""
+    if dtype == np.longdouble:
+        x = mu.atoms.astype(np.longdouble)
+        w = mu.weights.astype(np.longdouble)
+        powers = x[None, :] ** np.arange(order + 1, dtype=np.longdouble)[:, None]
+        return MomentSequence(powers @ w)
+    return MomentSequence(np.array([mu.moment(k) for k in range(order + 1)]))
 
 
 def lanczos_jacobi(mu, n):
@@ -670,7 +710,7 @@ def injectivity_check(mu, contour):
     sigma = sigma[:-1]
     if np.min(np.abs(sigma[:, None] - mu.atoms)) <= 1e-14:
         raise ValueError("contour passes through an atom")
-    tau = np.atleast_1d(mu.moment_map(sigma))
+    tau = np.atleast_1d(moment_map(mu, sigma))
     n = tau.size
     p = tau
     q = np.roll(tau, -1)

@@ -14,8 +14,9 @@ from freedeconv.cli import build_parser, main
 from freedeconv.contours import ContourRepresentation, moments_from_contour
 from freedeconv.errors import InvalidMomentsError
 from freedeconv.experiments import REPORT_COLUMNS
-from freedeconv.measures import DiscreteMeasure, MomentSequence
+from freedeconv.measures import DiscreteMeasure
 from freedeconv.pipeline import deconvolve, forward_measure
+from helpers import moments_of
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 
@@ -166,7 +167,7 @@ def test_cli_forward_rejects_a_negative_atom(tmp_path, capsys):
 
 def test_cli_moments_reconstructs_measure(tmp_path):
     inp = tmp_path / "moments.json"
-    inp.write_text(MomentSequence.of_measure(TWO, 4).to_json())
+    inp.write_text(moments_of(TWO, 4).to_json())
     out = tmp_path / "measure.json"
     rc = main(["moments", "--input", str(inp), "--out", str(out)])
     assert rc == 0

@@ -30,6 +30,7 @@ from helpers import (
     injectivity_check,
     injectivity_radius,
     markov_krein_zero_equivalence,
+    moment_map,
     moment_map_derivative,
     moment_map_roots,
     mp_critical_points,
@@ -285,7 +286,7 @@ def test_slit_free_radius_is_the_modulus_of_one_branch_point():
     assert isinstance(free, float)
     assert free == pytest.approx(np.hypot(0.5, 1.5), rel=1e-15)
     # TWO's branch point is M(TWO_CRIT), and the radius its modulus
-    b = TWO.moment_map(TWO_CRIT)
+    b = moment_map(TWO, TWO_CRIT)
     assert _free(TWO) == pytest.approx(abs(b), rel=1e-12)
 
 
@@ -354,7 +355,7 @@ def test_lift_real_target_matches_bisection_on_the_outer_branch():
         2.0 + 1e-9, 100.0, xtol=1e-13,
     )
     assert w.real == pytest.approx(ref, abs=1e-10)
-    assert abs(TWO.moment_map(w) - 0.2) <= 1e-12
+    assert abs(moment_map(TWO, w) - 0.2) <= 1e-12
 
 
 def test_lift_residuals_meet_the_tolerance_on_random_targets():
@@ -372,7 +373,7 @@ def test_lift_residuals_meet_the_tolerance_on_random_targets():
         if abs(m) < 1e-3:
             continue
         w = lift_many(mu, [m], free)[0]
-        assert abs(mu.moment_map(w) - m) <= 1e-12
+        assert abs(moment_map(mu, w) - m) <= 1e-12
         done += 1
 
 
@@ -506,7 +507,7 @@ def test_correct_returns_the_injectivity_radius_at_its_result():
         w0 = np.concatenate([near, far])
         for polish in (False, True):
             w, _, d, rho, _ = inversion._correct(
-                x, c, w0, mu.moment_map(w0), polish=polish
+                x, c, w0, moment_map(mu, w0), polish=polish
             )
             want = injectivity_radius(w, d, x, c)
             assert np.all(np.isfinite(rho))
@@ -588,7 +589,7 @@ def test_lift_is_conjugate_symmetric_and_meets_the_residual(case):
     w, w_conj = lift_many(mu, [m, np.conj(m)], free)
     assert w_conj == pytest.approx(np.conj(w), rel=1e-12)
     for target, value in ((m, w), (np.conj(m), w_conj)):
-        assert abs(mu.moment_map(value) - target) <= NEWTON_TOL
+        assert abs(moment_map(mu, value) - target) <= NEWTON_TOL
 
 
 def test_lift_reports_a_seed_that_does_not_converge(monkeypatch):
@@ -671,7 +672,7 @@ def test_moment_map_has_full_cover_degree_at_random_values():
             continue
         roots = moment_map_roots(mu, m)
         assert roots.size == mu.n_atoms
-        vals = np.array([mu.moment_map(r) for r in roots])
+        vals = np.array([moment_map(mu, r) for r in roots])
         assert np.max(np.abs(vals - m)) < 1e-6
 
 
@@ -694,7 +695,7 @@ def test_small_and_large_two_atom_circles_are_injective():
     # both verdicts confirmed by the brute-force crossing counter
     for center, radius in ((1.5, 0.1), (0.0, 10.0)):
         contour = _circle(center, radius)
-        image = np.array([TWO.moment_map(z) for z in contour])
+        image = np.array([moment_map(TWO, z) for z in contour])
         assert crossing_count(image) == 0
         assert injectivity_check(TWO, contour)
 
@@ -703,7 +704,7 @@ def test_circle_around_a_critical_point_is_not_injective():
     # the image winds twice near the branch value and must self-intersect
     q = (4.0 + np.sqrt(2.0) * 1j) / 3.0
     contour = _circle(q, 0.1)
-    image = np.array([TWO.moment_map(z) for z in contour])
+    image = np.array([moment_map(TWO, z) for z in contour])
     assert crossing_count(image) == 1
     assert not injectivity_check(TWO, contour)
 

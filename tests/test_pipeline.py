@@ -19,7 +19,6 @@ from freedeconv.inversion import critical_points, slit_free_radius
 from freedeconv.measures import (
     DiscreteMeasure,
     MarchenkoPastur,
-    MomentSequence,
     wasserstein_1,
 )
 from freedeconv import inversion, pipeline
@@ -39,8 +38,10 @@ from helpers import (
     forward_moment_series,
     is_conjugate_symmetric,
     lagrange_sums,
+    moments_of,
     mp_density,
     mp_g_quadrature,
+    mp_s_transform,
     rand_measure,
     s_transform,
 )
@@ -55,7 +56,7 @@ def _free(mu):
 
 def t_ratio(mu_n, c, m, free):
     """Pointwise ratio S_mu_n(m) / S_MP(m), the S-transform of the estimate."""
-    return s_transform(mu_n, m, free) / MarchenkoPastur(c).s_transform(m)
+    return s_transform(mu_n, m, free) / mp_s_transform(c, m)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +497,8 @@ def test_gauss_proxy_reproduces_moments_through_2k_minus_1(kind):
     assert proxy.n_atoms == GAUSS_NODES
     order = 2 * GAUSS_NODES - 1
     assert order == MAX_MOMENTS + 1
-    exact = np.asarray(MomentSequence.of_measure(mu, order).values)
-    approx = np.asarray(MomentSequence.of_measure(proxy, order).values)
+    exact = np.asarray(moments_of(mu, order).values)
+    approx = np.asarray(moments_of(proxy, order).values)
     assert np.max(np.abs(approx - exact) / np.abs(exact)) <= 1e-12
 
 
@@ -636,6 +637,29 @@ def test_a_retry_ladder_run_rebinds_no_module_global():
             if key not in old or key not in new or new[key] is not old[key]
         )
         assert rebound == [], f"{name} rebinds {rebound}"
+
+
+def test_estimates_do_not_depend_on_the_width_of_long_double(monkeypatch):
+    # np.longdouble is 80-bit on x86-64 Linux but plain double with MSVC
+    # and on macOS arm64; rebinding it to float64 plays the latter here
+    def estimates():
+        results = []
+        for sc_id, n, seed in (
+            ("S2_3", 500, 1), ("S3", 500, 7), ("S2_1", 2000, 2), ("S2_2", 500, 3)
+        ):
+            sc = SCENARIOS[sc_id]
+            mu_n = sample_spectrum(sc.population, round(sc.c * n), n, seed)
+            results.append(pipeline.deconvolve_with_retries(mu_n, sc.c))
+        pop = SCENARIOS["S2_3"].population
+        results.append(deconvolve(forward_measure(pop, 0.2, tol=1e-8), 0.2))
+        return results
+
+    plain = estimates()
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    for a, b in zip(plain, estimates(), strict=True):
+        assert a.estimate == b.estimate
+        assert a.diagnostics.rank == b.diagnostics.rank
+        assert a.config == b.config
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import mmap
 import time
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -180,6 +181,13 @@ def toeplitz_spectrum(p: int, rho: float) -> DiscreteMeasure:
     return DiscreteMeasure((1.0 - r * r) / gap, np.full(p, 1.0 / p))
 
 
+# Bartlett factors of at least this many bytes live in an anonymous map:
+# glibc's initial mmap threshold, below which malloc serves a block from
+# the heap and reuses it once freed, so a map would only add its system
+# calls and page faults (about 75 us at p = 100 on a 2-core x86-64 VM)
+MAP_BYTES = 128 * 1024
+
+
 def _multiplicities(weights: np.ndarray, p: int) -> np.ndarray:
     counts = np.floor(weights * p).astype(int)
     counts[np.argmax(weights)] += p - int(np.sum(counts))
@@ -206,17 +214,31 @@ def sample_spectrum(
     over its columns, and has the spectrum of V^1/2 W V^1/2.  The recursion
     runs on W rather than A, whose upper triangle would fill with
     subnormal tails rho^(k-j).
+
+    At most two p x p arrays are alive at once: W, and the copy of it that
+    `np.linalg.eigvalsh` always makes.  A factor of MAP_BYTES or more
+    lives in an anonymous memory map that is closed as soon as W is
+    formed, which hands its pages back to the OS at once; a freed heap
+    block of that size would stay resident from the second large sample
+    on, once glibc has raised its mmap threshold to the size of the first.
     """
     _require_int("p", p)
     _require_int("n", n)
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
     rng = np.random.default_rng(seed)
-    a = np.zeros((p, p))
+    buf = mmap.mmap(-1, 8 * p * p) if 8 * p * p >= MAP_BYTES else None
+    a = np.zeros((p, p)) if buf is None else np.frombuffer(buf).reshape(p, p)
     a[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
     a[np.diag_indices(p)] = np.sqrt(rng.chisquare(n - np.arange(p)))
+    if not isinstance(pop, ToeplitzPopulation):
+        counts = _multiplicities(pop.weights, p)
+        a *= np.sqrt(np.repeat(pop.atoms, counts))[:, None]
+    w = a @ a.T
+    del a
+    if buf is not None:
+        buf.close()
     if isinstance(pop, ToeplitzPopulation):
-        w = a @ a.T
         # L[i, 0] = rho^i and L[i, j] = sqrt(1 - rho^2) rho^(i-j) for
         # 1 <= j <= i, so row j of L^T X is a geometric tail sum of X's
         # rows; the pass over w.T applies L to the columns
@@ -225,10 +247,6 @@ def sample_spectrum(
             for j in range(p - 2, -1, -1):
                 x[j] += rho * x[j + 1]
             x[1:] *= math.sqrt(1.0 - rho * rho)
-    else:
-        counts = _multiplicities(pop.weights, p)
-        a *= np.sqrt(np.repeat(pop.atoms, counts))[:, None]
-        w = a @ a.T
     w /= n
     eigs = np.linalg.eigvalsh(w)
     return DiscreteMeasure(np.maximum(eigs, 0.0), np.full(p, 1.0 / p))

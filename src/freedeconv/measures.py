@@ -265,8 +265,11 @@ def wasserstein_1(mu, nu):
 
     Computed as the integral of |F_mu - F_nu| over the merged breakpoint
     grid; both CDFs are piecewise constant so the integral is a finite sum.
+    The grid is merged by a sort rather than `np.union1d`, whose
+    `np.unique` imports `numpy.ma` into every process that scores a run.
     """
-    pts = np.union1d(mu.atoms, nu.atoms)
+    pts = np.sort(np.concatenate((mu.atoms, nu.atoms)))
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
     if pts.size == 1:
         return 0.0
     f_mu = mu.cdf(pts[:-1])

@@ -27,9 +27,16 @@ moved here with their bodies unchanged: `moment_map(mu, z)` was
 `MarchenkoPastur.s_transform`, and `moments_of(mu, order, dtype)` was
 `MomentSequence.of_measure`.  The last one's long-double option feeds the
 recovery tests that need more than double precision in their input.
+
+`run_fresh` runs a script in a new interpreter, for checks on what a
+process loads or holds.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import mpmath
@@ -38,6 +45,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
+import freedeconv
 from freedeconv import contours, inversion
 from freedeconv.errors import PoleError
 from freedeconv.experiments import ToeplitzPopulation, _multiplicities
@@ -802,3 +810,32 @@ def gaussian_sample_spectrum(pop, p, n, seed):
     """
     y = np.random.default_rng(seed).standard_normal((p, n))
     return _spectrum_of_root_times(pop, n, y)
+
+
+# Runs its first argument as a script, with the rest as arguments, in a
+# child interpreter that shares its stdout and stderr.
+_LAUNCHER = (
+    "import subprocess, sys; "
+    "sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]]).returncode)"
+)
+
+
+def run_fresh(script, *args):
+    """Stdout of `script` run with `args` in a new interpreter.
+
+    The package is imported from where the tests import it, ahead of any
+    PYTHONPATH entry; a failing script fails the calling test.  Linux
+    carries a process's peak RSS (`ru_maxrss`) over into the programs it
+    starts, so a direct child of the test process would report at least
+    the test process's own peak; the script runs one step further down,
+    under a bare launcher, and its `ru_maxrss` starts from that of a bare
+    interpreter.
+    """
+    src = Path(freedeconv.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, script, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     dense_sample_spectrum,
     dense_toeplitz_spectrum,
     gaussian_sample_spectrum,
+    run_fresh,
 )
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
@@ -189,6 +191,32 @@ def test_sample_spectrum_toeplitz_branch():
     assert mu.n_atoms == 50
     assert np.allclose(mu.weights, 1.0 / 50)
     assert np.all(mu.atoms >= 0.0)
+
+
+# a warm-up draw, then the peak-RSS rise over four draws that alternate a
+# diagonal and a Toeplitz population, in a fresh interpreter
+MEMORY_SCRIPT = """
+import resource, sys
+from freedeconv.experiments import SCENARIOS, ToeplitzPopulation, sample_spectrum
+p, n = int(sys.argv[1]), int(sys.argv[2])
+diagonal = SCENARIOS["S2_3"].population
+sample_spectrum(diagonal, 20, 100, 0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for pop in (diagonal, ToeplitzPopulation(0.3)) * 2:
+    sample_spectrum(pop, p, n, 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_sample_spectrum_holds_at_most_two_p_by_p_arrays():
+    # w and the copy that eigvalsh makes of it; the Bartlett factor's
+    # pages are gone once w is formed.  A third array would read about 3.4
+    pytest.importorskip("resource")
+    p, n = 1200, 6000
+    rise = int(run_fresh(MEMORY_SCRIPT, str(p), str(n)))
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    rise *= 1 if sys.platform == "darwin" else 1024
+    assert rise < 2.9 * 8 * p * p
 
 
 LAW_DRAWS = 1000

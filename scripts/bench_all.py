@@ -19,6 +19,9 @@ per-layer metrics of the traced runs, and ``metrics_runs`` each run's
 own; its ``end_to_end`` block holds the per-metric median of the six
 end-to-end ``metrics`` of the untraced runs, and ``end_to_end_runs`` each
 run's own.  So one noisy pass neither sets a figure nor hides its spread.
+``estimator_s`` is the estimator's time apart from sampling: the median
+over the traced runs of ``trace.wall_s - sample_spectrum.s``, with each
+run's value in ``estimator_s_runs``.
 
 Takes about a minute on a 2-core machine.
 """
@@ -83,6 +86,10 @@ def main(argv=None) -> int:
         ]
         record["metrics"] = median_block(traced, record["metrics"])
         record["metrics_runs"] = traced
+        record["estimator_s_runs"] = [
+            m["trace.wall_s"] - m["sample_spectrum.s"] for m in traced
+        ]
+        record["estimator_s"] = statistics.median(record["estimator_s_runs"])
         untraced = [
             run_bench(workload, 0)["metrics"] for _ in range(UNTRACED_RUNS)
         ]

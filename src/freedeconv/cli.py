@@ -88,6 +88,8 @@ def _cmd_scenario(args) -> int:
             sc, n_list, method, seeds, workers=workers, sigma=args.sigma
         )
     write_report_csv(reports, args.out)
+    if sc.modified:
+        sys.stdout.write(f"{sc.id}: {sc.modified}\n")
     for method in methods:
         medians = median_w1_by_n([r for r in reports if r.method == method])
         for n, w1 in medians.items():

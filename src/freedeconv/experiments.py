@@ -74,7 +74,7 @@ class Scenario:
 
 
 # S2_2 asks for p/n = 1, which the c < 1 estimator cannot represent; the
-# registry caps it and labels the run so reports stay honest about it
+# registry caps it, and `freedeconv scenario` prints the label first
 SCENARIOS = {
     "S1": Scenario("S1", DiscreteMeasure([1.0], [1.0]), 0.2),
     "S2_1": Scenario("S2_1", DiscreteMeasure([1.0, 2.0], [0.5, 0.5]), 0.2),

@@ -56,7 +56,7 @@ DEGENERATE_IM = 1e-10
 class RamificationData:
     """Critical points of M (conjugate-closed, 2(L-1) of them counting
     multiplicity over the atoms that carry mass at nonzero positions) and
-    one branch point per conjugate pair, canonicalized to Im > 0."""
+    the upper branch point conj(M(q)) of each upper critical point q."""
 
     critical_points: np.ndarray
     branch_points_upper: np.ndarray
@@ -77,18 +77,20 @@ def _effective_poles(mu):
     return mu.atoms[keep], c[keep]
 
 
-def _mprime(z, x, c):
-    return -np.sum(c / (z[..., None] - x) ** 2, axis=-1)
+def _mmap(z, x, c):
+    # M(z), M'(z) and the pole-major array 1/(z - x_j) from one pass over
+    # the poles, which run along axis 0
+    inv = 1.0 / (z - x[:, None])
+    return c @ inv, -(c @ (inv * inv)), inv
 
 
-def _newton_polish(z, x, c, iters=8):
-    """Up to `iters` Newton steps on M'(z) = 0, stopping once every step is
+def _newton_polish(z, x, c):
+    """Up to eight Newton steps on M'(z) = 0, stopping once every step is
     below a unit of rounding of its root."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(iters):
-            inv = 1.0 / (z[:, None] - x)
-            term = c * inv * inv
-            step = -np.sum(term, axis=1) / (2.0 * np.sum(term * inv, axis=1))
+        for _ in range(8):
+            _, d, inv = _mmap(z, x, c)
+            step = d / (2.0 * (c @ (inv * inv * inv)))
             step = np.where(np.isfinite(step), step, 0.0)
             z = z - step
             if np.all(np.abs(step) <= np.finfo(float).eps * np.abs(z)):
@@ -102,15 +104,14 @@ def _certify(roots, x, c):
     # double can add to first order, |M''(q)| eps |q| with
     # |M''(q)| <= 2 sum |c_j| / |q - x_j|^3
     with np.errstate(divide="ignore", invalid="ignore"):
-        dist = np.abs(roots[:, None] - x)
-        terms = np.abs(c) / dist**2
-        level = np.sum(terms, axis=1)
+        _, d, inv = _mmap(roots, x, c)
+        a = np.abs(inv)
+        level = np.abs(c) @ (a * a)
         rounding = (
             2.0 * np.finfo(float).eps * np.abs(roots)
-            * np.sum(terms / dist, axis=1)
+            * (np.abs(c) @ (a * a * a))
         )
-        resid = np.abs(_mprime(roots, x, c))
-    return np.isfinite(resid) & (resid <= CERT_TOL * level + rounding)
+    return np.isfinite(d) & (np.abs(d) <= CERT_TOL * level + rounding)
 
 
 def critical_points(mu):
@@ -118,8 +119,8 @@ def critical_points(mu):
 
     Returns conjugate-paired critical points (roots of
     sum_j w_j x_j / (z - x_j)^2, a polynomial of degree 2(L-1) after
-    clearing denominators) and the branch points M(q) canonicalized to the
-    upper half plane.  Atoms at 0 carry no pole of M and are ignored.
+    clearing denominators) and the upper branch points: conj(M(q)) for each
+    upper critical point q.  Atoms at 0 carry no pole of M and are ignored.
 
     The roots are the zeros of the real system (A, b, u^T) with Jordan
     blocks A_j = [[x_j, 1], [0, x_j]], b_j = (0, 1) and u_j = (w_j x_j, 0),
@@ -176,8 +177,9 @@ def critical_points(mu):
     paired = np.empty(degree, dtype=complex)
     paired[0::2] = upper
     paired[1::2] = np.conj(upper)
-    values = np.sum(c / (upper[:, None] - x), axis=1)
-    branch_upper = np.where(values.imag >= 0.0, values, np.conj(values))
+    # c_j > 0, so Im M(q) = -Im q sum_j c_j / |q - x_j|^2 < 0 at every
+    # upper critical point q: the upper branch points are conj(M(q))
+    branch_upper = np.conj(_mmap(upper, x, c)[0])
     branch_upper = branch_upper[np.lexsort((branch_upper.imag, branch_upper.real))]
     return RamificationData(paired, branch_upper)
 
@@ -218,13 +220,6 @@ START_ABS = 1e-3
 # step halving gives up
 NEWTON_TOL = 1e-12
 MIN_STEP = 1e-9
-
-
-def _mmap(z, x, c):
-    # M(z), M'(z) and the pole-major array 1/(z - x_j) from one pass over
-    # the poles, which run along axis 0
-    inv = 1.0 / (z - x[:, None])
-    return c @ inv, -(c @ (inv * inv)), inv
 
 
 def _correct(x, c, w, m, polish=True):

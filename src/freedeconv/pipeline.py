@@ -45,7 +45,6 @@ from .contours import (
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
-    contour_rep_from_s,
     moments_from_circle,
     moments_from_contour,
 )
@@ -123,10 +122,10 @@ class DeconvDiagnostics:
     `lift_many` call, and each node counts the steps of that march.
     `lift_steps_total` sums the count over the nodes of every pass, and
     `lift_steps_max` is the longest march.  `moment_error` is the worst
-    relative error with which the estimate reproduces the moments it was
-    recovered from, over orders 0 to 2 rank - 1.  `t_total_s` is the
-    spectral stage's wall time plus the call's own, so a retry rung that
-    reuses the stage reports what a direct call would.
+    relative error in the estimate's moments of orders 0 to 2 rank - 1:
+    recovery's rounding, not a fit, as any Gauss rule reproduces those.
+    `t_total_s` is the spectral stage's wall time plus the call's own, so
+    a retry rung that reuses the stage reports what a direct call would.
     """
 
     imag_residue: float
@@ -262,7 +261,9 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
             )
             break
         n_nodes *= 2
-    rep = contour_rep_from_s((1.0 + m) / (m * z), m)
+    # G = (1 + m) / z on the image of the circle, which winds clockwise
+    # (z ~ m_1 / m), so its nodes are reversed
+    rep = ContourRepresentation(z[::-1], ((1.0 + m) / z)[::-1])
 
     diagnostics = dict(
         imag_residue=extracted.imag_residue,

@@ -13,7 +13,7 @@ computed in IEEE double on every platform, whatever width long double has
 there.  A caller who builds long-double moments gets a long-double
 factorization.  The Jacobi coefficients are stored in double precision,
 and the final eigenproblem is solved as a dense symmetric one: the
-pipeline's Jacobi matrices have at most 8 rows.
+pipeline's Jacobi matrices have at most 9 rows, those of its Gauss proxy.
 """
 
 from __future__ import annotations
@@ -198,10 +198,10 @@ def recover_measure_detailed(
     Chooses the largest tractable Hankel order given the available moments
     and the requested support bound, extracts the recurrence, and
     diagonalizes.  The scaled Cholesky pivots of `jacobi_from_moments` both
-    reject non-moments and truncate the rank.  The report records how well
-    the output measure reproduces the input moments over the
-    Gauss-exactness range k <= 2 rank - 1; on exact inputs these errors
-    sit at 10 tol or below.
+    reject non-moments and truncate the rank.  The report's moment errors
+    cover the Gauss-exactness range k <= 2 rank - 1, which the recovered
+    Gauss rule reproduces by construction: they read recovery's rounding,
+    not how well the measure fits the moments.
     """
     _require_int("max_support", max_support)
     if max_support < 1:

@@ -221,6 +221,22 @@ def test_cli_scenario_writes_report(tmp_path, capsys):
                for r in rows[1:])
 
 
+def test_cli_scenario_names_the_modification_of_a_capped_scenario(
+    tmp_path, capsys
+):
+    # S2_2 asks for c = 1 and runs at 0.95: the summary says so before
+    # its medians, while the report keeps its columns
+    out = tmp_path / "report.csv"
+    rc = main(["scenario", "--id", "S2_2", "--n", "250", "--seeds", "1",
+               "--workers", "1", "--out", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "S2_2: c capped to 0.95 from 1"
+    assert lines[1].startswith("S2_2 contour n=250 median_w1=")
+    with open(out, newline="") as fh:
+        assert next(csv.reader(fh)) == list(REPORT_COLUMNS)
+
+
 # ---------------------------------------------------------------------------
 # process-level smoke
 # ---------------------------------------------------------------------------

@@ -6,11 +6,15 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from freedeconv.contours import (
     ContourRepresentation,
     choose_m_contour,
+    circle_nodes,
+    moments_from_circle,
     moments_from_contour,
 )
 from freedeconv.errors import InvalidMomentsError, NumericalError
@@ -433,6 +437,23 @@ def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
     assert "did not settle" in caplog.text
 
 
+@pytest.mark.parametrize("sc_id", ["S1", "S2_1", "S2_2", "S2_3", "S3"])
+def test_the_contour_is_the_image_the_moments_were_taken_on(sc_id):
+    # the result's contour is the lifted image z of the accepted pass's
+    # circle, reversed, not a copy rebuilt from S values: its moments are
+    # the result's, bit for bit, and G = (1 + m) / z on it exactly
+    sc = SCENARIOS[sc_id]
+    for seed in (1, 2):
+        mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, seed)
+        res = pipeline.deconvolve_with_retries(mu_n, sc.c)
+        d = res.diagnostics
+        m = circle_nodes(d.contour_radius, d.nodes_used)
+        sigma = res.contour.sigma
+        again = moments_from_circle(m, sigma[::-1], MAX_MOMENTS).moments
+        assert np.array_equal(again.values, res.moments_used.values)
+        assert np.array_equal(res.contour.values, (1.0 + m[::-1]) / sigma)
+
+
 # the series oracle on the proxy's moments; S2_2 is not sampled at
 # n = 8000, where p = 7600 takes minutes and 1.4 GB to sample
 SERIES_RUNS = [
@@ -695,14 +716,19 @@ def test_ree_quantile_diagonal():
     assert np.allclose(sigma, np.diag([1.0, 1.0, 2.0, 2.0]), atol=1e-14)
 
 
-def test_ree_rotation_equivariance():
-    rng = np.random.default_rng(7)
-    p = 8
-    Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_ree_rotation_equivariance(p, seed):
+    # replacing the eigenvectors O by Q O conjugates the estimate by Q,
+    # for orthogonal O and Q from the QR of Gaussian matrices
+    rng = np.random.default_rng(seed)
+    O, Q = (np.linalg.qr(rng.normal(size=(p, p)))[0] for _ in range(2))
     vals = np.sort(rng.uniform(0.5, 3.0, p))
-    base = ree_assemble(np.eye(p), vals, TWO)
-    rotated = ree_assemble(Q, vals, TWO)
-    assert np.max(np.abs(rotated - Q @ base @ Q.T)) <= 1e-10
+    nu_hat = rand_measure(rng, 8)
+    base = ree_assemble(O, vals, nu_hat)
+    rotated = ree_assemble(Q @ O, vals, nu_hat)
+    gap = np.max(np.abs(rotated - Q @ base @ Q.T))
+    assert gap <= 1e-10 * np.max(nu_hat.atoms)
 
 
 def test_ree_input_contracts():

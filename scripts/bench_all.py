@@ -17,8 +17,11 @@ dropped, since the per-layer metrics summarise it and it runs to
 megabytes.  Its ``metrics`` block holds the per-metric median of the
 per-layer metrics of the traced runs, and ``metrics_runs`` each run's
 own; its ``end_to_end`` block holds the per-metric median of the six
-end-to-end ``metrics`` of the untraced runs, and ``end_to_end_runs`` each
-run's own.  So one noisy pass neither sets a figure nor hides its spread.
+end-to-end ``metrics`` of the untraced runs, ``end_to_end_runs`` each
+run's own, and ``end_to_end_spread`` the max - min of each metric over
+those runs.  So one noisy pass neither sets a figure nor hides its spread,
+and a change between two files smaller than the spread reads as
+unresolved.
 ``estimator_s`` is the estimator's time apart from sampling: the median
 over the traced runs of ``trace.wall_s - sample_spectrum.s``, with each
 run's value in ``estimator_s_runs``.
@@ -94,6 +97,10 @@ def main(argv=None) -> int:
             run_bench(workload, 0)["metrics"] for _ in range(UNTRACED_RUNS)
         ]
         record["end_to_end"] = median_block(untraced, names)
+        record["end_to_end_spread"] = {
+            name: max(r[name] for r in untraced) - min(r[name] for r in untraced)
+            for name in names
+        }
         record["end_to_end_runs"] = untraced
         merged["workloads"][workload] = record
     out = ROOT / f"BENCH_{args.tag}.json"

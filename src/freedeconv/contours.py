@@ -107,18 +107,18 @@ class ContourRepresentation:
 
     @classmethod
     def from_csv(cls, path) -> "ContourRepresentation":
-        """Read nodes written by `to_csv`."""
+        """Read nodes written by `to_csv`; ValueError names a malformed line."""
         sigmas = []
         vals = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             expected = ["t_index", "re_sigma", "im_sigma", "re_value", "im_value"]
             if [h.strip() for h in header] != expected:
-                raise ValueError(f"unexpected contour CSV header: {header}")
-            for row in reader:
-                if not row:
-                    continue
+                raise ValueError(f"{path} line 1: unexpected header {header}")
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != len(expected):
+                    raise ValueError(f"{path} line {reader.line_num}: not 5 fields")
                 sigmas.append(complex(float(row[1]), float(row[2])))
                 vals.append(complex(float(row[3]), float(row[4])))
         return cls(np.asarray(sigmas), np.asarray(vals))

@@ -17,7 +17,7 @@ import logging
 import math
 import mmap
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .measures import (
     _require_int,
     wasserstein_1,
 )
-from .pipeline import deconvolve_with_retries
+from .pipeline import DeconvConfig, DeconvDiagnostics, deconvolve_with_retries
 
 __all__ = [
     "ToeplitzPopulation",
@@ -95,7 +95,8 @@ SCENARIOS = {
 
 @dataclass(frozen=True)
 class RunReport:
-    """One (scenario, n, seed, method) outcome as a flat record."""
+    """One (scenario, n, seed, method) outcome, with the diagnostics and
+    config of its result when a contour run returns one."""
 
     scenario: str
     n: int
@@ -104,18 +105,25 @@ class RunReport:
     method: str
     w1_error: float
     t_total_s: float
-    t_lift_s: float
-    t_recovery_s: float
-    diag_rank: int
-    diag_imag_residue: float
     error: str = ""
     error_stage: str = ""  # the NumericalError.stage of a failed run
+    diagnostics: DeconvDiagnostics | None = None
+    config: DeconvConfig | None = None
 
     def row(self) -> list:
-        return [getattr(self, col) for col in REPORT_COLUMNS]
+        cells = [getattr(self, col) for col in _RUN_COLUMNS]
+        for record, cls in ((self.diagnostics, DeconvDiagnostics),
+                            (self.config, DeconvConfig)):
+            cells += astuple(record) if record else [""] * len(fields(cls))
+        return cells
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
+_RUN_COLUMNS = tuple(f.name for f in fields(RunReport))[:-2]  # not the records
+REPORT_COLUMNS = _RUN_COLUMNS + tuple(
+    prefix + f.name
+    for prefix, cls in (("diag_", DeconvDiagnostics), ("cfg_", DeconvConfig))
+    for f in fields(cls)
+)
 
 
 def _toeplitz_angles(p: int, r: float) -> np.ndarray:
@@ -412,34 +420,27 @@ def _run_one(args):
     sc = SCENARIOS[sc_id]
     p = round(sc.c * n)
     t0 = time.perf_counter()
+    result = None
     try:
         mu_n = sample_spectrum(sc.population, p, n, seed)
-        truth = sc.ground_truth(p)
         if method == "contour":
             result = deconvolve_with_retries(mu_n, sc.c)
             est = result.estimate
-            d = result.diagnostics
-            t_lift, t_rec = d.t_lift_s, d.t_recovery_s
-            rank, residue = d.rank, d.imag_residue
         else:
-            t1 = time.perf_counter()
             est = baseline_subordination(mu_n, sc.c, sigma=sigma)
-            t_lift, t_rec = 0.0, time.perf_counter() - t1
-            rank, residue = est.n_atoms, float("nan")
-        w1 = wasserstein_1(est, truth)
-        return RunReport(
-            sc_id, n, p, seed, method, w1,
-            time.perf_counter() - t0, t_lift, t_rec, rank, residue,
-        )
+        w1 = wasserstein_1(est, sc.ground_truth(p))
     except (NumericalError, ValueError) as exc:
         log.warning("run (%s, n=%d, seed=%d, %s) failed: %s",
                     sc_id, n, seed, method, exc)
         return RunReport(
-            sc_id, n, p, seed, method, float("nan"),
-            time.perf_counter() - t0, 0.0, 0.0, 0,
-            float("nan"), error=str(exc),
-            error_stage=getattr(exc, "stage", None) or "",
+            sc_id, n, p, seed, method, float("nan"), time.perf_counter() - t0,
+            error=str(exc), error_stage=getattr(exc, "stage", None) or "",
         )
+    return RunReport(
+        sc_id, n, p, seed, method, w1, time.perf_counter() - t0,
+        diagnostics=None if result is None else result.diagnostics,
+        config=None if result is None else result.config,
+    )
 
 
 def run_scenario(

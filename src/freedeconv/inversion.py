@@ -136,9 +136,9 @@ def critical_points(mu):
     uncentred, tight clusters fail the certificate where the exact roots,
     rounded, pass it.
 
-    Raises IncompleteRootsError when fewer than 2(L-1) eigenvalues come
-    back finite or the residual certificate fails for any root: finding
-    *all* solutions is what the downstream slit-free radius needs.
+    Raises IncompleteRootsError when any of the 2(L-1) roots, a non-finite
+    one included, fails the residual certificate: finding *all* solutions
+    is what the downstream slit-free radius needs.
     """
     if np.any(mu.atoms < 0.0):
         raise ValueError("ramification analysis expects nonnegative atoms")
@@ -159,10 +159,10 @@ def critical_points(mu):
     V = np.linalg.svd(np.vstack([u, uA]))[2][2:].T
     roots = _newton_polish(np.linalg.eigvals(V.T @ N @ V) + centre, x, c)
     ok = _certify(roots, x, c)
-    if roots.size < degree or not np.all(ok):
+    if not np.all(ok):
         raise IncompleteRootsError(
-            f"{roots.size} of {degree} critical points came back finite and "
-            f"{int(np.sum(~ok))} of them failed the residual certificate",
+            f"{int(np.sum(~ok))} of {degree} critical points failed the "
+            "residual certificate",
             stage="critical_points",
             diagnostics={"bad": roots[~ok][:8].tolist()},
         )

@@ -274,8 +274,8 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         nodes_used=n_nodes,
         settled=settled,
         settle_gap=extracted.half_gap,
-        lift_steps_total=int(np.sum(step_counts)) if step_counts else 0,
-        lift_steps_max=int(np.max(step_counts)) if step_counts else 0,
+        lift_steps_total=int(np.sum(step_counts)),
+        lift_steps_max=int(np.max(step_counts)),
         t_ramification_s=t_ram,
         t_lift_s=t_lift,
         t_moments_s=t_moments,

@@ -83,8 +83,6 @@ def _scaled_moments(values: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.any(nz):
         return values.copy(), 1.0
     s = float(np.max(mags[nz] ** (1.0 / k[nz])))
-    if not np.isfinite(s) or s <= 0.0:
-        return values.copy(), 1.0
     # scale factors must carry the full input precision: float64 powers
     # would re-inject double-rounding noise into extended-precision moments
     factors = values.dtype.type(s) ** np.arange(values.size, dtype=values.dtype)
@@ -215,7 +213,7 @@ def recover_measure_detailed(
     want = np.asarray(moments.values[: upto + 1], dtype=float)
     got = mu.atoms ** np.arange(upto + 1)[:, None] @ mu.weights
     errs = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-    worst = float(np.max(errs)) if errs.size else 0.0
+    worst = float(np.max(errs))
     if worst > 10.0 * tol:
         log.warning(
             "recovered measure reproduces moments to %.3e only (rank %d)",

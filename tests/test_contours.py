@@ -119,6 +119,19 @@ def test_contour_csv_rejects_foreign_header(tmp_path):
         ContourRepresentation.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("", 1), ("t_index,re_sigma,im_sigma,re_value,im_value\n"
+               "0,1.0,0.0,1.0,0.0\n\n1,1.0\n", 4)],
+    ids=["empty_file", "short_row"],
+)
+def test_contour_csv_names_its_malformed_line(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.csv line {line}: "):
+        ContourRepresentation.from_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # moment quadrature: the reference contour_moment of tests/helpers.py
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario registry, spectrum sampling, baseline, and the run harness."""
 
 import csv
+import dataclasses
 import math
 import sys
 
@@ -27,7 +28,12 @@ from freedeconv.experiments import (
     write_report_csv,
 )
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur, wasserstein_1
-from freedeconv.pipeline import DeconvConfig, deconvolve, forward_measure
+from freedeconv.pipeline import (
+    DeconvConfig,
+    DeconvDiagnostics,
+    deconvolve,
+    forward_measure,
+)
 from helpers import (
     dense_sample_spectrum,
     dense_toeplitz_spectrum,
@@ -347,7 +353,9 @@ def test_run_scenario_pool_matches_serial():
     assert len(serial) == len(pooled) == 2
     for a, b in zip(serial, pooled):
         assert a.w1_error == b.w1_error
-        assert (a.n, a.seed, a.diag_rank) == (b.n, b.seed, b.diag_rank)
+        assert (a.n, a.seed, a.diagnostics.rank, a.config) == (
+            b.n, b.seed, b.diagnostics.rank, b.config
+        )
 
 
 def test_run_scenario_repeat_is_bitwise_deterministic():
@@ -379,6 +387,7 @@ def test_a_failed_run_writes_its_stage_to_the_csv(monkeypatch, tmp_path):
         (row,) = list(csv.DictReader(fh))
     assert row["error_stage"] == "choose_m_contour"
     assert "no circle around 0 clears the branch slits" in row["error"]
+    assert _record_cells(row) == {""}
 
     # contract violations carry no stage
     def bad_input(mu_n, c):
@@ -430,8 +439,95 @@ def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):
 # reporting
 # ---------------------------------------------------------------------------
 
-def test_run_report_row_follows_column_order():
-    rep = RunReport("S1", 500, 100, 1, "contour", 0.01, 1.0, 0.5, 0.1, 3, 1e-9)
+@pytest.fixture(scope="module")
+def s1_report():
+    # the contour run of S1 at n = 250, seed 1, and the ladder's result on
+    # the spectrum that run samples
+    (rep,) = run_scenario(SCENARIOS["S1"], [250], seeds=[1], workers=1)
+    mu_n = sample_spectrum(SCENARIOS["S1"].population, 50, 250, 1)
+    return rep, pipeline.deconvolve_with_retries(mu_n, 0.2)
+
+
+def _record_cells(row: dict) -> set:
+    return {v for k, v in row.items() if k.startswith(("diag_", "cfg_"))}
+
+
+def test_report_columns_are_the_run_then_its_records():
+    own = [f.name for f in dataclasses.fields(RunReport)][:-2]
+    assert own == ["scenario", "n", "p", "seed", "method", "w1_error",
+                   "t_total_s", "error", "error_stage"]
+    assert REPORT_COLUMNS == (
+        tuple(own)
+        + tuple("diag_" + f.name for f in dataclasses.fields(DeconvDiagnostics))
+        + tuple("cfg_" + f.name for f in dataclasses.fields(DeconvConfig))
+    )
+
+
+# a DeconvDiagnostics with one more field, series_gap, and the columns and
+# row the scenario report builds from it, in a fresh interpreter
+NEW_FIELD_SCRIPT = """
+import dataclasses, importlib
+import freedeconv.experiments as experiments
+import freedeconv.pipeline as pipeline
+fields = dataclasses.fields(pipeline.DeconvDiagnostics)
+pipeline.DeconvDiagnostics = dataclasses.make_dataclass(
+    "DeconvDiagnostics",
+    [(f.name, f.type) for f in fields] + [("series_gap", float)],
+    frozen=True,
+)
+importlib.reload(experiments)
+diags = pipeline.DeconvDiagnostics(*range(len(fields)), series_gap=0.5)
+rep = experiments.RunReport(
+    "S1", 250, 50, 1, "contour", 0.1, 1.0,
+    diagnostics=diags, config=pipeline.DeconvConfig(),
+)
+print(",".join(experiments.REPORT_COLUMNS))
+print(dict(zip(experiments.REPORT_COLUMNS, rep.row()))["diag_series_gap"])
+"""
+
+
+def test_a_new_diagnostics_field_reaches_the_report():
+    columns, cell = run_fresh(NEW_FIELD_SCRIPT).splitlines()
+    assert columns.split(",") == (
+        list(REPORT_COLUMNS[:-2]) + ["diag_series_gap"]
+        + list(REPORT_COLUMNS[-2:])
+    )
+    assert cell == "0.5"
+
+
+def test_a_contour_row_carries_its_results_records(s1_report):
+    rep, result = s1_report
+    row = dict(zip(REPORT_COLUMNS, rep.row()))
+    diags = dataclasses.asdict(result.diagnostics)
+    assert diags.keys() == {
+        k[len("diag_"):] for k in row if k.startswith("diag_")
+    }
+    for name, value in diags.items():
+        if not name.startswith("t_"):
+            assert row["diag_" + name] == value, name
+    for name, value in dataclasses.asdict(result.config).items():
+        assert row["cfg_" + name] == value, name
+    assert "" not in _record_cells(row)
+
+
+def test_a_baseline_row_leaves_the_records_empty(monkeypatch):
+    # the baseline keeps no diagnostics; mu_n as its estimate keeps the
+    # run fast
+    monkeypatch.setattr(
+        experiments, "baseline_subordination", lambda mu_n, c, sigma: mu_n
+    )
+    (rep,) = run_scenario(
+        SCENARIOS["S1"], [250], "subordination", seeds=[1], workers=1
+    )
+    assert rep.error == "" and math.isfinite(rep.w1_error)
+    assert (rep.diagnostics, rep.config) == (None, None)
+    assert _record_cells(dict(zip(REPORT_COLUMNS, rep.row()))) == {""}
+
+
+def test_run_report_row_follows_column_order(s1_report):
+    diags = dataclasses.replace(s1_report[1].diagnostics, rank=3)
+    rep = RunReport("S1", 500, 100, 1, "contour", 0.01, 1.0,
+                    diagnostics=diags, config=DeconvConfig())
     row = rep.row()
     assert len(row) == len(REPORT_COLUMNS)
     assert row[REPORT_COLUMNS.index("scenario")] == "S1"
@@ -441,11 +537,11 @@ def test_run_report_row_follows_column_order():
 
 def test_write_report_csv_roundtrip(tmp_path):
     reports = [
-        RunReport("S1", 250, 50, 1, "contour", 0.02, 1.0, 0.5, 0.1, 1, 1e-9),
-        RunReport("S1", 500, 100, 1, "contour", 0.01, 2.0, 1.0, 0.2, 1, 1e-9),
+        RunReport("S1", 250, 50, 1, "contour", 0.02, 1.0),
+        RunReport("S1", 500, 100, 1, "contour", 0.01, 2.0),
         RunReport(
-            "S1", 500, 100, 2, "contour", float("nan"), 0.5, 0.0, 0.0, 0,
-            float("nan"), error="no circle around 0 clears the branch slits",
+            "S1", 500, 100, 2, "contour", float("nan"), 0.5,
+            error="no circle around 0 clears the branch slits",
         ),
     ]
     path = tmp_path / "report.csv"
@@ -463,10 +559,10 @@ def test_write_report_csv_roundtrip(tmp_path):
 
 def test_median_w1_ignores_failed_runs():
     reports = [
-        RunReport("S1", 250, 50, 1, "contour", 0.1, 0, 0, 0, 1, 0.0),
-        RunReport("S1", 250, 50, 2, "contour", 0.2, 0, 0, 0, 1, 0.0),
-        RunReport("S1", 250, 50, 3, "contour", float("nan"), 0, 0, 0, 0, 0.0),
-        RunReport("S1", 500, 100, 1, "contour", float("nan"), 0, 0, 0, 0, 0.0),
+        RunReport("S1", 250, 50, 1, "contour", 0.1, 0),
+        RunReport("S1", 250, 50, 2, "contour", 0.2, 0),
+        RunReport("S1", 250, 50, 3, "contour", float("nan"), 0),
+        RunReport("S1", 500, 100, 1, "contour", float("nan"), 0),
     ]
     medians = median_w1_by_n(reports)
     assert medians == {250: pytest.approx(0.15)}

@@ -104,6 +104,13 @@ def test_critical_points_raise_when_the_certificate_fails(monkeypatch):
     with pytest.raises(IncompleteRootsError) as exc_info:
         critical_points(TWO)
     assert exc_info.value.stage == "critical_points"
+    # and so does a root that comes back non-finite
+    monkeypatch.setattr(
+        inversion, "_newton_polish",
+        lambda z, x, c: np.append(polish(z, x, c)[1:], np.nan),
+    )
+    with pytest.raises(IncompleteRootsError, match="1 of 2 critical points"):
+        critical_points(TWO)
 
 
 def test_negative_atoms_are_rejected():

@@ -1,0 +1,180 @@
+"""Record the estimate of every benchmark run, and compare two records.
+
+Run from the repository root:
+
+    python3 scripts/run_records.py --out before.json
+    python3 scripts/run_records.py --diff before.json after.json
+
+``--out`` runs, in this process with one BLAS thread, the seed 0-2 run
+lists of the small_p and near_square workloads and the seed 0 list of
+large_p, each as ``bench/workloads.run_list`` builds it for 30 s, then the
+noise-free run of every finite-atom scenario those workloads use.  A
+sampled run does what ``freedeconv scenario`` does for one (n, seed); a
+noise-free run deconvolves the exact forward spectrum with the default
+configuration, as the benchmark's ``noise_free_w1`` does.  It writes one
+JSON record per run: the outcome, the error class and stage of a failed
+run, and of a returned estimate the accepted rung, rank, ``nodes_used``,
+contour radius and its limiter, W1, atoms and weights.  Floats are written
+by repr, so they read back bit for bit.  The 213 records take about 4 s
+on a 2-core x86 machine, most of it sampling large_p's two p = 1600
+spectra.
+
+``--diff A B`` lists the records that differ, with the fields that moved,
+and the largest moves of W1, atoms and radius.  It exits 1 if any run's
+outcome, accepted rung or rank differs, or a run is missing from one file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SECONDS = 30
+SEEDS = {"small_p": (0, 1, 2), "near_square": (0, 1, 2), "large_p": (0,)}
+# fields whose change means a run took another path, not a rounding move
+PATH_FIELDS = ("outcome", "error", "stage", "rung", "rank")
+
+
+def _estimate_record(result, w1: float) -> dict:
+    d = result.diagnostics
+    return {
+        "outcome": "ok",
+        "rung": [result.config.rank_tol, result.config.max_support],
+        "rank": d.rank,
+        "nodes_used": d.nodes_used,
+        "radius": d.contour_radius,
+        "limiter": d.radius_limiter,
+        "w1": w1,
+        "atoms": result.estimate.atoms.tolist(),
+        "weights": result.estimate.weights.tolist(),
+    }
+
+
+def _failure_record(exc: Exception) -> dict:
+    return {
+        "outcome": "failed",
+        "error": type(exc).__name__,
+        "stage": getattr(exc, "stage", None),
+    }
+
+
+def records() -> dict[str, dict]:
+    """Every run's record, keyed by workload, scenario, n and sample seed."""
+    import workloads
+    from freedeconv import (
+        DiscreteMeasure,
+        NumericalError,
+        deconvolve,
+        deconvolve_with_retries,
+        forward_measure,
+        sample_spectrum,
+        wasserstein_1,
+    )
+    from freedeconv.experiments import SCENARIOS
+
+    out = {}
+    scenarios = set()
+    for name, seeds in SEEDS.items():
+        workload = workloads.WORKLOADS[name]
+        scenarios.update(workload.scenarios)
+        for seed in seeds:
+            for run in workloads.run_list(workload, seed, SECONDS):
+                sc = SCENARIOS[run.scenario]
+                p = round(sc.c * run.n)
+                key = f"{name}/{run.scenario}/n{run.n}/seed{run.seed}"
+                try:
+                    mu_n = sample_spectrum(sc.population, p, run.n, run.seed)
+                    result = deconvolve_with_retries(mu_n, sc.c)
+                    w1 = wasserstein_1(result.estimate, sc.ground_truth(p))
+                except (NumericalError, ValueError) as exc:
+                    out[key] = _failure_record(exc)
+                    continue
+                out[key] = _estimate_record(result, w1)
+    for sc_id in sorted(scenarios):
+        sc = SCENARIOS[sc_id]
+        if not isinstance(sc.population, DiscreteMeasure):
+            continue
+        key = f"noise_free/{sc_id}"
+        try:
+            mu = forward_measure(sc.population, sc.c, tol=1e-8)
+            result = deconvolve(mu, sc.c)
+        except NumericalError as exc:
+            out[key] = _failure_record(exc)
+            continue
+        w1 = wasserstein_1(result.estimate, sc.population)
+        out[key] = _estimate_record(result, w1)
+    return out
+
+
+def _relative_move(a: list, b: list) -> float:
+    return max(
+        (abs(x - y) / max(abs(x), abs(y), 1e-300) for x, y in zip(a, b)),
+        default=0.0,
+    )
+
+
+def diff(a: dict, b: dict) -> int:
+    """Print the records that differ between a and b; 1 if a path changed."""
+    changed_path = False
+    w1_move = atom_move = radius_move = 0.0
+    differing = 0
+    for key in sorted(a.keys() | b.keys()):
+        ra, rb = a.get(key), b.get(key)
+        if ra is None or rb is None:
+            print(f"{key}: only in {'B' if ra is None else 'A'}")
+            changed_path = True
+            differing += 1
+            continue
+        fields = sorted(ra.keys() | rb.keys())
+        moved = [f for f in fields if ra.get(f) != rb.get(f)]
+        if not moved:
+            continue
+        differing += 1
+        changed_path |= any(f in PATH_FIELDS for f in moved)
+        print(f"{key}: {', '.join(moved)}")
+        if ra["outcome"] == rb["outcome"] == "ok":
+            w1_move = max(w1_move, abs(ra["w1"] - rb["w1"]))
+            gap = abs(ra["radius"] - rb["radius"])
+            radius_move = max(radius_move, gap / math.ulp(ra["radius"]))
+            if len(ra["atoms"]) == len(rb["atoms"]):
+                move = _relative_move(ra["atoms"], rb["atoms"])
+                atom_move = max(atom_move, move)
+    print(
+        f"{differing} of {len(a.keys() | b.keys())} records differ; largest "
+        f"moves: W1 {w1_move:.3g}, atom {atom_move:.3g} relative, radius "
+        f"{radius_move:.3g} ulp"
+    )
+    if changed_path:
+        print("some run changed its outcome, accepted rung or rank")
+    return int(changed_path)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", metavar="FILE", help="write the run records")
+    group.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                       help="compare two record files")
+    args = parser.parse_args(argv)
+    if args.diff:
+        a, b = (json.loads(Path(f).read_text()) for f in args.diff)
+        return diff(a, b)
+    for var in BLAS_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    recs = records()
+    text = json.dumps(recs, indent=1, sort_keys=True)
+    Path(args.out).write_text(text + "\n")
+    failed = sum(r["outcome"] != "ok" for r in recs.values())
+    print(f"{len(recs)} records, {failed} failed, written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

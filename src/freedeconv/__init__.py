@@ -55,7 +55,6 @@ from .recovery import (
     JacobiCoefficients,
     jacobi_from_moments,
     measure_from_jacobi,
-    recover_measure,
     recover_measure_detailed,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "lift_many",
     "measure_from_jacobi",
     "moments_from_contour",
-    "recover_measure",
     "recover_measure_detailed",
     "ree_assemble",
     "run_scenario",

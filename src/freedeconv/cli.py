@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .measures import DiscreteMeasure, MomentSequence
 from .pipeline import DeconvConfig, deconvolve_with_retries, forward_contour
-from .recovery import recover_measure
+from .recovery import recover_measure_detailed
 
 __all__ = ["main"]
 
@@ -67,7 +67,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_moments(args) -> int:
     moments = MomentSequence.from_json(Path(args.input).read_text())
-    mu = recover_measure(moments, args.max_support)
+    mu = recover_measure_detailed(moments, args.max_support).measure
     _write_text(args.out, mu.to_json())
     return 0
 

@@ -33,6 +33,8 @@ log = logging.getLogger(__name__)
 
 # relative radial clearance the m contour keeps from every branch point
 SLIT_MARGIN = 0.1
+# columns of the contour CSV written by `to_csv` and read by `from_csv`
+CSV_HEADER = ("t_index", "re_sigma", "im_sigma", "re_value", "im_value")
 
 
 def _as_complex_nodes(values, name: str) -> np.ndarray:
@@ -91,9 +93,7 @@ class ContourRepresentation:
         """
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["t_index", "re_sigma", "im_sigma", "re_value", "im_value"]
-            )
+            writer.writerow(CSV_HEADER)
             for j in range(self.sigma.size):
                 writer.writerow(
                     [
@@ -113,14 +113,18 @@ class ContourRepresentation:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            expected = ["t_index", "re_sigma", "im_sigma", "re_value", "im_value"]
-            if [h.strip() for h in header] != expected:
+            if tuple(h.strip() for h in header) != CSV_HEADER:
                 raise ValueError(f"{path} line 1: unexpected header {header}")
             for row in filter(None, reader):  # blank lines are skipped
-                if len(row) != len(expected):
-                    raise ValueError(f"{path} line {reader.line_num}: not 5 fields")
-                sigmas.append(complex(float(row[1]), float(row[2])))
-                vals.append(complex(float(row[3]), float(row[4])))
+                where = f"{path} line {reader.line_num}"
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"{where}: not 5 fields")
+                try:
+                    re_s, im_s, re_v, im_v = map(float, row[1:])
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from exc
+                sigmas.append(complex(re_s, im_s))
+                vals.append(complex(re_v, im_v))
         return cls(np.asarray(sigmas), np.asarray(vals))
 
 
@@ -238,24 +242,20 @@ def contour_rep_from_s(
     return ContourRepresentation(z, g)
 
 
-def choose_m_contour(
-    branch_points_upper: np.ndarray, c: float
-) -> tuple[float, str]:
+def choose_m_contour(free: float, c: float) -> tuple[float, str]:
     """Radius of a circle about 0 in the m plane, and the bound that sets it.
 
-    The slits are vertical rays away from the real axis, starting at the
-    upper branch points b and their conjugates, so every point of the slit
-    of b lies at |m| >= |b|.  The radius is (1 - SLIT_MARGIN) min |b|
-    (`slit`), capped at 1 (`unit_cap`) and then at 0.5 / c (`mp_pole`, only
-    when strictly below): the circle keeps a relative SLIT_MARGIN of radial
-    clearance from every branch point, which bounds the convergence ratio
-    r / min |b| of the trapezoid rule on it by 1 - SLIT_MARGIN, and half
-    the distance to the S_MP pole at m = -1/c for aspect ratio c.
+    `free` is the radius of the slit-free disk about 0, as
+    `inversion.slit_free_radius` reads it off the branch points (inf when
+    there are none).  The radius is (1 - SLIT_MARGIN) free (`slit`),
+    capped at 1 (`unit_cap`) and then at 0.5 / c (`mp_pole`, only when
+    strictly below): the circle keeps a relative SLIT_MARGIN of radial
+    clearance from every slit, which bounds the convergence ratio
+    r / free of the trapezoid rule on it by 1 - SLIT_MARGIN, and half the
+    distance to the S_MP pole at m = -1/c for aspect ratio c.
     """
-    bp = np.asarray(branch_points_upper, dtype=complex)
-    bounds = (1.0 - SLIT_MARGIN) * np.abs(bp)
     # cap of 1 for conditioning: larger radii inflate high-order powers
-    radius = float(np.min(bounds, initial=1.0))
+    radius = min((1.0 - SLIT_MARGIN) * free, 1.0)
     if radius < 1e-8:
         raise NoContourError(
             "no circle around 0 clears the branch slits; a branch point "

@@ -231,7 +231,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     proxy = _gauss_proxy(mu_n)
     branch = critical_points(proxy).branch_points_upper
     free = slit_free_radius(branch)
-    radius, limiter = choose_m_contour(branch, c)
+    radius, limiter = choose_m_contour(free, c)
     t_ram = time.perf_counter() - t0
 
     step_counts: list = []
@@ -349,7 +349,7 @@ def deconvolve(
         )
 
     diags = DeconvDiagnostics(
-        rank=report.rank,
+        rank=report.coefficients.rank,
         moment_error=float(np.max(report.moment_errors)),
         t_recovery_s=t_recovery,
         t_total_s=spectral.wall_s + time.perf_counter() - t0,
@@ -371,8 +371,11 @@ def deconvolve_with_retries(
     down to 1, so only statistically reliable low moments are used.  `cfg`
     is the first rung.  The ladder computes the spectral stage once and
     hands it to each rung, one `deconvolve` call that runs recovery
-    alone.  The result records the accepted rung as its `config`; when
-    every rung fails, the last rung's error propagates.
+    alone.  The result records the accepted rung as its `config`.  The
+    last rung, (100 rank_tol, 1), recovers rank 1: the point mass at m_1,
+    which S_MP preserves, so it lies inside the sanity window.  The ladder
+    therefore raises InvalidMomentsError, the last rung's, only when
+    100 rank_tol > 1 leaves no rung a rank of 1 or more.
     """
     ladder = [
         (cfg.rank_tol, cfg.max_support),

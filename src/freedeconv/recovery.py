@@ -14,6 +14,8 @@ there.  A caller who builds long-double moments gets a long-double
 factorization.  The Jacobi coefficients are stored in double precision,
 and the final eigenproblem is solved as a dense symmetric one: the
 pipeline's Jacobi matrices have at most 9 rows, those of its Gauss proxy.
+The rank is recorded once, as the length of the Jacobi coefficients, and
+`recover_measure_detailed` is the one entry point of the whole chain.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "RecoveryReport",
     "jacobi_from_moments",
     "measure_from_jacobi",
-    "recover_measure",
     "recover_measure_detailed",
 ]
 
@@ -45,14 +46,14 @@ class JacobiCoefficients:
     """Three-term recurrence coefficients in the orthonormal basis.
 
     a is the tridiagonal diagonal, b the squared off-diagonal, one entry
-    shorter.  A truncated sequence means the source moments have finite
-    support detected at len(a); the terminating zero coefficient is dropped
+    shorter.  `rank`, the length of a, is the number of atoms recovered:
+    when it falls short of the order asked for, the moments were cut at a
+    vanishing Hankel pivot, and the terminating zero coefficient is dropped
     rather than stored, so every retained b is strictly positive.
     """
 
     a: np.ndarray
     b: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -96,9 +97,10 @@ def jacobi_from_moments(
 
     Runs a rectangular Cholesky factorization of the extended Hankel matrix
     in the dtype of the moments: L[i, j] is the j-th orthonormal-basis
-    coefficient of x^i, so a_j = L[j+1, j]/L[j, j] - L[j, j-1]/L[j-1, j-1]
-    and b_j = (L[j, j]/L[j-1, j-1])^2.  A pivot below tol (relative to m_0 = 1
-    after rescaling) truncates: the moments carry fewer than n support
+    coefficient of x^i.  The coefficients come off its two diagonals: with
+    d_j = L[j, j] and q_j = L[j+1, j] / d_j, a_j = q_j - q_(j-1) (q_(-1) = 0)
+    and b_j = (d_j / d_(j-1))^2.  A pivot below tol (relative to m_0 = 1
+    after rescaling) cuts the rank: the moments carry fewer than n support
     points.  A pivot below -tol is a certificate that the input is not a
     moment sequence.
     """
@@ -115,7 +117,6 @@ def jacobi_from_moments(
     rows = n + 1
     L = np.zeros((rows, n), dtype=m.dtype)
     rank = n
-    truncated = False
     for j in range(n):
         pivot = m[2 * j] - np.sum(L[j, :j] ** 2)
         if pivot < -tol:
@@ -127,7 +128,6 @@ def jacobi_from_moments(
             )
         if pivot < tol:
             rank = j
-            truncated = True
             break
         L[j, j] = np.sqrt(pivot)
         acc = m[2 * j + 1 : rows + j] - L[j + 1 :, :j] @ L[j, :j]
@@ -137,17 +137,13 @@ def jacobi_from_moments(
             "leading Hankel pivot vanished; no mass to recover",
             stage="recover_measure",
         )
-    a = np.empty(rank, dtype=m.dtype)
-    b = np.empty(max(rank - 1, 0), dtype=m.dtype)
-    for j in range(rank):
-        a[j] = L[j + 1, j] / L[j, j]
-        if j > 0:
-            a[j] -= L[j, j - 1] / L[j - 1, j - 1]
-            b[j - 1] = (L[j, j] / L[j - 1, j - 1]) ** 2
+    d = np.diag(L)[:rank]
+    q = np.diag(L, -1)[:rank] / d
+    a = q.copy()
+    a[1:] -= q[:-1]
+    b = (d[1:] / d[:-1]) ** 2
     return JacobiCoefficients(
-        np.asarray(a * s, dtype=float),
-        np.asarray(b * s * s, dtype=float),
-        truncated=truncated,
+        np.asarray(a * s, dtype=float), np.asarray(b * s * s, dtype=float)
     )
 
 
@@ -175,11 +171,11 @@ def measure_from_jacobi(jc: JacobiCoefficients) -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Structured diagnostics for one moment-recovery run."""
+    """Structured diagnostics for one moment-recovery run; the recovered
+    rank is that of its `coefficients`."""
 
     measure: DiscreteMeasure
     coefficients: JacobiCoefficients
-    rank: int
     moment_errors: np.ndarray
 
     def __post_init__(self):
@@ -191,7 +187,8 @@ class RecoveryReport:
 def recover_measure_detailed(
     moments: MomentSequence, max_support: int, tol: float = DEFAULT_RANK_TOL
 ) -> RecoveryReport:
-    """Full recovery pipeline with diagnostics.
+    """Discrete measure reproducing the given moments, rank-truncated at
+    tol, with diagnostics: the one entry point of recovery.
 
     Chooses the largest tractable Hankel order given the available moments
     and the requested support bound, extracts the recurrence, and
@@ -219,11 +216,4 @@ def recover_measure_detailed(
             "recovered measure reproduces moments to %.3e only (rank %d)",
             worst, jc.rank,
         )
-    return RecoveryReport(mu, jc, jc.rank, errs)
-
-
-def recover_measure(
-    moments: MomentSequence, max_support: int, tol: float = DEFAULT_RANK_TOL
-) -> DiscreteMeasure:
-    """Discrete measure reproducing the given moments, rank-truncated at tol."""
-    return recover_measure_detailed(moments, max_support, tol).measure
+    return RecoveryReport(mu, jc, errs)

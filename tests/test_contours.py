@@ -122,8 +122,9 @@ def test_contour_csv_rejects_foreign_header(tmp_path):
 @pytest.mark.parametrize(
     "text, line",
     [("", 1), ("t_index,re_sigma,im_sigma,re_value,im_value\n"
-               "0,1.0,0.0,1.0,0.0\n\n1,1.0\n", 4)],
-    ids=["empty_file", "short_row"],
+               "0,1.0,0.0,1.0,0.0\n\n1,1.0\n", 4),
+     ("t_index,re_sigma,im_sigma,re_value,im_value\n0,abc,0,1,0\n", 2)],
+    ids=["empty_file", "short_row", "non_numeric_field"],
 )
 def test_contour_csv_names_its_malformed_line(tmp_path, text, line):
     path = tmp_path / "bad.csv"
@@ -347,14 +348,14 @@ def test_contour_rep_from_s_input_contracts():
 def test_choose_m_contour_hits_unit_cap_for_clear_slits():
     # TWO's only slit starts at -1/2 + sqrt(2) i, beyond the unit cap
     bp = critical_points(TWO).branch_points_upper
-    assert choose_m_contour(bp, 0.2) == (1.0, "unit_cap")
+    assert choose_m_contour(slit_free_radius(bp), 0.2) == (1.0, "unit_cap")
 
 
 def test_choose_m_contour_backs_off_from_low_slits():
     # slit starting at 0.2i above the origin: the largest circle keeping a
     # 10% clearance has radius 0.9 * 0.2 = 0.18
     assert SLIT_MARGIN == 0.1
-    r, limiter = choose_m_contour(np.array([0.2j]), 0.5)
+    r, limiter = choose_m_contour(slit_free_radius(np.array([0.2j])), 0.5)
     assert r == pytest.approx(0.18, abs=1e-9)
     assert limiter == "slit"
 
@@ -362,10 +363,11 @@ def test_choose_m_contour_backs_off_from_low_slits():
 def test_choose_m_contour_caps_at_the_mp_pole_only_below_the_other_bounds():
     # 0.5 / c limits the radius only when it lies strictly below both the
     # slit bound and the unit cap; a tie keeps the other limiter
-    bp = critical_points(TWO).branch_points_upper
-    assert choose_m_contour(bp, 0.95) == (0.5 / 0.95, "mp_pole")
-    assert choose_m_contour(bp, 0.5) == (1.0, "unit_cap")
-    assert choose_m_contour(np.array([0.5j]), 0.95) == (0.9 * 0.5, "slit")
+    free = slit_free_radius(critical_points(TWO).branch_points_upper)
+    assert choose_m_contour(free, 0.95) == (0.5 / 0.95, "mp_pole")
+    assert choose_m_contour(free, 0.5) == (1.0, "unit_cap")
+    free = slit_free_radius(np.array([0.5j]))
+    assert choose_m_contour(free, 0.95) == (0.9 * 0.5, "slit")
 
 
 def test_choose_m_contour_radius_is_the_tightest_slit_bound():
@@ -379,9 +381,9 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
         bp = critical_points(mu).branch_points_upper
         if bp.size < 2:
             continue
-        r, limiter = choose_m_contour(bp, 0.2)
+        r, limiter = choose_m_contour(slit_free_radius(bp), 0.2)
         assert isinstance(r, float)
-        bounds = 0.9 * np.abs(bp)
+        bounds = 0.9 * np.hypot(bp.real, bp.imag)
         assert np.all(r <= bounds)
         # the circle crosses Re = re below the shortened slit
         crossing = np.sqrt(np.maximum(r**2 - bp.real**2, 0.0))
@@ -396,7 +398,7 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
 
 def test_choose_m_contour_fails_when_slit_touches_origin():
     with pytest.raises(NoContourError):
-        choose_m_contour(np.array([1e-9j]), 0.5)
+        choose_m_contour(slit_free_radius(np.array([1e-9j])), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +451,9 @@ def test_roundtrip_measure_to_contour_to_moments():
         if mu.n_atoms == 1:
             continue
         bp = critical_points(mu).branch_points_upper
-        mc = circle_nodes(choose_m_contour(bp, 1.0)[0], 512)
-        s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, slit_free_radius(bp)))
+        free = slit_free_radius(bp)
+        mc = circle_nodes(choose_m_contour(free, 1.0)[0], 512)
+        s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, free))
         rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)
         exact = np.array([mu.moment(k) for k in range(2 * mu.n_atoms + 1)])

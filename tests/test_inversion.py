@@ -322,7 +322,7 @@ def test_slit_free_radius_is_the_distance_from_0_to_the_slits():
             continue
         assert free == slit_distance(bp, 0.0)
         if bp.size:
-            assert choose_m_contour(bp, 0.5)[0] < free
+            assert choose_m_contour(free, 0.5)[0] < free
             # a ray just past the foot of the nearest slit is on it
             foot = bp[np.argmin(np.abs(bp))]
             assert slit_distance(bp, foot + 1e-3j) == 0.0

@@ -356,9 +356,10 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
     d = run("S2_2")[1]
     assert (d.contour_radius, d.radius_limiter) == (0.5 / 0.95, "mp_pole")
     bp, d = run("S2_3")
-    assert d.contour_radius < 1.0 and d.contour_radius in 0.9 * np.abs(bp)
+    bounds = 0.9 * np.hypot(bp.real, bp.imag)
+    assert d.contour_radius < 1.0 and d.contour_radius in bounds
     assert (d.contour_radius, d.radius_limiter) == choose_m_contour(
-        bp, SCENARIOS["S2_3"].c
+        slit_free_radius(bp), SCENARIOS["S2_3"].c
     )
     assert d.radius_limiter == "slit"
     assert d.n_slits == bp.size > 0
@@ -556,7 +557,9 @@ def test_deconvolve_chooses_the_radius_of_the_proxy():
     d = pipeline._spectral_stage(mu, c).diagnostics
     proxy = pipeline._gauss_proxy(mu)
     bp = critical_points(proxy).branch_points_upper
-    assert (d["contour_radius"], d["radius_limiter"]) == choose_m_contour(bp, c)
+    assert (d["contour_radius"], d["radius_limiter"]) == choose_m_contour(
+        slit_free_radius(bp), c
+    )
 
 
 def test_deconvolve_rejects_inconsistent_input():
@@ -565,6 +568,31 @@ def test_deconvolve_rejects_inconsistent_input():
     with pytest.raises(InvalidMomentsError) as exc_info:
         deconvolve(ONE, 0.2)
     assert exc_info.value.stage == "recover_measure"
+
+
+def test_the_last_rung_returns_the_point_mass_at_m_1():
+    # S_MP preserves m_1, so the last rung's rank-1 estimate, the point
+    # mass at m_1 of mu_n, lies inside the sanity window: the ladder
+    # returns it where every earlier rung rejects the moments
+    res = pipeline.deconvolve_with_retries(ONE, 0.2)
+    assert res.config == DeconvConfig(1e-2, 1)
+    assert res.estimate.atoms == pytest.approx([1.0], rel=1e-14)
+    assert res.estimate.weights == pytest.approx([1.0], rel=1e-14)
+    sc = SCENARIOS["S2_3"]
+    for seed in (1, 2, 3):
+        mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, seed)
+        m_1 = mu_n.atoms @ mu_n.weights
+        est = deconvolve(mu_n, sc.c, DeconvConfig(1e-2, 1)).estimate
+        assert est.atoms == pytest.approx([m_1], rel=1e-13)
+
+
+def test_the_ladder_raises_only_when_no_rung_keeps_a_rank():
+    # every rung's tolerance exceeds the leading scaled pivot m_0 = 1, so
+    # each recovers rank 0 and the last rung's error propagates
+    mu_f = forward_measure(TWO, 0.2, tol=1e-8)
+    with pytest.raises(InvalidMomentsError, match="leading Hankel pivot") as e:
+        pipeline.deconvolve_with_retries(mu_f, 0.2, DeconvConfig(rank_tol=2.0))
+    assert e.value.stage == "recover_measure"
 
 
 def test_deconvolve_validates_aspect_ratio(monkeypatch):

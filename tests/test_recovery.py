@@ -11,7 +11,6 @@ from freedeconv.recovery import (
     JacobiCoefficients,
     jacobi_from_moments,
     measure_from_jacobi,
-    recover_measure,
     recover_measure_detailed,
 )
 
@@ -90,7 +89,7 @@ def test_jacobi_symmetric_two_atom_example():
     jc = jacobi_from_moments(moments_of(mu, 3), 2)
     assert np.allclose(jc.a, [0.0, 0.0], atol=1e-14)
     assert np.allclose(jc.b, [1.0], atol=1e-14)
-    assert not jc.truncated
+    assert jc.rank == 2
 
 
 def test_jacobi_point_mass_example():
@@ -112,7 +111,6 @@ def test_jacobi_two_atom_example():
 def test_jacobi_truncates_on_finite_support():
     ms = moments_of(DiscreteMeasure([1.0], [1.0]), 6)
     jc = jacobi_from_moments(ms, 3)
-    assert jc.truncated
     assert jc.rank == 1
     assert np.allclose(jc.a, [1.0], atol=1e-12)
 
@@ -252,14 +250,14 @@ def test_measure_from_jacobi_weights_are_normalized():
 
 def test_recover_three_atoms_from_order_six_moments():
     mu = DiscreteMeasure([1.0, 2.0, 5.0], [1 / 3, 1 / 3, 1 / 3])
-    rec = recover_measure(moments_of(mu, 6), 8)
+    rec = recover_measure_detailed(moments_of(mu, 6), 8).measure
     assert rec.n_atoms == 3
     assert np.allclose(rec.atoms, mu.atoms, atol=1e-8)
     assert np.allclose(rec.weights, mu.weights, atol=1e-8)
 
 
 def test_recover_point_mass_from_constant_moments():
-    rec = recover_measure(MomentSequence(np.ones(5)), 2)
+    rec = recover_measure_detailed(MomentSequence(np.ones(5)), 2).measure
     assert rec.n_atoms == 1
     assert rec.atoms[0] == pytest.approx(1.0, abs=1e-12)
     assert rec.weights[0] == pytest.approx(1.0, abs=1e-12)
@@ -269,7 +267,7 @@ def test_recover_tolerates_small_moment_noise():
     rng = np.random.default_rng(0)
     vals = np.array([TWO.moment(k) for k in range(5)])
     vals[1:] += rng.uniform(-1e-8, 1e-8, 4)
-    rec = recover_measure(MomentSequence(vals), 8)
+    rec = recover_measure_detailed(MomentSequence(vals), 8).measure
     assert rec.n_atoms == 2
     assert np.max(np.abs(rec.atoms - [1.0, 2.0])) < 1e-3
     assert np.max(np.abs(rec.weights - [0.5, 0.5])) < 1e-3
@@ -278,22 +276,22 @@ def test_recover_tolerates_small_moment_noise():
 def test_recover_input_contracts():
     ms = moments_of(TWO, 4)
     with pytest.raises(ValueError):
-        recover_measure(ms, 0)
+        recover_measure_detailed(ms, 0)
     for bad in (2.5, True):
         with pytest.raises(ValueError, match="max_support"):
-            recover_measure(ms, bad)
+            recover_measure_detailed(ms, bad)
     with pytest.raises(ValueError):
-        recover_measure(MomentSequence([1.0]), 2)
+        recover_measure_detailed(MomentSequence([1.0]), 2)
     # a bad tolerance is a bad argument, not a numerical failure
     for bad in (-1.0, 0.0, np.inf, np.nan):
-        for check in (recover_measure, jacobi_from_moments):
+        for check in (recover_measure_detailed, jacobi_from_moments):
             with pytest.raises(ValueError, match="tol"):
                 check(ms, 2, tol=bad)
 
 
 def test_recover_rejects_indefinite_sequence():
     with pytest.raises(InvalidMomentsError) as exc_info:
-        recover_measure(MomentSequence([1.0, 0.0, -1.0, 0.0]), 2)
+        recover_measure_detailed(MomentSequence([1.0, 0.0, -1.0, 0.0]), 2)
     assert exc_info.value.stage == "recover_measure"
     assert exc_info.value.diagnostics["pivot"] < 0.0
 
@@ -307,8 +305,7 @@ def test_recovery_ignores_moments_above_the_detected_rank():
     ms = MomentSequence(vals)
     assert is_moment_sequence(ms, 4).status == "invalid"
     report = recover_measure_detailed(ms, 4)
-    assert report.rank == 2
-    assert report.coefficients.truncated
+    assert report.coefficients.rank == 2
     assert np.allclose(report.measure.atoms, [1.0, 2.0], atol=1e-12)
     assert np.allclose(report.measure.weights, [0.5, 0.5], atol=1e-12)
 
@@ -316,7 +313,6 @@ def test_recovery_ignores_moments_above_the_detected_rank():
 def test_recover_detailed_report_fields():
     ms = moments_of(TWO, 4)
     report = recover_measure_detailed(ms, 2)
-    assert report.rank == 2
     assert report.coefficients.rank == 2
     assert report.moment_errors.size == 4  # orders 0 .. 2*rank - 1
     assert np.max(report.moment_errors) <= 10.0 * 1e-8
@@ -330,7 +326,7 @@ def test_recover_eight_equispaced_atoms():
     # measured 1.2e-9 for atoms and weights jointly
     mu = DiscreteMeasure(np.linspace(0.1, 10.0, 8), np.full(8, 1.0 / 8))
     mom = moments_of(mu, 16, dtype=np.longdouble)
-    rec = recover_measure(mom, 8, tol=1e-12)
+    rec = recover_measure_detailed(mom, 8, tol=1e-12).measure
     assert rec.n_atoms == 8
     err = max(
         np.max(np.abs(rec.atoms - mu.atoms)),

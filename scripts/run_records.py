@@ -3,6 +3,7 @@
 Run from the repository root:
 
     python3 scripts/run_records.py --out before.json
+    python3 scripts/run_records.py --sweep wide --out wide.json
     python3 scripts/run_records.py --diff before.json after.json
 
 ``--out`` runs, in this process with one BLAS thread, the seed 0-2 run
@@ -18,6 +19,11 @@ contour radius and its limiter, W1, atoms and weights.  Floats are written
 by repr, so they read back bit for bit.  The 213 records take about 4 s
 on a 2-core x86 machine, most of it sampling large_p's two p = 1600
 spectra.
+
+``--sweep {uniform,wide}`` with ``--out`` records the 400 draws of that
+sweep instead, each run as a sampled run is, with W1 to the draw's own
+population.  ``tests/helpers.sweep_draws`` generates them; the recipes
+are at the top of ROADMAP.md "Open items".  A sweep takes about 2 s.
 
 ``--diff A B`` lists the records that differ, with the fields that moved,
 and the largest moves of W1, atoms and radius.  It exits 1 if any run's
@@ -64,6 +70,34 @@ def _failure_record(exc: Exception) -> dict:
     }
 
 
+def _sampled_record(pop, truth, c: float, p: int, n: int, seed: int) -> dict:
+    """What ``freedeconv scenario`` does for one sampled spectrum."""
+    from freedeconv import (
+        NumericalError,
+        deconvolve_with_retries,
+        sample_spectrum,
+        wasserstein_1,
+    )
+
+    try:
+        mu_n = sample_spectrum(pop, p, n, seed)
+        result = deconvolve_with_retries(mu_n, c)
+        w1 = wasserstein_1(result.estimate, truth)
+    except (NumericalError, ValueError) as exc:
+        return _failure_record(exc)
+    return _estimate_record(result, w1)
+
+
+def sweep_records(kind: str) -> dict[str, dict]:
+    """Every draw's record of the uniform or the wide sweep, keyed by draw."""
+    from helpers import SWEEP_P, sweep_draws
+
+    return {
+        f"sweep_{kind}/draw{i}": _sampled_record(nu, nu, c, SWEEP_P, n, seed)
+        for i, (nu, c, n, seed) in enumerate(sweep_draws(kind))
+    }
+
+
 def records() -> dict[str, dict]:
     """Every run's record, keyed by workload, scenario, n and sample seed."""
     import workloads
@@ -71,9 +105,7 @@ def records() -> dict[str, dict]:
         DiscreteMeasure,
         NumericalError,
         deconvolve,
-        deconvolve_with_retries,
         forward_measure,
-        sample_spectrum,
         wasserstein_1,
     )
     from freedeconv.experiments import SCENARIOS
@@ -88,14 +120,9 @@ def records() -> dict[str, dict]:
                 sc = SCENARIOS[run.scenario]
                 p = round(sc.c * run.n)
                 key = f"{name}/{run.scenario}/n{run.n}/seed{run.seed}"
-                try:
-                    mu_n = sample_spectrum(sc.population, p, run.n, run.seed)
-                    result = deconvolve_with_retries(mu_n, sc.c)
-                    w1 = wasserstein_1(result.estimate, sc.ground_truth(p))
-                except (NumericalError, ValueError) as exc:
-                    out[key] = _failure_record(exc)
-                    continue
-                out[key] = _estimate_record(result, w1)
+                out[key] = _sampled_record(
+                    sc.population, sc.ground_truth(p), sc.c, p, run.n, run.seed
+                )
     for sc_id in sorted(scenarios):
         sc = SCENARIOS[sc_id]
         if not isinstance(sc.population, DiscreteMeasure):
@@ -161,14 +188,18 @@ def main(argv=None) -> int:
     group.add_argument("--out", metavar="FILE", help="write the run records")
     group.add_argument("--diff", nargs=2, metavar=("A", "B"),
                        help="compare two record files")
+    parser.add_argument("--sweep", choices=("uniform", "wide"),
+                        help="with --out, record that sweep's 400 draws")
     args = parser.parse_args(argv)
+    if args.sweep and not args.out:
+        parser.error("--sweep needs --out")
     if args.diff:
         a, b = (json.loads(Path(f).read_text()) for f in args.diff)
         return diff(a, b)
     for var in BLAS_VARS:
         os.environ[var] = "1"
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    recs = records()
+    sys.path[:0] = [str(ROOT / d) for d in ("src", "bench", "tests")]
+    recs = sweep_records(args.sweep) if args.sweep else records()
     text = json.dumps(recs, indent=1, sort_keys=True)
     Path(args.out).write_text(text + "\n")
     failed = sum(r["outcome"] != "ok" for r in recs.values())

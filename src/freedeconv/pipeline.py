@@ -7,11 +7,12 @@ evaluate it on a circle in the m plane, take the estimate's moments by
 Lagrange inversion, and recover a discrete measure.  The circle stays
 10 % inside the nearest branch point and at most half way to the S_MP
 pole, so the trapezoid rule on it converges at a geometric rate of at
-most 0.9.  Only the moments m_0 .. m_MAX_MOMENTS of the estimate are
-kept, and each is a polynomial in the moments of mu_n of the same order
-or lower.  So the spectral stage runs on a GAUSS_NODES-point Gauss
-quadrature of mu_n, which has the same moments through that order, and
-its cost does not grow with the dimension p.  The forward direction (nu
+most 0.9, and it is sampled once, at CIRCLE_NODES nodes.  Only the
+moments m_0 .. m_MAX_MOMENTS of the estimate are kept, and each is a
+polynomial in the moments of mu_n of the same order or lower.  So the
+spectral stage runs on a GAUSS_NODES-point Gauss quadrature of mu_n,
+which has the same moments through that order, and its cost does not
+grow with the dimension p.  The forward direction (nu
 to the spectrum of the product) is the noise-free oracle.  It too works
 where the inverse is explicit: the image of a circle in the plane of the
 companion Stieltjes transform B, under the inverse z(B) of the
@@ -67,10 +68,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# contour nodes of the first and the last node-doubling pass, and the
-# highest moment order the contour stage extracts
-START_NODES = 512
-MAX_NODES = 8192
+# nodes of the m circle, and the highest moment order the contour stage
+# extracts.  Recovery's Cholesky reads m_0 .. m_(2 max_support - 1), at
+# most m_15, but m_16 is kept: recovery scales the moments by the largest
+# m_k^(1/k) it is handed, so m_16 moves that scale and with it the rank cut
+CIRCLE_NODES = 512
 MAX_MOMENTS = 16
 # atoms of the Gauss proxy of mu_n: K nodes reproduce m_0 .. m_(2K-1),
 # at least the m_0 .. m_MAX_MOMENTS the extracted moments depend on
@@ -114,13 +116,13 @@ class DeconvDiagnostics:
     ran on, and `t_ramification_s` includes building it.  `n_slits` counts
     the proxy's conjugate slit pairs.  `contour_radius` is the radius
     `choose_m_contour` picks and `radius_limiter` the bound that sets it:
-    `slit`, `unit_cap` or `mp_pole`.  `settle_gap` is the
-    largest distance, relative to max(1, |m_k|), between the complex
-    Lagrange sums of orders k >= 1 on the last pass's circle and on its
-    even nodes; `settled` is False when that gap is still 1e-9 or more at
-    the node cap.  Each pass marches the upper half of its nodes in one
+    `slit`, `unit_cap` or `mp_pole`.  The circle is sampled once, at
+    `nodes_used` nodes.  `settle_gap` is the largest distance, relative
+    to max(1, |m_k|), between the complex Lagrange sums of orders k >= 1
+    on all of them and on their even nodes; `settled` is whether that gap
+    is below 1e-9.  The upper half of the nodes is marched in one
     `lift_many` call, and each node counts the steps of that march.
-    `lift_steps_total` sums the count over the nodes of every pass, and
+    `lift_steps_total` sums the count over the nodes, and
     `lift_steps_max` is the longest march.  `moment_error` is the worst
     relative error in the estimate's moments of orders 0 to 2 rank - 1:
     recovery's rounding, not a fit, as any Gauss rule reproduces those.
@@ -221,7 +223,7 @@ class _Spectral(NamedTuple):
 
 
 def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
-    """Ramification, radius, node-doubling lifts and circle moments.
+    """Ramification, radius, one lift of the circle, and its moments.
 
     All four run on the Gauss proxy of `mu_n`.  An aspect ratio outside
     (0, 1) raises ValueError before any of them.
@@ -234,33 +236,22 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     radius, limiter = choose_m_contour(free, c)
     t_ram = time.perf_counter() - t0
 
+    m = circle_nodes(radius, CIRCLE_NODES)
+    upper = m[: CIRCLE_NODES // 2]
     step_counts: list = []
-    t_lift = 0.0
-    t_moments = 0.0
-    n_nodes = START_NODES
-    while True:
-        m = circle_nodes(radius, n_nodes)
-        upper = m[: n_nodes // 2]
-        t1 = time.perf_counter()
-        # Minv_nu = Minv_proxy S_MP; the lower half of the nodes is the
-        # mirror, as transforms of real measures commute with conjugation
-        w = lift_many(proxy, upper, free, step_counts=step_counts)
-        z_upper = w / (1.0 + mp.c * upper)
-        z = np.concatenate([z_upper, np.conj(z_upper[::-1])])
-        t2 = time.perf_counter()
-        extracted = moments_from_circle(m, z, MAX_MOMENTS)
-        t_lift += t2 - t1
-        t_moments += time.perf_counter() - t2
-        # the pass settles when its own even nodes agree with all of it
-        settled = extracted.half_gap < 1e-9
-        if settled:
-            break
-        if n_nodes >= MAX_NODES:
-            log.warning(
-                "contour moments did not settle below 1e-9 at %d nodes", n_nodes
-            )
-            break
-        n_nodes *= 2
+    t1 = time.perf_counter()
+    # Minv_nu = Minv_proxy S_MP; the lower half of the nodes is the mirror,
+    # as transforms of real measures commute with conjugation
+    w = lift_many(proxy, upper, free, step_counts=step_counts)
+    z_upper = w / (1.0 + mp.c * upper)
+    z = np.concatenate([z_upper, np.conj(z_upper[::-1])])
+    t2 = time.perf_counter()
+    extracted = moments_from_circle(m, z, MAX_MOMENTS)
+    t3 = time.perf_counter()
+    # the pass is settled when its own even nodes agree with all of it
+    settled = extracted.half_gap < 1e-9
+    if not settled:
+        log.warning("contour moments did not settle below 1e-9")
     # G = (1 + m) / z on the image of the circle, which winds clockwise
     # (z ~ m_1 / m), so its nodes are reversed
     rep = ContourRepresentation(z[::-1], ((1.0 + m) / z)[::-1])
@@ -271,14 +262,14 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         n_slits=branch.size,
         contour_radius=radius,
         radius_limiter=limiter,
-        nodes_used=n_nodes,
+        nodes_used=CIRCLE_NODES,
         settled=settled,
         settle_gap=extracted.half_gap,
         lift_steps_total=int(np.sum(step_counts)),
         lift_steps_max=int(np.max(step_counts)),
         t_ramification_s=t_ram,
-        t_lift_s=t_lift,
-        t_moments_s=t_moments,
+        t_lift_s=t2 - t1,
+        t_moments_s=t3 - t2,
     )
     return _Spectral(
         mu_n,
@@ -312,16 +303,16 @@ def deconvolve(
     m_0 .. m_(2 GAUSS_NODES - 1) of mu_n, so the moments through
     m_MAX_MOMENTS come out the same up to roundoff.  The contour radius is
     the proxy's, which has fewer slits near 0 than mu_n.  The sanity
-    window on the estimate's atoms is set by mu_n itself.  A pass of N
-    nodes is settled when its complex Lagrange sums agree within 1e-9,
-    relative to max(1, |m_k|), with those of its N/2 even nodes, the
-    trapezoid rule one level down; otherwise the node count doubles, up
-    to the cap, and the new pass is marched again.  The circle keeps 10 %
-    radial clearance from every branch point, so the rule converges at
-    least like 0.9^N and a pass rarely needs to double.  The returned
-    `contour` is the estimate's Stieltjes contour, the image of the
-    accepted pass's circle.  Every failure mode raises a typed error
-    carrying its stage; there is no silent fallback.
+    window on the estimate's atoms is set by mu_n itself.  The circle is
+    lifted once, at CIRCLE_NODES nodes.  It keeps 10 % radial clearance
+    from every branch point, so the trapezoid rule converges at least
+    like 0.9^N in its N nodes.  The pass is reported settled when its
+    complex Lagrange sums agree within 1e-9, relative to max(1, |m_k|),
+    with those of its N/2 even nodes, the rule one level down; an
+    unsettled pass logs a warning and is used as it is.  The returned
+    `contour` is the estimate's Stieltjes contour, the image of that
+    circle.  Every failure mode raises a typed error carrying its stage;
+    there is no silent fallback.
 
     Everything before recovery depends on `mu_n` and `c` only; `cfg`
     holds the recovery knobs.  `spectral`, when given, is that part

@@ -77,7 +77,9 @@ class JacobiCoefficients:
 def _scaled_moments(values: np.ndarray) -> tuple[np.ndarray, float]:
     # rescale x -> x/s so the Hankel pivots carry comparable magnitudes;
     # without this an absolute pivot tolerance is meaningless for supports
-    # spanning [0.1, 10]
+    # spanning [0.1, 10].  The scale reads every moment handed in, also
+    # those above m_(2n-1) that the Cholesky never reads: the pipeline's
+    # m_16 still moves s, and with it the rank cut
     k = np.arange(1, values.size)
     mags = np.abs(values[1:])
     nz = mags > 0.0

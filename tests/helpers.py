@@ -28,8 +28,9 @@ moved here with their bodies unchanged: `moment_map(mu, z)` was
 `MomentSequence.of_measure`.  The last one's long-double option feeds the
 recovery tests that need more than double precision in their input.
 
-`run_fresh` runs a script in a new interpreter, for checks on what a
-process loads or holds.
+`sweep_draws` regenerates the inputs of the uniform and the wide sweep
+of sampled spectra.  `run_fresh` runs a script in a new interpreter, for
+checks on what a process loads or holds.
 """
 
 import math
@@ -67,6 +68,34 @@ def rand_measure(rng, l_max, lo=0.1, hi=10.0, min_gap=0.0, w_lo=0.2):
             break
     w = rng.uniform(w_lo, 1.0, l)
     return DiscreteMeasure(atoms, w / w.sum())
+
+
+SWEEP_SEED = 20261019
+SWEEP_P = 100
+
+
+def sweep_draws(kind):
+    """The 400 draws (population, c, n, seed) of the uniform or wide sweep.
+
+    Each draw takes, in this order from one default_rng(SWEEP_SEED), a
+    population, c = uniform(0.05, 0.95) with n = round(SWEEP_P / c), and
+    the seed `sample_spectrum` draws the SWEEP_P x n sample with.  The
+    uniform population is `rand_measure(rng, 5, 0.2, 10.0)`.  The wide one
+    has L = integers(2, 6) atoms, exp of uniform(0, log spread) draws with
+    spread = 10^uniform(1, 3), and weights uniform(0.2, 1), normalized.
+    """
+    rng = np.random.default_rng(SWEEP_SEED)
+    for _ in range(400):
+        if kind == "uniform":
+            nu = rand_measure(rng, 5, 0.2, 10.0)
+        else:
+            l = int(rng.integers(2, 6))
+            spread = 10.0 ** rng.uniform(1, 3)
+            atoms = np.sort(np.exp(rng.uniform(0, np.log(spread), l)))
+            w = rng.uniform(0.2, 1, l)
+            nu = DiscreteMeasure(atoms, w / w.sum())
+        c = rng.uniform(0.05, 0.95)
+        yield nu, c, round(SWEEP_P / c), int(rng.integers(2**30))
 
 
 def conditioned_measure(seed):

@@ -33,13 +33,10 @@ def test_tracer_finds_every_stage():
     assert freedeconv.deconvolve is original
 
 
-def test_lift_hook_reads_targets_and_step_counts(monkeypatch):
+def test_lift_hook_reads_targets_and_step_counts():
     params = inspect.signature(lift_many).parameters
     assert "targets" in params
     assert "step_counts" in params
-    # this sampled S3 spectrum settles at 512 nodes: started at 64, its
-    # passes double three times
-    monkeypatch.setattr(pipeline, "START_NODES", 64)
     sc = SCENARIOS["S3"]
     mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
     tracer = Tracer(STAGES)
@@ -47,8 +44,8 @@ def test_lift_hook_reads_targets_and_step_counts(monkeypatch):
         # looked up on the module, where the tracer installs its wrapper
         result = pipeline.deconvolve(mu_n, sc.c)
     lifts = [span for span in tracer.spans if span.name == "lift_many"]
-    # every pass marches the upper half of its nodes
-    assert [span.counts["nodes"] for span in lifts] == [32, 64, 128, 256]
+    # one march over the upper half of the circle's nodes
+    assert [span.counts["nodes"] for span in lifts] == [256]
     assert result.diagnostics.nodes_used == 512
     assert sum(span.counts["steps"] for span in lifts) == (
         result.diagnostics.lift_steps_total
@@ -71,7 +68,7 @@ def test_retry_ladder_shows_every_rung_and_one_spectral_stage():
     assert names.count("deconvolve") == 7
     assert names.count("critical_points") == 1
     lifts = [span for span in tracer.spans if span.name == "lift_many"]
-    # one march: the first pass settles
+    # one march over the upper half of the circle's nodes
     assert [span.counts["nodes"] for span in lifts] == [256]
     decon = [span for span in tracer.spans if span.name == "deconvolve"]
     assert all(span.error for span in decon[:-1])
@@ -79,8 +76,5 @@ def test_retry_ladder_shows_every_rung_and_one_spectral_stage():
     # deconvolve span of a run
     est = decon[-1].counts["estimate"]
     assert not decon[-1].error
-    # START_NODES * 2^k, up to MAX_NODES = 16 START_NODES
-    assert decon[-1].counts["nodes_used"] in [
-        pipeline.START_NODES * 2**k for k in range(5)
-    ]
+    assert decon[-1].counts["nodes_used"] == pipeline.CIRCLE_NODES
     assert wasserstein_1(est, sc.ground_truth(report.p)) == report.w1_error

@@ -1,5 +1,6 @@
 """Forward model, S-transform ratio, deconvolution, and REE assembly."""
 
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -17,7 +18,11 @@ from freedeconv.contours import (
     moments_from_circle,
     moments_from_contour,
 )
-from freedeconv.errors import InvalidMomentsError, NumericalError
+from freedeconv.errors import (
+    InvalidMomentsError,
+    NoisyContourError,
+    NumericalError,
+)
 from freedeconv.experiments import SCENARIOS, sample_spectrum
 from freedeconv.inversion import critical_points, slit_free_radius
 from freedeconv.measures import (
@@ -37,6 +42,7 @@ from freedeconv.pipeline import (
 )
 
 from helpers import (
+    SWEEP_P,
     crossing_count,
     deconvolved_moment_series,
     forward_moment_series,
@@ -48,6 +54,7 @@ from helpers import (
     mp_s_transform,
     rand_measure,
     s_transform,
+    sweep_draws,
 )
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
@@ -72,7 +79,7 @@ def test_deconv_config_defaults_and_lift_mapping():
     # runs on fixed constants, and the lift's are the inversion module's
     cfg = DeconvConfig()
     assert asdict(cfg) == {"rank_tol": 1e-4, "max_support": 8}
-    assert pipeline.START_NODES == 512
+    assert pipeline.CIRCLE_NODES == 512
     assert MAX_MOMENTS == 16
     assert inversion.NEWTON_TOL == 1e-12
     assert inversion.MIN_STEP == 1e-9
@@ -291,9 +298,8 @@ def test_deconvolve_result_structure():
     assert res.diagnostics.rank == res.estimate.n_atoms
     assert res.diagnostics.imag_residue < 1e-6
     assert res.diagnostics.t_total_s >= 0.0
-    # node doubling stops at the first settled pass
-    assert res.diagnostics.nodes_used >= pipeline.START_NODES
-    assert res.diagnostics.nodes_used % pipeline.START_NODES == 0
+    # the circle is lifted once
+    assert res.diagnostics.nodes_used == pipeline.CIRCLE_NODES
     assert res.moments_used[1] == pytest.approx(1.5, abs=1e-6)
     payload = json.loads(res.to_json())
     assert set(payload) == {"estimate", "moments_used", "diagnostics", "config"}
@@ -366,42 +372,42 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
 
 
 def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
-    # this sampled S3 spectrum, started at 64 nodes, settles only at 512;
-    # with the node cap at 256 the run still returns, reports it and logs
-    # a warning
+    # this sampled S3 spectrum settles at 512 nodes but not at 256; on 256
+    # the run still returns, reports it and logs a warning
     sc = SCENARIOS["S3"]
     mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
-    monkeypatch.setattr(pipeline, "START_NODES", 64)
 
     def run():
         return pipeline.deconvolve_with_retries(mu_n, sc.c).diagnostics
 
-    full = run()
-    assert (full.settled, full.nodes_used) == (True, 512)
-    monkeypatch.setattr(pipeline, "MAX_NODES", 256)
     with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
-        capped = run()
-    assert (capped.settled, capped.nodes_used) == (False, 256)
+        full = run()
+    assert (full.settled, full.nodes_used) == (True, 512)
+    assert caplog.text == ""
+    monkeypatch.setattr(pipeline, "CIRCLE_NODES", 256)
+    with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
+        coarse = run()
+    assert (coarse.settled, coarse.nodes_used) == (False, 256)
     assert "did not settle" in caplog.text
 
 
 def test_a_pass_settled_at_the_start_matches_a_forced_doubled_pass(
     monkeypatch,
 ):
-    # sampled spectra whose first pass settles against its own even nodes:
-    # a first pass at twice the nodes moves none of their moments by 1e-9.
+    # sampled spectra whose pass settles against its own even nodes: a
+    # pass at twice the nodes moves none of their moments by 1e-9.
     # S3 at seed 7 is slit-limited: its circle keeps only the 10 % radial
     # clearance from its nearest branch point
     for sc_id, seed in (("S2_1", 1), ("S2_3", 2), ("S3", 1), ("S3", 7)):
         sc = SCENARIOS[sc_id]
         mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, seed)
         first = pipeline.deconvolve_with_retries(mu_n, sc.c)
-        assert first.diagnostics.nodes_used == pipeline.START_NODES
+        assert first.diagnostics.nodes_used == pipeline.CIRCLE_NODES
         assert first.diagnostics.settle_gap < 1e-9
         with monkeypatch.context() as patch:
-            patch.setattr(pipeline, "START_NODES", 2 * pipeline.START_NODES)
+            patch.setattr(pipeline, "CIRCLE_NODES", 2 * pipeline.CIRCLE_NODES)
             forced = pipeline.deconvolve_with_retries(mu_n, sc.c)
-        assert forced.diagnostics.nodes_used == 2 * pipeline.START_NODES
+        assert forced.diagnostics.nodes_used == 2 * pipeline.CIRCLE_NODES
         got = np.asarray(first.moments_used.values)
         ref = np.asarray(forced.moments_used.values)
         assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
@@ -417,8 +423,7 @@ def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
     # error
     sc = SCENARIOS["S3"]
     mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
-    monkeypatch.setattr(pipeline, "START_NODES", 256)
-    monkeypatch.setattr(pipeline, "MAX_NODES", 256)
+    monkeypatch.setattr(pipeline, "CIRCLE_NODES", 256)
     with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
         res = pipeline.deconvolve_with_retries(mu_n, sc.c)
     d = res.diagnostics
@@ -487,17 +492,92 @@ def test_spectral_stage_moments_match_the_series(sc_id, n, seed, tol):
     ],
 )
 def test_circles_capped_by_the_mp_pole_settle(atoms, weights, c):
-    # inputs whose circle the S_MP pole caps; they settle at 512, 512 and
-    # 1024 nodes, with gaps of 1e-10 to 8e-10, and match the series
+    # inputs whose circle the S_MP pole caps match the series.  The first
+    # two settle at 512 nodes with gaps of 4.8e-10 and 1.8e-10; the third
+    # reads 1.5e-9 there, rounding near c = 1 rather than truncation, as
+    # its moments lie 8.9e-10 from the series
     w = np.asarray(weights)
     mu = DiscreteMeasure(atoms, w / w.sum())
     spectral = pipeline._spectral_stage(mu, c)
     d = spectral.diagnostics
     assert d["radius_limiter"] == "mp_pole"
-    assert d["settled"] and d["nodes_used"] <= 1024
+    assert d["nodes_used"] == pipeline.CIRCLE_NODES
+    assert d["settled"] == (d["settle_gap"] < 1e-9)
     ref = deconvolved_moment_series(mu, c, MAX_MOMENTS)
     got = np.asarray(spectral.moments.values)
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-8
+
+
+def _wide_draw(i):
+    nu, c, n, seed = next(itertools.islice(sweep_draws("wide"), i, None))
+    return nu, c, sample_spectrum(nu, SWEEP_P, n, seed)
+
+
+def _series_gap(mu_n, c, moments):
+    proxy = pipeline._gauss_proxy(mu_n)
+    ref = deconvolved_moment_series(proxy, c, MAX_MOMENTS)
+    got = np.asarray(moments.values)
+    return np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "draw, rung, rank, w1, tol",
+    [
+        (110, (1e-3, 8), 2, 0.367578, 2e-7),
+        (254, (1e-2, 8), 2, 28.580930, 2e-8),
+    ],
+)
+def test_wide_sweep_draws_whose_circle_does_not_settle(
+    draw, rung, rank, w1, tol
+):
+    # two of the wide sweep's three draws whose 512-node pass does not
+    # settle: slit-limited circles of radius 0.056 and 0.059, with gaps of
+    # 1.5e-7 and 2.9e-9.  Each returns its estimate, and its moments lie
+    # 8.2e-8 and 5.8e-9 from the series
+    nu, c, mu_n = _wide_draw(draw)
+    res = pipeline.deconvolve_with_retries(mu_n, c)
+    d = res.diagnostics
+    assert (d.nodes_used, d.settled) == (pipeline.CIRCLE_NODES, False)
+    assert res.config == DeconvConfig(*rung)
+    assert d.rank == rank
+    assert wasserstein_1(res.estimate, nu) == pytest.approx(w1, abs=1e-6)
+    assert _series_gap(mu_n, c, res.moments_used) <= tol
+
+
+def test_wide_sweep_draw_233_sits_on_the_imaginary_residue_gate():
+    # the third: a circle of radius 0.038 whose pass is far from settled.
+    # Its imaginary residue, the 1e-6 gate of `moments_from_circle`, reads
+    # 5.4e-7 on the spectrum sampled with one BLAS thread and 1.08e-6 with
+    # two, whose atoms differ by 3e-15 relative.  So it returns an estimate
+    # at rung (1e-4, 8), rank 4, with moments 3.5e-6 from the series, or
+    # raises, by the rounding of its sample
+    _, c, mu_n = _wide_draw(233)
+    try:
+        res = pipeline.deconvolve_with_retries(mu_n, c)
+    except NoisyContourError as exc:
+        assert exc.stage == "moments_from_circle"
+        assert 1e-6 <= exc.diagnostics["imag_residue"] < 2e-6
+        return
+    d = res.diagnostics
+    assert (d.nodes_used, d.settled) == (pipeline.CIRCLE_NODES, False)
+    assert d.settle_gap > 1e-6 and 1e-7 < d.imag_residue < 1e-6
+    assert res.config == DeconvConfig(1e-4, 8)
+    assert d.rank == 4
+    assert _series_gap(mu_n, c, res.moments_used) <= 1e-5
+
+
+def test_a_sweep_slice_returns_estimates_or_staged_errors():
+    # every 16th draw of the uniform and the wide sweep, 50 inputs: each
+    # run returns an estimate or raises a typed error that names its stage
+    for kind in ("uniform", "wide"):
+        for nu, c, n, seed in itertools.islice(sweep_draws(kind), 0, None, 16):
+            mu_n = sample_spectrum(nu, SWEEP_P, n, seed)
+            try:
+                res = pipeline.deconvolve_with_retries(mu_n, c)
+            except NumericalError as exc:
+                assert exc.stage
+                continue
+            assert res.estimate.n_atoms == res.diagnostics.rank
 
 
 def sampled_s2_3():

@@ -3,8 +3,10 @@
 A closed contour in the z plane together with samples of G on it determines
 every moment of the underlying measure by residue calculus; so does the
 inverse moment map on a circle about 0 in the m plane, by Lagrange
-inversion.  This module discretizes both by the trapezoid rule, chooses
-that circle, and maps it to a sampled G contour of the measure.
+inversion, or on the image m = M(z) of a z contour of another measure
+that the inverse map carries back.  This module discretizes all three by
+the trapezoid rule, chooses that circle and that z contour, and maps the
+circle to a sampled G contour of the measure.
 """
 
 from __future__ import annotations
@@ -25,14 +27,19 @@ __all__ = [
     "moments_from_contour",
     "moments_from_circle",
     "contour_rep_from_s",
+    "moments_from_z_contour",
     "choose_m_contour",
     "circle_nodes",
+    "z_contour_nodes",
 ]
 
 log = logging.getLogger(__name__)
 
 # relative radial clearance the m contour keeps from every branch point
 SLIT_MARGIN = 0.1
+# the z ellipse's margin past its real extent, relative to the extent's
+# width on each side, and its least half-height, relative to that width
+Z_MARGIN = 0.05
 # columns of the contour CSV written by `to_csv` and read by `from_csv`
 CSV_HEADER = ("t_index", "re_sigma", "im_sigma", "re_value", "im_value")
 
@@ -200,18 +207,50 @@ def moments_from_circle(m: np.ndarray, z: np.ndarray, K: int) -> ContourMoments:
         raise ValueError("need at least orders 0 and 1")
     if m.shape != z.shape or m.ndim != 1 or m.size % 2:
         raise ValueError("m and z must be matching arrays of even length")
-    n = m.size
+    mass = -np.sum((1.0 + m) / z * _parametric_derivative(z)) / (1j * m.size)
+    return _lagrange_moments(mass, m, z, K, "moments_from_circle")
+
+
+def _lagrange_moments(
+    mass: complex, weight: np.ndarray, z: np.ndarray, K: int, stage: str
+) -> ContourMoments:
+    # m_k = mean(weight z^k) / k for k = 1..K by one running product, over
+    # all and even nodes, and the checked moments with their even-node gap
+    n = z.size
     sums = np.empty((2, K + 1), dtype=complex)
-    sums[:, 0] = -np.sum((1.0 + m) / z * _parametric_derivative(z)) / (1j * n)
-    # m z^k for k = 1..K by one running product, over all and even nodes
-    g = m.astype(complex)
+    sums[:, 0] = mass
+    g = weight.astype(complex)
     for k in range(1, K + 1):
         g *= z
         sums[:, k] = np.add.reduce(g), np.add.reduce(g[::2])
     sums[:, 1:] /= np.outer([n, n // 2], np.arange(1, K + 1))
     full, half = sums
     gap = np.max(np.abs(full - half) / np.maximum(1.0, np.abs(full.real)))
-    return _checked(full, float(gap), "moments_from_circle")
+    return _checked(full, float(gap), stage)
+
+
+def moments_from_z_contour(
+    sigma: np.ndarray, values: np.ndarray, dm: np.ndarray, K: int
+) -> ContourMoments:
+    """Moments m_0..m_K from sigma = Minv(m) on the image of a z contour.
+
+    The inverse map is evaluated where it is explicit: on a
+    counterclockwise contour Gamma of an even number n of equispaced
+    nodes in the plane of another measure's z, whose moment map maps the
+    outside of Gamma one to one onto a domain about m = 0 where Minv is
+    single valued.  `dm` holds the derivative of m = M(z) in the node
+    angle.  m(Gamma) winds once clockwise about 0, so Lagrange inversion
+    reads m_k = (1/2 pi i k) of Minv(m)^k dm = mean(i dm sigma^k) / k
+    for k >= 1.  m_0 is the rule of `moments_from_contour` on the
+    counterclockwise image contour sigma with G values `values`.
+    `half_gap` and the checks are those of `moments_from_circle`.
+    """
+    if K < 1:
+        raise ValueError("need at least orders 0 and 1")
+    if not sigma.shape == values.shape == dm.shape or sigma.size % 2:
+        raise ValueError("sigma, values and dm must match, of even length")
+    mass = np.sum(values * _parametric_derivative(sigma)) / (1j * sigma.size)
+    return _lagrange_moments(mass, 1j * dm, sigma, K, "moments_from_z_contour")
 
 
 def contour_rep_from_s(
@@ -284,3 +323,40 @@ def circle_nodes(radius: float, n: int) -> np.ndarray:
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     return radius * np.exp(1j * theta)
 
+
+def z_contour_nodes(
+    atoms: np.ndarray, critical_points: np.ndarray, root: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n counterclockwise nodes z of the ellipse of the z-plane rule, and
+    dz/dt at them.
+
+    The ellipse must enclose a measure's nonnegative `atoms`, the
+    critical points of its moment map, and the `root` in (0, min atom) of
+    1 + c M(z) = 0.  Its real extent, from the least to the largest of
+    the root, the atoms and Re q over the critical points q, widened by
+    Z_MARGIN of its width W on each side, sets the half-width
+    a = (1/2 + Z_MARGIN) W.  The half-height b is the larger of
+    Z_MARGIN W and 1.3 times the half-height that just reaches the
+    farthest critical point, so every q lies inside.  The integrand of
+    `moments_from_z_contour` is singular only at the atoms and at the
+    zeros of 1 + c M, all real and within that extent.  When
+    b <= 0.41 a, the extent lies between the foci, at distance
+    sqrt(a^2 - b^2) from the centre; the integrand is then analytic in
+    the node angle t on the strip |Im t| < atanh(b / a), and the
+    trapezoid rule converges like ((a - b) / (a + b))^(n/2).  Nodes sit
+    at half-integer angles t_j = 2 pi (j + 1/2) / n, as in `circle_nodes`.
+    """
+    if n < 16 or n % 2:
+        raise ValueError("need an even number of at least 16 nodes")
+    q = np.asarray(critical_points, dtype=complex)
+    lo = min(root, float(np.min(atoms)), np.min(q.real, initial=np.inf))
+    hi = max(float(np.max(atoms)), np.max(q.real, initial=-np.inf))
+    width = hi - lo
+    centre = 0.5 * (lo + hi)
+    a = (0.5 + Z_MARGIN) * width
+    # the ellipse of half-width a about the centre through q
+    reach = np.abs(q.imag) / np.sqrt(1.0 - ((q.real - centre) / a) ** 2)
+    b = max(1.3 * np.max(reach, initial=0.0), Z_MARGIN * width)
+    t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    z = centre + a * np.cos(t) + 1j * b * np.sin(t)
+    return z, -a * np.sin(t) + 1j * b * np.cos(t)

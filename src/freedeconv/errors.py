@@ -43,8 +43,8 @@ class DegenerateRamificationError(NumericalError):
 
 
 class LiftFailureError(NumericalError):
-    """Path lifting stalled: the asymptotic seed did not converge, or the
-    shared step of the ray march underflowed before reaching the targets."""
+    """Path lifting stalled: the shared step of the ray march underflowed
+    before reaching the targets, on its first step or a later one."""
 
 
 class NoContourError(NumericalError):

@@ -7,13 +7,16 @@ through the branch points.  This module finds the ramification data
 (critical points and branch points), the radius min |b| of the slit-free
 disk about 0, the largest disk the slits leave clear, and evaluates Minv
 on that disk.  All targets are lifted together: each along its own ray
-s*m from the asymptotic regime at small s, by one predictor-corrector
-march with a shared step.  The march follows u(s) = s Minv(s m), which is
-analytic at s = 0 where Minv has a pole, starts from its exact value
-there, predicts it by cubic Hermite extrapolation, and accepts a
-corrected value only within half the injectivity radius of M about it
-of its prediction.  That guard's ratio of distance to allowance is also
-the error estimate that sizes the next step.
+s*m from s = 0, by one predictor-corrector march with a shared step.
+The march follows u(s) = s Minv(s m), which is analytic at s = 0 where
+Minv has a pole.  Its first step, tried at s = 1, is predicted by the
+Taylor series of phi(m) = m Minv(m), a series reversion of the moment
+series: phi is analytic on the whole slit-free disk, since each slit's
+nearest point to 0 is its foot, so the series converges on every
+target.  Later steps are predicted by cubic Hermite extrapolation.  A
+corrected value is accepted only within half the injectivity radius of M
+about it of its prediction.  That guard's ratio of distance to allowance
+is also the error estimate that sizes the next step.
 
 The critical points are the zeros of a linear system whose transfer
 function is -M', the eigenvalues of its zero dynamics.
@@ -36,6 +39,8 @@ __all__ = [
     "RamificationData",
     "critical_points",
     "slit_free_radius",
+    "moment_map",
+    "real_preimage",
     "lift_many",
 ]
 
@@ -210,12 +215,53 @@ def slit_free_radius(branch_points_upper):
 
 
 # ---------------------------------------------------------------------------
+# the moment map on the z plane
+# ---------------------------------------------------------------------------
+
+# bisection steps of `real_preimage`: the root to 2^-60 of the least atom
+PREIMAGE_STEPS = 60
+
+
+def moment_map(mu, z):
+    """M(z) and M'(z) at the points z, off mu's atoms."""
+    x, c = _effective_poles(mu)
+    z = np.asarray(z, dtype=complex)
+    f, d, _ = _mmap(z.ravel(), x, c)
+    return f.reshape(z.shape), d.reshape(z.shape)
+
+
+def real_preimage(mu, value):
+    """The z in (0, x_1) with M(z) = value, x_1 the least positive atom.
+
+    On that interval M decreases from M(0), minus the mass on positive
+    atoms, to -inf, so the root exists and is unique for every value
+    below M(0); other values, and negative atoms, raise ValueError.  It is
+    found by PREIMAGE_STEPS bisection steps.
+    """
+    x, c = _effective_poles(mu)
+    if x.size == 0 or x[0] <= 0.0:
+        raise ValueError("the preimage needs nonnegative atoms, one positive")
+    lo, hi = 0.0, float(x[0])
+    if not value < c @ (1.0 / (lo - x)):
+        raise ValueError(f"M takes {value} nowhere in (0, {hi:.6g})")
+    for _ in range(PREIMAGE_STEPS):
+        mid = 0.5 * (lo + hi)
+        if c @ (1.0 / (mid - x)) > value:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
 # path lifting
 # ---------------------------------------------------------------------------
 
-# Newton iterations per corrector call, and |m| of the asymptotic seed
+# Newton iterations per corrector call, and the order of the power series
+# of u(s) = s Minv(s m) that predicts the first step: the pipeline's Gauss
+# proxy reproduces m_0 .. m_17 of its input, all the series reads
 MAX_NEWTON = 20
-START_ABS = 1e-3
+SERIES_ORDER = 16
 # residual |M(w) - m| that accepts a lift, and the step length below which
 # step halving gives up
 NEWTON_TOL = 1e-12
@@ -259,33 +305,64 @@ def _correct(x, c, w, m, polish=True):
     return w, res, d, rho, it
 
 
+def _inverse_series(x, c):
+    """Taylor coefficients phi_0 .. phi_SERIES_ORDER of the principal
+    branch phi(m) = m Minv(m) about m = 0, from the poles x and residues c.
+
+    In t = 1/z, M is the moment series M(t) = sum_{k >= 1} m_k t^k, and
+    phi(M(t)) = M(t) / t.  Comparing coefficients of t^k for k = 0 .. K
+    gives sum_j phi_j B[j, k] = m_(k+1), with B[j, k] = [t^k] M(t)^j upper
+    triangular: one series reversion by a triangular solve.  The atoms are
+    divided by the largest, so that no moment overflows; phi scales with
+    them.  phi_0 = m_1 and phi_1 = m_2 / m_1.  The high coefficients carry
+    the conditioning of the moments: rounding exact moments to double
+    moves phi_14 by up to 1e-5 of itself on some measures, an error of
+    the prediction that the corrector removes.
+    """
+    n = SERIES_ORDER + 1
+    scale = np.max(np.abs(x))
+    # m_1 .. m_(n), with m_k = sum_j c_j x_j^(k-1)
+    moments = (c / scale) @ np.vander(x / scale, n, increasing=True)
+    coeffs = np.concatenate([[0.0], moments[:-1]])
+    powers = np.zeros((n, n))
+    powers[0, 0] = 1.0
+    powers[1] = coeffs
+    for j in range(2, n):
+        powers[j] = np.convolve(powers[j - 1], coeffs)[:n]
+    return scale * np.linalg.solve(powers.T, moments)
+
+
 def lift_many(mu, targets, free, step_counts=None):
     """Evaluate the inverse branch Minv, fixed by Minv(0) = inf, at targets.
 
     Every target must lie in the slit-free disk 0 < |m| < free, with `free`
     the `slit_free_radius` of mu's branch points, where the branch is
     single valued; others raise ValueError.  Target m is reached along its
-    ray s*m, from the second-order asymptotic seed
-    w = m_1/(s m) + m_2/m_1 at s0 = min(START_ABS / max|m|, 0.1) to s = 1.
-    The march follows u(s) = s w(s), which is analytic at s = 0 with
-    u(0) = m_1/m and du/ds(0) = m_2/m_1, where w itself has a pole.  All
-    rays advance in s together.  The predictor is the cubic Hermite
-    extrapolation of u through the last two points, s = 0 before the seed,
-    with du/ds = w + s m / M'(w) from the M' the corrector returns, and
+    ray s*m, from s = 0 to s = 1.  The march follows u(s) = s w(s), which
+    is analytic at s = 0 with u(0) = m_1/m, where w itself has a pole.
+    Its Taylor series u(s) = sum_k phi_k m^(k-1) s^k is that of the
+    principal branch phi(m) = m Minv(m), which is analytic on the whole
+    slit-free disk: the slits are the only singularities of the branch,
+    and each slit's nearest point to 0 is its foot b.  So the series,
+    truncated after SERIES_ORDER, converges on every target at least at
+    rate |m| / free, and it predicts the first step, first tried at
+    s = 1.  All rays advance in s together.  After the first accepted
+    step the predictor is the cubic Hermite extrapolation of u through
+    the last two points, s = 0 before the first, with
+    du/ds = w + s m / M'(w) from the M' the corrector returns, and
     w = u / s.  Every node is Newton-corrected.  A step is accepted when
     every residual passes and ratio = max |w - w_pred| / (rho / 2) <= 1,
     with rho the injectivity radius of M about the corrected w, so that
     Newton cannot have settled on another sheet's root far from the path.
-    The step starts at (1 - s0)/8 and is sized from that ratio, read as
-    the predictor's error against the allowance: it is multiplied by
-    0.9 (0.25 / ratio)^(1/4), clipped to [0.5, 4] after an accepted step
-    (to at most 1 when the corrector needed more than 3 residual
-    evaluations) and to [0.1, 0.5] after a rejected one; a failed residual
-    halves it.  LiftFailureError is raised when the step of the longest
-    ray falls below MIN_STEP.  Every result satisfies
-    |M(w) - m| <= NEWTON_TOL and gets a final polish step.  When
-    `step_counts` is a list, each target appends the number of steps the
-    march took.
+    The step is sized from that ratio, read as the predictor's error
+    against the allowance: it is multiplied by 0.9 (0.25 / ratio)^(1/4),
+    clipped to [0.5, 4] after an accepted step (to at most 1 when the
+    corrector needed more than 3 residual evaluations) and to [0.1, 0.5]
+    after a rejected one; a failed residual halves it.  LiftFailureError
+    is raised when the step of the longest ray falls below MIN_STEP.
+    Every result satisfies |M(w) - m| <= NEWTON_TOL and gets a final
+    polish step.  When `step_counts` is a list, each target appends the
+    number of steps the march took.
     """
     m = np.asarray(targets, dtype=complex)
     shape = m.shape
@@ -295,41 +372,37 @@ def lift_many(mu, targets, free, step_counts=None):
         raise ValueError(
             f"targets must lie in the slit-free disk 0 < |m| < {free:.6g}"
         )
-    m1 = mu.moment(1)
-    if m1 <= 0.0:
+    if mu.moment(1) <= 0.0:
         raise ValueError("path lifting requires a measure with positive mean")
     if m.size == 0:
         return m.reshape(shape).copy()
     x, c = _effective_poles(mu)
     r_max = float(np.max(r))
-    s0 = min(START_ABS / r_max, 0.1)
-    slope = mu.moment(2) / m1
-    w, res, d, _, _ = _correct(x, c, m1 / (s0 * m) + slope, s0 * m, polish=False)
-    if not np.all(res <= NEWTON_TOL):
-        raise LiftFailureError(
-            "asymptotic seed did not converge",
-            stage="lift_many",
-            diagnostics={"s": s0, "residual": float(np.max(res))},
-        )
+    phi = _inverse_series(x, c)
     # (s, u, du/ds) at the last two points, du/ds = w + s m / M'(w): the
     # exact start at s = 0, then the accepted ones
-    prev, last = (0.0, m1 / m, slope), (s0, s0 * w, w + s0 * m / d)
-    h = (1.0 - s0) / 8.0
+    prev = last = (0.0, phi[0] / m, phi[1])
+    h = 1.0
     steps = 0
     while last[0] < 1.0:
         s = last[0]
         s_next = 1.0 if h >= 1.0 - s else s + h
+        target = s_next * m
         with np.errstate(all="ignore"):
-            w_pred = _hermite(prev, last, s_next) / s_next
+            if steps == 0:
+                # w = u(s) / s = sum_k phi_k (s m)^(k-1)
+                w_pred = phi[0] / target + np.polyval(phi[:0:-1], target)
+            else:
+                w_pred = _hermite(prev, last, s_next) / s_next
             # an intermediate polish would be redone by the next corrector
             w, res, d, rho, evals = _correct(
-                x, c, w_pred, s_next * m, polish=s_next == 1.0
+                x, c, w_pred, target, polish=s_next == 1.0
             )
             converged = np.all(res <= NEWTON_TOL)
             ratio = np.max(np.abs(w - w_pred) / (0.5 * rho))
             gain = 0.9 * (0.25 / ratio) ** 0.25
         if converged and ratio <= 1.0:
-            prev, last = last, (s_next, s_next * w, w + s_next * m / d)
+            prev, last = last, (s_next, s_next * w, w + target / d)
             steps += 1
             h *= min(max(gain, 0.5), 4.0 if evals <= 3 else 1.0)
         else:

@@ -12,7 +12,10 @@ moments m_0 .. m_MAX_MOMENTS of the estimate are kept, and each is a
 polynomial in the moments of mu_n of the same order or lower.  So the
 spectral stage runs on a GAUSS_NODES-point Gauss quadrature of mu_n,
 which has the same moments through that order, and its cost does not
-grow with the dimension p.  The forward direction (nu
+grow with the dimension p.  On a small circle the Lagrange sums cancel
+by many digits; where the circle's moments do not settle, they are
+taken instead on an ellipse in the z plane of mu_n, where the inverse
+branch is explicit.  The forward direction (nu
 to the spectrum of the product) is the noise-free oracle.  It too works
 where the inverse is explicit: the image of a circle in the plane of the
 companion Stieltjes transform B, under the inverse z(B) of the
@@ -29,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidMomentsError, NumericalError
+from .errors import InvalidMomentsError, NoisyContourError, NumericalError
 from .measures import (
     DiscreteMeasure,
     MarchenkoPastur,
@@ -39,15 +42,20 @@ from .measures import (
 from .inversion import (
     critical_points,
     lift_many,
+    moment_map,
+    real_preimage,
     slit_free_radius,
 )
 from .contours import (
     SLIT_MARGIN,
+    ContourMoments,
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
     moments_from_circle,
     moments_from_contour,
+    moments_from_z_contour,
+    z_contour_nodes,
 )
 from .recovery import (
     JacobiCoefficients,
@@ -117,11 +125,17 @@ class DeconvDiagnostics:
     the proxy's conjugate slit pairs.  `contour_radius` is the radius
     `choose_m_contour` picks and `radius_limiter` the bound that sets it:
     `slit`, `unit_cap` or `mp_pole`.  The circle is sampled once, at
-    `nodes_used` nodes.  `settle_gap` is the largest distance, relative
-    to max(1, |m_k|), between the complex Lagrange sums of orders k >= 1
-    on all of them and on their even nodes; `settled` is whether that gap
-    is below 1e-9.  The upper half of the nodes is marched in one
-    `lift_many` call, and each node counts the steps of that march.
+    `nodes_used` nodes.  `moment_rule` names where the moments were
+    taken: `m_circle`, or `z_ellipse` when the circle's moments raised
+    NoisyContourError or did not settle, and the ellipse of
+    `z_contour_nodes` carried them at as many nodes.  `imag_residue` and
+    `settle_gap` are that rule's: the gap is the largest distance,
+    relative to max(1, |m_k|), between its complex Lagrange sums of orders
+    k >= 1 on all nodes and on their even nodes, and `settled` is whether
+    that gap is below 1e-9.  The upper half of the nodes is marched in one
+    `lift_many` call, and each node counts the steps of that march: one
+    when the power series of the inverse branch, corrected once, reaches
+    every node, more when the march has to shorten its first step.
     `lift_steps_total` sums the count over the nodes, and
     `lift_steps_max` is the longest march.  `moment_error` is the worst
     relative error in the estimate's moments of orders 0 to 2 rank - 1:
@@ -140,6 +154,7 @@ class DeconvDiagnostics:
     nodes_used: int
     settled: bool
     settle_gap: float
+    moment_rule: str
     lift_steps_total: int
     lift_steps_max: int
     t_ramification_s: float
@@ -223,15 +238,17 @@ class _Spectral(NamedTuple):
 
 
 def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
-    """Ramification, radius, one lift of the circle, and its moments.
+    """Ramification, radius, one lift of the circle, and its moments, or
+    the z ellipse's where the circle's do not settle.
 
-    All four run on the Gauss proxy of `mu_n`.  An aspect ratio outside
+    All of them run on the Gauss proxy of `mu_n`.  An aspect ratio outside
     (0, 1) raises ValueError before any of them.
     """
     t0 = time.perf_counter()
     mp = MarchenkoPastur(c)
     proxy = _gauss_proxy(mu_n)
-    branch = critical_points(proxy).branch_points_upper
+    ramification = critical_points(proxy)
+    branch = ramification.branch_points_upper
     free = slit_free_radius(branch)
     radius, limiter = choose_m_contour(free, c)
     t_ram = time.perf_counter() - t0
@@ -246,15 +263,27 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     z_upper = w / (1.0 + mp.c * upper)
     z = np.concatenate([z_upper, np.conj(z_upper[::-1])])
     t2 = time.perf_counter()
-    extracted = moments_from_circle(m, z, MAX_MOMENTS)
+    # a pass is settled when its own even nodes agree with all of it
+    try:
+        extracted = moments_from_circle(m, z, MAX_MOMENTS)
+        fault = None
+        if extracted.half_gap >= 1e-9:
+            fault = "did not settle below 1e-9"
+    except NoisyContourError as exc:
+        fault = f"raised: {exc}"
+    if fault is None:
+        rule = "m_circle"
+        # G = (1 + m) / z on the image of the circle, which winds clockwise
+        # (z ~ m_1 / m), so its nodes are reversed
+        rep = ContourRepresentation(z[::-1], ((1.0 + m) / z)[::-1])
+    else:
+        log.warning("circle moments %s; taking the z ellipse's", fault)
+        rule = "z_ellipse"
+        rep, extracted = _z_plane_pass(proxy, ramification.critical_points, c)
     t3 = time.perf_counter()
-    # the pass is settled when its own even nodes agree with all of it
     settled = extracted.half_gap < 1e-9
     if not settled:
         log.warning("contour moments did not settle below 1e-9")
-    # G = (1 + m) / z on the image of the circle, which winds clockwise
-    # (z ~ m_1 / m), so its nodes are reversed
-    rep = ContourRepresentation(z[::-1], ((1.0 + m) / z)[::-1])
 
     diagnostics = dict(
         imag_residue=extracted.imag_residue,
@@ -265,6 +294,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         nodes_used=CIRCLE_NODES,
         settled=settled,
         settle_gap=extracted.half_gap,
+        moment_rule=rule,
         lift_steps_total=int(np.sum(step_counts)),
         lift_steps_max=int(np.max(step_counts)),
         t_ramification_s=t_ram,
@@ -279,6 +309,35 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         diagnostics,
         time.perf_counter() - t0,
     )
+
+
+def _z_plane_pass(
+    proxy: DiscreteMeasure, critical: np.ndarray, c: float
+) -> tuple[ContourRepresentation, ContourMoments]:
+    """The estimate's Stieltjes contour and moments on the z ellipse.
+
+    On the ellipse of `z_contour_nodes` about the proxy's atoms, its
+    critical points and the root z* of 1 + c M(z) = 0 in (0, min atom),
+    the inverse branch is explicit: m = M(z) and Minv_nu(m) =
+    z / (1 + c M(z)).  M is univalent outside the ellipse, which holds
+    every critical point, so the branch is single valued on its image;
+    that image winds once about 0 and not about the S_MP pole -1/c, as
+    the ellipse holds every pole and zero of M and of 1 + c M.  It takes
+    CIRCLE_NODES nodes, the lower half the mirror of the upper.
+    """
+    root = real_preimage(proxy, -1.0 / c)
+    z, dz = z_contour_nodes(proxy.atoms, critical, root, CIRCLE_NODES)
+    half = CIRCLE_NODES // 2
+    f, d = moment_map(proxy, z[:half])
+    sigma = z[:half] / (1.0 + c * f)
+    g = (1.0 + f) / sigma
+    dm = d * dz[:half]
+    # dz/dt, and with it dm, turns to -conj on the mirrored nodes
+    sigma = np.concatenate([sigma, np.conj(sigma[::-1])])
+    g = np.concatenate([g, np.conj(g[::-1])])
+    dm = np.concatenate([dm, -np.conj(dm[::-1])])
+    rep = ContourRepresentation(sigma, g)
+    return rep, moments_from_z_contour(sigma, g, dm, MAX_MOMENTS)
 
 
 def deconvolve(
@@ -306,13 +365,18 @@ def deconvolve(
     window on the estimate's atoms is set by mu_n itself.  The circle is
     lifted once, at CIRCLE_NODES nodes.  It keeps 10 % radial clearance
     from every branch point, so the trapezoid rule converges at least
-    like 0.9^N in its N nodes.  The pass is reported settled when its
+    like 0.9^N in its N nodes, but its Lagrange sums cancel by about
+    (m_1 / (r max x))^k on a circle of radius r, which leaves a small
+    circle a rounding floor above 1e-9.  The pass is settled when its
     complex Lagrange sums agree within 1e-9, relative to max(1, |m_k|),
-    with those of its N/2 even nodes, the rule one level down; an
-    unsettled pass logs a warning and is used as it is.  The returned
-    `contour` is the estimate's Stieltjes contour, the image of that
-    circle.  Every failure mode raises a typed error carrying its stage;
-    there is no silent fallback.
+    with those of its N/2 even nodes, the rule one level down.  Where it
+    does not settle, or its moments raise NoisyContourError, the run
+    logs a warning and takes the moments on the z ellipse instead, at N
+    nodes, and `moment_rule` records it.  That rule is checked the same
+    way; an unsettled one logs a second warning and is used as it is.
+    The returned `contour` is the estimate's Stieltjes contour on which
+    the moments were taken, the image of the circle or of the ellipse.
+    Every other failure raises a typed error carrying its stage.
 
     Everything before recovery depends on `mu_n` and `c` only; `cfg`
     holds the recovery knobs.  `spectral`, when given, is that part

@@ -20,6 +20,8 @@ even-node rule of `moments_from_circle`, and `deconvolved_moment_series`
 computes the estimate's moments from the input's in 60-digit arithmetic,
 with no contour at all; `forward_moment_series` runs the same series
 forward, from a population's moments to those of its sample spectrum.
+`inverse_moment_series` reverts the moment series in 60-digit arithmetic,
+for the Taylor coefficients of m Minv(m) that seed the lift.
 
 Three references were library members that only the tests called, and
 moved here with their bodies unchanged: `moment_map(mu, z)` was
@@ -442,6 +444,48 @@ def forward_moment_series(nu, c, K, dps=60):
             tail = mpmath.fsum(a[j] * powers[j][k] for j in range(1, k))
             mu.append(a[k] + tail)
         return np.array([float(v) for v in mu])
+
+
+def inverse_moment_series(mu, K, dps=60):
+    """Coefficients phi_0..phi_K of phi(m) = m Minv(m) about m = 0.
+
+    With t = 1/z the moment map is M(t) = sum_{k >= 1} m_k t^k, and its
+    compositional inverse T(m) = sum_{k >= 1} tau_k m^k, M(T(m)) = m, is
+    1 / Minv(m); so phi = m / T.  The reversion compares coefficients of
+    m^n in sum_j m_j T^j: tau_1 = 1 / m_1, and for n >= 2,
+    m_1 tau_n = -sum_{2 <= j <= n} m_j [m^n] T^j, where [m^n] T^j needs
+    only tau_1 .. tau_(n-1), so the power table fills column by column.
+    Then phi is the reciprocal of T / m.  It runs in mpmath at `dps`
+    digits on the moments m_1 .. m_(K+1) of mu's atoms and weights, and
+    returns floats.
+    """
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(a)) for a in mu.atoms]
+        w = [mpmath.mpf(float(b)) for b in mu.weights]
+        a = [
+            mpmath.fsum(wi * xi**k for wi, xi in zip(w, x))
+            for k in range(K + 2)
+        ]
+        n_max = K + 1
+        tau = [mpmath.mpf(0), 1 / a[1]]
+        # powers[j][n] = [m^n] T^j, for 1 <= j <= n
+        powers = [[mpmath.mpf(0)] * (n_max + 1) for _ in range(n_max + 1)]
+        powers[1][1] = tau[1]
+        for n in range(2, n_max + 1):
+            for j in range(2, n + 1):
+                powers[j][n] = mpmath.fsum(
+                    powers[j - 1][i] * tau[n - i] for i in range(j - 1, n)
+                )
+            tail = mpmath.fsum(a[j] * powers[j][n] for j in range(2, n + 1))
+            tau.append(-tail / a[1])
+            powers[1][n] = tau[n]
+        phi = [1 / tau[1]]
+        for n in range(1, K + 1):
+            tail = mpmath.fsum(
+                tau[i + 1] * phi[n - i] for i in range(1, n + 1)
+            )
+            phi.append(-tail / tau[1])
+        return np.array([float(v) for v in phi])
 
 
 def crossing_count(points):

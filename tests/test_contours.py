@@ -12,10 +12,17 @@ from freedeconv.contours import (
     contour_rep_from_s,
     moments_from_circle,
     moments_from_contour,
+    moments_from_z_contour,
+    z_contour_nodes,
 )
 from freedeconv.errors import NoContourError, NoisyContourError
 from freedeconv.experiments import SCENARIOS, toeplitz_spectrum
-from freedeconv.inversion import critical_points, lift_many, slit_free_radius
+from freedeconv.inversion import (
+    critical_points,
+    lift_many,
+    real_preimage,
+    slit_free_radius,
+)
 from freedeconv.measures import DiscreteMeasure, MarchenkoPastur
 from freedeconv.pipeline import forward_contour
 
@@ -23,6 +30,7 @@ from helpers import (
     contour_moment,
     is_conjugate_symmetric,
     lagrange_sums,
+    moment_map,
     mp_moment,
     rand_measure,
     winding_number,
@@ -426,6 +434,47 @@ def test_circle_nodes_input_contracts():
     for radius in (0.0, -0.5, np.inf, np.nan):
         with pytest.raises(ValueError):
             circle_nodes(radius, 64)
+
+
+# ---------------------------------------------------------------------------
+# the z ellipse
+# ---------------------------------------------------------------------------
+
+def test_z_contour_encloses_what_the_z_plane_rule_needs():
+    # on measures whose atoms span up to three decades: the ellipse winds
+    # once about every atom, critical point and the root of 1 + c M, so M
+    # maps it to a curve that winds once clockwise about 0 and not about
+    # the S_MP pole -1/c; dz/dt is the derivative of its nodes
+    rng = np.random.default_rng(53)
+    for _ in range(60):
+        mu = rand_measure(rng, 9, lo=0.01)
+        c = rng.uniform(0.02, 0.98)
+        q = critical_points(mu).critical_points
+        root = real_preimage(mu, -1.0 / c)
+        z, dz = z_contour_nodes(mu.atoms, q, root, 512)
+        for p in np.concatenate([mu.atoms, q, [root]]):
+            assert winding_number(z, p) == 1
+        m = moment_map(mu, z)
+        assert winding_number(m, 0.0) == -1
+        assert winding_number(m, -1.0 / c) == 0
+        scale = np.max(np.abs(dz))
+        assert np.max(np.abs(dz - _parametric_derivative(z))) <= 1e-12 * scale
+        assert np.allclose(z[256:], np.conj(z[:256][::-1]), rtol=1e-14)
+
+
+def test_z_contour_nodes_input_contracts():
+    atoms = np.array([1.0, 2.0])
+    q = np.array([1.5 + 0.1j, 1.5 - 0.1j])
+    for n in (8, 17):
+        with pytest.raises(ValueError):
+            z_contour_nodes(atoms, q, 0.5, n)
+    z = circle_nodes(1.0, 16)
+    with pytest.raises(ValueError):
+        moments_from_z_contour(z, z, z, 0)
+    with pytest.raises(ValueError):
+        moments_from_z_contour(z, z, z[:15], 2)
+    with pytest.raises(ValueError):
+        moments_from_z_contour(z[:15], z[:15], z[:15], 2)
 
 
 # ---------------------------------------------------------------------------

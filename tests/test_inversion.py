@@ -21,14 +21,15 @@ from freedeconv.inversion import (
     slit_free_radius,
 )
 from freedeconv.contours import choose_m_contour, circle_nodes
-from freedeconv.experiments import SCENARIOS
+from freedeconv.experiments import SCENARIOS, sample_spectrum
 from freedeconv.measures import DiscreteMeasure
-from freedeconv.pipeline import forward_measure
+from freedeconv.pipeline import _gauss_proxy, forward_measure
 from helpers import (
     branch_by_eigenvalues,
     crossing_count,
     injectivity_check,
     injectivity_radius,
+    inverse_moment_series,
     markov_krein_zero_equivalence,
     moment_map,
     moment_map_derivative,
@@ -331,6 +332,48 @@ def test_slit_free_radius_is_the_distance_from_0_to_the_slits():
 
 
 # ---------------------------------------------------------------------------
+# the moment map on the z plane
+# ---------------------------------------------------------------------------
+
+def test_moment_map_and_real_preimage_match_the_definition():
+    # brentq on the definition of M: the root of 1 + c M(z) left of the
+    # atoms, on measures whose atoms span up to three decades
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        mu = rand_measure(rng, 9, lo=0.01)
+        c = rng.uniform(0.02, 0.98)
+        z = rng.normal(size=8) + 1j * rng.normal(size=8)
+        f, d = inversion.moment_map(mu, z)
+        assert np.allclose(f, moment_map(mu, z), rtol=1e-13, atol=0.0)
+        assert np.allclose(d, moment_map_derivative(mu, z), rtol=1e-13)
+        root = inversion.real_preimage(mu, -1.0 / c)
+        ref = brentq(
+            lambda t: 1.0 + c * moment_map(mu, t).real,
+            0.0, mu.atoms[0] * (1.0 - 1e-12), xtol=1e-300, rtol=1e-15,
+        )
+        assert 0.0 < root < mu.atoms[0]
+        assert root == pytest.approx(ref, rel=1e-13)
+
+
+def test_real_preimage_rejects_values_it_does_not_take():
+    # M(0) = -1 on a probability measure on (0, inf): values at or above
+    # it have no preimage in (0, min atom), nor has a measure whose least
+    # atom is negative
+    mu = DiscreteMeasure([1.0, 3.0], [0.5, 0.5])
+    for value in (-1.0, -0.5, 2.0):
+        with pytest.raises(ValueError):
+            inversion.real_preimage(mu, value)
+    with pytest.raises(ValueError):
+        inversion.real_preimage(DiscreteMeasure([-1.0, 3.0], [0.5, 0.5]), -2.0)
+    # an atom at 0 carries no pole: the interval ends at the least positive
+    # atom, and M(0) is minus the mass on the others
+    with_zero = DiscreteMeasure([0.0, 1.0, 3.0], [0.5, 0.25, 0.25])
+    root = inversion.real_preimage(with_zero, -0.75)
+    assert 0.0 < root < 1.0
+    assert moment_map(with_zero, root).real == pytest.approx(-0.75, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # path lifting
 # ---------------------------------------------------------------------------
 
@@ -470,13 +513,54 @@ def test_lift_many_matches_the_eigenvalue_oracle():
     assert hard >= 12
 
 
+def test_inverse_series_matches_a_60_digit_reversion():
+    # the Gauss proxies the pipeline lifts, and random measures with atoms
+    # over one and over three decades.  Double moments fix the high
+    # coefficients only to about 1e-5 of their own size, so each
+    # coefficient phi_k is weighed by r^k on a circle of radius
+    # r = 0.5 min(free, 1), inside the unit circle like every circle the
+    # pipeline lifts: measured up to 6.3e-13
+    rng = np.random.default_rng(38)
+    order = inversion.SERIES_ORDER
+    measures = [
+        _gauss_proxy(sample_spectrum(sc.population, round(sc.c * 500), 500, s))
+        for sc in (SCENARIOS[sid] for sid in ("S1", "S2_1", "S2_3", "S3"))
+        for s in range(1, 6)
+    ]
+    measures += [rand_measure(rng, 9) for _ in range(20)]
+    measures += [rand_measure(rng, 9, 0.01, 10.0) for _ in range(20)]
+    checked = 0
+    for mu in measures:
+        try:
+            free = _free(mu)
+        except NumericalError:
+            continue
+        got = inversion._inverse_series(*inversion._effective_poles(mu))
+        want = inverse_moment_series(mu, order)
+        r = 0.5 * min(free, 1.0)
+        weight = r ** np.arange(order + 1)
+        assert np.max(np.abs(got - want) * weight) <= 1e-10 * np.max(
+            np.abs(want) * weight
+        )
+        # the truncated series converges at rate r / free <= 0.5 on the
+        # circle, so it meets the lift there within a modest multiple of
+        # 0.5^17: measured up to 0.016 times it
+        m = r * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        series = np.polyval(got[::-1], m) / m
+        lifted = lift_many(mu, m, free)
+        error = np.max(np.abs(series - lifted) / np.abs(lifted))
+        assert error <= 2.0 * 0.5 ** (order + 1)
+        checked += 1
+    assert checked >= 55
+
+
 def test_lift_many_matches_the_fixed_pace_march_in_few_steps():
     # half-offset upper nodes at three radii on random 2-9 atom measures;
     # the reference march is compared on every eighth node, which it
     # reaches to 1e-12 whatever the batch
     rng = np.random.default_rng(36)
     checked = 0
-    far = []
+    mid, far = [], []
     for _ in range(200):
         size = rng.integers(2, 10)
         mu = DiscreteMeasure(
@@ -490,14 +574,19 @@ def test_lift_many_matches_the_fixed_pace_march_in_few_steps():
         steps = []
         got = np.concatenate([lift_many(mu, t, free, steps) for t in circles])
         assert len(steps) == 3 * 256 and max(steps) <= 30
-        assert max(steps[256:512]) <= 5
+        # the series predicts the whole half circle at 0.5 of the free
+        # radius in one step
+        assert max(steps[:256]) == 1 and max(steps[256:512]) <= 4
+        mid.append(steps[256])
         far.append(steps[-1])
         want = reference_march(mu, np.concatenate(circles)[::8], free)
         assert np.max(np.abs(got[::8] - want) / np.abs(want)) <= 1e-12
         checked += 1
     assert checked >= 190
-    # the step controller reaches 0.99 of the free radius in a few steps
-    assert np.median(far) <= 8 and max(far) <= 12
+    # most circles at 0.9 of the free radius take one step too, and the
+    # step controller reaches 0.99 of it in a few
+    assert np.median(mid) == 1
+    assert np.median(far) <= 7 and max(far) <= 12
 
 
 def test_correct_returns_the_injectivity_radius_at_its_result():
@@ -559,7 +648,8 @@ def test_lift_rejects_a_corrector_that_leaves_its_prediction():
 
 
 def test_lift_of_point_mass_is_exact_down_to_small_m():
-    # the march must end on every target, also those below START_ABS
+    # the march must end on every target, also those near m = 0, where
+    # the series' leading term phi_0 / m dominates
     rng = np.random.default_rng(32)
     radii = np.array([1e-5, 1e-4, 1e-3, 2e-3, 0.5, 0.99])
     for a in (0.3, 2.0, 5.0):
@@ -599,19 +689,22 @@ def test_lift_is_conjugate_symmetric_and_meets_the_residual(case):
         assert abs(moment_map(mu, value) - target) <= NEWTON_TOL
 
 
-def test_lift_reports_a_seed_that_does_not_converge(monkeypatch):
-    # no residual meets a zero tolerance, so the asymptotic seed fails
+def test_lift_reports_a_first_step_that_never_converges(monkeypatch):
+    # no residual meets a zero tolerance, so every try of the first step
+    # fails and halves it until the step underflows
     monkeypatch.setattr(inversion, "NEWTON_TOL", 0.0)
     targets = 0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 16)
     with pytest.raises(LiftFailureError) as exc_info:
         lift_many(TWO, targets, _free(TWO))
     assert exc_info.value.stage == "lift_many"
+    assert exc_info.value.diagnostics["steps"] == 0
     assert exc_info.value.diagnostics["residual"] > 0.0
 
 
 def test_lift_of_a_target_does_not_depend_on_its_batch():
-    # a batch with a larger max |m| starts its march at a smaller s0 and
-    # often paces it differently; the lift of a shared target must not move
+    # batch-mates at 0.99-0.999 of the free radius force a march of
+    # several steps where the target alone takes one; the lift of a
+    # shared target must not move
     rng = np.random.default_rng(8)
     checked = paced = 0
     for _ in range(60):
@@ -625,7 +718,8 @@ def test_lift_of_a_target_does_not_depend_on_its_batch():
         cap = min(free, 2.0)
         angles = np.exp(2j * np.pi * rng.uniform(size=3))
         target = 0.2 * cap * angles[0]
-        batch = np.concatenate([[target], 0.95 * cap * angles[1:]])
+        mates = rng.uniform(0.99, 0.999, 2) * free * angles[1:]
+        batch = np.concatenate([[target], mates])
         steps_alone, steps_batch = [], []
         alone = lift_many(mu, [target], free, step_counts=steps_alone)[0]
         together = lift_many(mu, batch, free, step_counts=steps_batch)[0]

@@ -15,7 +15,7 @@ noise-free run deconvolves the exact forward spectrum with the default
 configuration, as the benchmark's ``noise_free_w1`` does.  It writes one
 JSON record per run: the outcome, the error class and stage of a failed
 run, and of a returned estimate the accepted rung, rank, ``nodes_used``,
-contour radius and its limiter, W1, atoms and weights.  Floats are written
+contour radius and its limiter, the moment rule, W1, atoms and weights.  Floats are written
 by repr, so they read back bit for bit.  The 213 records take about 4 s
 on a 2-core x86 machine, most of it sampling large_p's two p = 1600
 spectra.
@@ -27,7 +27,9 @@ are at the top of ROADMAP.md "Open items".  A sweep takes about 2 s.
 
 ``--diff A B`` lists the records that differ, with the fields that moved,
 and the largest moves of W1, atoms and radius.  It exits 1 if any run's
-outcome, accepted rung or rank differs, or a run is missing from one file.
+outcome, accepted rung, rank or moment rule differs, or a run is missing
+from one file.  Records of both A and B must be written by a script that
+records the moment rule, or every returned estimate reads as moved.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SECONDS = 30
 SEEDS = {"small_p": (0, 1, 2), "near_square": (0, 1, 2), "large_p": (0,)}
 # fields whose change means a run took another path, not a rounding move
-PATH_FIELDS = ("outcome", "error", "stage", "rung", "rank")
+PATH_FIELDS = ("outcome", "error", "stage", "rung", "rank", "moment_rule")
 
 
 def _estimate_record(result, w1: float) -> dict:
@@ -56,6 +58,7 @@ def _estimate_record(result, w1: float) -> dict:
         "nodes_used": d.nodes_used,
         "radius": d.contour_radius,
         "limiter": d.radius_limiter,
+        "moment_rule": d.moment_rule,
         "w1": w1,
         "atoms": result.estimate.atoms.tolist(),
         "weights": result.estimate.weights.tolist(),
@@ -178,7 +181,7 @@ def diff(a: dict, b: dict) -> int:
         f"{radius_move:.3g} ulp"
     )
     if changed_path:
-        print("some run changed its outcome, accepted rung or rank")
+        print("some run changed its outcome, accepted rung, rank or rule")
     return int(changed_path)
 
 

@@ -2,11 +2,12 @@
 
 A closed contour in the z plane together with samples of G on it determines
 every moment of the underlying measure by residue calculus; so does the
-inverse moment map on a circle about 0 in the m plane, by Lagrange
-inversion, or on the image m = M(z) of a z contour of another measure
-that the inverse map carries back.  This module discretizes all three by
-the trapezoid rule, chooses that circle and that z contour, and maps the
-circle to a sampled G contour of the measure.
+inverse moment map along a curve that winds once about m = 0, by Lagrange
+inversion.  The contour is then the image sigma = Minv(m) of that curve,
+and the curve is a circle about 0 in the m plane or the image m = M(z) of
+a z contour of another measure.  This module discretizes both rules by
+the trapezoid rule, chooses that circle and that z contour, and maps a
+circle and S-transform values on it to a sampled G contour.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NoContourError, NoisyContourError
-from .measures import MomentSequence
+from .measures import MarchenkoPastur, MomentSequence, _require_int
 
 __all__ = [
     "ContourRepresentation",
     "ContourMoments",
     "moments_from_contour",
-    "moments_from_circle",
     "contour_rep_from_s",
     "moments_from_z_contour",
     "choose_m_contour",
@@ -191,66 +191,41 @@ def moments_from_contour(rep: ContourRepresentation, K: int) -> ContourMoments:
     return _checked(sums, float("inf"), "moments_from_contour")
 
 
-def moments_from_circle(m: np.ndarray, z: np.ndarray, K: int) -> ContourMoments:
-    """Moments m_0..m_K from z = Minv(m) on a counterclockwise circle.
+def moments_from_z_contour(
+    rep: ContourRepresentation, dm: np.ndarray, K: int
+) -> ContourMoments:
+    """Moments m_0..m_K of a measure from its inverse moment map on `rep`.
 
-    `m` holds an even number n of equispaced nodes on a circle about 0
-    where the inverse branch is single valued.  By Lagrange inversion
-    m_k = (1/2 pi i k) of Minv(m)^k dm, whose trapezoid rule is
-    mean(m z^k) / k for k >= 1; m_0 is the rule of `moments_from_contour`
-    on the clockwise image contour z.  `half_gap` is the largest distance,
-    scaled by max(1, |m_k|), to the same sums over the n/2 even nodes:
-    the error estimate of the coarser rule, which bounds the full one's.
-    Residue and mass are checked as in `moments_from_contour`.
+    `rep` holds an even number n of equispaced counterclockwise nodes
+    sigma = Minv(m) with values G = (1 + m) / sigma, and `dm` the
+    derivative of m in the node angle.  The nodes m wind once clockwise
+    about 0 where the inverse branch is single valued: a circle about 0,
+    or M(Gamma) for a z contour Gamma of another measure whose moment map
+    M is univalent outside it.  Lagrange inversion reads m_k =
+    (1/2 pi i k) of Minv(m)^k dm = mean(i dm sigma^k) / k for k >= 1;
+    m_0 is the rule of `moments_from_contour`.  `half_gap` is the largest
+    distance, scaled by max(1, |m_k|), to the same sums over the n/2 even
+    nodes: the coarser rule's error estimate, which bounds the full
+    one's.  Residue and mass are checked as in `moments_from_contour`.
     """
     if K < 1:
         raise ValueError("need at least orders 0 and 1")
-    if m.shape != z.shape or m.ndim != 1 or m.size % 2:
-        raise ValueError("m and z must be matching arrays of even length")
-    mass = -np.sum((1.0 + m) / z * _parametric_derivative(z)) / (1j * m.size)
-    return _lagrange_moments(mass, m, z, K, "moments_from_circle")
-
-
-def _lagrange_moments(
-    mass: complex, weight: np.ndarray, z: np.ndarray, K: int, stage: str
-) -> ContourMoments:
-    # m_k = mean(weight z^k) / k for k = 1..K by one running product, over
-    # all and even nodes, and the checked moments with their even-node gap
-    n = z.size
+    sigma = rep.sigma
+    if dm.shape != sigma.shape or sigma.size % 2:
+        raise ValueError("dm must match an even number of contour nodes")
+    n = sigma.size
+    # m_k = mean(i dm sigma^k) / k for k = 1..K by one running product,
+    # over all and even nodes
     sums = np.empty((2, K + 1), dtype=complex)
-    sums[:, 0] = mass
-    g = weight.astype(complex)
+    sums[:, 0] = np.sum(rep.values * _parametric_derivative(sigma)) / (1j * n)
+    g = 1j * dm
     for k in range(1, K + 1):
-        g *= z
+        g *= sigma
         sums[:, k] = np.add.reduce(g), np.add.reduce(g[::2])
     sums[:, 1:] /= np.outer([n, n // 2], np.arange(1, K + 1))
     full, half = sums
     gap = np.max(np.abs(full - half) / np.maximum(1.0, np.abs(full.real)))
-    return _checked(full, float(gap), stage)
-
-
-def moments_from_z_contour(
-    sigma: np.ndarray, values: np.ndarray, dm: np.ndarray, K: int
-) -> ContourMoments:
-    """Moments m_0..m_K from sigma = Minv(m) on the image of a z contour.
-
-    The inverse map is evaluated where it is explicit: on a
-    counterclockwise contour Gamma of an even number n of equispaced
-    nodes in the plane of another measure's z, whose moment map maps the
-    outside of Gamma one to one onto a domain about m = 0 where Minv is
-    single valued.  `dm` holds the derivative of m = M(z) in the node
-    angle.  m(Gamma) winds once clockwise about 0, so Lagrange inversion
-    reads m_k = (1/2 pi i k) of Minv(m)^k dm = mean(i dm sigma^k) / k
-    for k >= 1.  m_0 is the rule of `moments_from_contour` on the
-    counterclockwise image contour sigma with G values `values`.
-    `half_gap` and the checks are those of `moments_from_circle`.
-    """
-    if K < 1:
-        raise ValueError("need at least orders 0 and 1")
-    if not sigma.shape == values.shape == dm.shape or sigma.size % 2:
-        raise ValueError("sigma, values and dm must match, of even length")
-    mass = np.sum(values * _parametric_derivative(sigma)) / (1j * sigma.size)
-    return _lagrange_moments(mass, 1j * dm, sigma, K, "moments_from_z_contour")
+    return _checked(full, float(gap), "moments_from_z_contour")
 
 
 def contour_rep_from_s(
@@ -291,8 +266,12 @@ def choose_m_contour(free: float, c: float) -> tuple[float, str]:
     strictly below): the circle keeps a relative SLIT_MARGIN of radial
     clearance from every slit, which bounds the convergence ratio
     r / free of the trapezoid rule on it by 1 - SLIT_MARGIN, and half the
-    distance to the S_MP pole at m = -1/c for aspect ratio c.
+    distance to the S_MP pole at m = -1/c for aspect ratio c.  An aspect
+    ratio outside (0, 1) or a NaN `free` raises ValueError.
     """
+    c = MarchenkoPastur(c).c
+    if np.isnan(free):
+        raise ValueError("the slit-free radius is NaN")
     # cap of 1 for conditioning: larger radii inflate high-order powers
     radius = min((1.0 - SLIT_MARGIN) * free, 1.0)
     if radius < 1e-8:
@@ -316,6 +295,7 @@ def circle_nodes(radius: float, n: int) -> np.ndarray:
     set conjugate-symmetric; for even n no node is real and the first n/2
     nodes are the upper half.
     """
+    _require_int("n", n)
     if n < 16:
         raise ValueError("need at least 16 contour nodes")
     if not 0.0 < radius < np.inf:
@@ -346,6 +326,7 @@ def z_contour_nodes(
     trapezoid rule converges like ((a - b) / (a + b))^(n/2).  Nodes sit
     at half-integer angles t_j = 2 pi (j + 1/2) / n, as in `circle_nodes`.
     """
+    _require_int("n", n)
     if n < 16 or n % 2:
         raise ValueError("need an even number of at least 16 nodes")
     q = np.asarray(critical_points, dtype=complex)

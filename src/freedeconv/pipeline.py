@@ -12,14 +12,15 @@ moments m_0 .. m_MAX_MOMENTS of the estimate are kept, and each is a
 polynomial in the moments of mu_n of the same order or lower.  So the
 spectral stage runs on a GAUSS_NODES-point Gauss quadrature of mu_n,
 which has the same moments through that order, and its cost does not
-grow with the dimension p.  On a small circle the Lagrange sums cancel
-by many digits; where the circle's moments do not settle, they are
-taken instead on an ellipse in the z plane of mu_n, where the inverse
-branch is explicit.  The forward direction (nu
-to the spectrum of the product) is the noise-free oracle.  It too works
-where the inverse is explicit: the image of a circle in the plane of the
-companion Stieltjes transform B, under the inverse z(B) of the
-Marchenko-Pastur equation.
+grow with the dimension p.  Every contour is closed from its upper half
+by the conjugate mirror, and its moments are taken by the one Lagrange
+rule of `moments_from_z_contour`, on the image sigma = Minv(m) of a
+curve m about 0.  That curve is the circle; or, where the circle's sums
+cancel too far to settle, the image m = M(z) of an ellipse in the z
+plane of mu_n, where the inverse branch is explicit; or, for the forward
+direction (nu to the spectrum of the product, the noise-free oracle),
+the image of a circle in the plane of the companion Stieltjes transform
+B under the inverse z(B) of the Marchenko-Pastur equation.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from .contours import (
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
-    moments_from_circle,
-    moments_from_contour,
     moments_from_z_contour,
     z_contour_nodes,
 )
@@ -82,6 +81,9 @@ log = logging.getLogger(__name__)
 # m_k^(1/k) it is handed, so m_16 moves that scale and with it the rank cut
 CIRCLE_NODES = 512
 MAX_MOMENTS = 16
+# a pass is settled when the complex Lagrange sums on all of its nodes and
+# on its even nodes lie within this, relative to max(1, |m_k|)
+SETTLE_GAP = 1e-9
 # atoms of the Gauss proxy of mu_n: K nodes reproduce m_0 .. m_(2K-1),
 # at least the m_0 .. m_MAX_MOMENTS the extracted moments depend on
 GAUSS_NODES = (MAX_MOMENTS + 2) // 2
@@ -125,21 +127,22 @@ class DeconvDiagnostics:
     the proxy's conjugate slit pairs.  `contour_radius` is the radius
     `choose_m_contour` picks and `radius_limiter` the bound that sets it:
     `slit`, `unit_cap` or `mp_pole`.  The circle is sampled once, at
-    `nodes_used` nodes.  `moment_rule` names where the moments were
-    taken: `m_circle`, or `z_ellipse` when the circle's moments raised
-    NoisyContourError or did not settle, and the ellipse of
-    `z_contour_nodes` carried them at as many nodes.  `imag_residue` and
-    `settle_gap` are that rule's: the gap is the largest distance,
-    relative to max(1, |m_k|), between its complex Lagrange sums of orders
-    k >= 1 on all nodes and on their even nodes, and `settled` is whether
-    that gap is below 1e-9.  The upper half of the nodes is marched in one
-    `lift_many` call, and each node counts the steps of that march: one
-    when the power series of the inverse branch, corrected once, reaches
-    every node, more when the march has to shorten its first step.
-    `lift_steps_total` sums the count over the nodes, and
-    `lift_steps_max` is the longest march.  `moment_error` is the worst
-    relative error in the estimate's moments of orders 0 to 2 rank - 1:
-    recovery's rounding, not a fit, as any Gauss rule reproduces those.
+    `nodes_used` nodes.  `moment_rule` names the contour whose image
+    carried the Lagrange rule: `m_circle`, or `z_ellipse` when the
+    circle's moments raised NoisyContourError or did not settle, and the
+    ellipse of `z_contour_nodes` carried it at as many nodes.
+    `imag_residue` and `settle_gap` are that contour's: the gap is the
+    largest distance, relative to max(1, |m_k|), between its complex
+    Lagrange sums of orders k >= 1 on all nodes and on their even nodes,
+    and `settled` is whether that gap is below SETTLE_GAP.  The upper
+    half of the nodes is marched in one `lift_many` call, and each node
+    counts the steps of that march: one when the power series of the
+    inverse branch, corrected once, reaches every node, more when the
+    march has to shorten its first step.  `lift_steps_total` sums the
+    count over the nodes, and `lift_steps_max` is the longest march.
+    `moment_error` is the worst relative error in the estimate's moments
+    of orders 0 to 2 rank - 1: recovery's rounding, not a fit, as any
+    Gauss rule reproduces those.
     `t_total_s` is the spectral stage's wall time plus the call's own, so
     a retry rung that reuses the stage reports what a direct call would.
     """
@@ -254,36 +257,35 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     t_ram = time.perf_counter() - t0
 
     m = circle_nodes(radius, CIRCLE_NODES)
-    upper = m[: CIRCLE_NODES // 2]
+    half = CIRCLE_NODES // 2
     step_counts: list = []
     t1 = time.perf_counter()
-    # Minv_nu = Minv_proxy S_MP; the lower half of the nodes is the mirror,
-    # as transforms of real measures commute with conjugation
-    w = lift_many(proxy, upper, free, step_counts=step_counts)
-    z_upper = w / (1.0 + mp.c * upper)
-    z = np.concatenate([z_upper, np.conj(z_upper[::-1])])
+    # Minv_nu = Minv_proxy S_MP on the upper half of the nodes
+    w = lift_many(proxy, m[:half], free, step_counts=step_counts)
+    z_upper = w / (1.0 + mp.c * m[:half])
     t2 = time.perf_counter()
-    # a pass is settled when its own even nodes agree with all of it
+    # the image of the circle winds clockwise (z ~ m_1 / m), so its contour
+    # runs over the nodes reversed, with dm/dt = -i m: first the lower
+    # half, where z mirrors the upper, as transforms of real measures
+    # commute with conjugation.  G takes every node m as it is
+    rm = m[::-1]
+    rep, dm = _closed(np.conj(z_upper), rm, -1j * rm[:half])
     try:
-        extracted = moments_from_circle(m, z, MAX_MOMENTS)
+        extracted = moments_from_z_contour(rep, dm, MAX_MOMENTS)
         fault = None
-        if extracted.half_gap >= 1e-9:
-            fault = "did not settle below 1e-9"
+        if extracted.half_gap >= SETTLE_GAP:
+            fault = f"did not settle below {SETTLE_GAP:g}"
     except NoisyContourError as exc:
         fault = f"raised: {exc}"
-    if fault is None:
-        rule = "m_circle"
-        # G = (1 + m) / z on the image of the circle, which winds clockwise
-        # (z ~ m_1 / m), so its nodes are reversed
-        rep = ContourRepresentation(z[::-1], ((1.0 + m) / z)[::-1])
-    else:
+    rule = "m_circle"
+    if fault is not None:
         log.warning("circle moments %s; taking the z ellipse's", fault)
         rule = "z_ellipse"
         rep, extracted = _z_plane_pass(proxy, ramification.critical_points, c)
     t3 = time.perf_counter()
-    settled = extracted.half_gap < 1e-9
+    settled = extracted.half_gap < SETTLE_GAP
     if not settled:
-        log.warning("contour moments did not settle below 1e-9")
+        log.warning("contour moments did not settle below %g", SETTLE_GAP)
 
     diagnostics = dict(
         imag_residue=extracted.imag_residue,
@@ -302,13 +304,26 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         t_moments_s=t3 - t2,
     )
     return _Spectral(
-        mu_n,
-        c,
-        rep,
-        extracted.moments,
-        diagnostics,
-        time.perf_counter() - t0,
+        mu_n, c, rep, extracted.moments, diagnostics, time.perf_counter() - t0
     )
+
+
+def _closed(
+    sigma: np.ndarray, m: np.ndarray, dm: np.ndarray
+) -> tuple[ContourRepresentation, np.ndarray]:
+    """The contour and dm/dt of `moments_from_z_contour`, closed from the
+    first half of the nodes by the conjugate mirror.
+
+    `sigma` = Minv(m) and `dm` hold the first half; `m` holds it too, or
+    every node where the caller has them.  The mirror conjugates sigma
+    and m in reverse order and turns dm/dt to -conj, as the node angle
+    runs the other way.  The values are G = (1 + m) / sigma.
+    """
+    sigma = np.concatenate([sigma, np.conj(sigma[::-1])])
+    if m.size < sigma.size:
+        m = np.concatenate([m, np.conj(m[::-1])])
+    dm = np.concatenate([dm, -np.conj(dm[::-1])])
+    return ContourRepresentation(sigma, (1.0 + m) / sigma), dm
 
 
 def _z_plane_pass(
@@ -329,15 +344,8 @@ def _z_plane_pass(
     z, dz = z_contour_nodes(proxy.atoms, critical, root, CIRCLE_NODES)
     half = CIRCLE_NODES // 2
     f, d = moment_map(proxy, z[:half])
-    sigma = z[:half] / (1.0 + c * f)
-    g = (1.0 + f) / sigma
-    dm = d * dz[:half]
-    # dz/dt, and with it dm, turns to -conj on the mirrored nodes
-    sigma = np.concatenate([sigma, np.conj(sigma[::-1])])
-    g = np.concatenate([g, np.conj(g[::-1])])
-    dm = np.concatenate([dm, -np.conj(dm[::-1])])
-    rep = ContourRepresentation(sigma, g)
-    return rep, moments_from_z_contour(sigma, g, dm, MAX_MOMENTS)
+    rep, dm = _closed(z[:half] / (1.0 + c * f), f, d * dz[:half])
+    return rep, moments_from_z_contour(rep, dm, MAX_MOMENTS)
 
 
 def deconvolve(
@@ -355,27 +363,27 @@ def deconvolve(
     leave about 0; a circle in the m plane clear of the slits (and of the
     S_MP pole at -1/c) carries lifts of the inverse moment map of the
     proxy; dividing them by 1 + c m gives the estimate's inverse moment
-    map, Minv_nu = Minv_proxy S_MP; Lagrange inversion on the circle
-    gives the estimate's moments, which feed the Hankel recovery.  The
-    compression is exact for what is kept: m_k of the estimate is a
-    polynomial in m_1 .. m_k of the input, and the proxy reproduces
-    m_0 .. m_(2 GAUSS_NODES - 1) of mu_n, so the moments through
-    m_MAX_MOMENTS come out the same up to roundoff.  The contour radius is
-    the proxy's, which has fewer slits near 0 than mu_n.  The sanity
-    window on the estimate's atoms is set by mu_n itself.  The circle is
-    lifted once, at CIRCLE_NODES nodes.  It keeps 10 % radial clearance
-    from every branch point, so the trapezoid rule converges at least
-    like 0.9^N in its N nodes, but its Lagrange sums cancel by about
-    (m_1 / (r max x))^k on a circle of radius r, which leaves a small
-    circle a rounding floor above 1e-9.  The pass is settled when its
-    complex Lagrange sums agree within 1e-9, relative to max(1, |m_k|),
-    with those of its N/2 even nodes, the rule one level down.  Where it
-    does not settle, or its moments raise NoisyContourError, the run
-    logs a warning and takes the moments on the z ellipse instead, at N
-    nodes, and `moment_rule` records it.  That rule is checked the same
-    way; an unsettled one logs a second warning and is used as it is.
-    The returned `contour` is the estimate's Stieltjes contour on which
-    the moments were taken, the image of the circle or of the ellipse.
+    map, Minv_nu = Minv_proxy S_MP; Lagrange inversion along the circle,
+    by `moments_from_z_contour` on its image, gives the estimate's
+    moments, which feed the Hankel recovery.  The compression is exact
+    for what is kept: m_k of the estimate is a polynomial in m_1 .. m_k
+    of the input, and the proxy reproduces m_0 .. m_(2 GAUSS_NODES - 1)
+    of mu_n, so the moments through m_MAX_MOMENTS come out the same up to
+    roundoff.  The contour radius is the proxy's, which has fewer slits
+    near 0 than mu_n.  The sanity window on the estimate's atoms is set
+    by mu_n itself.  The circle is lifted once, at N = CIRCLE_NODES
+    nodes, and keeps 10 % radial clearance from every branch point, so
+    the trapezoid rule converges at least like 0.9^N; but its Lagrange
+    sums cancel by about (m_1 / (r max x))^k on a circle of radius r,
+    which leaves a small circle a rounding floor above SETTLE_GAP.  The
+    pass is settled when its complex Lagrange sums agree within
+    SETTLE_GAP, relative to max(1, |m_k|), with those of its N/2 even
+    nodes, the rule one level down.  Where it does not settle, or its
+    moments raise NoisyContourError, the run logs a warning and takes
+    the same rule on the image of the z ellipse, at N nodes, as
+    `moment_rule` records.  An unsettled ellipse logs a second warning
+    and is used.  The returned `contour` is the image on which the
+    moments were taken: the estimate's Stieltjes contour.
     Every other failure raises a typed error carrying its stage.
 
     Everything before recovery depends on `mu_n` and `c` only; `cfg`
@@ -479,21 +487,28 @@ def forward_contour(nu: DiscreteMeasure, c: float) -> ContourRepresentation:
     ratio outside (0, 1), a negative atom, or no positive atom raises
     ValueError.
     """
+    return _forward_pass(nu, c)[0]
+
+
+def _forward_pass(
+    nu: DiscreteMeasure, c: float
+) -> tuple[ContourRepresentation, np.ndarray]:
+    """The contour of `forward_contour`, and dm/dt along it: the moment
+    map M = z G - 1 = -B h(B) and dM/dtheta = -(h + B h') i B are
+    explicit on B = r e^(i theta)."""
     c = MarchenkoPastur(c).c
     x, w = nu.atoms, nu.weights
     if x[0] < 0.0 or x[-1] <= 0.0:
         raise ValueError("population atoms must be nonnegative, one positive")
     r = (1.0 - SLIT_MARGIN) / (x[-1] * (1.0 + np.sqrt(c)))
-    B = circle_nodes(r, FORWARD_NODES)[: FORWARD_NODES // 2]
-    h = np.sum(w * x / (1.0 + x * B[:, None]), axis=1)
-    z = -1.0 / B + c * h
-    g = (1.0 - B * h) / z
-    # B runs counterclockwise over its upper half, z clockwise over its own
-    z, g = z[::-1], g[::-1]
-    return ContourRepresentation(
-        np.concatenate([z, np.conj(z[::-1])]),
-        np.concatenate([g, np.conj(g[::-1])]),
-    )
+    # B runs counterclockwise over its upper half, z clockwise over its own,
+    # so the contour's first half is the upper B nodes reversed, along
+    # which dm/dt = -dM/dtheta
+    B = circle_nodes(r, FORWARD_NODES)[FORWARD_NODES // 2 - 1 :: -1]
+    d = 1.0 + x * B[:, None]
+    h = np.sum(w * x / d, axis=1)
+    dh = -np.sum(w * (x / d) ** 2, axis=1)
+    return _closed(-1.0 / B + c * h, -B * h, (h + B * dh) * 1j * B)
 
 
 def forward_measure(
@@ -501,15 +516,16 @@ def forward_measure(
 ) -> DiscreteMeasure:
     """Discretization of the exact spectrum of the product, as a measure.
 
-    Extracts 2 FORWARD_SUPPORT moments from the forward contour and runs
-    the rank-truncated recovery: the result is the Gauss quadrature proxy
-    of the (absolutely continuous) product spectrum, the noise-free
-    stand-in for an empirical eigenvalue measure.  The rank cut `tol` sets
-    its size: at tol = 1e-8 it has 7, 7, 8 and 8 atoms on the populations
-    of the scenarios S1, S2_1, S2_2 and S2_3.
+    Takes 2 FORWARD_SUPPORT moments on the forward contour by the
+    Lagrange rule of `moments_from_z_contour`, as m = M(z) and dm/dt are
+    explicit on it, and runs the rank-truncated recovery: the result is
+    the Gauss quadrature proxy of the (absolutely continuous) product
+    spectrum, the noise-free stand-in for an empirical eigenvalue measure.
+    The rank cut `tol` sets its size: at tol = 1e-8 it has 7, 7, 8 and 8
+    atoms on the populations of the scenarios S1, S2_1, S2_2 and S2_3.
     """
-    rep = forward_contour(nu, c)
-    moments = moments_from_contour(rep, 2 * FORWARD_SUPPORT).moments
+    rep, dm = _forward_pass(nu, c)
+    moments = moments_from_z_contour(rep, dm, 2 * FORWARD_SUPPORT).moments
     return recover_measure_detailed(moments, FORWARD_SUPPORT, tol).measure
 
 

@@ -16,7 +16,7 @@ derivative of `moments_from_contour` and checks only its running product,
 and `qz_critical_points` shares the Newton polish and the certificate;
 `mp_critical_points` stands in for it where its roots fail that
 certificate.  `lagrange_sums` checks the running product and the
-even-node rule of `moments_from_circle`, and `deconvolved_moment_series`
+even-node rule of `moments_from_z_contour`, and `deconvolved_moment_series`
 computes the estimate's moments from the input's in 60-digit arithmetic,
 with no contour at all; `forward_moment_series` runs the same series
 forward, from a population's moments to those of its sample spectrum.
@@ -360,11 +360,12 @@ def contour_moment(rep, k):
 def lagrange_sums(m, z, K):
     """Reference sums mean(m z^k) / k, k = 1..K, over all and the even nodes.
 
-    With m equispaced on a counterclockwise circle about 0 and z = Minv(m),
-    these are the trapezoid rules for the Lagrange inversion formula
+    With m equispaced on a circle about 0 and z = Minv(m), these are the
+    trapezoid rules for the Lagrange inversion formula
     m_k = (1/2pi i k) of Minv(m)^k dm, on the n nodes and on the n/2 even
-    ones.  Each order's power z^k is formed on its own.  Returns the two
-    complex arrays (full, even).
+    ones.  The full sums are the same in either direction of the nodes;
+    which half is even follows their order.  Each order's power z^k is
+    formed on its own.  Returns the two complex arrays (full, even).
     """
     m = np.asarray(m, dtype=complex)
     z = np.asarray(z, dtype=complex)

@@ -10,7 +10,6 @@ from freedeconv.contours import (
     choose_m_contour,
     circle_nodes,
     contour_rep_from_s,
-    moments_from_circle,
     moments_from_contour,
     moments_from_z_contour,
     z_contour_nodes,
@@ -261,7 +260,14 @@ def _two_inverse(m):
     return (3.0 * m + 1.5 + root) / (2.0 * m)
 
 
-def test_moments_from_circle_half_gap_is_the_even_node_rules_distance():
+def _circle_rule(m, z):
+    # the image z of a counterclockwise m circle winds clockwise, so its
+    # contour runs over the nodes reversed, along which dm/dt = -i m
+    rm = m[::-1]
+    return ContourRepresentation(z[::-1], (1.0 + rm) / z[::-1]), -1j * rm
+
+
+def test_moments_from_z_contour_half_gap_is_the_even_node_rules_distance():
     # on the circle of radius 1.05 about 0 the branch points of TWO sit at
     # |b| = 1.5, so the rule on n nodes errs by about (1.05 / 1.5)^n; the
     # gap to the rule on the even nodes is the coarser rule's error, which
@@ -269,34 +275,35 @@ def test_moments_from_circle_half_gap_is_the_even_node_rules_distance():
     exact = np.array([(1.0 + 2.0**k) / 2.0 for k in range(5)])
     for n in (48, 64, 96):
         m = _circle_nodes(0.0, 1.05, n)
-        z = _two_inverse(m)
-        cm = moments_from_circle(m, z, 4)
-        full, half = lagrange_sums(m, z, 4)
+        rep, dm = _circle_rule(m, _two_inverse(m))
+        cm = moments_from_z_contour(rep, dm, 4)
+        # in the contour's order, whose even nodes are the circle's odd ones
+        full, half = lagrange_sums(m[::-1], rep.sigma, 4)
         gap = np.max(np.abs(full - half) / np.maximum(1.0, np.abs(full.real)))
         assert cm.half_gap == pytest.approx(gap, rel=1e-6)
         assert np.max(np.abs(cm.moments.values - exact) / exact) <= cm.half_gap
     # an odd node count has no rule on every other node
     m = _circle_nodes(0.0, 1.05, 65)
     with pytest.raises(ValueError, match="even"):
-        moments_from_circle(m, _two_inverse(m), 4)
+        moments_from_z_contour(*_circle_rule(m, _two_inverse(m)), 4)
 
 
-def test_moments_from_circle_keeps_the_contour_checks():
+def test_moments_from_z_contour_keeps_the_contour_checks():
     m = _circle_nodes(0.0, 1.05, 64)
     z = _two_inverse(m)
     with pytest.raises(NoisyContourError) as exc_info:
-        moments_from_circle(m, z * (1.0 + 0.01j), 4)
-    assert exc_info.value.stage == "moments_from_circle"
+        moments_from_z_contour(*_circle_rule(m, z * (1.0 + 0.01j)), 4)
+    assert exc_info.value.stage == "moments_from_z_contour"
     assert exc_info.value.diagnostics["imag_residue"] >= 1e-6
     # Minv(m) + 1/2 is no inverse moment map: its image contour encloses
     # the atoms shifted by 1/2, where the residues of (1 + M(z - 1/2)) / z
     # sum to 0.5 / 1.5 + 1 / 2.5 = 11/15
     with pytest.raises(NoisyContourError) as exc_info:
-        moments_from_circle(m, z + 0.5, 4)
+        moments_from_z_contour(*_circle_rule(m, z + 0.5), 4)
     mass = exc_info.value.diagnostics["mass"]
     assert mass == pytest.approx(11.0 / 15.0, abs=1e-8)
     with pytest.raises(ValueError):
-        moments_from_circle(m, z, 0)
+        moments_from_z_contour(*_circle_rule(m, z), 0)
 
 
 def test_moments_from_contour_needs_order_one():
@@ -404,6 +411,19 @@ def test_choose_m_contour_radius_is_the_tightest_slit_bound():
     assert limited > 0
 
 
+def test_choose_m_contour_input_contracts():
+    # the aspect ratio must lie in (0, 1) and the slit-free radius must not
+    # be NaN; once these gave a radius of -1.0 labelled mp_pole (c = -0.5),
+    # a NaN radius labelled unit_cap, and a bare ZeroDivisionError (c = 0)
+    for c in (0.0, 1.0, -0.5, 1.5, np.nan):
+        with pytest.raises(ValueError, match="aspect ratio"):
+            choose_m_contour(1.0, c)
+    with pytest.raises(ValueError, match="NaN"):
+        choose_m_contour(np.nan, 0.2)
+    # no branch point at all leaves the unit cap
+    assert choose_m_contour(np.inf, 0.2) == (1.0, "unit_cap")
+
+
 def test_choose_m_contour_fails_when_slit_touches_origin():
     with pytest.raises(NoContourError):
         choose_m_contour(slit_free_radius(np.array([1e-9j])), 0.5)
@@ -431,6 +451,12 @@ def test_circle_nodes_input_contracts():
     with pytest.raises(ValueError):
         circle_nodes(1.0, 8)
     assert circle_nodes(1.0, 16).shape == (16,)
+    # a node count must be an integer: 16.5 would give 17 nodes whose
+    # angles do not close the period
+    for n in (16.0, 16.5, np.float64(16.0), True):
+        with pytest.raises(ValueError, match="integer"):
+            circle_nodes(1.0, n)
+    assert circle_nodes(1.0, np.int64(16)).shape == (16,)
     for radius in (0.0, -0.5, np.inf, np.nan):
         with pytest.raises(ValueError):
             circle_nodes(radius, 64)
@@ -468,13 +494,17 @@ def test_z_contour_nodes_input_contracts():
     for n in (8, 17):
         with pytest.raises(ValueError):
             z_contour_nodes(atoms, q, 0.5, n)
+    with pytest.raises(ValueError, match="integer"):
+        z_contour_nodes(atoms, q, 0.5, 16.0)
     z = circle_nodes(1.0, 16)
+    rep = ContourRepresentation(z, z)
     with pytest.raises(ValueError):
-        moments_from_z_contour(z, z, z, 0)
+        moments_from_z_contour(rep, z, 0)
     with pytest.raises(ValueError):
-        moments_from_z_contour(z, z, z[:15], 2)
+        moments_from_z_contour(rep, z[:15], 2)
+    z = circle_nodes(1.0, 17)
     with pytest.raises(ValueError):
-        moments_from_z_contour(z[:15], z[:15], z[:15], 2)
+        moments_from_z_contour(ContourRepresentation(z, z), z, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +531,7 @@ def test_roundtrip_measure_to_contour_to_moments():
             continue
         bp = critical_points(mu).branch_points_upper
         free = slit_free_radius(bp)
-        mc = circle_nodes(choose_m_contour(free, 1.0)[0], 512)
+        mc = circle_nodes(choose_m_contour(free, 0.5)[0], 512)
         s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, free))
         rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)

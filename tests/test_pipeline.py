@@ -15,8 +15,8 @@ from freedeconv.contours import (
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
-    moments_from_circle,
     moments_from_contour,
+    moments_from_z_contour,
 )
 from freedeconv.errors import (
     InvalidMomentsError,
@@ -80,6 +80,7 @@ def test_deconv_config_defaults_and_lift_mapping():
     cfg = DeconvConfig()
     assert asdict(cfg) == {"rank_tol": 1e-4, "max_support": 8}
     assert pipeline.CIRCLE_NODES == 512
+    assert pipeline.SETTLE_GAP == 1e-9
     assert MAX_MOMENTS == 16
     assert inversion.NEWTON_TOL == 1e-12
     assert inversion.MIN_STEP == 1e-9
@@ -217,6 +218,13 @@ def test_forward_contour_moments_match_the_exact_series():
         got = moments_from_contour(forward_contour(nu, c), 32).moments.values
         exact = forward_moment_series(nu, c, 32)
         assert np.max(np.abs(got / exact - 1.0)) < 1e-10, (nu, c)
+        # the Lagrange rule `forward_measure` takes them by, with m = M(z)
+        # and dm/dt explicit, needs no differentiated contour: its worst
+        # error read 1.4e-13 here, the G form's 1.1e-11
+        rep, dm = pipeline._forward_pass(nu, c)
+        got = moments_from_z_contour(rep, dm, 32).moments.values
+        err = np.abs(np.asarray(got) - exact) / np.maximum(1.0, exact)
+        assert np.max(err) < 1e-12, (nu, c)
 
 
 def test_forward_mp_g_conjugate_equivariant():
@@ -427,6 +435,17 @@ def test_a_pass_settled_at_the_start_matches_a_forced_doubled_pass(
         assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
 
 
+def _circle_rule(m, z):
+    # the contour of a counterclockwise m circle's image z, which winds
+    # clockwise: the nodes reversed, with G = (1 + m) / z on each.  Along
+    # it dm/dt is -i m on the first half, the lower nodes, and the upper
+    # half takes the conjugate mirror, -conj in reverse order
+    rm = m[::-1]
+    half = -1j * rm[: m.size // 2]
+    dm = np.concatenate([half, -np.conj(half[::-1])])
+    return ContourRepresentation(z[::-1], (1.0 + rm) / z[::-1]), dm
+
+
 def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
     monkeypatch, caplog
 ):
@@ -449,13 +468,14 @@ def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
     w = inversion.lift_many(proxy, m[:128], free)
     z = w / (1.0 + sc.c * m[:128])
     z = np.concatenate([z, np.conj(z[::-1])])
-    full, half = lagrange_sums(m, z, MAX_MOMENTS)
+    # in the order of the circle's contour, the nodes reversed
+    full, half = lagrange_sums(m[::-1], z[::-1], MAX_MOMENTS)
     scale = np.maximum(1.0, np.abs(full.real))
     assert np.max(np.abs((full - half).real) / scale) < 1e-12
     gap = np.max(np.abs(full - half) / scale)
-    circle = moments_from_circle(m, z, MAX_MOMENTS)
+    circle = moments_from_z_contour(*_circle_rule(m, z), MAX_MOMENTS)
     assert circle.half_gap == pytest.approx(gap, rel=1e-3)
-    assert circle.half_gap >= 1e-9
+    assert circle.half_gap >= pipeline.SETTLE_GAP
 
 
 @pytest.mark.parametrize("sc_id", ["S1", "S2_1", "S2_2", "S2_3", "S3"])
@@ -470,7 +490,8 @@ def test_the_contour_is_the_image_the_moments_were_taken_on(sc_id):
         d = res.diagnostics
         m = circle_nodes(d.contour_radius, d.nodes_used)
         sigma = res.contour.sigma
-        again = moments_from_circle(m, sigma[::-1], MAX_MOMENTS).moments
+        _, dm = _circle_rule(m, sigma[::-1])
+        again = moments_from_z_contour(res.contour, dm, MAX_MOMENTS).moments
         assert np.array_equal(again.values, res.moments_used.values)
         assert np.array_equal(res.contour.values, (1.0 + m[::-1]) / sigma)
 
@@ -569,11 +590,12 @@ def test_wide_sweep_draws_whose_circle_does_not_settle(
 def test_wide_sweep_draw_233_sits_on_the_imaginary_residue_gate():
     # the third: a circle of radius 0.038 whose pass is far from settled.
     # Its Lagrange sums cancel by 10 digits, so its imaginary residue, the
-    # 1e-6 gate of `moments_from_circle`, reads 5e-7 to 2e-6 by the last
-    # bits of the sample and the lift, and its moments lie 3e-6 to 3e-5
-    # from the series.  Whether the circle raises or does not settle, the
-    # run takes the z ellipse's moments, which match the series within
-    # 1e-10: rung (1e-4, 8), rank 4
+    # 1e-6 gate of `moments_from_z_contour`, is rounding, set by the last
+    # bits of the sample and the lift and by the order of the sums: 1.6e-6
+    # on the spectrum sampled with one BLAS thread, and 3.3e-8 with two,
+    # where the circle's moments lie 1.5e-5 from the series.  Whether the
+    # circle raises or does not settle, the run takes the z ellipse's
+    # moments, which match the series within 1e-10: rung (1e-4, 8), rank 4
     nu, c, mu_n = _wide_draw(233)
     proxy = pipeline._gauss_proxy(mu_n)
     free = slit_free_radius(critical_points(proxy).branch_points_upper)
@@ -583,12 +605,13 @@ def test_wide_sweep_draw_233_sits_on_the_imaginary_residue_gate():
     z = inversion.lift_many(proxy, m[:half], free) / (1.0 + c * m[:half])
     z = np.concatenate([z, np.conj(z[::-1])])
     try:
-        circle = moments_from_circle(m, z, MAX_MOMENTS)
+        circle = moments_from_z_contour(*_circle_rule(m, z), MAX_MOMENTS)
     except NoisyContourError as exc:
         assert 1e-6 <= exc.diagnostics["imag_residue"] < 1e-5
     else:
-        assert 1e-7 < circle.imag_residue < 1e-6
+        assert circle.imag_residue < 1e-6
         assert circle.half_gap > 1e-6
+        assert 3e-6 <= _series_gap(mu_n, c, circle.moments) <= 3e-5
     res = pipeline.deconvolve_with_retries(mu_n, c)
     d = res.diagnostics
     assert d.moment_rule == "z_ellipse"

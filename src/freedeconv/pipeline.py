@@ -12,15 +12,16 @@ moments m_0 .. m_MAX_MOMENTS of the estimate are kept, and each is a
 polynomial in the moments of mu_n of the same order or lower.  So the
 spectral stage runs on a GAUSS_NODES-point Gauss quadrature of mu_n,
 which has the same moments through that order, and its cost does not
-grow with the dimension p.  Every contour is closed from its upper half
-by the conjugate mirror, and its moments are taken by the one Lagrange
-rule of `moments_from_z_contour`, on the image sigma = Minv(m) of a
-curve m about 0.  That curve is the circle; or, where the circle's sums
-cancel too far to settle, the image m = M(z) of an ellipse in the z
-plane of mu_n, where the inverse branch is explicit; or, for the forward
-direction (nu to the spectrum of the product, the noise-free oracle),
-the image of a circle in the plane of the companion Stieltjes transform
-B under the inverse z(B) of the Marchenko-Pastur equation.
+grow with the dimension p.  Every contour's nodes are computed on its
+upper half and closed by the conjugate mirror, and its moments are taken
+by the one Lagrange rule of `moments_from_z_contour`, on the image
+sigma = Minv(m) of a curve m about 0.  That curve is the circle; or,
+where the circle's sums cancel too far to settle, the image m = M(z) of
+an ellipse in the z plane of mu_n, where the inverse branch is explicit;
+or, for the forward direction (nu to the spectrum of the product, the
+noise-free oracle), the image of a circle in the plane of the companion
+Stieltjes transform B under the inverse z(B) of the Marchenko-Pastur
+equation.
 """
 
 from __future__ import annotations
@@ -267,9 +268,9 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     # the image of the circle winds clockwise (z ~ m_1 / m), so its contour
     # runs over the nodes reversed, with dm/dt = -i m: first the lower
     # half, where z mirrors the upper, as transforms of real measures
-    # commute with conjugation.  G takes every node m as it is
+    # commute with conjugation.  G and dm take every node m as it is
     rm = m[::-1]
-    rep, dm = _closed(np.conj(z_upper), rm, -1j * rm[:half])
+    rep, dm = _closed(np.conj(z_upper), rm, -1j * rm)
     try:
         extracted = moments_from_z_contour(rep, dm, MAX_MOMENTS)
         fault = None
@@ -314,15 +315,16 @@ def _closed(
     """The contour and dm/dt of `moments_from_z_contour`, closed from the
     first half of the nodes by the conjugate mirror.
 
-    `sigma` = Minv(m) and `dm` hold the first half; `m` holds it too, or
-    every node where the caller has them.  The mirror conjugates sigma
-    and m in reverse order and turns dm/dt to -conj, as the node angle
-    runs the other way.  The values are G = (1 + m) / sigma.
+    `sigma` = Minv(m) holds the first half; `m` and `dm` hold it too, or
+    every node on the circle, whose `circle_nodes` are conjugate symmetric
+    only to the last bits.  The mirror conjugates sigma and m in reverse
+    order and turns dm/dt to -conj, as the node angle runs the other way.
+    The values are G = (1 + m) / sigma.
     """
     sigma = np.concatenate([sigma, np.conj(sigma[::-1])])
     if m.size < sigma.size:
         m = np.concatenate([m, np.conj(m[::-1])])
-    dm = np.concatenate([dm, -np.conj(dm[::-1])])
+        dm = np.concatenate([dm, -np.conj(dm[::-1])])
     return ContourRepresentation(sigma, (1.0 + m) / sigma), dm
 
 

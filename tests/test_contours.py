@@ -531,7 +531,7 @@ def test_roundtrip_measure_to_contour_to_moments():
             continue
         bp = critical_points(mu).branch_points_upper
         free = slit_free_radius(bp)
-        mc = circle_nodes(choose_m_contour(free, 0.5)[0], 512)
+        mc = circle_nodes(choose_m_contour(free, 0.99)[0], 512)
         s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, free))
         rep = contour_rep_from_s(s_vals, mc)
         cm = moments_from_contour(rep, 2 * mu.n_atoms)

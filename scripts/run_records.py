@@ -15,21 +15,24 @@ noise-free run deconvolves the exact forward spectrum with the default
 configuration, as the benchmark's ``noise_free_w1`` does.  It writes one
 JSON record per run: the outcome, the error class and stage of a failed
 run, and of a returned estimate the accepted rung, rank, ``nodes_used``,
-contour radius and its limiter, the moment rule, W1, atoms and weights.  Floats are written
-by repr, so they read back bit for bit.  The 213 records take about 4 s
-on a 2-core x86 machine, most of it sampling large_p's two p = 1600
-spectra.
+contour radius and its limiter, the moment rule, the settle gap and
+imaginary residue of the contour that carried it, W1, atoms and weights.
+Floats are written by repr, so they read back bit for bit.  The 213
+records take about 4 s on a 2-core x86 machine, most of it sampling
+large_p's two p = 1600 spectra.
 
 ``--sweep {uniform,wide}`` with ``--out`` records the 400 draws of that
 sweep instead, each run as a sampled run is, with W1 to the draw's own
 population.  ``tests/helpers.sweep_draws`` generates them; the recipes
 are at the top of ROADMAP.md "Open items".  A sweep takes about 2 s.
 
-``--diff A B`` lists the records that differ, with the fields that moved,
+``--diff A B`` lists the records that differ, with the fields that moved
+(a certificate move, of the settle gap or the residue, is listed too),
 and the largest moves of W1, atoms and radius.  It exits 1 if any run's
 outcome, accepted rung, rank or moment rule differs, or a run is missing
 from one file.  Records of both A and B must be written by a script that
-records the moment rule, or every returned estimate reads as moved.
+records the moment rule and both certificates, or every returned estimate
+reads as moved.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ def _estimate_record(result, w1: float) -> dict:
         "radius": d.contour_radius,
         "limiter": d.radius_limiter,
         "moment_rule": d.moment_rule,
+        "settle_gap": d.settle_gap,
+        "imag_residue": d.imag_residue,
         "w1": w1,
         "atoms": result.estimate.atoms.tolist(),
         "weights": result.estimate.weights.tolist(),

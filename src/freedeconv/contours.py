@@ -291,17 +291,19 @@ def choose_m_contour(free: float, c: float) -> tuple[float, str]:
 def circle_nodes(radius: float, n: int) -> np.ndarray:
     """n counterclockwise nodes on the circle |m| = radius.
 
-    Nodes sit at half-integer angles 2 pi (j + 1/2) / n, which keeps the
-    set conjugate-symmetric; for even n no node is real and the first n/2
-    nodes are the upper half.
+    Nodes sit at half-integer angles 2 pi (j + 1/2) / n.  The first n/2
+    are the upper half, and the rest their conjugates in reverse order,
+    with the real node -radius between them when n is odd: the set is
+    conjugate-symmetric to the bit.
     """
     _require_int("n", n)
     if n < 16:
         raise ValueError("need at least 16 contour nodes")
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be positive and finite")
-    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    return radius * np.exp(1j * theta)
+    theta = 2.0 * np.pi * (np.arange(n // 2) + 0.5) / n
+    upper = radius * np.exp(1j * theta)
+    return np.concatenate([upper, [-radius] * (n % 2), np.conj(upper[::-1])])
 
 
 def z_contour_nodes(

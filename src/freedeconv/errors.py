@@ -52,7 +52,8 @@ class NoContourError(NumericalError):
 
 
 class NoisyContourError(NumericalError):
-    """Contour moments carry an imaginary residue above tolerance."""
+    """Contour moments carry an imaginary residue or a mass off 1 above
+    tolerance, or the curve they would be taken on is no contour."""
 
 
 class InvalidMomentsError(NumericalError):

@@ -132,7 +132,10 @@ class DeconvDiagnostics:
     carried the Lagrange rule: `m_circle`, or `z_ellipse` when the
     circle's moments raised NoisyContourError or did not settle, and the
     ellipse of `z_contour_nodes` carried it at as many nodes.
-    `imag_residue` and `settle_gap` are that contour's: the gap is the
+    `imag_residue` and `settle_gap` are that contour's.  Every contour is
+    its upper half and the conjugate mirror of it, so the imaginary parts
+    of its Lagrange sums cancel pair by pair, and the residue reads only
+    the rounding of the sums, amplified where they cancel.  The gap is the
     largest distance, relative to max(1, |m_k|), between its complex
     Lagrange sums of orders k >= 1 on all nodes and on their even nodes,
     and `settled` is whether that gap is below SETTLE_GAP.  The upper
@@ -267,10 +270,10 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     t2 = time.perf_counter()
     # the image of the circle winds clockwise (z ~ m_1 / m), so its contour
     # runs over the nodes reversed, with dm/dt = -i m: first the lower
-    # half, where z mirrors the upper, as transforms of real measures
-    # commute with conjugation.  G and dm take every node m as it is
-    rm = m[::-1]
-    rep, dm = _closed(np.conj(z_upper), rm, -1j * rm)
+    # half, where m and z mirror the upper, as transforms of real measures
+    # commute with conjugation
+    lower = np.conj(m[:half])
+    rep, dm = _closed(np.conj(z_upper), lower, -1j * lower)
     try:
         extracted = moments_from_z_contour(rep, dm, MAX_MOMENTS)
         fault = None
@@ -298,8 +301,8 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         settled=settled,
         settle_gap=extracted.half_gap,
         moment_rule=rule,
-        lift_steps_total=int(np.sum(step_counts)),
-        lift_steps_max=int(np.max(step_counts)),
+        lift_steps_total=sum(step_counts),
+        lift_steps_max=max(step_counts),
         t_ramification_s=t_ram,
         t_lift_s=t2 - t1,
         t_moments_s=t3 - t2,
@@ -315,16 +318,13 @@ def _closed(
     """The contour and dm/dt of `moments_from_z_contour`, closed from the
     first half of the nodes by the conjugate mirror.
 
-    `sigma` = Minv(m) holds the first half; `m` and `dm` hold it too, or
-    every node on the circle, whose `circle_nodes` are conjugate symmetric
-    only to the last bits.  The mirror conjugates sigma and m in reverse
-    order and turns dm/dt to -conj, as the node angle runs the other way.
-    The values are G = (1 + m) / sigma.
+    `sigma` = Minv(m), `m` and `dm` hold the first half.  The mirror
+    conjugates sigma and m in reverse order and turns dm/dt to -conj, as
+    the node angle runs the other way.  The values are G = (1 + m) / sigma.
     """
     sigma = np.concatenate([sigma, np.conj(sigma[::-1])])
-    if m.size < sigma.size:
-        m = np.concatenate([m, np.conj(m[::-1])])
-        dm = np.concatenate([dm, -np.conj(dm[::-1])])
+    m = np.concatenate([m, np.conj(m[::-1])])
+    dm = np.concatenate([dm, -np.conj(dm[::-1])])
     return ContourRepresentation(sigma, (1.0 + m) / sigma), dm
 
 
@@ -340,13 +340,22 @@ def _z_plane_pass(
     every critical point, so the branch is single valued on its image;
     that image winds once about 0 and not about the S_MP pole -1/c, as
     the ellipse holds every pole and zero of M and of 1 + c M.  It takes
-    CIRCLE_NODES nodes, the lower half the mirror of the upper.
+    CIRCLE_NODES nodes, the lower half the mirror of the upper.  Near
+    c = 1 the image of the ellipse can run clockwise; an image that is no
+    counterclockwise contour raises NoisyContourError.
     """
     root = real_preimage(proxy, -1.0 / c)
     z, dz = z_contour_nodes(proxy.atoms, critical, root, CIRCLE_NODES)
     half = CIRCLE_NODES // 2
     f, d = moment_map(proxy, z[:half])
-    rep, dm = _closed(z[:half] / (1.0 + c * f), f, d * dz[:half])
+    try:
+        rep, dm = _closed(z[:half] / (1.0 + c * f), f, d * dz[:half])
+    except ValueError as exc:
+        raise NoisyContourError(
+            f"the image of the z ellipse is no contour: {exc}",
+            stage="z_plane_pass",
+            diagnostics={"c": c},
+        ) from exc
     return rep, moments_from_z_contour(rep, dm, MAX_MOMENTS)
 
 

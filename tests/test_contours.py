@@ -462,6 +462,21 @@ def test_circle_nodes_input_contracts():
             circle_nodes(radius, 64)
 
 
+@pytest.mark.parametrize("n", [16, 17, 512, 513])
+def test_circle_nodes_lower_half_is_the_exact_mirror_of_the_upper(n):
+    # the upper half is radius exp(2 pi i (j + 1/2) / n), each node taken
+    # on its own; the lower half is its reversed conjugate, and the middle
+    # node of an odd n is real, so a contour closed from the upper half by
+    # the mirror runs over these very nodes
+    mc = circle_nodes(0.7, n)
+    half = n // 2
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    assert np.array_equal(mc[:half], (0.7 * np.exp(1j * theta))[:half])
+    assert np.array_equal(mc[n - half :], np.conj(mc[:half][::-1]))
+    if n % 2:
+        assert (mc[half].real, mc[half].imag) == (-0.7, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # the z ellipse
 # ---------------------------------------------------------------------------

@@ -516,19 +516,21 @@ def test_spectral_stage_moments_match_the_series(sc_id, n, seed, tol):
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= tol
 
 
-@pytest.mark.parametrize(
-    "atoms, weights, c",
-    [
-        ((2.9635, 3.9618, 4.0518), (0.2656, 0.4802, 0.2542), 0.95),
-        ((1.8801, 1.3212, 1.7577), (0.4356, 0.3236, 0.2409), 0.95),
-        ((3.54, 7.8421, 5.2472), (0.3879, 0.3271, 0.285), 0.8),
-    ],
-)
+# populations and aspect ratios near c = 1 whose circle the S_MP pole caps
+MP_POLE_INPUTS = [
+    ((2.9635, 3.9618, 4.0518), (0.2656, 0.4802, 0.2542), 0.95),
+    ((1.8801, 1.3212, 1.7577), (0.4356, 0.3236, 0.2409), 0.95),
+    ((3.54, 7.8421, 5.2472), (0.3879, 0.3271, 0.285), 0.8),
+]
+
+
+@pytest.mark.parametrize("atoms, weights, c", MP_POLE_INPUTS)
 def test_circles_capped_by_the_mp_pole_settle(atoms, weights, c):
-    # inputs whose circle the S_MP pole caps match the series.  The first
-    # two settle at 512 nodes with gaps of 4.8e-10 and 1.8e-10; the third
-    # reads 1.5e-9 there, rounding near c = 1 rather than truncation, as
-    # its moments lie 8.9e-10 from the series
+    # inputs whose circle the S_MP pole caps match the series.  They settle
+    # at 512 nodes with gaps of 6.4e-11, 2.5e-10 and 8.7e-10, the last
+    # close to SETTLE_GAP; their moments lie 1.3e-9, 1.3e-10 and 4.6e-10
+    # from the series, so near c = 1 the gap reads rounding rather than
+    # truncation
     w = np.asarray(weights)
     mu = DiscreteMeasure(atoms, w / w.sum())
     spectral = pipeline._spectral_stage(mu, c)
@@ -539,6 +541,22 @@ def test_circles_capped_by_the_mp_pole_settle(atoms, weights, c):
     ref = deconvolved_moment_series(mu, c, MAX_MOMENTS)
     got = np.asarray(spectral.moments.values)
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-8
+
+
+@pytest.mark.parametrize("atoms, weights, c", MP_POLE_INPUTS)
+def test_a_z_ellipse_whose_image_runs_clockwise_raises_a_typed_error(
+    atoms, weights, c
+):
+    # near c = 1, sigma = z / (1 + c M(z)) maps the z ellipse of these
+    # inputs to a curve whose signed area is negative: the ellipse pass
+    # raises its own typed error, not the ValueError of
+    # ContourRepresentation
+    w = np.asarray(weights)
+    mu = DiscreteMeasure(atoms, w / w.sum())
+    critical = critical_points(mu).critical_points
+    with pytest.raises(NoisyContourError, match="runs clockwise") as info:
+        pipeline._z_plane_pass(mu, critical, c)
+    assert info.value.stage == "z_plane_pass"
 
 
 def _wide_draw(i):

@@ -11,8 +11,6 @@ from .contours import (
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
-    contour_rep_from_s,
-    moments_from_contour,
 )
 from .errors import (
     BaselineFailureError,
@@ -84,7 +82,6 @@ __all__ = [
     "baseline_subordination",
     "choose_m_contour",
     "circle_nodes",
-    "contour_rep_from_s",
     "critical_points",
     "deconvolve",
     "deconvolve_with_retries",
@@ -93,7 +90,6 @@ __all__ = [
     "jacobi_from_moments",
     "lift_many",
     "measure_from_jacobi",
-    "moments_from_contour",
     "recover_measure_detailed",
     "ree_assemble",
     "run_scenario",

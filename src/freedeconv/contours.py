@@ -5,9 +5,10 @@ every moment of the underlying measure by residue calculus; so does the
 inverse moment map along a curve that winds once about m = 0, by Lagrange
 inversion.  The contour is then the image sigma = Minv(m) of that curve,
 and the curve is a circle about 0 in the m plane or the image m = M(z) of
-a z contour of another measure.  This module discretizes both rules by
-the trapezoid rule, chooses that circle and that z contour, and maps a
-circle and S-transform values on it to a sampled G contour.
+a z contour of another measure.  This module discretizes the Lagrange
+rule by the trapezoid rule, with the residue rule for the mass m_0 alone,
+and chooses that circle and that z contour.  The pipeline builds the
+sampled contour, G = (1 + m) / sigma on the nodes sigma.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,6 @@ from .measures import MarchenkoPastur, MomentSequence, _require_int
 __all__ = [
     "ContourRepresentation",
     "ContourMoments",
-    "moments_from_contour",
-    "contour_rep_from_s",
     "moments_from_z_contour",
     "choose_m_contour",
     "circle_nodes",
@@ -114,7 +113,10 @@ class ContourRepresentation:
 
     @classmethod
     def from_csv(cls, path) -> "ContourRepresentation":
-        """Read nodes written by `to_csv`; ValueError names a malformed line."""
+        """Read nodes written by `to_csv`; ValueError names a malformed line.
+
+        The `t_index` column must count 0, 1, 2, ... in file order.
+        """
         sigmas = []
         vals = []
         with open(path, newline="") as fh:
@@ -126,6 +128,10 @@ class ContourRepresentation:
                 where = f"{path} line {reader.line_num}"
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"{where}: not 5 fields")
+                if row[0].strip() != str(len(sigmas)):
+                    raise ValueError(
+                        f"{where}: t_index {row[0]!r}, expected {len(sigmas)}"
+                    )
                 try:
                     re_s, im_s, re_v, im_v = map(float, row[1:])
                 except ValueError as exc:
@@ -151,46 +157,6 @@ class ContourMoments(NamedTuple):
     half_gap: float
 
 
-def _checked(sums: np.ndarray, half_gap: float, stage: str) -> ContourMoments:
-    scale = np.maximum(1.0, np.abs(sums.real))
-    residue = float(np.max(np.abs(sums.imag) / scale))
-    if residue >= 1e-6:
-        raise NoisyContourError(
-            f"imaginary moment residue {residue:.3e} exceeds 1e-6",
-            stage=stage,
-            diagnostics={"imag_residue": residue},
-        )
-    if abs(sums[0].real - 1.0) > 1e-6:
-        raise NoisyContourError(
-            f"contour mass {sums[0].real:.9f} is not 1; the contour misses "
-            "support or the transform values are unreliable",
-            stage=stage,
-            diagnostics={"mass": float(sums[0].real)},
-        )
-    return ContourMoments(MomentSequence(sums.real), residue, half_gap)
-
-
-def moments_from_contour(rep: ContourRepresentation, K: int) -> ContourMoments:
-    """Extract moments m_0..m_K by the trapezoid rule on a sampled G contour.
-
-    Real measures have real moments; the worst imaginary residue across
-    orders, scaled by max(1, |m_k|), is the quality diagnostic.  A residue
-    at or above 1e-6, or a mass off 1 by more than 1e-6, means the contour
-    does not faithfully enclose a probability measure.  `half_gap` is inf.
-    """
-    if K < 1:
-        raise ValueError("need at least orders 0 and 1")
-    sigma = rep.sigma
-    # sigma^k values dsigma for k = 0..K by one running product
-    g = rep.values * _parametric_derivative(sigma)
-    sums = np.empty(K + 1, dtype=complex)
-    for k in range(K + 1):
-        sums[k] = np.add.reduce(g)
-        np.multiply(g, sigma, out=g)
-    sums /= 1j * sigma.size
-    return _checked(sums, float("inf"), "moments_from_contour")
-
-
 def moments_from_z_contour(
     rep: ContourRepresentation, dm: np.ndarray, K: int
 ) -> ContourMoments:
@@ -203,10 +169,15 @@ def moments_from_z_contour(
     or M(Gamma) for a z contour Gamma of another measure whose moment map
     M is univalent outside it.  Lagrange inversion reads m_k =
     (1/2 pi i k) of Minv(m)^k dm = mean(i dm sigma^k) / k for k >= 1;
-    m_0 is the rule of `moments_from_contour`.  `half_gap` is the largest
+    m_0 is the residue sum (1/2 pi i) of G dsigma, with dsigma the
+    spectral derivative of the nodes.  `half_gap` is the largest
     distance, scaled by max(1, |m_k|), to the same sums over the n/2 even
     nodes: the coarser rule's error estimate, which bounds the full
-    one's.  Residue and mass are checked as in `moments_from_contour`.
+    one's.  Real measures have real moments, so the worst imaginary part
+    across orders, scaled by max(1, |m_k|), is `imag_residue`.  A residue
+    at or above 1e-6, or a mass m_0 off 1 by more than 1e-6, means the
+    contour does not faithfully enclose a probability measure, and
+    raises NoisyContourError.
     """
     if K < 1:
         raise ValueError("need at least orders 0 and 1")
@@ -224,36 +195,23 @@ def moments_from_z_contour(
         sums[:, k] = np.add.reduce(g), np.add.reduce(g[::2])
     sums[:, 1:] /= np.outer([n, n // 2], np.arange(1, K + 1))
     full, half = sums
-    gap = np.max(np.abs(full - half) / np.maximum(1.0, np.abs(full.real)))
-    return _checked(full, float(gap), "moments_from_z_contour")
-
-
-def contour_rep_from_s(
-    s_values: Sequence[complex], m_contour: Sequence[complex]
-) -> ContourRepresentation:
-    """Build a sampled G contour of a measure from its S-transform values.
-
-    `s_values[j]` is the S-transform at the node `m_contour[j]`.  Each node
-    m on a closed m-plane contour around 0 maps to z = (1+m)/(m s(m)),
-    where M(z) = m, hence G(z) = (1+m)/z on the image contour.  The image
-    of a counterclockwise m circle winds clockwise around the support
-    (z ~ m_1/m near 0), so nodes are reversed when needed to hand back a
-    counterclockwise representation.
-    """
-    m = _as_complex_nodes(m_contour, "m_contour")
-    if np.any(m == 0.0):
-        raise ValueError("m = 0 is the pole of the inverse moment map")
-    s = np.asarray(s_values, dtype=complex)
-    if s.shape != m.shape:
-        raise ValueError(
-            f"S values of shape {s.shape} do not match the {m.size} nodes"
+    scale = np.maximum(1.0, np.abs(full.real))
+    gap = np.max(np.abs(full - half) / scale)
+    residue = float(np.max(np.abs(full.imag) / scale))
+    if residue >= 1e-6:
+        raise NoisyContourError(
+            f"imaginary moment residue {residue:.3e} exceeds 1e-6",
+            stage="moments_from_z_contour",
+            diagnostics={"imag_residue": residue},
         )
-    z = (1.0 + m) / (m * s)
-    g = (1.0 + m) / z
-    if _signed_area(z) < 0.0:
-        z = z[::-1]
-        g = g[::-1]
-    return ContourRepresentation(z, g)
+    if abs(full[0].real - 1.0) > 1e-6:
+        raise NoisyContourError(
+            f"contour mass {full[0].real:.9f} is not 1; the contour misses "
+            "support or the transform values are unreliable",
+            stage="moments_from_z_contour",
+            diagnostics={"mass": float(full[0].real)},
+        )
+    return ContourMoments(MomentSequence(full.real), residue, float(gap))
 
 
 def choose_m_contour(free: float, c: float) -> tuple[float, str]:

@@ -316,8 +316,8 @@ def baseline_subordination(
     the axis.  The smoothing scale trades bias against stability and
     wants manual tuning.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     xs = np.linspace(0.0, 1.2 * float(np.max(mu3.atoms)), GRID_POINTS)
     mp = MarchenkoPastur(c)
 
@@ -456,10 +456,13 @@ def run_scenario(
     Runs are independent and execute on a process pool; reports come back
     in (n, seed) order regardless of completion order.  A failed run
     yields a report row with w1_error = nan and the error message, never
-    an exception.
+    an exception.  An unknown `method`, a `sigma` that is not positive and
+    finite, or a descending `n_list` raises ValueError before any run.
     """
     if method not in ("contour", "subordination"):
         raise ValueError("method must be 'contour' or 'subordination'")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     jobs = [

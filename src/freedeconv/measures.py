@@ -40,6 +40,21 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _json_numbers(data, name: str) -> np.ndarray:
+    """Float array of a flat JSON array of numbers; ValueError otherwise.
+
+    Booleans, strings and nested arrays are rejected, not converted.
+    """
+    if not isinstance(data, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
+    ):
+        raise ValueError(f"{name} must be a flat JSON array of numbers")
+    try:
+        return np.asarray(data, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _merge_close_atoms(atoms, weights):
     """Sort atoms and merge near-duplicates, adding their weights."""
     order = np.argsort(atoms)
@@ -165,7 +180,10 @@ class DiscreteMeasure:
         data = json.loads(text)
         if not isinstance(data, dict) or set(data) != {"atoms", "weights"}:
             raise ValueError("expected an object with 'atoms' and 'weights'")
-        return cls(np.asarray(data["atoms"], float), np.asarray(data["weights"], float))
+        return cls(
+            _json_numbers(data["atoms"], "atoms"),
+            _json_numbers(data["weights"], "weights"),
+        )
 
 
 @dataclass(frozen=True)
@@ -213,10 +231,7 @@ class MomentSequence:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of moments")
-        return cls(np.asarray(data, dtype=float))
+        return cls(_json_numbers(json.loads(text), "moments"))
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,9 @@ class DeconvConfig:
                 f"max_support must lie in [1, {MAX_MOMENTS // 2}], "
                 f"got {self.max_support}"
             )
+        # builtin scalars, so that `DeconvResult.to_json` can write them
+        object.__setattr__(self, "rank_tol", float(self.rank_tol))
+        object.__setattr__(self, "max_support", int(self.max_support))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ the radius the lift's sheet guard takes from the pole-major arrays of
 
 Three references sit on top of library code on purpose: `s_transform`
 composes the library's lift, `contour_moment` shares the spectral
-derivative of `moments_from_contour` and checks only its running product,
-and `qz_critical_points` shares the Newton polish and the certificate;
+derivative that `moments_from_z_contour` takes its mass by, and
+`qz_critical_points` shares the Newton polish and the certificate;
 `mp_critical_points` stands in for it where its roots fail that
 certificate.  `lagrange_sums` checks the running product and the
 even-node rule of `moments_from_z_contour`, and `deconvolved_moment_series`
@@ -344,11 +344,12 @@ def contour_moment(rep, k):
     """Reference k-th moment functional (1/2pi i) of z^k G(z) dz.
 
     The trapezoid sum over the contour's nodes with the spectral derivative
-    of sigma(t), each order's power sigma^k formed on its own: the
-    reference that the running product of `moments_from_contour` is held
-    against.  For exact values of G of a measure supported inside the
-    contour the result is the k-th moment up to the quadrature error,
-    which falls faster than any power of the node count.
+    of sigma(t), each order's power sigma^k formed on its own: the residue
+    rule, which checks the moments of a sampled G contour apart from the
+    Lagrange rule of `moments_from_z_contour`.  For exact values of G of a
+    measure supported inside the contour the result is the k-th moment up
+    to the quadrature error, which falls faster than any power of the node
+    count.
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")

@@ -26,7 +26,9 @@ sys.path.remove(str(BENCH))
 def test_tracer_finds_every_stage():
     original = pipeline.deconvolve
     with Tracer(STAGES) as tracer:
-        assert tracer.missing == []
+        # the G-form moment rule and the S-value contour builder left the
+        # package; the benchmark still lists them as stages
+        assert tracer.missing == ["contour_rep_from_s", "moments_from_contour"]
         # the package-level re-export is wrapped too
         assert freedeconv.deconvolve is not original
         assert freedeconv.deconvolve is pipeline.deconvolve

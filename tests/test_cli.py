@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from freedeconv.cli import build_parser, main
-from freedeconv.contours import ContourRepresentation, moments_from_contour
+from freedeconv.contours import ContourRepresentation
 from freedeconv.errors import InvalidMomentsError
 from freedeconv.experiments import REPORT_COLUMNS
 from freedeconv.measures import DiscreteMeasure
 from freedeconv.pipeline import deconvolve, forward_measure
-from helpers import moments_of
+from helpers import contour_moment, moments_of
 
 TWO = DiscreteMeasure([1.0, 2.0], [0.5, 0.5])
 
@@ -146,8 +146,8 @@ def test_cli_forward_contour_moments(tmp_path):
                "--out", str(out)])
     assert rc == 0
     rep = ContourRepresentation.from_csv(out)
-    cm = moments_from_contour(rep, 2)
-    assert np.allclose(cm.moments.values, [1.0, 1.0, 1.2], atol=1e-6)
+    got = [contour_moment(rep, k).real for k in range(3)]
+    assert np.allclose(got, [1.0, 1.0, 1.2], atol=1e-6)
 
 
 def test_cli_forward_rejects_a_negative_atom(tmp_path, capsys):
@@ -183,6 +183,22 @@ def test_cli_moments_reports_numerical_failure(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure at stage recover_measure")
+
+
+def test_cli_rejects_malformed_json_input(tmp_path, capsys):
+    # nested arrays, booleans and numeric strings are not read as numbers
+    inp = tmp_path / "moments.json"
+    inp.write_text("[[1, 1.5], [2.5, 4.5]]")
+    assert main(["moments", "--input", str(inp)]) == 2
+    assert "flat JSON array" in capsys.readouterr().err
+    pop = tmp_path / "pop.json"
+    pop.write_text('{"atoms": ["1.0", 2.0], "weights": [0.5, 0.5]}')
+    out = tmp_path / "contour.csv"
+    rc = main(["forward", "--population", str(pop), "--c", "0.2",
+               "--out", str(out)])
+    assert rc == 2
+    assert "flat JSON array" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +251,17 @@ def test_cli_scenario_names_the_modification_of_a_capped_scenario(
     assert lines[1].startswith("S2_2 contour n=250 median_w1=")
     with open(out, newline="") as fh:
         assert next(csv.reader(fh)) == list(REPORT_COLUMNS)
+
+
+def test_cli_scenario_rejects_a_non_finite_sigma(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    for sigma in ("nan", "inf"):
+        rc = main(["scenario", "--id", "S1", "--n", "250", "--seeds", "1",
+                   "--workers", "1", "--method", "subordination",
+                   "--sigma", sigma, "--out", str(out)])
+        assert rc == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,28 +9,23 @@ from freedeconv.contours import (
     _parametric_derivative,
     choose_m_contour,
     circle_nodes,
-    contour_rep_from_s,
-    moments_from_contour,
     moments_from_z_contour,
     z_contour_nodes,
 )
 from freedeconv.errors import NoContourError, NoisyContourError
-from freedeconv.experiments import SCENARIOS, toeplitz_spectrum
 from freedeconv.inversion import (
     critical_points,
     lift_many,
     real_preimage,
     slit_free_radius,
 )
-from freedeconv.measures import DiscreteMeasure, MarchenkoPastur
-from freedeconv.pipeline import forward_contour
+from freedeconv.measures import DiscreteMeasure
 
 from helpers import (
     contour_moment,
     is_conjugate_symmetric,
     lagrange_sums,
     moment_map,
-    mp_moment,
     rand_measure,
     winding_number,
 )
@@ -130,8 +125,12 @@ def test_contour_csv_rejects_foreign_header(tmp_path):
     "text, line",
     [("", 1), ("t_index,re_sigma,im_sigma,re_value,im_value\n"
                "0,1.0,0.0,1.0,0.0\n\n1,1.0\n", 4),
-     ("t_index,re_sigma,im_sigma,re_value,im_value\n0,abc,0,1,0\n", 2)],
-    ids=["empty_file", "short_row", "non_numeric_field"],
+     ("t_index,re_sigma,im_sigma,re_value,im_value\n0,abc,0,1,0\n", 2),
+     ("t_index,re_sigma,im_sigma,re_value,im_value\n"
+      "0,1.0,0.0,1.0,0.0\n2,0.0,1.0,0.0,1.0\n1,-1.0,0.0,-1.0,0.0\n", 3),
+     ("t_index,re_sigma,im_sigma,re_value,im_value\nabc,1.0,0,1,0\n", 2)],
+    ids=["empty_file", "short_row", "non_numeric_field", "swapped_rows",
+         "non_integer_index"],
 )
 def test_contour_csv_names_its_malformed_line(tmp_path, text, line):
     path = tmp_path / "bad.csv"
@@ -195,60 +194,8 @@ def test_contour_moment_deformation_invariance():
 
 
 # ---------------------------------------------------------------------------
-# moments_from_contour
+# moments_from_z_contour
 # ---------------------------------------------------------------------------
-
-def test_moments_from_contour_point_mass():
-    rep = _stieltjes_rep(DiscreteMeasure([1.0], [1.0]), 1.0, 1.0, 256)
-    cm = moments_from_contour(rep, 6)
-    assert np.allclose(cm.moments.values, np.ones(7), atol=1e-9)
-    assert cm.imag_residue < 1e-9
-
-
-def test_moments_from_contour_two_atoms():
-    rep = _stieltjes_rep(TWO, 1.5, 2.0, 512)
-    cm = moments_from_contour(rep, 4)
-    assert np.allclose(cm.moments.values, [1.0, 1.5, 2.5, 4.5, 8.5], atol=1e-8)
-
-
-def test_moments_from_contour_detects_partial_enclosure():
-    # circle around only the first atom carries mass 0.5, not 1
-    rep = _stieltjes_rep(TWO, 1.0, 0.5, 256)
-    with pytest.raises(NoisyContourError) as exc_info:
-        moments_from_contour(rep, 4)
-    assert exc_info.value.diagnostics["mass"] == pytest.approx(0.5, abs=1e-8)
-
-
-def test_moments_from_contour_detects_noisy_values():
-    sigma = _circle_nodes(1.5, 2.0, 256)
-    rep = ContourRepresentation(sigma, TWO.stieltjes(sigma) * (1.0 + 0.01j))
-    with pytest.raises(NoisyContourError) as exc_info:
-        moments_from_contour(rep, 4)
-    assert exc_info.value.diagnostics["imag_residue"] >= 1e-6
-
-
-def test_moments_from_contour_matches_contour_moment_order_by_order():
-    # the running product sigma^k and contour_moment's power round
-    # differently, each by a few eps of the sum of the absolute terms;
-    # at k = 16 that sum is up to 3 200 |m_k| on these contours
-    K = 16
-    for nu in (
-        SCENARIOS["S2_1"].population,
-        SCENARIOS["S2_3"].population,
-        toeplitz_spectrum(100, 0.3),
-    ):
-        rep = forward_contour(nu, 0.2)
-        got = moments_from_contour(rep, K).moments.values
-        terms = np.abs(rep.values * _parametric_derivative(rep.sigma))
-        for k in range(K + 1):
-            scale = np.sum(np.abs(rep.sigma) ** k * terms) / rep.n_nodes
-            assert abs(got[k] - contour_moment(rep, k).real) <= 1e-14 * scale
-
-
-def test_moments_from_contour_has_no_coarser_rule():
-    rep = _stieltjes_rep(TWO, 1.5, 0.7, 64)
-    assert moments_from_contour(rep, 4).half_gap == np.inf
-
 
 def _two_inverse(m):
     # Minv of TWO in closed form: m = 0.5/(z - 1) + 1/(z - 2) is the
@@ -304,56 +251,6 @@ def test_moments_from_z_contour_keeps_the_contour_checks():
     assert mass == pytest.approx(11.0 / 15.0, abs=1e-8)
     with pytest.raises(ValueError):
         moments_from_z_contour(*_circle_rule(m, z), 0)
-
-
-def test_moments_from_contour_needs_order_one():
-    rep = _stieltjes_rep(TWO, 1.5, 2.0, 64)
-    with pytest.raises(ValueError):
-        moments_from_contour(rep, 0)
-
-
-# ---------------------------------------------------------------------------
-# contour_rep_from_s
-# ---------------------------------------------------------------------------
-
-def test_contour_rep_from_s_point_mass():
-    # S of a point mass at a is the constant 1/a
-    a = 3.0
-    mc = _circle_nodes(0.0, 0.3, 64)
-    rep = contour_rep_from_s(np.full_like(mc, 1.0 / a), mc)
-    assert is_conjugate_symmetric(rep.sigma, rep.values)
-    # counterclockwise around the atom, although the image of the
-    # counterclockwise m circle runs clockwise
-    assert winding_number(rep.sigma, a) == 1
-    assert winding_number((1.0 + mc) * a / mc, a) == -1
-    assert contour_moment(rep, 1) == pytest.approx(a, abs=1e-10)
-
-
-def test_contour_rep_from_s_marchenko_pastur():
-    c = 0.2
-    mp = MarchenkoPastur(c)
-    mc = _circle_nodes(0.0, 0.3, 128)
-    rep = contour_rep_from_s(1.0 / (1.0 + c * mc), mc)
-    cm = moments_from_contour(rep, 3)
-    assert cm.moments.values[1] == pytest.approx(1.0, abs=1e-10)
-    assert cm.moments.values[2] == pytest.approx(1.0 + c, abs=1e-10)
-    # third moment 1 + 3c + c^2
-    assert cm.moments.values[3] == pytest.approx(mp_moment(mp, 3), abs=1e-9)
-    assert cm.moments.values[3] == pytest.approx(1.64, abs=1e-9)
-
-
-def test_contour_rep_from_s_input_contracts():
-    with pytest.raises(ValueError):
-        contour_rep_from_s(np.ones(8), _circle_nodes(0.0, 0.3, 8))
-    mc = _circle_nodes(0.0, 0.3, 64)
-    mc[0] = 0.0
-    with pytest.raises(ValueError):
-        contour_rep_from_s(np.ones(64), mc)
-    # one S value per node, in the nodes' shape
-    mc = _circle_nodes(0.0, 0.3, 64)
-    for s_values in (np.ones(63), np.ones(65), np.ones((64, 1)), 1.0 / 3.0):
-        with pytest.raises(ValueError, match="do not match"):
-            contour_rep_from_s(s_values, mc)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +444,8 @@ def test_roundtrip_measure_to_contour_to_moments():
         bp = critical_points(mu).branch_points_upper
         free = slit_free_radius(bp)
         mc = circle_nodes(choose_m_contour(free, 0.99)[0], 512)
-        s_vals = (1.0 + mc) / (mc * lift_many(mu, mc, free))
-        rep = contour_rep_from_s(s_vals, mc)
-        cm = moments_from_contour(rep, 2 * mu.n_atoms)
+        rep, dm = _circle_rule(mc, lift_many(mu, mc, free))
+        cm = moments_from_z_contour(rep, dm, 2 * mu.n_atoms)
         exact = np.array([mu.moment(k) for k in range(2 * mu.n_atoms + 1)])
         got = np.asarray(cm.moments.values, dtype=float)
         err = np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact)))

@@ -320,8 +320,9 @@ def test_baseline_fails_loudly_on_atomic_input():
 
 
 def test_baseline_input_contracts():
-    with pytest.raises(ValueError):
-        baseline_subordination(TWO, 0.2, sigma=0.0)
+    for sigma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            baseline_subordination(TWO, 0.2, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,11 @@ def test_run_scenario_empty_and_invalid_inputs():
         run_scenario(SCENARIOS["S1"], [500], "gradient", seeds=[1])
     with pytest.raises(ValueError):
         run_scenario(SCENARIOS["S1"], [500, 250], seeds=[1])
+    # the smoothing scale is checked before any run starts
+    for sigma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            run_scenario(SCENARIOS["S1"], [500], "subordination", seeds=[1],
+                         workers=1, sigma=sigma)
 
 
 def test_run_scenario_pool_matches_serial():

@@ -183,6 +183,21 @@ def test_measure_json_roundtrip_and_validation():
         DiscreteMeasure.from_json(json.dumps({"atoms": [1.0]}))
     with pytest.raises(ValueError):
         DiscreteMeasure.from_json(json.dumps([1.0, 2.0]))
+    # each field is a flat array of JSON numbers, neither nested nor
+    # booleans nor numeric strings, and an integer fits a float
+    for atoms, weights in (
+        ([[1.0], [2.0]], [0.5, 0.5]),
+        ([1.0, 2.0], [[0.5, 0.5]]),
+        (["1.0", 2.0], [0.5, 0.5]),
+        ([1.0, 2.0], ["0.5", 0.5]),
+        ([True, 2.0], [0.5, 0.5]),
+        ([1.0], [True]),
+        (1.0, 1.0),
+        ([10**400], [1.0]),
+    ):
+        text = json.dumps({"atoms": atoms, "weights": weights})
+        with pytest.raises(ValueError, match="flat JSON array|too large"):
+            DiscreteMeasure.from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +224,18 @@ def test_moment_sequence_of_measure_and_json():
     assert np.array_equal(back.values, ms.values)
     with pytest.raises(ValueError):
         MomentSequence.from_json(json.dumps({"m": [1.0]}))
+    for data in (
+        [[1, 1.5], [2.5, 4.5]],
+        [1.0, [1.5]],
+        [1.0, "1.5"],
+        [True, 1.5],
+        [1.0, False],
+        [1, 10**400],
+    ):
+        with pytest.raises(ValueError, match="flat JSON array|too large"):
+            MomentSequence.from_json(json.dumps(data))
+    # JSON integers are numbers
+    assert MomentSequence.from_json("[1, 2]").values.tolist() == [1.0, 2.0]
 
 
 def test_moment_sequence_keeps_extended_precision():

@@ -15,7 +15,6 @@ from freedeconv.contours import (
     ContourRepresentation,
     choose_m_contour,
     circle_nodes,
-    moments_from_contour,
     moments_from_z_contour,
 )
 from freedeconv.errors import (
@@ -43,6 +42,7 @@ from freedeconv.pipeline import (
 
 from helpers import (
     SWEEP_P,
+    contour_moment,
     crossing_count,
     deconvolved_moment_series,
     forward_moment_series,
@@ -106,6 +106,22 @@ def test_deconv_config_validation():
             DeconvConfig(rank_tol=bad)
 
 
+def test_deconv_config_stores_builtin_scalars():
+    # NumPy scalars pass validation and are stored as the builtins, so
+    # the result's JSON can write the config it ran with
+    cfg = DeconvConfig(rank_tol=np.float32(1e-3), max_support=np.int64(8))
+    assert type(cfg.rank_tol) is float and type(cfg.max_support) is int
+    sc = SCENARIOS["S3"]
+    mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
+    res = pipeline.deconvolve_with_retries(
+        mu_n, sc.c, DeconvConfig(max_support=np.int64(8))
+    )
+    assert json.loads(res.to_json())["config"]["max_support"] == 8
+    res = deconvolve(mu_n, sc.c, DeconvConfig(rank_tol=np.float32(1e-3)))
+    rank_tol = json.loads(res.to_json())["config"]["rank_tol"]
+    assert rank_tol == float(np.float32(1e-3))
+
+
 # ---------------------------------------------------------------------------
 # t_ratio
 # ---------------------------------------------------------------------------
@@ -148,22 +164,21 @@ def test_t_ratio_commutes_with_conjugation():
 def test_forward_contour_moments_point_mass():
     rep = forward_contour(ONE, 0.2)
     assert is_conjugate_symmetric(rep.sigma, rep.values)
-    cm = moments_from_contour(rep, 2)
+    got = [contour_moment(rep, k).real for k in range(3)]
     # product spectrum keeps mass 1 and mean 1; second moment is 1 + c
-    assert np.allclose(cm.moments.values, [1.0, 1.0, 1.2], atol=1e-6)
+    assert np.allclose(got, [1.0, 1.0, 1.2], atol=1e-6)
 
 
 def test_forward_contour_scales_mean_with_population():
     rep = forward_contour(DiscreteMeasure([2.0], [1.0]), 0.2)
-    cm = moments_from_contour(rep, 1)
-    assert cm.moments.values[1] == pytest.approx(2.0, abs=1e-6)
+    assert contour_moment(rep, 1).real == pytest.approx(2.0, abs=1e-6)
 
 
 def test_forward_contour_weak_noise_returns_population_moments():
     rep = forward_contour(TWO, 1e-6)
-    cm = moments_from_contour(rep, 4)
+    got = [contour_moment(rep, k).real for k in range(5)]
     exact = [TWO.moment(k) for k in range(5)]
-    assert np.allclose(cm.moments.values, exact, atol=1e-4)
+    assert np.allclose(got, exact, atol=1e-4)
 
 
 def test_forward_contour_satisfies_self_consistency():
@@ -215,12 +230,13 @@ def test_forward_contour_moments_match_the_exact_series():
         for _ in range(40)
     ]
     for nu, c in cases:
-        got = moments_from_contour(forward_contour(nu, c), 32).moments.values
+        rep = forward_contour(nu, c)
+        got = np.array([contour_moment(rep, k).real for k in range(33)])
         exact = forward_moment_series(nu, c, 32)
         assert np.max(np.abs(got / exact - 1.0)) < 1e-10, (nu, c)
         # the Lagrange rule `forward_measure` takes them by, with m = M(z)
         # and dm/dt explicit, needs no differentiated contour: its worst
-        # error read 1.4e-13 here, the G form's 1.1e-11
+        # error read 1.4e-13 here, the G form's 1.2e-11
         rep, dm = pipeline._forward_pass(nu, c)
         got = moments_from_z_contour(rep, dm, 32).moments.values
         err = np.abs(np.asarray(got) - exact) / np.maximum(1.0, exact)
@@ -640,7 +656,7 @@ def test_the_z_ellipse_matches_the_series():
     # every 16th draw of both sweeps, 50 inputs, and a sampled S3 and S2_3
     # spectrum: the z ellipse's moments match the 60-digit series within
     # 1e-10 and settle, and its contour carries G = (1 + m) / sigma, whose
-    # rule of `moments_from_contour` gives the same moments.  On all 800
+    # residue rule `contour_moment` gives the same moments.  On all 800
     # sweep draws the worst error read 9.2e-12
     inputs = [
         (sample_spectrum(nu, SWEEP_P, n, seed), c)
@@ -660,7 +676,7 @@ def test_the_z_ellipse_matches_the_series():
         ref = deconvolved_moment_series(proxy, c, MAX_MOMENTS)
         err = np.abs(np.asarray(got.moments.values) - ref)
         assert np.max(err / np.maximum(1.0, np.abs(ref))) <= 1e-10
-        again = moments_from_contour(rep, MAX_MOMENTS).moments.values
+        again = [contour_moment(rep, k).real for k in range(MAX_MOMENTS + 1)]
         err = np.abs(np.asarray(again) - ref)
         assert np.max(err / np.maximum(1.0, np.abs(ref))) <= 1e-9
 

@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 scripts/run_records.py --out before.json
     python3 scripts/run_records.py --sweep wide --out wide.json
+    python3 scripts/run_records.py --grid --out grid.json
     python3 scripts/run_records.py --diff before.json after.json
 
 ``--out`` runs, in this process with one BLAS thread, the seed 0-2 run
@@ -26,13 +27,23 @@ sweep instead, each run as a sampled run is, with W1 to the draw's own
 population.  ``tests/helpers.sweep_draws`` generates them; the recipes
 are at the top of ROADMAP.md "Open items".  A sweep takes about 2 s.
 
+``--grid`` with ``--out`` records the 260 inputs of the accuracy grid:
+S1, S2_1, S2_3 and S3 at n = 500, 2000 and 8000, plus S2_2 at n = 500,
+for seeds 1-20, keyed ``grid/<scenario>/n<n>/seed<seed>``, each run as a
+sampled run is, with W1 to the scenario's ``ground_truth(p)``.  It then
+prints each (scenario, n) cell's median W1 over seeds 1-5 and over seeds
+1-20, a failed run scoring inf, as ``tests/test_accuracy.py`` scores it.
+The grid takes about 50 s, most of it sampling the 80 p = 1600 spectra.
+
 ``--diff A B`` lists the records that differ, with the fields that moved
 (a certificate move, of the settle gap or the residue, is listed too),
 and the largest moves of W1, atoms and radius.  It exits 1 if any run's
 outcome, accepted rung, rank or moment rule differs, or a run is missing
 from one file.  Records of both A and B must be written by a script that
 records the moment rule and both certificates, or every returned estimate
-reads as moved.
+reads as moved.  Where the files hold grid records, it then prints the
+grid's cell medians for A and for B, their change, and the count of runs
+in each cell whose rank moved.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -50,6 +62,17 @@ SECONDS = 30
 SEEDS = {"small_p": (0, 1, 2), "near_square": (0, 1, 2), "large_p": (0,)}
 # fields whose change means a run took another path, not a rounding move
 PATH_FIELDS = ("outcome", "error", "stage", "rung", "rank", "moment_rule")
+# the accuracy grid: sample sizes per scenario, seeds, and the seeds of the
+# short half of its table
+GRID = {
+    "S1": (500, 2000, 8000),
+    "S2_1": (500, 2000, 8000),
+    "S2_2": (500,),
+    "S2_3": (500, 2000, 8000),
+    "S3": (500, 2000, 8000),
+}
+GRID_SEEDS = range(1, 21)
+SHORT_SEEDS = range(1, 6)
 
 
 def _estimate_record(result, w1: float) -> dict:
@@ -104,6 +127,73 @@ def sweep_records(kind: str) -> dict[str, dict]:
         f"sweep_{kind}/draw{i}": _sampled_record(nu, nu, c, SWEEP_P, n, seed)
         for i, (nu, c, n, seed) in enumerate(sweep_draws(kind))
     }
+
+
+def grid_records() -> dict[str, dict]:
+    """Every grid input's record, keyed by scenario, n and seed."""
+    from freedeconv.experiments import SCENARIOS
+
+    out = {}
+    for sc_id, sizes in GRID.items():
+        sc = SCENARIOS[sc_id]
+        for n in sizes:
+            p = round(sc.c * n)
+            truth = sc.ground_truth(p)
+            for seed in GRID_SEEDS:
+                out[f"grid/{sc_id}/n{n}/seed{seed}"] = _sampled_record(
+                    sc.population, truth, sc.c, p, n, seed
+                )
+    return out
+
+
+def _grid_cells(recs: dict) -> dict[tuple, dict]:
+    """The grid records of recs, as {(scenario, n): {seed: record}}."""
+    cells: dict[tuple, dict] = {}
+    for key, rec in recs.items():
+        if key.startswith("grid/"):
+            _, sc_id, n, seed = key.split("/")
+            cells.setdefault((sc_id, int(n[1:])), {})[int(seed[4:])] = rec
+    return dict(sorted(cells.items()))
+
+
+def _median_w1(cell: dict, seeds) -> float:
+    w1 = [
+        cell[s]["w1"] if cell[s]["outcome"] == "ok" else math.inf
+        for s in seeds if s in cell
+    ]
+    return statistics.median(w1) if w1 else math.nan
+
+
+def grid_table(*sides: dict) -> None:
+    """Print the median W1 of every grid cell over seeds 1-5 and 1-20, for
+    one record file or, with the change and the count of runs whose rank
+    moved, for two."""
+    cells = [_grid_cells(recs) for recs in sides]
+    keys = sorted(set().union(*cells))
+    if not keys:
+        return
+    two = len(sides) == 2
+    head = ["grid cell"]
+    for seeds in SHORT_SEEDS, GRID_SEEDS:
+        label = f"seeds {seeds[0]}-{seeds[-1]}"
+        head += [f"{label} A", f"{label} B", "change"] if two else [label]
+    rows = [head + ["rank moved"] * two]
+    for key in keys:
+        per = [c.get(key, {}) for c in cells]
+        row = [f"{key[0]} n={key[1]}"]
+        for seeds in SHORT_SEEDS, GRID_SEEDS:
+            med = [_median_w1(cell, seeds) for cell in per]
+            row += [f"{m:.4f}" for m in med]
+            if two:
+                row.append(f"{med[1] - med[0]:+.4f}")
+        if two:
+            a, b = per
+            moved = [a[s].get("rank") != b[s].get("rank")
+                     for s in a.keys() & b.keys()]
+            row.append(str(sum(moved)))
+        rows.append(row)
+    for row in rows:
+        print(row[0].ljust(12) + "".join(cell.rjust(14) for cell in row[1:]))
 
 
 def records() -> dict[str, dict]:
@@ -187,6 +277,7 @@ def diff(a: dict, b: dict) -> int:
     )
     if changed_path:
         print("some run changed its outcome, accepted rung, rank or rule")
+    grid_table(a, b)
     return int(changed_path)
 
 
@@ -196,22 +287,29 @@ def main(argv=None) -> int:
     group.add_argument("--out", metavar="FILE", help="write the run records")
     group.add_argument("--diff", nargs=2, metavar=("A", "B"),
                        help="compare two record files")
-    parser.add_argument("--sweep", choices=("uniform", "wide"),
+    inputs = parser.add_mutually_exclusive_group()
+    inputs.add_argument("--sweep", choices=("uniform", "wide"),
                         help="with --out, record that sweep's 400 draws")
+    inputs.add_argument("--grid", action="store_true",
+                        help="with --out, record the 260 grid inputs")
     args = parser.parse_args(argv)
-    if args.sweep and not args.out:
-        parser.error("--sweep needs --out")
+    if (args.sweep or args.grid) and not args.out:
+        parser.error("--sweep and --grid need --out")
     if args.diff:
         a, b = (json.loads(Path(f).read_text()) for f in args.diff)
         return diff(a, b)
     for var in BLAS_VARS:
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / d) for d in ("src", "bench", "tests")]
-    recs = sweep_records(args.sweep) if args.sweep else records()
+    if args.grid:
+        recs = grid_records()
+    else:
+        recs = sweep_records(args.sweep) if args.sweep else records()
     text = json.dumps(recs, indent=1, sort_keys=True)
     Path(args.out).write_text(text + "\n")
     failed = sum(r["outcome"] != "ok" for r in recs.values())
     print(f"{len(recs)} records, {failed} failed, written to {args.out}")
+    grid_table(recs)
     return 0
 
 

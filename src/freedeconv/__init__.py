@@ -51,6 +51,7 @@ from .pipeline import (
 )
 from .recovery import (
     JacobiCoefficients,
+    hankel_factor,
     jacobi_from_moments,
     measure_from_jacobi,
     recover_measure_detailed,
@@ -87,6 +88,7 @@ __all__ = [
     "deconvolve_with_retries",
     "forward_contour",
     "forward_measure",
+    "hankel_factor",
     "jacobi_from_moments",
     "lift_many",
     "measure_from_jacobi",

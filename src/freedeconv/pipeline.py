@@ -58,7 +58,10 @@ from .contours import (
     z_contour_nodes,
 )
 from .recovery import (
+    HankelFactor,
     JacobiCoefficients,
+    _require_tol,
+    hankel_factor,
     measure_from_jacobi,
     recover_measure_detailed,
 )
@@ -107,10 +110,7 @@ class DeconvConfig:
     max_support: int = 8
 
     def __post_init__(self):
-        if not 0.0 < self.rank_tol < np.inf:
-            raise ValueError(
-                f"rank_tol must be positive and finite, got {self.rank_tol}"
-            )
+        _require_tol("rank_tol", self.rank_tol)
         _require_int("max_support", self.max_support)
         if not 1 <= self.max_support <= MAX_MOMENTS // 2:
             raise ValueError(
@@ -147,15 +147,21 @@ class DeconvDiagnostics:
     inverse branch, corrected once, reaches every node, more when the
     march has to shorten its first step.  `lift_steps_total` sums the
     count over the nodes, and `lift_steps_max` is the longest march.
-    `moment_error` is the worst relative error in the estimate's moments
-    of orders 0 to 2 rank - 1: recovery's rounding, not a fit, as any
-    Gauss rule reproduces those.
+    `pivots` are the scaled Hankel Cholesky pivots of the moments, to order
+    MAX_MOMENTS // 2, through the first one that is not positive: the
+    rank is the index of the first one below `rank_tol`, capped at
+    `max_support`.  `moment_error` is the worst relative error in the
+    estimate's moments of orders 0 to 2 rank - 1: recovery's rounding,
+    not a fit, as any Gauss rule reproduces those.  `t_moments_s` includes
+    the Hankel factorization, made once per input, and `t_recovery_s` is
+    the call's own rank cut, eigensolve and moment check.
     `t_total_s` is the spectral stage's wall time plus the call's own, so
     a retry rung that reuses the stage reports what a direct call would.
     """
 
     imag_residue: float
     rank: int
+    pivots: tuple
     moment_error: float
     proxy_atoms: int
     n_slits: int
@@ -235,21 +241,24 @@ def _gauss_proxy(mu_n: DiscreteMeasure) -> DiscreteMeasure:
 class _Spectral(NamedTuple):
     """What the spectral stage hands to recovery, and what it was built from.
 
-    `diagnostics` holds the stage's own `DeconvDiagnostics` fields, by
-    name; `wall_s` is the stage's wall time.
+    `factor` is the Hankel factorization of `moments`, to order
+    MAX_MOMENTS // 2, that every recovery reads.  `diagnostics`
+    holds the stage's own `DeconvDiagnostics` fields, by name; `wall_s` is
+    the stage's wall time.
     """
 
     mu_n: DiscreteMeasure
     c: float
     contour: ContourRepresentation
     moments: MomentSequence
+    factor: HankelFactor
     diagnostics: dict
     wall_s: float
 
 
 def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     """Ramification, radius, one lift of the circle, and its moments, or
-    the z ellipse's where the circle's do not settle.
+    the z ellipse's where the circle's do not settle, factored once.
 
     All of them run on the Gauss proxy of `mu_n`.  An aspect ratio outside
     (0, 1) raises ValueError before any of them.
@@ -289,6 +298,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         log.warning("circle moments %s; taking the z ellipse's", fault)
         rule = "z_ellipse"
         rep, extracted = _z_plane_pass(proxy, ramification.critical_points, c)
+    factor = hankel_factor(extracted.moments, MAX_MOMENTS // 2)
     t3 = time.perf_counter()
     settled = extracted.half_gap < SETTLE_GAP
     if not settled:
@@ -304,6 +314,7 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         settled=settled,
         settle_gap=extracted.half_gap,
         moment_rule=rule,
+        pivots=tuple(map(float, factor.pivots)),
         lift_steps_total=sum(step_counts),
         lift_steps_max=max(step_counts),
         t_ramification_s=t_ram,
@@ -311,7 +322,8 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         t_moments_s=t3 - t2,
     )
     return _Spectral(
-        mu_n, c, rep, extracted.moments, diagnostics, time.perf_counter() - t0
+        mu_n, c, rep, extracted.moments, factor, diagnostics,
+        time.perf_counter() - t0,
     )
 
 
@@ -412,7 +424,7 @@ def deconvolve(
 
     t0 = time.perf_counter()
     report = recover_measure_detailed(
-        spectral.moments, cfg.max_support, cfg.rank_tol
+        spectral.factor, cfg.max_support, cfg.rank_tol
     )
     t_recovery = time.perf_counter() - t0
     estimate = report.measure
@@ -446,9 +458,11 @@ def deconvolve_with_retries(
     arithmetic.  When recovery rejects the moments, the ladder raises the
     rank tolerance 10x and 100x, then lowers the support cap two at a time
     down to 1, so only statistically reliable low moments are used.  `cfg`
-    is the first rung.  The ladder computes the spectral stage once and
-    hands it to each rung, one `deconvolve` call that runs recovery
-    alone.  The result records the accepted rung as its `config`.  The
+    is the first rung.  The ladder computes the spectral stage once, the
+    Hankel factorization of its moments included, and hands it to each
+    rung: one `deconvolve` call, whose recovery reads the rung's rank off
+    the factorization's pivots, then runs the eigensolve and the sanity
+    window.  The result records the accepted rung as its `config`.  The
     last rung, (100 rank_tol, 1), recovers rank 1: the point mass at m_1,
     which S_MP preserves, so it lies inside the sanity window.  The ladder
     therefore raises InvalidMomentsError, the last rung's, only when

@@ -14,7 +14,10 @@ there.  A caller who builds long-double moments gets a long-double
 factorization.  The Jacobi coefficients are stored in double precision,
 and the final eigenproblem is solved as a dense symmetric one: the
 pipeline's Jacobi matrices have at most 9 rows, those of its Gauss proxy.
-The rank is recorded once, as the length of the Jacobi coefficients, and
+The factorization, `hankel_factor`, runs once per moment sequence and
+keeps its pivots: a rank cut at any tolerance and any order up to its
+own is a read of them, so the retry ladder factors once per input.  The
+rank is recorded once, as the length of the Jacobi coefficients, and
 `recover_measure_detailed` is the one entry point of the whole chain.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +33,10 @@ from .errors import InvalidMomentsError, NumericalError
 from .measures import DiscreteMeasure, MomentSequence, _require_int
 
 __all__ = [
+    "HankelFactor",
     "JacobiCoefficients",
     "RecoveryReport",
+    "hankel_factor",
     "jacobi_from_moments",
     "measure_from_jacobi",
     "recover_measure_detailed",
@@ -92,24 +98,33 @@ def _scaled_moments(values: np.ndarray) -> tuple[np.ndarray, float]:
     return values / factors, s
 
 
-def jacobi_from_moments(
-    moments: MomentSequence, n: int, tol: float = DEFAULT_RANK_TOL
-) -> JacobiCoefficients:
-    """Recurrence coefficients from moments m_0 .. m_(2n-1).
+def _require_tol(name: str, tol) -> None:
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
-    Runs a rectangular Cholesky factorization of the extended Hankel matrix
-    in the dtype of the moments: L[i, j] is the j-th orthonormal-basis
-    coefficient of x^i.  The coefficients come off its two diagonals: with
-    d_j = L[j, j] and q_j = L[j+1, j] / d_j, a_j = q_j - q_(j-1) (q_(-1) = 0)
-    and b_j = (d_j / d_(j-1))^2.  A pivot below tol (relative to m_0 = 1
-    after rescaling) cuts the rank: the moments carry fewer than n support
-    points.  A pivot below -tol is a certificate that the input is not a
-    moment sequence.
+
+class HankelFactor(NamedTuple):
+    """What `hankel_factor` computed: the Cholesky factor of the moments
+    rescaled by x -> x / scale, and every pivot it took."""
+
+    moments: MomentSequence
+    scale: float
+    pivots: np.ndarray
+    factor: np.ndarray
+
+
+def hankel_factor(moments: MomentSequence, n: int) -> HankelFactor:
+    """Scaled Hankel Cholesky of the moments m_0 .. m_(2n-1), to order n.
+
+    A rectangular Cholesky factorization of the extended Hankel matrix, in
+    the dtype of the moments: L[i, j] is the j-th orthonormal-basis
+    coefficient of x^i.  It stops after the first pivot that is not
+    positive (a NaN pivot does not stop it), so the rank cut at every
+    tolerance and every order up to n reads the one factorization.
     """
+    _require_int("n", n)
     if n < 1:
         raise ValueError("need at least one recurrence coefficient")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if moments.order < 2 * n - 1:
         raise ValueError(
             f"{n} recurrence coefficients need moments up to m_{2 * n - 1}, "
@@ -118,9 +133,27 @@ def jacobi_from_moments(
     m, s = _scaled_moments(np.asarray(moments.values))
     rows = n + 1
     L = np.zeros((rows, n), dtype=m.dtype)
-    rank = n
+    pivots = []
     for j in range(n):
         pivot = m[2 * j] - np.sum(L[j, :j] ** 2)
+        pivots.append(pivot)
+        if pivot <= 0.0:
+            break
+        L[j, j] = np.sqrt(pivot)
+        acc = m[2 * j + 1 : rows + j] - L[j + 1 :, :j] @ L[j, :j]
+        L[j + 1 :, j] = acc / L[j, j]
+    return HankelFactor(moments, s, np.array(pivots, dtype=m.dtype), L)
+
+
+def _rank_cut(hf: HankelFactor, n: int, tol: float) -> JacobiCoefficients:
+    """Jacobi coefficients of order at most n, read off `hf`: the rank is
+    the index of the first of its first n pivots below tol, or n, and that
+    pivot below -tol raises.  With d_j = L[j, j] and q_j = L[j+1, j] / d_j,
+    a_j = q_j - q_(j-1) (q_(-1) = 0) and b_j = (d_j / d_(j-1))^2.
+    """
+    _require_tol("tol", tol)
+    rank = n
+    for j, pivot in enumerate(hf.pivots[:n]):
         if pivot < -tol:
             raise InvalidMomentsError(
                 f"Hankel pivot {float(pivot):.3e} at column {j} is negative "
@@ -131,14 +164,12 @@ def jacobi_from_moments(
         if pivot < tol:
             rank = j
             break
-        L[j, j] = np.sqrt(pivot)
-        acc = m[2 * j + 1 : rows + j] - L[j + 1 :, :j] @ L[j, :j]
-        L[j + 1 :, j] = acc / L[j, j]
     if rank == 0:
         raise InvalidMomentsError(
             "leading Hankel pivot vanished; no mass to recover",
             stage="recover_measure",
         )
+    L, s = hf.factor, hf.scale
     d = np.diag(L)[:rank]
     q = np.diag(L, -1)[:rank] / d
     a = q.copy()
@@ -147,6 +178,16 @@ def jacobi_from_moments(
     return JacobiCoefficients(
         np.asarray(a * s, dtype=float), np.asarray(b * s * s, dtype=float)
     )
+
+
+def jacobi_from_moments(
+    moments: MomentSequence, n: int, tol: float = DEFAULT_RANK_TOL
+) -> JacobiCoefficients:
+    """Recurrence coefficients from moments m_0 .. m_(2n-1), off the two
+    diagonals of `hankel_factor(moments, n)`.  A pivot below tol (relative
+    to m_0 = 1 after rescaling) cuts the rank; a pivot below -tol raises
+    InvalidMomentsError, a certificate of no moment sequence."""
+    return _rank_cut(hankel_factor(moments, n), n, tol)
 
 
 def measure_from_jacobi(jc: JacobiCoefficients) -> DiscreteMeasure:
@@ -187,29 +228,33 @@ class RecoveryReport:
 
 
 def recover_measure_detailed(
-    moments: MomentSequence, max_support: int, tol: float = DEFAULT_RANK_TOL
+    moments: MomentSequence | HankelFactor,
+    max_support: int,
+    tol: float = DEFAULT_RANK_TOL,
 ) -> RecoveryReport:
     """Discrete measure reproducing the given moments, rank-truncated at
     tol, with diagnostics: the one entry point of recovery.
 
     Chooses the largest tractable Hankel order given the available moments
     and the requested support bound, extracts the recurrence, and
-    diagonalizes.  The scaled Cholesky pivots of `jacobi_from_moments` both
-    reject non-moments and truncate the rank.  The report's moment errors
-    cover the Gauss-exactness range k <= 2 rank - 1, which the recovered
-    Gauss rule reproduces by construction: they read recovery's rounding,
-    not how well the measure fits the moments.
+    diagonalizes.  `moments` is a moment sequence, or its `hankel_factor`,
+    which is then read and not computed again: the order is capped by the
+    factor's.  The scaled Cholesky pivots both reject non-moments and
+    truncate the rank, as `jacobi_from_moments` says.  The report's moment
+    errors cover the Gauss-exactness range k <= 2 rank - 1, which the
+    recovered Gauss rule reproduces by construction: they read recovery's
+    rounding, not how well the measure fits the moments.
     """
     _require_int("max_support", max_support)
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
-    n = min(max_support, (moments.order + 1) // 2)
-    if n < 1:
-        raise ValueError("need moments at least up to m_1")
-    jc = jacobi_from_moments(moments, n, tol)
+    hf = moments
+    if not isinstance(hf, HankelFactor):
+        hf = hankel_factor(moments, min(max_support, (moments.order + 1) // 2))
+    jc = _rank_cut(hf, min(max_support, hf.factor.shape[1]), tol)
     mu = measure_from_jacobi(jc)
-    upto = min(2 * jc.rank - 1, moments.order)
-    want = np.asarray(moments.values[: upto + 1], dtype=float)
+    upto = min(2 * jc.rank - 1, hf.moments.order)
+    want = np.asarray(hf.moments.values[: upto + 1], dtype=float)
     got = mu.atoms ** np.arange(upto + 1)[:, None] @ mu.weights
     errs = np.abs(got - want) / np.maximum(1.0, np.abs(want))
     worst = float(np.max(errs))

@@ -12,7 +12,12 @@ import scipy.linalg
 import freedeconv.contours as contours
 import freedeconv.experiments as experiments
 import freedeconv.pipeline as pipeline
-from freedeconv.errors import BaselineFailureError, NumericalError
+import freedeconv.recovery as recovery
+from freedeconv.errors import (
+    BaselineFailureError,
+    InvalidMomentsError,
+    NumericalError,
+)
 from freedeconv.experiments import (
     REPORT_COLUMNS,
     SCENARIOS,
@@ -34,6 +39,7 @@ from freedeconv.pipeline import (
     deconvolve,
     forward_measure,
 )
+from freedeconv.recovery import recover_measure_detailed
 from helpers import (
     dense_sample_spectrum,
     dense_toeplitz_spectrum,
@@ -409,13 +415,19 @@ def test_a_failed_run_writes_its_stage_to_the_csv(monkeypatch, tmp_path):
 def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):
     # S1 at n = 250, seed 33 succeeds only on the last of the 7 rungs
     # (rank_tol 1e-2, max_support 1); every rung calls deconvolve with
-    # the spectral stage the ladder computed once
-    ramified, rungs = [], []
+    # the spectral stage the ladder computed once, and its recovery reads
+    # the one Hankel factorization of that stage
+    ramified, factored, rungs = [], [], []
     critical_points = pipeline.critical_points
+    hankel_factor = recovery.hankel_factor
 
     def counted_ramification(mu):
         ramified.append(mu)
         return critical_points(mu)
+
+    def counted_factor(moments, n):
+        factored.append(n)
+        return hankel_factor(moments, n)
 
     def counted_rung(mu, c, cfg, **kwargs):
         rungs.append(cfg)
@@ -423,11 +435,14 @@ def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "critical_points", counted_ramification)
     monkeypatch.setattr(pipeline, "deconvolve", counted_rung)
+    for module in (pipeline, recovery):
+        monkeypatch.setattr(module, "hankel_factor", counted_factor)
     sc = SCENARIOS["S1"]
     mu_n = sample_spectrum(sc.population, 50, 250, 33)
     result = pipeline.deconvolve_with_retries(mu_n, sc.c)
     assert len(rungs) == 7
     assert len(ramified) == 1
+    assert factored == [pipeline.MAX_MOMENTS // 2]
     last = rungs[-1]
     assert (last.rank_tol, last.max_support) == (1e-2, 1)
     assert result.config == last
@@ -439,6 +454,68 @@ def test_retry_ladder_runs_the_spectral_stage_once(monkeypatch):
     assert repr(wasserstein_1(result.estimate, truth)) == repr(
         wasserstein_1(direct.estimate, truth)
     )
+
+
+# the ladder of the default config, and (scenario, n, seed) inputs that it
+# accepts at four different rungs: S1 at n = 250, seed 33 at the last, and
+# three inputs of the benchmark's small_p run list at the first three
+DEFAULT_LADDER = [
+    (1e-4, 8), (1e-3, 8), (1e-2, 8), (1e-2, 6), (1e-2, 4), (1e-2, 2),
+    (1e-2, 1),
+]
+LADDER_INPUTS = {
+    ("S1", 250, 33): (1e-2, 1),
+    ("S2_1", 500, 1): (1e-4, 8),
+    ("S1", 500, 1): (1e-3, 8),
+    ("S1", 500, 10): (1e-2, 8),
+}
+
+
+def _recovered(moments, max_support, rank_tol):
+    """Every number a recovery returns, by repr, or the error it raised."""
+    try:
+        rep = recover_measure_detailed(moments, max_support, rank_tol)
+    except InvalidMomentsError as exc:
+        return repr(exc)
+    return repr([
+        np.asarray(v).tolist()
+        for v in (rep.measure.atoms, rep.measure.weights, rep.moment_errors,
+                  rep.coefficients.a, rep.coefficients.b)
+    ])
+
+
+def test_every_rung_reads_its_rank_off_one_pivot_sequence():
+    outcomes = set()
+    for (sc_id, n, seed), accepted in LADDER_INPUTS.items():
+        sc = SCENARIOS[sc_id]
+        mu_n = sample_spectrum(sc.population, round(sc.c * n), n, seed)
+        result = pipeline.deconvolve_with_retries(mu_n, sc.c)
+        assert (result.config.rank_tol, result.config.max_support) == accepted
+        stage = pipeline._spectral_stage(mu_n, sc.c)
+        factor = stage.factor
+        assert factor.factor.shape[1] == pipeline.MAX_MOMENTS // 2
+        assert stage.diagnostics["pivots"] == tuple(factor.pivots.tolist())
+        for rank_tol, max_support in DEFAULT_LADDER:
+            # the rank is the index of the first pivot below the rung's
+            # tolerance, capped at its support; that pivot below -tol raises
+            pivots = factor.pivots[:max_support].tolist()
+            below = [k for k, v in enumerate(pivots) if v < rank_tol]
+            rank = below[0] if below else max_support
+            if below and pivots[rank] < -rank_tol:
+                with pytest.raises(InvalidMomentsError, match="pivot"):
+                    recover_measure_detailed(factor, max_support, rank_tol)
+                outcomes.add("raised")
+            else:
+                report = recover_measure_detailed(
+                    factor, max_support, rank_tol
+                )
+                assert report.coefficients.rank == rank
+                outcomes.add("read")
+            if max_support == pipeline.MAX_MOMENTS // 2:
+                assert _recovered(factor, max_support, rank_tol) == _recovered(
+                    stage.moments, max_support, rank_tol
+                )
+    assert outcomes == {"raised", "read"}
 
 
 # ---------------------------------------------------------------------------

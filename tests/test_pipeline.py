@@ -101,7 +101,8 @@ def test_deconv_config_validation():
             DeconvConfig(max_support=bad)
     DeconvConfig(max_support=MAX_MOMENTS // 2)
     DeconvConfig(max_support=1)
-    for bad in (0.0, -1e-6, float("nan"), float("inf")):
+    for bad in (0.0, -1e-6, float("nan"), float("inf"), True,
+                np.True_):
         with pytest.raises(ValueError, match="rank_tol"):
             DeconvConfig(rank_tol=bad)
 
@@ -345,6 +346,7 @@ def test_deconvolve_result_json_schema():
     assert list(payload["diagnostics"]) == [
         "imag_residue",
         "rank",
+        "pivots",
         "moment_error",
         "proxy_atoms",
         "n_slits",
@@ -373,6 +375,14 @@ def test_deconvolve_result_json_schema():
     d = payload["diagnostics"]
     assert d["n_slits"] == d["proxy_atoms"] - 1
     assert d["radius_limiter"] == "unit_cap"
+    # the scaled Hankel pivots of the order-8 factorization, through the
+    # first one that is not positive; the rank cut stops at the first
+    # one below rank_tol
+    assert 1 <= len(d["pivots"]) <= MAX_MOMENTS // 2
+    assert type(res.diagnostics.pivots) is tuple
+    assert all(type(v) is float for v in res.diagnostics.pivots)
+    below = [k for k, v in enumerate(d["pivots"]) if v < 1e-4]
+    assert d["rank"] == (below[0] if below else MAX_MOMENTS // 2)
 
 
 def test_deconvolve_reports_the_chosen_radius_exactly():

@@ -121,6 +121,12 @@ def test_jacobi_requires_enough_moments():
         jacobi_from_moments(ms, 3)
     with pytest.raises(ValueError):
         jacobi_from_moments(ms, 0)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            jacobi_from_moments(ms, bad)
+    for check, n in ((jacobi_from_moments, 1), (recover_measure_detailed, 2)):
+        with pytest.raises(ValueError, match="tol"):
+            check(ms, n, tol=True)
 
 
 def test_jacobi_rejects_indefinite_input():

@@ -4,10 +4,10 @@ The scenario registry pairs named population spectra with aspect ratios.
 `sample_spectrum` draws the empirical eigenvalue measure of a sample
 covariance matrix for a given population from the Bartlett factor of a
 Wishart matrix (Bartlett 1933; Muirhead 1982, Thm 3.2.14), so it draws
-p(p+1)/2 numbers and forms one p x p product instead of generating p x n
-samples; `run_scenario` sweeps (n, seed)
-grids through either the contour estimator or the subordination baseline
-and returns flat report rows ready for CSV.
+p(p+1)/2 numbers instead of generating p x n samples, and forms the
+lower triangle of their product in place over the triangular factor;
+`run_scenario` sweeps (n, seed) grids through either the contour estimator
+or the subordination baseline and returns flat report rows ready for CSV.
 """
 
 from __future__ import annotations
@@ -196,6 +196,31 @@ def toeplitz_spectrum(p: int, rho: float) -> DiscreteMeasure:
 MAP_BYTES = 128 * 1024
 
 
+# block size of `_lower_gram`; every p up to it is a single block, whose
+# product is the full `a @ a.T`
+GRAM_BLOCK = 256
+
+
+def _lower_gram(a: np.ndarray) -> None:
+    """Overwrite the lower-triangular square `a` with the lower triangle
+    of a a^T, block by block in the order of LAPACK's xLAUUM.
+
+    Block (I, J), I >= J, of a a^T is the sum over K <= J of A_IK A_JK^T,
+    so it reads A's block rows I and J up to block column J.  Block rows
+    run from the bottom and block columns from right to left, so every
+    block of A is read before it is overwritten.  That takes p^3 / 3 flops
+    against the p^3 of `a @ a.T`, and b x b temporaries only.  Diagonal
+    blocks are written whole and symmetric; above them `a` keeps its zeros,
+    which the products of later blocks read as the upper triangle of A_JJ.
+    """
+    b = GRAM_BLOCK
+    for i in reversed(range(0, len(a), b)):
+        for j in reversed(range(0, i + 1, b)):
+            # at i == j both operands are one view, so matmul runs syrk
+            rows, cols = slice(i, i + b), slice(j, j + b)
+            a[rows, cols] = a[rows, : j + b] @ a[cols, : j + b].T
+
+
 def _multiplicities(weights: np.ndarray, p: int) -> np.ndarray:
     counts = np.floor(weights * p).astype(int)
     counts[np.argmax(weights)] += p - int(np.sum(counts))
@@ -223,12 +248,16 @@ def sample_spectrum(
     runs on W rather than A, whose upper triangle would fill with
     subnormal tails rho^(k-j).
 
-    At most two p x p arrays are alive at once: W, and the copy of it that
-    `np.linalg.eigvalsh` always makes.  A factor of MAP_BYTES or more
-    lives in an anonymous memory map that is closed as soon as W is
-    formed, which hands its pages back to the OS at once; a freed heap
-    block of that size would stay resident from the second large sample
-    on, once glibc has raised its mmap threshold to the size of the first.
+    W overwrites A: `_lower_gram` writes the lower triangle of A A^T over
+    the triangular factor, which is all that `np.linalg.eigvalsh` reads;
+    only the Toeplitz branch mirrors it into the upper triangle first.  So
+    at most two p x p arrays are alive at once: one buffer that holds A and
+    then W, and the copy of W that `eigvalsh` always makes.  A buffer of
+    MAP_BYTES or more is an anonymous memory map, closed once the
+    eigenvalues are taken, which hands its pages back to the OS at once; a
+    freed heap block of that size would stay resident from the second
+    large sample on, once glibc has raised its mmap threshold to the size
+    of the first.
     """
     _require_int("p", p)
     _require_int("n", n)
@@ -242,21 +271,25 @@ def sample_spectrum(
     if not isinstance(pop, ToeplitzPopulation):
         counts = _multiplicities(pop.weights, p)
         a *= np.sqrt(np.repeat(pop.atoms, counts))[:, None]
-    w = a @ a.T
-    del a
-    if buf is not None:
-        buf.close()
+    _lower_gram(a)
     if isinstance(pop, ToeplitzPopulation):
+        # the off-diagonal blocks of W into its upper triangle; then
         # L[i, 0] = rho^i and L[i, j] = sqrt(1 - rho^2) rho^(i-j) for
         # 1 <= j <= i, so row j of L^T X is a geometric tail sum of X's
-        # rows; the pass over w.T applies L to the columns
+        # rows; the pass over a.T applies L to the columns
+        for i in range(GRAM_BLOCK, p, GRAM_BLOCK):
+            a[:i, i : i + GRAM_BLOCK] = a[i : i + GRAM_BLOCK, :i].T
         rho = pop.rho
-        for x in (w, w.T):
+        for x in (a, a.T):
             for j in range(p - 2, -1, -1):
                 x[j] += rho * x[j + 1]
             x[1:] *= math.sqrt(1.0 - rho * rho)
-    w /= n
-    eigs = np.linalg.eigvalsh(w)
+        del x
+    a /= n
+    eigs = np.linalg.eigvalsh(a)
+    del a
+    if buf is not None:
+        buf.close()
     return DiscreteMeasure(np.maximum(eigs, 0.0), np.full(p, 1.0 / p))
 
 

@@ -171,7 +171,7 @@ def test_sample_spectrum_is_deterministic():
 def test_sample_spectrum_diagonal_matches_out_of_place_product(sc_id):
     # bit-for-bit: the benchmark fingerprints these inputs across commits
     pop = SCENARIOS[sc_id].population
-    for p, n in ((37, 200), (190, 200)):
+    for p, n in ((37, 200), (190, 200), (256, 300)):
         assert sample_spectrum(pop, p, n, 3) == dense_sample_spectrum(pop, p, n, 3)
 
 
@@ -184,6 +184,44 @@ def test_sample_spectrum_toeplitz_matches_dense_square_root(rho, p):
         ref = dense_sample_spectrum(pop, p, 5 * p, seed)
         assert mu.n_atoms == ref.n_atoms
         assert np.max(np.abs(mu.atoms - ref.atoms)) <= 1e-12 * ref.atoms[-1]
+
+
+MULTI_BLOCK_POPS = {
+    "S2_2": SCENARIOS["S2_2"].population,
+    "S2_3": SCENARIOS["S2_3"].population,
+    **{f"rho{rho}": ToeplitzPopulation(rho) for rho in ORACLE_RHOS},
+}
+
+
+@pytest.mark.parametrize("pop_id", MULTI_BLOCK_POPS)
+@pytest.mark.parametrize("p", (257, 300, 513))
+def test_sample_spectrum_over_several_blocks_matches_dense_product(pop_id, p):
+    # past GRAM_BLOCK the in-place product sums in blocks, so it agrees
+    # with the out-of-place one up to rounding
+    assert p > experiments.GRAM_BLOCK
+    pop = MULTI_BLOCK_POPS[pop_id]
+    for seed in (1, 2):
+        mu = sample_spectrum(pop, p, 2 * p, seed)
+        ref = dense_sample_spectrum(pop, p, 2 * p, seed)
+        assert mu.n_atoms == ref.n_atoms
+        assert np.max(np.abs(mu.atoms - ref.atoms)) <= 1e-12 * ref.atoms[-1]
+
+
+@pytest.mark.parametrize("p", (1, 255, 256, 257, 512, 513))
+def test_lower_gram_is_the_lower_triangle_of_the_product(p):
+    a = np.tril(np.random.default_rng(p).standard_normal((p, p)))
+    ref = a @ a.T
+    # rounding of two length-p sums of the same terms
+    bound = 2 * p * np.finfo(float).eps * (np.abs(a) @ np.abs(a).T)
+    w = a.copy()
+    experiments._lower_gram(w)
+    if p <= experiments.GRAM_BLOCK:
+        assert np.array_equal(w, ref)
+    lower = np.tri(p, dtype=bool)
+    assert np.all(np.abs(w - ref)[lower] <= bound[lower])
+    # above the diagonal blocks the factor's zeros stay
+    block = np.arange(p) // experiments.GRAM_BLOCK
+    assert np.all(w[block[:, None] < block[None, :]] == 0.0)
 
 
 def test_sample_spectrum_s1_statistics():
@@ -221,8 +259,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 
 def test_sample_spectrum_holds_at_most_two_p_by_p_arrays():
-    # w and the copy that eigvalsh makes of it; the Bartlett factor's
-    # pages are gone once w is formed.  A third array would read about 3.4
+    # the one buffer that holds the Bartlett factor and then w, and the
+    # copy that eigvalsh makes of w; the buffer's pages are gone once the
+    # eigenvalues are taken.  A third array would read about 3.4
     pytest.importorskip("resource")
     p, n = 1200, 6000
     rise = int(run_fresh(MEMORY_SCRIPT, str(p), str(n)))

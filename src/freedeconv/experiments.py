@@ -54,8 +54,10 @@ class ToeplitzPopulation:
     rho: float
 
     def __post_init__(self):
-        if not abs(self.rho) < 1.0:
-            raise ValueError("toeplitz parameter must satisfy |rho| < 1")
+        if isinstance(self.rho, (bool, np.bool_)) or not abs(self.rho) < 1.0:
+            raise ValueError(f"toeplitz parameter must satisfy |rho| < 1, "
+                             f"got {self.rho!r}")
+        object.__setattr__(self, "rho", float(self.rho))
 
 
 @dataclass(frozen=True)
@@ -164,29 +166,36 @@ def _toeplitz_angles(p: int, r: float) -> np.ndarray:
     return theta
 
 
-def toeplitz_spectrum(p: int, rho: float) -> DiscreteMeasure:
-    """Eigenvalue measure of the p x p matrix with entries rho^|i-j|.
+def _toeplitz_eigenvalues(p: int, rho: float) -> np.ndarray:
+    """The p eigenvalues of the p x p matrix with entries rho^|i-j|,
+    ascending and unmerged.
 
     The matrix is the AR(1) covariance, and its eigenvalues have a closed
     form up to one root per bracket (Kac, Murdock & Szego, 1953): they are
     (1 - rho^2) / |e^{i theta_k} - rho|^2 with theta_k the roots of
     `_toeplitz_angles`.  The matrices for rho and -rho are similar through
     diag((-1)^i), so r = |rho| is used, and |e^{i theta} - r|^2 is formed
-    as the sum (1 - r)^2 + 4 r sin^2(theta/2), without cancellation.  No
-    p x p matrix is formed.  All eigenvalues lie strictly between the
+    as the sum (1 - r)^2 + 4 r sin^2(theta/2), without cancellation; it
+    grows with theta, hence the reversal.  No p x p matrix is formed.  All eigenvalues lie strictly between the
     symbol extremes (1-|rho|)/(1+|rho|) and (1+|rho|)/(1-|rho|).
     """
-    _require_int("p", p)
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if not abs(rho) < 1.0:
-        raise ValueError("toeplitz parameter must satisfy |rho| < 1")
     if p == 1:
-        return DiscreteMeasure([1.0], [1.0])
+        return np.ones(1)
     r = abs(rho)
     sin2 = np.sin(0.5 * _toeplitz_angles(p, r)) ** 2
     gap = (1.0 - r) ** 2 + 4.0 * r * sin2
-    return DiscreteMeasure((1.0 - r * r) / gap, np.full(p, 1.0 / p))
+    return ((1.0 - r * r) / gap)[::-1]
+
+
+def toeplitz_spectrum(p: int, rho: float) -> DiscreteMeasure:
+    """Eigenvalue measure of the p x p matrix with entries rho^|i-j|, whose
+    construction merges the values of `_toeplitz_eigenvalues` that nearly
+    coincide, as they do for rho near 0."""
+    _require_int("p", p)
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    rho = ToeplitzPopulation(rho).rho
+    return DiscreteMeasure(_toeplitz_eigenvalues(p, rho), np.full(p, 1.0 / p))
 
 
 # Bartlett factors of at least this many bytes live in an anonymous map:
@@ -232,28 +241,23 @@ def sample_spectrum(
 ) -> DiscreteMeasure:
     """Empirical spectral measure of (1/n) V^1/2 W V^1/2, W ~ Wishart_p(n, I).
 
-    V realizes the population: a diagonal matrix with multiplicities
-    floor(w_k p), remainder assigned to the largest weight, or the
-    Toeplitz matrix itself.  W is drawn through its Bartlett factor
-    (Bartlett 1933; Muirhead 1982, Thm 3.2.14): A is lower triangular with
-    N(0, 1) entries below the diagonal and A_ii^2 ~ chi^2_(n-i) for
-    i = 0..p-1, and A A^T has the law of Y Y^T for a p x n standard
-    normal Y.  Only p(p+1)/2 numbers are drawn, from a seeded generator,
-    so equal seeds give identical measures.
-
-    A diagonal V scales the rows of A by its square root.  A Toeplitz
-    V = L L^T acts through its closed-form Cholesky factor: L^T W L takes
-    O(p^2) by a two-term backward recursion over the rows of W and then
-    over its columns, and has the spectrum of V^1/2 W V^1/2.  The recursion
-    runs on W rather than A, whose upper triangle would fill with
-    subnormal tails rho^(k-j).
+    V is diagonal: the atoms with multiplicities floor(w_k p), remainder
+    assigned to the largest weight, or the closed-form eigenvalues of a
+    Toeplitz population T = U V U^T.  The spectrum of T^1/2 W T^1/2 =
+    U V^1/2 (U^T W U) V^1/2 U^T has the same law, since U^T W U has the
+    law of W (Muirhead 1982, Sec. 3.2).  W is drawn through its Bartlett
+    factor (Bartlett 1933; Muirhead 1982, Thm 3.2.14): A is lower
+    triangular with N(0, 1) entries below the diagonal and
+    A_ii^2 ~ chi^2_(n-i) for i = 0..p-1, and A A^T has the law of Y Y^T
+    for a p x n standard normal Y.  Only p(p+1)/2 numbers are drawn, from
+    a seeded generator, so equal seeds give identical measures.  The rows
+    of A are scaled by the square roots of V's diagonal.
 
     W overwrites A: `_lower_gram` writes the lower triangle of A A^T over
-    the triangular factor, which is all that `np.linalg.eigvalsh` reads;
-    only the Toeplitz branch mirrors it into the upper triangle first.  So
-    at most two p x p arrays are alive at once: one buffer that holds A and
-    then W, and the copy of W that `eigvalsh` always makes.  A buffer of
-    MAP_BYTES or more is an anonymous memory map, closed once the
+    the triangular factor, which is all that `np.linalg.eigvalsh` reads.
+    So at most two p x p arrays are alive at once: one buffer that holds A
+    and then W, and the copy of W that `eigvalsh` always makes.  A buffer
+    of MAP_BYTES or more is an anonymous memory map, closed once the
     eigenvalues are taken, which hands its pages back to the OS at once; a
     freed heap block of that size would stay resident from the second
     large sample on, once glibc has raised its mmap threshold to the size
@@ -263,28 +267,17 @@ def sample_spectrum(
     _require_int("n", n)
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
+    if isinstance(pop, ToeplitzPopulation):
+        diag = _toeplitz_eigenvalues(p, pop.rho)
+    else:
+        diag = np.repeat(pop.atoms, _multiplicities(pop.weights, p))
     rng = np.random.default_rng(seed)
     buf = mmap.mmap(-1, 8 * p * p) if 8 * p * p >= MAP_BYTES else None
     a = np.zeros((p, p)) if buf is None else np.frombuffer(buf).reshape(p, p)
     a[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
     a[np.diag_indices(p)] = np.sqrt(rng.chisquare(n - np.arange(p)))
-    if not isinstance(pop, ToeplitzPopulation):
-        counts = _multiplicities(pop.weights, p)
-        a *= np.sqrt(np.repeat(pop.atoms, counts))[:, None]
+    a *= np.sqrt(diag)[:, None]
     _lower_gram(a)
-    if isinstance(pop, ToeplitzPopulation):
-        # the off-diagonal blocks of W into its upper triangle; then
-        # L[i, 0] = rho^i and L[i, j] = sqrt(1 - rho^2) rho^(i-j) for
-        # 1 <= j <= i, so row j of L^T X is a geometric tail sum of X's
-        # rows; the pass over a.T applies L to the columns
-        for i in range(GRAM_BLOCK, p, GRAM_BLOCK):
-            a[:i, i : i + GRAM_BLOCK] = a[i : i + GRAM_BLOCK, :i].T
-        rho = pop.rho
-        for x in (a, a.T):
-            for j in range(p - 2, -1, -1):
-                x[j] += rho * x[j + 1]
-            x[1:] *= math.sqrt(1.0 - rho * rho)
-        del x
     a /= n
     eigs = np.linalg.eigvalsh(a)
     del a
@@ -490,12 +483,16 @@ def run_scenario(
     in (n, seed) order regardless of completion order.  A failed run
     yields a report row with w1_error = nan and the error message, never
     an exception.  An unknown `method`, a `sigma` that is not positive and
-    finite, or a descending `n_list` raises ValueError before any run.
+    finite, an n or seed that is not an integer, or a descending `n_list`
+    raises ValueError before any run.
     """
     if method not in ("contour", "subordination"):
         raise ValueError("method must be 'contour' or 'subordination'")
     if not 0.0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    for name, values in (("n", n_list), ("seed", seeds)):
+        for value in values:
+            _require_int(name, value)
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     jobs = [

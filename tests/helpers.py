@@ -862,17 +862,27 @@ def _spectrum_of_root_times(pop, n, x):
     return DiscreteMeasure(np.maximum(eigs, 0.0), np.full(p, 1.0 / p))
 
 
-def dense_sample_spectrum(pop, p, n, seed):
-    """Spectrum of V^1/2 A A^T V^1/2 / n with V^1/2 formed explicitly.
-
-    A is the library's Bartlett factor for the same seed, drawn in the
-    same order, so the diagonal branch agrees bit for bit and the
-    Toeplitz one up to rounding.
-    """
+def bartlett_factor(p, n, seed):
+    """The library's Bartlett factor for `seed`, drawn in the same order."""
     rng = np.random.default_rng(seed)
     a = np.zeros((p, p))
     a[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
     np.fill_diagonal(a, np.sqrt(rng.chisquare(n - np.arange(p))))
+    return a
+
+
+def dense_sample_spectrum(pop, p, n, seed):
+    """Spectrum of V^1/2 X X^T V^1/2 / n with V^1/2 formed explicitly.
+
+    X is the library's Bartlett factor A for the same seed, so the
+    diagonal branch agrees bit for bit.  A Toeplitz V = U L U^T, with
+    eigh's ascending eigenvalues L, takes X = U A: then V^1/2 X = U L^1/2 A,
+    the library's diagonal draw at L rotated by U, which agrees up to
+    rounding.
+    """
+    a = bartlett_factor(p, n, seed)
+    if isinstance(pop, ToeplitzPopulation):
+        a = np.linalg.eigh(scipy.linalg.toeplitz(pop.rho ** np.arange(p)))[1] @ a
     return _spectrum_of_root_times(pop, n, a)
 
 

@@ -116,8 +116,12 @@ def test_toeplitz_validation():
         toeplitz_spectrum(0, 0.3)
     with pytest.raises(ValueError):
         toeplitz_spectrum(4, 1.0)
-    with pytest.raises(ValueError):
-        ToeplitzPopulation(-1.0)
+    for rho in (-1.0, False, np.True_):
+        with pytest.raises(ValueError, match="toeplitz parameter"):
+            ToeplitzPopulation(rho)
+    for rho in (0, np.float32(0.5), np.float64(-0.3)):
+        stored = ToeplitzPopulation(rho).rho
+        assert type(stored) is float and stored == float(rho)
     for p in (2.0, True):
         with pytest.raises(ValueError, match="p must be an integer"):
             toeplitz_spectrum(p, 0.3)
@@ -175,9 +179,11 @@ def test_sample_spectrum_diagonal_matches_out_of_place_product(sc_id):
         assert sample_spectrum(pop, p, n, 3) == dense_sample_spectrum(pop, p, n, 3)
 
 
-@pytest.mark.parametrize("rho", ORACLE_RHOS)
+@pytest.mark.parametrize("rho", ORACLE_RHOS + (0.0, 1e-15))
 @pytest.mark.parametrize("p", ORACLE_PS)
 def test_sample_spectrum_toeplitz_matches_dense_square_root(rho, p):
+    # near rho = 0 the closed-form values merge in `toeplitz_spectrum`,
+    # but the draw scales by all p of them
     pop = ToeplitzPopulation(rho)
     for seed in (1, 2):
         mu = sample_spectrum(pop, p, 5 * p, seed)
@@ -385,12 +391,22 @@ def test_run_scenario_single_job():
     assert rep.w1_error < 0.1
 
 
-def test_run_scenario_empty_and_invalid_inputs():
+def test_run_scenario_empty_and_invalid_inputs(monkeypatch):
     assert run_scenario(SCENARIOS["S1"], [], seeds=[]) == []
     with pytest.raises(ValueError):
         run_scenario(SCENARIOS["S1"], [500], "gradient", seeds=[1])
     with pytest.raises(ValueError):
         run_scenario(SCENARIOS["S1"], [500, 250], seeds=[1])
+    # n and seeds must be integers, checked before any run starts, and
+    # are neither truncated nor read as 0 or 1
+    monkeypatch.setattr(experiments, "_run_one",
+                        lambda job: pytest.fail(f"run {job} started"))
+    for n_list, seeds, name in (([500.9], [1], "n"), ([500], [1.7], "seed"),
+                                ([500], [True], "seed"),
+                                ([np.False_], [1], "n"),
+                                ([250, 500.0], [1], "n")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_scenario(SCENARIOS["S1"], n_list, seeds=seeds, workers=1)
     # the smoothing scale is checked before any run starts
     for sigma in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):

@@ -42,6 +42,8 @@ from freedeconv.pipeline import (
 
 from helpers import (
     SWEEP_P,
+    _spectrum_of_root_times,
+    bartlett_factor,
     contour_moment,
     crossing_count,
     deconvolved_moment_series,
@@ -411,13 +413,23 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
     assert d.n_slits == bp.size > 0
 
 
+def _s3_seed_7():
+    """The sampled S3 spectrum at n = 500, seed 7, that the settling tests
+    were written on: seed 7's Bartlett factor A under the dense Toeplitz
+    square root, V^1/2 A A^T V^1/2 / n.  The library now draws the same
+    law at V's eigenvalues, a different realization."""
+    sc = SCENARIOS["S3"]
+    p = round(sc.c * 500)
+    return _spectrum_of_root_times(sc.population, 500, bartlett_factor(p, 500, 7))
+
+
 def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):
     # this sampled S3 spectrum's circle settles at 512 nodes but not at 256,
     # where the run logs a warning and takes the z ellipse's moments, which
     # settle there.  At 128 nodes neither rule settles: the run still
     # returns, reports it and logs a second warning
     sc = SCENARIOS["S3"]
-    mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
+    mu_n = _s3_seed_7()
 
     def run(nodes):
         monkeypatch.setattr(pipeline, "CIRCLE_NODES", nodes)
@@ -478,7 +490,7 @@ def test_a_pass_settles_on_its_complex_gap_not_its_real_part(
     # turns the leading alias term imaginary, so only the complex gap
     # measures the error, and the run leaves the circle for the z ellipse
     sc = SCENARIOS["S3"]
-    mu_n = sample_spectrum(sc.population, round(sc.c * 500), 500, 7)
+    mu_n = _s3_seed_7()
     monkeypatch.setattr(pipeline, "CIRCLE_NODES", 256)
     with caplog.at_level("WARNING", logger="freedeconv.pipeline"):
         res = pipeline.deconvolve_with_retries(mu_n, sc.c)

@@ -24,7 +24,14 @@ and a change between two files smaller than the spread reads as
 unresolved.
 ``estimator_s`` is the estimator's time apart from sampling: the median
 over the traced runs of ``trace.wall_s - sample_spectrum.s``, with each
-run's value in ``estimator_s_runs``.
+run's value in ``estimator_s_runs``.  Since a shared machine's speed
+drifts between runs and files, ``metrics_scaled_runs`` holds each traced
+run's per-layer ``.s`` metrics and its estimator time
+(``estimator_scaled_s``) times ``REFERENCE_S`` over the mean of that
+run's own ``kernel_s``, as ``bench/run.py`` scales ``scaled_wall_s``:
+seconds on the reference machine at its mean speed.  ``metrics_scaled``
+holds their per-metric medians, and ``estimator_scaled_s`` the median
+scaled estimator time.
 
 Takes about a minute on a 2-core machine.
 """
@@ -39,6 +46,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from calibrate import REFERENCE_S  # noqa: E402
+
 SEED = 0
 SECONDS = 30
 # traced runs per workload whose median makes the per-layer block, and
@@ -50,6 +60,21 @@ UNTRACED_RUNS = 3
 def median_block(records: list[dict], names) -> dict:
     """Per-metric median over the records, for each of `names`."""
     return {name: statistics.median(r[name] for r in records) for name in names}
+
+
+def estimator_seconds(metrics: dict) -> float:
+    """The estimator's time apart from sampling, in one traced run."""
+    return metrics["trace.wall_s"] - metrics["sample_spectrum.s"]
+
+
+def scaled_times(record: dict) -> dict:
+    """The per-layer ``.s`` metrics and the estimator time of one traced
+    record, times REFERENCE_S over the mean of the record's kernel times."""
+    metrics = record["metrics"]
+    times = {k: v for k, v in metrics.items() if k.endswith(".s")}
+    times["estimator_scaled_s"] = estimator_seconds(metrics)
+    scale = REFERENCE_S / statistics.fmean(record["kernel_s"])
+    return {k: v * scale for k, v in times.items()}
 
 
 def run_bench(workload: str, trace: int) -> dict:
@@ -82,17 +107,20 @@ def main(argv=None) -> int:
     }
     names = [m["name"] for m in declared["end_to_end"]]
     for workload in (w["name"] for w in declared["workloads"]):
-        record = run_bench(workload, 1)
+        traced = [run_bench(workload, 1) for _ in range(TRACED_RUNS)]
+        record = traced[0]
         record["n_spans"] = len(record.pop("spans", []))
-        traced = [record["metrics"]] + [
-            run_bench(workload, 1)["metrics"] for _ in range(TRACED_RUNS - 1)
-        ]
-        record["metrics"] = median_block(traced, record["metrics"])
-        record["metrics_runs"] = traced
-        record["estimator_s_runs"] = [
-            m["trace.wall_s"] - m["sample_spectrum.s"] for m in traced
-        ]
+        metrics = [r["metrics"] for r in traced]
+        scaled = [scaled_times(r) for r in traced]
+        record["metrics"] = median_block(metrics, metrics[0])
+        record["metrics_runs"] = metrics
+        record["estimator_s_runs"] = [estimator_seconds(m) for m in metrics]
         record["estimator_s"] = statistics.median(record["estimator_s_runs"])
+        record["metrics_scaled"] = median_block(scaled, scaled[0])
+        record["metrics_scaled_runs"] = scaled
+        record["estimator_scaled_s"] = record["metrics_scaled"][
+            "estimator_scaled_s"
+        ]
         untraced = [
             run_bench(workload, 0)["metrics"] for _ in range(UNTRACED_RUNS)
         ]

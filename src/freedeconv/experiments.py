@@ -2,10 +2,11 @@
 
 The scenario registry pairs named population spectra with aspect ratios.
 `sample_spectrum` draws the empirical eigenvalue measure of a sample
-covariance matrix for a given population from the Bartlett factor of a
-Wishart matrix (Bartlett 1933; Muirhead 1982, Thm 3.2.14), so it draws
-p(p+1)/2 numbers instead of generating p x n samples, and forms the
-lower triangle of their product in place over the triangular factor;
+covariance matrix at a population's p eigenvalues, in closed form for a
+Toeplitz one, from the Bartlett factor of a Wishart matrix (Bartlett 1933;
+Muirhead 1982, Thm 3.2.14), so it draws p(p+1)/2 numbers instead of
+generating p x n samples, and forms the lower triangle of their product
+in place over the triangular factor;
 `run_scenario` sweeps (n, seed) grids through either the contour estimator
 or the subordination baseline and returns flat report rows ready for CSV.
 """
@@ -176,8 +177,9 @@ def _toeplitz_eigenvalues(p: int, rho: float) -> np.ndarray:
     `_toeplitz_angles`.  The matrices for rho and -rho are similar through
     diag((-1)^i), so r = |rho| is used, and |e^{i theta} - r|^2 is formed
     as the sum (1 - r)^2 + 4 r sin^2(theta/2), without cancellation; it
-    grows with theta, hence the reversal.  No p x p matrix is formed.  All eigenvalues lie strictly between the
-    symbol extremes (1-|rho|)/(1+|rho|) and (1+|rho|)/(1-|rho|).
+    grows with theta, hence the reversal.  No p x p matrix is formed.  All
+    eigenvalues lie strictly between the symbol extremes (1-|rho|)/(1+|rho|)
+    and (1+|rho|)/(1-|rho|).
     """
     if p == 1:
         return np.ones(1)

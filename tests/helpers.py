@@ -882,7 +882,8 @@ def dense_sample_spectrum(pop, p, n, seed):
     """
     a = bartlett_factor(p, n, seed)
     if isinstance(pop, ToeplitzPopulation):
-        a = np.linalg.eigh(scipy.linalg.toeplitz(pop.rho ** np.arange(p)))[1] @ a
+        v = scipy.linalg.toeplitz(pop.rho ** np.arange(p))
+        a = np.linalg.eigh(v)[1] @ a
     return _spectrum_of_root_times(pop, n, a)
 
 

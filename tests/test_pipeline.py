@@ -415,12 +415,14 @@ def test_deconvolve_reports_the_chosen_radius_exactly():
 
 def _s3_seed_7():
     """The sampled S3 spectrum at n = 500, seed 7, that the settling tests
-    were written on: seed 7's Bartlett factor A under the dense Toeplitz
-    square root, V^1/2 A A^T V^1/2 / n.  The library now draws the same
-    law at V's eigenvalues, a different realization."""
+    below were written on: V^1/2 A A^T V^1/2 / n for seed 7's Bartlett
+    factor A and the dense Toeplitz V.  `sample_spectrum` draws the same
+    law at V's eigenvalues, which is another realization, so the input is
+    built here."""
     sc = SCENARIOS["S3"]
     p = round(sc.c * 500)
-    return _spectrum_of_root_times(sc.population, 500, bartlett_factor(p, 500, 7))
+    a = bartlett_factor(p, 500, 7)
+    return _spectrum_of_root_times(sc.population, 500, a)
 
 
 def test_deconvolve_reports_whether_the_moments_settled(monkeypatch, caplog):

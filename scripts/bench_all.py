@@ -6,11 +6,12 @@ Run from the repository root:
 
 For each workload named in BENCHMARK.json it runs
 
-    python3 bench/run.py --workload W --seed 0 --seconds 30 --trace 1
+    python3 bench/run.py --workload W --seed 0 --seconds S --trace 1
 
-TRACED_RUNS times and the same command with ``--trace 0`` UNTRACED_RUNS
-times, each in a fresh interpreter, and writes the records to
-``BENCH_<tag>.json`` at the repository root.  The record of the first
+with S the ``run_seconds`` of BENCHMARK.json, TRACED_RUNS times and the
+same command with ``--trace 0`` UNTRACED_RUNS times, each in a fresh
+interpreter, and writes the records to ``BENCH_<tag>.json`` at the
+repository root.  The record of the first
 traced run, read from ``.bench_out/W-seed0-trace1.json``, keeps its
 per-run results, input fingerprints and environment; the span list is
 dropped, since the per-layer metrics summarise it and it runs to
@@ -50,7 +51,6 @@ sys.path.insert(0, str(ROOT / "bench"))
 from calibrate import REFERENCE_S  # noqa: E402
 
 SEED = 0
-SECONDS = 30
 # traced runs per workload whose median makes the per-layer block, and
 # untraced runs whose median makes the end-to-end block
 TRACED_RUNS = 3
@@ -77,16 +77,18 @@ def scaled_times(record: dict) -> dict:
     return {k: v * scale for k, v in times.items()}
 
 
-def run_bench(workload: str, trace: int) -> dict:
-    """One bench/run.py invocation in a fresh interpreter; its record."""
+def run_bench(cwd: Path, workload: str, seed: int, trace: int) -> dict:
+    """One bench/run.py invocation in `cwd`, in a fresh interpreter, for
+    the run length BENCHMARK.json declares; the record it writes there."""
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     print("running", " ".join(cmd[1:]), flush=True)
-    subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-    path = ROOT / ".bench_out" / f"{workload}-seed{SEED}-trace{trace}.json"
-    return json.loads(path.read_text())
+    subprocess.run(cmd, cwd=cwd, check=True, stdout=subprocess.DEVNULL)
+    name = f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads((Path(cwd) / ".bench_out" / name).read_text())
 
 
 def main(argv=None) -> int:
@@ -101,13 +103,15 @@ def main(argv=None) -> int:
         cwd=ROOT, capture_output=True, text=True,
     )
     merged = {
-        "tag": args.tag, "seed": SEED, "seconds": SECONDS,
+        "tag": args.tag, "seed": SEED, "seconds": declared["run_seconds"],
         "uncommitted_changes": bool(status.stdout.strip()),
         "workloads": {},
     }
     names = [m["name"] for m in declared["end_to_end"]]
     for workload in (w["name"] for w in declared["workloads"]):
-        traced = [run_bench(workload, 1) for _ in range(TRACED_RUNS)]
+        traced = [
+            run_bench(ROOT, workload, SEED, 1) for _ in range(TRACED_RUNS)
+        ]
         record = traced[0]
         record["n_spans"] = len(record.pop("spans", []))
         metrics = [r["metrics"] for r in traced]
@@ -122,7 +126,8 @@ def main(argv=None) -> int:
             "estimator_scaled_s"
         ]
         untraced = [
-            run_bench(workload, 0)["metrics"] for _ in range(UNTRACED_RUNS)
+            run_bench(ROOT, workload, SEED, 0)["metrics"]
+            for _ in range(UNTRACED_RUNS)
         ]
         record["end_to_end"] = median_block(untraced, names)
         record["end_to_end_spread"] = {

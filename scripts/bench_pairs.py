@@ -4,26 +4,30 @@ Run from the repository root:
 
     python3 scripts/bench_pairs.py HEAD --workload near_square --pairs 10
 
-REF is exported with ``git archive`` into a temporary directory.  Each pair
-then runs
+REF is exported with ``git archive``, and the working tree by copying the
+files ``git ls-files --cached --others --exclude-standard`` lists, as they
+are on disk, both into one temporary directory, so that the two sides run
+from like directories.  Each pair then runs
 
-    python3 bench/run.py --workload W --seed S --seconds 30 --trace 0
+    python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-once there and once in the working tree, each in a fresh interpreter, and
-swaps which side goes first from one pair to the next.  For every
-end-to-end metric of BENCHMARK.json it prints the median and quartiles of
-both sides, the interquartile range of REF's runs, and the number of pairs
-the working tree won.  A pair counts as won when the working tree is
-strictly better in the metric's direction; ties count for neither side.  A
-gain holds when at least nine pairs in ten are won and the medians differ
-by more than REF's interquartile range.  Exits 1 if any run reports
-``"correct": false``.
+once in each export, each in a fresh interpreter, with T the
+``run_seconds`` of BENCHMARK.json, and swaps which side goes first from
+one pair to the next.  For every end-to-end metric of BENCHMARK.json it
+prints the median and quartiles of both sides, the interquartile range of
+REF's runs, and the number of pairs the working tree won.  A pair counts
+as won when the working tree is strictly better in the metric's
+direction; ties count for neither side.  A gain holds when at least nine
+pairs in ten are won and the medians differ by more than REF's
+interquartile range.  Exits 1 if any run reports a problem.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -33,19 +37,25 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SECONDS = 30
+sys.path.insert(0, str(ROOT / "scripts"))
+from bench_all import run_bench  # noqa: E402
 
 
-def run_bench(cwd: Path, workload: str, seed: int) -> dict:
-    """The closing JSON line of one untraced bench/run.py in `cwd`."""
-    cmd = [
-        sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
-    ]
-    out = subprocess.run(
-        cmd, cwd=cwd, check=True, capture_output=True, text=True
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+def export_tree(root: Path, dest: Path) -> None:
+    """Copy the files of the working tree at `root` that git tracks or
+    would track, as they are on disk, into `dest`: ignored files stay
+    out, and a tracked file deleted from the tree is skipped."""
+    cmd = ["git", "ls-files", "-z", "--cached", "--others",
+           "--exclude-standard"]
+    listed = subprocess.run(
+        cmd, cwd=root, check=True, capture_output=True
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        src = root / name
+        if not os.path.lexists(src):
+            continue
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, dest / name, follow_symlinks=False)
 
 
 def summarize(ref: list[float], new: list[float], better: str) -> dict:
@@ -73,19 +83,18 @@ def format_row(name: str, s: dict) -> str:
 
 def report(runs: dict[str, list[dict]], declared: list[dict]) -> int:
     """Print one row per end-to-end metric of the paired records `runs`
-    (keys "ref" and "new"); 1 if any run was incorrect, else 0."""
+    (keys "ref" and "new"); 1 if any run reported a problem, else 0."""
     for metric in declared:
         name = metric["name"]
         ref, new = (
-            [r["metrics"][name]["value"] for r in runs[side]]
-            for side in ("ref", "new")
+            [r["metrics"][name] for r in runs[side]] for side in ("ref", "new")
         )
         print(format_row(name, summarize(ref, new, metric["better"])))
     incorrect = [
         f"{side} run {i + 1}"
         for side, recs in runs.items()
         for i, r in enumerate(recs)
-        if not r["correct"]
+        if r["problems"]
     ]
     for run in incorrect:
         print(f"INCORRECT: {run}")
@@ -110,14 +119,16 @@ def main(argv=None) -> int:
             ["git", "archive", "--output", str(archive), args.ref],
             cwd=ROOT, check=True,
         )
-        ref_dir = Path(tmp) / "ref"
+        dirs = {"ref": Path(tmp) / "ref", "new": Path(tmp) / "new"}
         with tarfile.open(archive) as tar:
-            tar.extractall(ref_dir)
+            tar.extractall(dirs["ref"])
+        export_tree(ROOT, dirs["new"])
         for i in range(args.pairs):
             order = ("ref", "new") if i % 2 == 0 else ("new", "ref")
             for side in order:
-                cwd = ref_dir if side == "ref" else ROOT
-                runs[side].append(run_bench(cwd, args.workload, args.seed))
+                runs[side].append(
+                    run_bench(dirs[side], args.workload, args.seed, 0)
+                )
             print(f"pair {i + 1}/{args.pairs} done", flush=True)
 
     print(f"{args.workload}, seed {args.seed}: {args.ref} (ref) against "

@@ -265,19 +265,19 @@ def circle_nodes(radius: float, n: int) -> np.ndarray:
 
 
 def z_contour_nodes(
-    atoms: np.ndarray, critical_points: np.ndarray, root: float, n: int
+    atoms: np.ndarray, critical_points: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """n counterclockwise nodes z of the ellipse of the z-plane rule, and
     dz/dt at them.
 
     The ellipse must enclose a measure's nonnegative `atoms`, the
-    critical points of its moment map, and the `root` in (0, min atom) of
-    1 + c M(z) = 0.  Its real extent, from the least to the largest of
-    the root, the atoms and Re q over the critical points q, widened by
-    Z_MARGIN of its width W on each side, sets the half-width
-    a = (1/2 + Z_MARGIN) W.  The half-height b is the larger of
-    Z_MARGIN W and 1.3 times the half-height that just reaches the
-    farthest critical point, so every q lies inside.  The integrand of
+    critical points of its moment map, and the zeros of 1 + c M(z), which
+    are real and lie in (0, max atom].  Its real extent, from the lesser
+    of 0 and the least Re q over the critical points q to the largest of
+    the atoms and Re q, widened by Z_MARGIN of its width W on each side,
+    sets the half-width a = (1/2 + Z_MARGIN) W.  The half-height b is the
+    larger of Z_MARGIN W and 1.3 times the half-height that just reaches
+    the farthest critical point, so every q lies inside.  The integrand of
     `moments_from_z_contour` is singular only at the atoms and at the
     zeros of 1 + c M, all real and within that extent.  When
     b <= 0.41 a, the extent lies between the foci, at distance
@@ -290,7 +290,7 @@ def z_contour_nodes(
     if n < 16 or n % 2:
         raise ValueError("need an even number of at least 16 nodes")
     q = np.asarray(critical_points, dtype=complex)
-    lo = min(root, float(np.min(atoms)), np.min(q.real, initial=np.inf))
+    lo = min(0.0, np.min(q.real, initial=np.inf))
     hi = max(float(np.max(atoms)), np.max(q.real, initial=-np.inf))
     width = hi - lo
     centre = 0.5 * (lo + hi)

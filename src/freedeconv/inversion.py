@@ -19,7 +19,9 @@ about it of its prediction.  That guard's ratio of distance to allowance
 is also the error estimate that sizes the next step.
 
 The critical points are the zeros of a linear system whose transfer
-function is -M', the eigenvalues of its zero dynamics.
+function is -M', the eigenvalues of its zero dynamics.  `moment_map`
+evaluates M and M' themselves in closed form, for the z-plane rule,
+whose inverse branch is explicit; nothing there is solved.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "critical_points",
     "slit_free_radius",
     "moment_map",
-    "real_preimage",
     "lift_many",
 ]
 
@@ -218,39 +219,12 @@ def slit_free_radius(branch_points_upper):
 # the moment map on the z plane
 # ---------------------------------------------------------------------------
 
-# bisection steps of `real_preimage`: the root to 2^-60 of the least atom
-PREIMAGE_STEPS = 60
-
-
 def moment_map(mu, z):
     """M(z) and M'(z) at the points z, off mu's atoms."""
     x, c = _effective_poles(mu)
     z = np.asarray(z, dtype=complex)
     f, d, _ = _mmap(z.ravel(), x, c)
     return f.reshape(z.shape), d.reshape(z.shape)
-
-
-def real_preimage(mu, value):
-    """The z in (0, x_1) with M(z) = value, x_1 the least positive atom.
-
-    On that interval M decreases from M(0), minus the mass on positive
-    atoms, to -inf, so the root exists and is unique for every value
-    below M(0); other values, and negative atoms, raise ValueError.  It is
-    found by PREIMAGE_STEPS bisection steps.
-    """
-    x, c = _effective_poles(mu)
-    if x.size == 0 or x[0] <= 0.0:
-        raise ValueError("the preimage needs nonnegative atoms, one positive")
-    lo, hi = 0.0, float(x[0])
-    if not value < c @ (1.0 / (lo - x)):
-        raise ValueError(f"M takes {value} nowhere in (0, {hi:.6g})")
-    for _ in range(PREIMAGE_STEPS):
-        mid = 0.5 * (lo + hi)
-        if c @ (1.0 / (mid - x)) > value:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ upper half and closed by the conjugate mirror, and its moments are taken
 by the one Lagrange rule of `moments_from_z_contour`, on the image
 sigma = Minv(m) of a curve m about 0.  That curve is the circle; or,
 where the circle's sums cancel too far to settle, the image m = M(z) of
-an ellipse in the z plane of mu_n, where the inverse branch is explicit;
+an ellipse in the z plane of mu_n about the segment from 0 to its largest
+atom, where the inverse branch is explicit and nothing is solved;
 or, for the forward direction (nu to the spectrum of the product, the
 noise-free oracle), the image of a circle in the plane of the companion
 Stieltjes transform B under the inverse z(B) of the Marchenko-Pastur
@@ -45,7 +46,6 @@ from .inversion import (
     critical_points,
     lift_many,
     moment_map,
-    real_preimage,
     slit_free_radius,
 )
 from .contours import (
@@ -348,19 +348,21 @@ def _z_plane_pass(
 ) -> tuple[ContourRepresentation, ContourMoments]:
     """The estimate's Stieltjes contour and moments on the z ellipse.
 
-    On the ellipse of `z_contour_nodes` about the proxy's atoms, its
-    critical points and the root z* of 1 + c M(z) = 0 in (0, min atom),
-    the inverse branch is explicit: m = M(z) and Minv_nu(m) =
-    z / (1 + c M(z)).  M is univalent outside the ellipse, which holds
-    every critical point, so the branch is single valued on its image;
-    that image winds once about 0 and not about the S_MP pole -1/c, as
-    the ellipse holds every pole and zero of M and of 1 + c M.  It takes
-    CIRCLE_NODES nodes, the lower half the mirror of the upper.  Near
-    c = 1 the image of the ellipse can run clockwise; an image that is no
-    counterclockwise contour raises NoisyContourError.
+    On the ellipse of `z_contour_nodes` about the segment from 0 to the
+    proxy's largest atom and about its critical points, the inverse
+    branch is explicit: m = M(z) and Minv_nu(m) = z / (1 + c M(z)).  M is
+    univalent outside the ellipse, which holds every critical point, so
+    the branch is single valued on its image; that image winds once about
+    0 and not about the S_MP pole -1/c, as the ellipse holds every pole
+    and zero of M and of 1 + c M.  The zeros of 1 + c M, the poles of
+    sigma = z / (1 + c M), are real and lie in (0, max atom], so the
+    segment holds them whatever c is, and it also holds sigma's zeros, 0
+    and the atoms: one more zero than poles, so the image sigma winds
+    once about 0.  It takes CIRCLE_NODES nodes, the lower half the mirror
+    of the upper.  Near c = 1 the image can still run clockwise; an image
+    that is no counterclockwise contour raises NoisyContourError.
     """
-    root = real_preimage(proxy, -1.0 / c)
-    z, dz = z_contour_nodes(proxy.atoms, critical, root, CIRCLE_NODES)
+    z, dz = z_contour_nodes(proxy.atoms, critical, CIRCLE_NODES)
     half = CIRCLE_NODES // 2
     f, d = moment_map(proxy, z[:half])
     try:

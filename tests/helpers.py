@@ -31,7 +31,8 @@ moved here with their bodies unchanged: `moment_map(mu, z)` was
 recovery tests that need more than double precision in their input.
 
 `sweep_draws` regenerates the inputs of the uniform and the wide sweep
-of sampled spectra.  `run_fresh` runs a script in a new interpreter, for
+of sampled spectra, and `near_one_draws` the measures of the near-c = 1
+set.  `run_fresh` runs a script in a new interpreter, for
 checks on what a process loads or holds.
 """
 
@@ -100,6 +101,22 @@ def sweep_draws(kind):
         yield nu, c, round(SWEEP_P / c), int(rng.integers(2**30))
 
 
+def near_one_draws():
+    """The 200 measures and aspect ratios (mu, c) of the near-c = 1 set.
+
+    Each draw takes, in this order from one default_rng(SWEEP_SEED),
+    L = integers(2, 6) atoms uniform(1, 5), weights uniform(0.1, 1),
+    normalized, and c = uniform(0.7, 0.95).  The measure is the input mu
+    itself: nothing is sampled.
+    """
+    rng = np.random.default_rng(SWEEP_SEED)
+    for _ in range(200):
+        l = int(rng.integers(2, 6))
+        atoms = rng.uniform(1, 5, l)
+        w = rng.uniform(0.1, 1, l)
+        yield DiscreteMeasure(atoms, w / w.sum()), rng.uniform(0.7, 0.95)
+
+
 def conditioned_measure(seed):
     """Well-separated random measure for exact moment-recovery roundtrips.
 
@@ -157,6 +174,16 @@ def moment_map(mu, z):
         raise PoleError("moment map evaluated at an atom", stage="measure")
     out = np.sum(mu.weights * mu.atoms / d, axis=-1)
     return complex(out) if out.ndim == 0 else out
+
+
+def mp_pole_preimage(mu, c):
+    """The root z* in (0, min atom) of 1 + c M(z), the preimage of the
+    S_MP pole -1/c, by brentq on the definition of M; mu's atoms must be
+    positive."""
+    return brentq(
+        lambda t: 1.0 + c * moment_map(mu, t).real,
+        0.0, mu.atoms[0] * (1.0 - 1e-12), xtol=1e-300, rtol=1e-15,
+    )
 
 
 def moment_map_derivative(mu, z):

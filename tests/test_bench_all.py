@@ -46,12 +46,13 @@ def test_merged_record_holds_each_runs_scaled_times_and_their_median(
     monkeypatch.setattr(bench_all, "REFERENCE_S", 0.02)
     monkeypatch.setattr(bench_all, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 30,
         "workloads": [{"name": "w"}],
         "end_to_end": [{"name": "scaled_wall_s"}],
     }))
     slow = iter((1, 2, 4))
 
-    def run_bench(workload, trace):
+    def run_bench(cwd, workload, seed, trace):
         if trace:
             k = next(slow)
             return _traced([0.02 * k], 1.0 * k, 0.4 * k, 0.2 * k)

@@ -1,6 +1,7 @@
-"""The paired summary of `scripts/bench_pairs.py`."""
+"""The paired summary and the tree export of `scripts/bench_pairs.py`."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,7 @@ def test_summary_counts_strict_wins_in_the_metric_direction():
 
 
 def _record(correct: bool, **values) -> dict:
-    return {
-        "correct": correct,
-        "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()},
-    }
+    return {"problems": [] if correct else ["W1 off"], "metrics": values}
 
 
 @pytest.mark.parametrize("new_correct", (True, False))
@@ -56,3 +54,36 @@ def test_report_prints_each_metric_and_fails_on_an_incorrect_run(
     else:
         assert rc == 1
         assert out[2:] == [f"INCORRECT: new run {i}" for i in range(1, 6)]
+
+
+def test_the_export_holds_the_working_tree_without_ignored_files(tmp_path):
+    # a committed file modified in the tree, an untracked file and an
+    # ignored one: the export holds the first two as they are on disk
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "src").mkdir()
+    (repo / "src" / "kept.py").write_text("committed\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    (repo / "src" / "kept.py").write_text("modified\n")
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    bench_pairs.export_tree(repo, dest)
+    files = {
+        str(f.relative_to(dest)): f.read_text()
+        for f in dest.rglob("*") if f.is_file()
+    }
+    assert files == {
+        ".gitignore": "*.log\n",
+        "src/kept.py": "modified\n",
+        "src/new.py": "untracked\n",
+    }

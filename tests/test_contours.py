@@ -16,7 +16,6 @@ from freedeconv.errors import NoContourError, NoisyContourError
 from freedeconv.inversion import (
     critical_points,
     lift_many,
-    real_preimage,
     slit_free_radius,
 )
 from freedeconv.measures import DiscreteMeasure
@@ -26,6 +25,7 @@ from helpers import (
     is_conjugate_symmetric,
     lagrange_sums,
     moment_map,
+    mp_pole_preimage,
     rand_measure,
     winding_number,
 )
@@ -379,25 +379,28 @@ def test_circle_nodes_lower_half_is_the_exact_mirror_of_the_upper(n):
 # ---------------------------------------------------------------------------
 
 def test_z_contour_encloses_what_the_z_plane_rule_needs():
-    # on measures whose atoms span up to three decades: the ellipse winds
-    # once about every atom, critical point and the root of 1 + c M, so M
-    # maps it to a curve that winds once clockwise about 0 and not about
-    # the S_MP pole -1/c; dz/dt is the derivative of its nodes
+    # on measures whose atoms span up to three decades, sit far from 0 or
+    # cluster tightly: the ellipse winds once about every atom, critical
+    # point, 0 and the root z* of 1 + c M in (0, min atom), so M maps it
+    # to a curve that winds once clockwise about 0 and not about the S_MP
+    # pole -1/c; dz/dt is the derivative of its nodes
     rng = np.random.default_rng(53)
-    for _ in range(60):
-        mu = rand_measure(rng, 9, lo=0.01)
-        c = rng.uniform(0.02, 0.98)
-        q = critical_points(mu).critical_points
-        root = real_preimage(mu, -1.0 / c)
-        z, dz = z_contour_nodes(mu.atoms, q, root, 512)
-        for p in np.concatenate([mu.atoms, q, [root]]):
-            assert winding_number(z, p) == 1
-        m = moment_map(mu, z)
-        assert winding_number(m, 0.0) == -1
-        assert winding_number(m, -1.0 / c) == 0
-        scale = np.max(np.abs(dz))
-        assert np.max(np.abs(dz - _parametric_derivative(z))) <= 1e-12 * scale
-        assert np.allclose(z[256:], np.conj(z[:256][::-1]), rtol=1e-14)
+    for lo, hi in ((0.01, 10.0), (50.0, 51.0), (1.0, 1.05)):
+        for _ in range(60):
+            mu = rand_measure(rng, 9, lo, hi)
+            c = rng.uniform(0.02, 0.98)
+            q = critical_points(mu).critical_points
+            root = mp_pole_preimage(mu, c)
+            z, dz = z_contour_nodes(mu.atoms, q, 512)
+            for p in np.concatenate([mu.atoms, q, [0.0, root]]):
+                assert winding_number(z, p) == 1
+            m = moment_map(mu, z)
+            assert winding_number(m, 0.0) == -1
+            assert winding_number(m, -1.0 / c) == 0
+            scale = np.max(np.abs(dz))
+            err = np.max(np.abs(dz - _parametric_derivative(z)))
+            assert err <= 1e-12 * scale
+            assert np.allclose(z[256:], np.conj(z[:256][::-1]), rtol=1e-14)
 
 
 def test_z_contour_nodes_input_contracts():
@@ -405,9 +408,9 @@ def test_z_contour_nodes_input_contracts():
     q = np.array([1.5 + 0.1j, 1.5 - 0.1j])
     for n in (8, 17):
         with pytest.raises(ValueError):
-            z_contour_nodes(atoms, q, 0.5, n)
+            z_contour_nodes(atoms, q, n)
     with pytest.raises(ValueError, match="integer"):
-        z_contour_nodes(atoms, q, 0.5, 16.0)
+        z_contour_nodes(atoms, q, 16.0)
     z = circle_nodes(1.0, 16)
     rep = ContourRepresentation(z, z)
     with pytest.raises(ValueError):

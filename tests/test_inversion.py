@@ -335,42 +335,16 @@ def test_slit_free_radius_is_the_distance_from_0_to_the_slits():
 # the moment map on the z plane
 # ---------------------------------------------------------------------------
 
-def test_moment_map_and_real_preimage_match_the_definition():
-    # brentq on the definition of M: the root of 1 + c M(z) left of the
-    # atoms, on measures whose atoms span up to three decades
+def test_moment_map_matches_the_definition():
+    # M and M' against their definitions, on measures whose atoms span up
+    # to three decades
     rng = np.random.default_rng(41)
     for _ in range(40):
         mu = rand_measure(rng, 9, lo=0.01)
-        c = rng.uniform(0.02, 0.98)
         z = rng.normal(size=8) + 1j * rng.normal(size=8)
         f, d = inversion.moment_map(mu, z)
         assert np.allclose(f, moment_map(mu, z), rtol=1e-13, atol=0.0)
         assert np.allclose(d, moment_map_derivative(mu, z), rtol=1e-13)
-        root = inversion.real_preimage(mu, -1.0 / c)
-        ref = brentq(
-            lambda t: 1.0 + c * moment_map(mu, t).real,
-            0.0, mu.atoms[0] * (1.0 - 1e-12), xtol=1e-300, rtol=1e-15,
-        )
-        assert 0.0 < root < mu.atoms[0]
-        assert root == pytest.approx(ref, rel=1e-13)
-
-
-def test_real_preimage_rejects_values_it_does_not_take():
-    # M(0) = -1 on a probability measure on (0, inf): values at or above
-    # it have no preimage in (0, min atom), nor has a measure whose least
-    # atom is negative
-    mu = DiscreteMeasure([1.0, 3.0], [0.5, 0.5])
-    for value in (-1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            inversion.real_preimage(mu, value)
-    with pytest.raises(ValueError):
-        inversion.real_preimage(DiscreteMeasure([-1.0, 3.0], [0.5, 0.5]), -2.0)
-    # an atom at 0 carries no pole: the interval ends at the least positive
-    # atom, and M(0) is minus the mass on the others
-    with_zero = DiscreteMeasure([0.0, 1.0, 3.0], [0.5, 0.25, 0.25])
-    root = inversion.real_preimage(with_zero, -0.75)
-    assert 0.0 < root < 1.0
-    assert moment_map(with_zero, root).real == pytest.approx(-0.75, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

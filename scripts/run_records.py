@@ -9,11 +9,12 @@ Run from the repository root:
 
 ``--out`` runs, in this process with one BLAS thread, the seed 0-2 run
 lists of the small_p and near_square workloads and the seed 0 list of
-large_p, each as ``bench/workloads.run_list`` builds it for 30 s, then the
-noise-free run of every finite-atom scenario those workloads use.  A
-sampled run does what ``freedeconv scenario`` does for one (n, seed); a
-noise-free run deconvolves the exact forward spectrum with the default
-configuration, as the benchmark's ``noise_free_w1`` does.  It writes one
+large_p, each as ``bench/workloads.run_list`` builds it for the
+``run_seconds`` of BENCHMARK.json, then the noise-free run of every
+finite-atom scenario those workloads use.  A sampled run does what
+``freedeconv scenario`` does for one (n, seed); a noise-free run
+deconvolves the exact forward spectrum with the default configuration,
+as the benchmark's ``noise_free_w1`` does.  It writes one
 JSON record per run: the outcome, the error class and stage of a failed
 run, and of a returned estimate the accepted rung, rank, ``nodes_used``,
 contour radius and its limiter, the moment rule, the settle gap and
@@ -58,7 +59,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SECONDS = 30
 SEEDS = {"small_p": (0, 1, 2), "near_square": (0, 1, 2), "large_p": (0,)}
 # fields whose change means a run took another path, not a rounding move
 PATH_FIELDS = ("outcome", "error", "stage", "rung", "rank", "moment_rule")
@@ -208,13 +208,14 @@ def records() -> dict[str, dict]:
     )
     from freedeconv.experiments import SCENARIOS
 
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     out = {}
     scenarios = set()
     for name, seeds in SEEDS.items():
         workload = workloads.WORKLOADS[name]
         scenarios.update(workload.scenarios)
         for seed in seeds:
-            for run in workloads.run_list(workload, seed, SECONDS):
+            for run in workloads.run_list(workload, seed, seconds):
                 sc = SCENARIOS[run.scenario]
                 p = round(sc.c * run.n)
                 key = f"{name}/{run.scenario}/n{run.n}/seed{run.seed}"

@@ -52,20 +52,15 @@ def _as_complex_nodes(values, name: str) -> np.ndarray:
     return arr
 
 
-def _signed_area(z: np.ndarray) -> float:
-    # shoelace formula: positive for a counterclockwise polygon
-    area = np.sum(np.imag(np.conj(z[:-1]) * z[1:]))
-    return 0.5 * float(area + np.imag(np.conj(z[-1]) * z[0]))
-
-
 @dataclass(frozen=True)
 class ContourRepresentation:
-    """Sampled closed counterclockwise contour sigma(t_j) with transform
-    values on the nodes.
+    """Sampled closed contour sigma(t_j) with transform values on the
+    nodes.
 
     One period is stored without repeating the first node; the wrap-around
-    is implied.  A clockwise node sequence (negative signed area) is
-    rejected.
+    is implied.  Its orientation is not checked here: the moment rule's
+    mass check reads it, as a contour run the other way about the support
+    sums its residues to -1.
     """
 
     sigma: np.ndarray
@@ -81,8 +76,6 @@ class ContourRepresentation:
         gaps = np.abs(np.diff(np.concatenate([sigma, sigma[:1]])))
         if np.any(gaps == 0.0):
             raise ValueError("contour has coincident consecutive nodes")
-        if _signed_area(sigma) < 0.0:
-            raise ValueError("contour runs clockwise")
         sigma.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
@@ -162,12 +155,13 @@ def moments_from_z_contour(
 ) -> ContourMoments:
     """Moments m_0..m_K of a measure from its inverse moment map on `rep`.
 
-    `rep` holds an even number n of equispaced counterclockwise nodes
-    sigma = Minv(m) with values G = (1 + m) / sigma, and `dm` the
-    derivative of m in the node angle.  The nodes m wind once clockwise
-    about 0 where the inverse branch is single valued: a circle about 0,
-    or M(Gamma) for a z contour Gamma of another measure whose moment map
-    M is univalent outside it.  Lagrange inversion reads m_k =
+    `rep` holds an even number n of equispaced nodes sigma = Minv(m),
+    winding once counterclockwise about the measure's support, with
+    values G = (1 + m) / sigma, and `dm` the derivative of m in the node
+    angle.  The nodes m wind once clockwise about 0 where the inverse
+    branch is single valued: a circle about 0, or M(Gamma) for a z
+    contour Gamma of another measure whose moment map M is univalent
+    outside it.  Lagrange inversion reads m_k =
     (1/2 pi i k) of Minv(m)^k dm = mean(i dm sigma^k) / k for k >= 1;
     m_0 is the residue sum (1/2 pi i) of G dsigma, with dsigma the
     spectral derivative of the nodes.  `half_gap` is the largest
@@ -177,7 +171,8 @@ def moments_from_z_contour(
     across orders, scaled by max(1, |m_k|), is `imag_residue`.  A residue
     at or above 1e-6, or a mass m_0 off 1 by more than 1e-6, means the
     contour does not faithfully enclose a probability measure, and
-    raises NoisyContourError.
+    raises NoisyContourError.  A contour run the other way reads
+    m_0 = -1, so the mass check also reads the orientation.
     """
     if K < 1:
         raise ValueError("need at least orders 0 and 1")

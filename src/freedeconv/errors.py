@@ -53,7 +53,7 @@ class NoContourError(NumericalError):
 
 class NoisyContourError(NumericalError):
     """Contour moments carry an imaginary residue or a mass off 1 above
-    tolerance, or the curve they would be taken on is no contour."""
+    tolerance, or did not settle."""
 
 
 class InvalidMomentsError(NumericalError):

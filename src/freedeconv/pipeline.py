@@ -22,7 +22,8 @@ atom, where the inverse branch is explicit and nothing is solved;
 or, for the forward direction (nu to the spectrum of the product, the
 noise-free oracle), the image of a circle in the plane of the companion
 Stieltjes transform B under the inverse z(B) of the Marchenko-Pastur
-equation.
+equation.  The rule's mass check reads a contour's orientation, and the
+spectral stage uses its moments only where its even-node gap settles.
 """
 
 from __future__ import annotations
@@ -141,11 +142,11 @@ class DeconvDiagnostics:
     the rounding of the sums, amplified where they cancel.  The gap is the
     largest distance, relative to max(1, |m_k|), between its complex
     Lagrange sums of orders k >= 1 on all nodes and on their even nodes,
-    and `settled` is whether that gap is below SETTLE_GAP.  The upper
-    half of the nodes is marched in one `lift_many` call, and each node
-    counts the steps of that march: one when the power series of the
-    inverse branch, corrected once, reaches every node, more when the
-    march has to shorten its first step.  `lift_steps_total` sums the
+    below SETTLE_GAP on every returned run.  The upper half of the nodes
+    is marched in one `lift_many` call, and each node counts the steps of
+    that march: one when the power series of the inverse branch,
+    corrected once, reaches every node, more when the march has to
+    shorten its first step.  `lift_steps_total` sums the
     count over the nodes, and `lift_steps_max` is the longest march.
     `pivots` are the scaled Hankel Cholesky pivots of the moments, to order
     MAX_MOMENTS // 2, through the first one that is not positive: the
@@ -168,7 +169,6 @@ class DeconvDiagnostics:
     contour_radius: float
     radius_limiter: str
     nodes_used: int
-    settled: bool
     settle_gap: float
     moment_rule: str
     lift_steps_total: int
@@ -257,8 +257,9 @@ class _Spectral(NamedTuple):
 
 
 def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
-    """Ramification, radius, one lift of the circle, and its moments, or
-    the z ellipse's where the circle's do not settle, factored once.
+    """Ramification, radius, one lift of the circle, and its settled
+    moments, or the z ellipse's where the circle's raise or do not
+    settle, factored once.
 
     All of them run on the Gauss proxy of `mu_n`.  An aspect ratio outside
     (0, 1) raises ValueError before any of them.
@@ -287,22 +288,14 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
     lower = np.conj(m[:half])
     rep, dm = _closed(np.conj(z_upper), lower, -1j * lower)
     try:
-        extracted = moments_from_z_contour(rep, dm, MAX_MOMENTS)
-        fault = None
-        if extracted.half_gap >= SETTLE_GAP:
-            fault = f"did not settle below {SETTLE_GAP:g}"
+        extracted = _settled_moments(rep, dm, "spectral_stage")
+        rule = "m_circle"
     except NoisyContourError as exc:
-        fault = f"raised: {exc}"
-    rule = "m_circle"
-    if fault is not None:
-        log.warning("circle moments %s; taking the z ellipse's", fault)
+        log.warning("circle %s; taking the z ellipse's", exc)
         rule = "z_ellipse"
         rep, extracted = _z_plane_pass(proxy, ramification.critical_points, c)
     factor = hankel_factor(extracted.moments, MAX_MOMENTS // 2)
     t3 = time.perf_counter()
-    settled = extracted.half_gap < SETTLE_GAP
-    if not settled:
-        log.warning("contour moments did not settle below %g", SETTLE_GAP)
 
     diagnostics = dict(
         imag_residue=extracted.imag_residue,
@@ -311,7 +304,6 @@ def _spectral_stage(mu_n: DiscreteMeasure, c: float) -> _Spectral:
         contour_radius=radius,
         radius_limiter=limiter,
         nodes_used=CIRCLE_NODES,
-        settled=settled,
         settle_gap=extracted.half_gap,
         moment_rule=rule,
         pivots=tuple(map(float, factor.pivots)),
@@ -343,6 +335,22 @@ def _closed(
     return ContourRepresentation(sigma, (1.0 + m) / sigma), dm
 
 
+def _settled_moments(
+    rep: ContourRepresentation, dm: np.ndarray, stage: str
+) -> ContourMoments:
+    """`moments_from_z_contour` on `rep`, or NoisyContourError at `stage`,
+    carrying the `settle_gap`, where that gap reaches SETTLE_GAP."""
+    extracted = moments_from_z_contour(rep, dm, MAX_MOMENTS)
+    gap = extracted.half_gap
+    if gap >= SETTLE_GAP:
+        raise NoisyContourError(
+            f"moments did not settle below {SETTLE_GAP:g}: gap {gap:.3e}",
+            stage=stage,
+            diagnostics={"settle_gap": gap},
+        )
+    return extracted
+
+
 def _z_plane_pass(
     proxy: DiscreteMeasure, critical: np.ndarray, c: float
 ) -> tuple[ContourRepresentation, ContourMoments]:
@@ -358,22 +366,15 @@ def _z_plane_pass(
     sigma = z / (1 + c M), are real and lie in (0, max atom], so the
     segment holds them whatever c is, and it also holds sigma's zeros, 0
     and the atoms: one more zero than poles, so the image sigma winds
-    once about 0.  It takes CIRCLE_NODES nodes, the lower half the mirror
-    of the upper.  Near c = 1 the image can still run clockwise; an image
-    that is no counterclockwise contour raises NoisyContourError.
+    once about 0.  It takes CIRCLE_NODES nodes, none of them real, the
+    lower half the mirror of the upper.  A pass that does not settle
+    raises NoisyContourError at stage `z_plane_pass`.
     """
     z, dz = z_contour_nodes(proxy.atoms, critical, CIRCLE_NODES)
     half = CIRCLE_NODES // 2
     f, d = moment_map(proxy, z[:half])
-    try:
-        rep, dm = _closed(z[:half] / (1.0 + c * f), f, d * dz[:half])
-    except ValueError as exc:
-        raise NoisyContourError(
-            f"the image of the z ellipse is no contour: {exc}",
-            stage="z_plane_pass",
-            diagnostics={"c": c},
-        ) from exc
-    return rep, moments_from_z_contour(rep, dm, MAX_MOMENTS)
+    rep, dm = _closed(z[:half] / (1.0 + c * f), f, d * dz[:half])
+    return rep, _settled_moments(rep, dm, "z_plane_pass")
 
 
 def deconvolve(
@@ -409,8 +410,9 @@ def deconvolve(
     nodes, the rule one level down.  Where it does not settle, or its
     moments raise NoisyContourError, the run logs a warning and takes
     the same rule on the image of the z ellipse, at N nodes, as
-    `moment_rule` records.  An unsettled ellipse logs a second warning
-    and is used.  The returned `contour` is the image on which the
+    `moment_rule` records, or raises NoisyContourError at `z_plane_pass`
+    where that does not settle either: every `settle_gap` returned is
+    below SETTLE_GAP.  The returned `contour` is the image on which the
     moments were taken: the estimate's Stieltjes contour.
     Every other failure raises a typed error carrying its stage.
 

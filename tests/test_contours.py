@@ -68,13 +68,6 @@ def test_contour_representation_rejects_length_mismatch():
         ContourRepresentation(sigma, np.ones(31, dtype=complex))
 
 
-def test_contour_representation_rejects_reversed_circle():
-    sigma = _circle_nodes(0.0, 1.0, 32)
-    ContourRepresentation(sigma, np.ones(32, dtype=complex))
-    with pytest.raises(ValueError, match="clockwise"):
-        ContourRepresentation(sigma[::-1], np.ones(32, dtype=complex))
-
-
 def test_contour_representation_rejects_coincident_nodes():
     sigma = _circle_nodes(0.0, 1.0, 32)
     sigma[5] = sigma[6]
@@ -233,6 +226,19 @@ def test_moments_from_z_contour_half_gap_is_the_even_node_rules_distance():
     m = _circle_nodes(0.0, 1.05, 65)
     with pytest.raises(ValueError, match="even"):
         moments_from_z_contour(*_circle_rule(m, _two_inverse(m)), 4)
+
+
+def test_a_reversed_contour_is_built_and_its_mass_reads_minus_one():
+    # the image of a counterclockwise m circle winds clockwise about the
+    # atoms; taken in the circle's own order it is a valid representation,
+    # and the rule's mass check reads its orientation as m_0 = -1
+    m = _circle_nodes(0.0, 1.05, 64)
+    z = _two_inverse(m)
+    rep = ContourRepresentation(z, (1.0 + m) / z)
+    with pytest.raises(NoisyContourError) as exc_info:
+        moments_from_z_contour(rep, 1j * m, 4)
+    assert exc_info.value.stage == "moments_from_z_contour"
+    assert exc_info.value.diagnostics["mass"] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_moments_from_z_contour_keeps_the_contour_checks():

@@ -1,10 +1,12 @@
-"""The grid summary of `scripts/run_records.py --diff`."""
+"""The run list of `scripts/run_records.py --out`, and the grid summary of
+its `--diff`."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_records.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "run_records.py"
 spec = importlib.util.spec_from_file_location("run_records", SCRIPT)
 run_records = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(run_records)
@@ -72,3 +74,27 @@ def test_diff_prints_the_grid_cell_medians_and_rank_moves(tmp_path, capsys):
     rc, rows = _diff(tmp_path, {"noise_free/S1": s3[0]},
                      {"noise_free/S1": s3[0]}, capsys)
     assert (rc, rows) == (0, {})
+
+
+def test_the_recorded_runs_are_the_run_lists_of_the_declared_run_length(
+    tmp_path, monkeypatch
+):
+    # a run length other than the repository's, so that a hard-coded one
+    # would show; the sampled runs are stubbed out
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 5}))
+    monkeypatch.setattr(run_records, "ROOT", tmp_path)
+    monkeypatch.setattr(run_records, "_sampled_record", lambda *a: FAILED)
+    recs = run_records.records()
+    expected = [
+        f"{name}/{run.scenario}/n{run.n}/seed{run.seed}"
+        for name, seeds in run_records.SEEDS.items()
+        for seed in seeds
+        for run in workloads.run_list(workloads.WORKLOADS[name], seed, 5)
+    ]
+    # the 30 s lists hold 209 runs
+    assert 0 < len(expected) < 209
+    sampled = sorted(k for k in recs if not k.startswith("noise_free/"))
+    assert sampled == sorted(expected)
